@@ -10,109 +10,19 @@ a reproducible Monte Carlo harness.
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    GainLaw,
-    gain_cdf,
-    gamma_lower_regularized,
-    ks_statistic,
-    q1_exact,
-    q1_high_snr,
-)
-from .beam_aggregation import (
-    AggregationCandidate,
-    Problem4Solution,
-    certify_solution,
-    enumerate_candidates,
-    evaluate_scheme1,
-    evaluate_scheme2,
-    min_primary_power,
-    oracle_grid_solver,
-    solve_problem4,
-)
-from .beam_selection import SchemeOutcome, evaluate_selection
-from .channel_model import (
-    ChannelRealization,
-    SingularChannel,
-    SystemConfig,
-    TrialSeed,
-    effective_gains,
-    realize,
-    sample_channels,
-    zf_beams,
-)
-from .link_rates import (
-    RateReport,
-    rate_agg_decode_primary,
-    rate_agg_secondary,
-    rate_primary,
-    rate_scheme1_secondary,
-    rate_sel_decode_primary,
-    rate_sel_secondary,
-)
-from .montecarlo import (
-    MetricEstimate,
-    SweepResult,
-    SweepRow,
-    SweepSpec,
-    estimate,
-    run_trial,
-    snr_db_to_linear,
-)
-from .power_allocation import (
-    PowerCoefficients,
-    alpha_p_inactive,
-    alpha_s_selection,
-    eta,
-    mode_i_alpha_p,
-    scheme1_coefficients,
-    tau,
-)
+from .beam_aggregation import evaluate_scheme1, evaluate_scheme2
+from .beam_selection import evaluate_selection
+from .channel_model import SystemConfig, TrialSeed, realize
+from .montecarlo import SweepSpec, estimate
 
 __all__ = [
-    "AggregationCandidate",
-    "ChannelRealization",
-    "GainLaw",
-    "MetricEstimate",
-    "PowerCoefficients",
-    "Problem4Solution",
-    "RateReport",
-    "SchemeOutcome",
-    "SingularChannel",
-    "SweepResult",
-    "SweepRow",
-    "SweepSpec",
     "SystemConfig",
     "TrialSeed",
-    "alpha_p_inactive",
-    "alpha_s_selection",
-    "certify_solution",
-    "effective_gains",
-    "enumerate_candidates",
-    "estimate",
-    "eta",
+    "realize",
+    "evaluate_selection",
     "evaluate_scheme1",
     "evaluate_scheme2",
-    "evaluate_selection",
-    "gain_cdf",
-    "gamma_lower_regularized",
-    "ks_statistic",
-    "min_primary_power",
-    "mode_i_alpha_p",
-    "oracle_grid_solver",
-    "q1_exact",
-    "q1_high_snr",
-    "rate_agg_decode_primary",
-    "rate_agg_secondary",
-    "rate_primary",
-    "rate_scheme1_secondary",
-    "rate_sel_decode_primary",
-    "rate_sel_secondary",
-    "realize",
-    "run_trial",
-    "sample_channels",
-    "scheme1_coefficients",
-    "snr_db_to_linear",
-    "solve_problem4",
-    "tau",
-    "zf_beams",
+    "SweepSpec",
+    "estimate",
+    "__version__",
 ]

@@ -15,13 +15,11 @@ the reason the secondary user's outage has no error floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "GainLaw",
     "gamma_lower_regularized",
     "q1_exact",
     "q1_high_snr",
@@ -83,25 +81,11 @@ def gamma_lower_regularized(s: float, x: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-@dataclass(frozen=True)
-class GainLaw:
-    """Distribution of M g_m for a zero-forcing system: Gamma(N - M + 1, 1)."""
-
-    shape: int
-
-    def __post_init__(self) -> None:
-        if self.shape < 1:
-            raise ValueError("shape must be a positive integer")
-
-    def cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return gamma_lower_regularized(float(self.shape), x)
-
-
 def gain_cdf(x: float, n_antennas: int, m_beams: int) -> float:
-    """CDF of the scaled effective gain M g_m."""
-    return GainLaw(n_antennas - m_beams + 1).cdf(x)
+    """CDF of the scaled effective gain M g_m, which is Gamma(N - M + 1, 1)."""
+    if x <= 0.0:
+        return 0.0
+    return gamma_lower_regularized(float(n_antennas - m_beams + 1), x)
 
 
 def q1_exact(n_antennas: int, m_beams: int, eps_p: float, rho: float) -> float:

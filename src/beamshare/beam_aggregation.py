@@ -34,7 +34,7 @@ import numpy as np
 
 from .beam_selection import SchemeOutcome
 from .channel_model import ChannelRealization, SystemConfig
-from .link_rates import rate_primary, rate_scheme1_secondary
+from .link_rates import primary_rates, rate_scheme1_secondary
 from .power_allocation import (
     PowerCoefficients,
     _alpha_s_capped,
@@ -93,10 +93,6 @@ class Problem4Solution:
     t_star: float
     objective_rate: float
     status: str  # optimal | infeasible
-
-    @property
-    def alpha_s(self) -> tuple[float, ...]:
-        return tuple(v * v for v in self.x)
 
 
 def enumerate_candidates(
@@ -393,22 +389,14 @@ def evaluate_scheme1(
     g_gain = chan.g_gain.tolist()
     coeffs = scheme1_coefficients(cfg, g_gain, active)
     rate = rate_scheme1_secondary(active, h_gain, coeffs, cfg.rho)
-    in_set = set(active)
-    primary = np.array(
-        [
-            rate_primary(m, g_gain[m], coeffs, cfg.rho, in_active_set=(m in in_set))
-            for m in range(cfg.m_beams)
-        ]
-    )
     return SchemeOutcome(
         scheme_tag="scheme1",
         chosen_set=coeffs.active_set,
-        secondary_rate=rate,
-        outage=rate < cfg.r_s,
-        sic_ok=np.ones(cfg.m_beams, dtype=bool),
-        primary_rates=primary,
-        coefficients=coeffs,
         secondary_rate_raw=rate,
+        sic_ok=True,
+        outage=rate < cfg.r_s,
+        primary_rates=primary_rates(g_gain, coeffs, cfg.rho),
+        coefficients=coeffs,
     )
 
 
@@ -454,20 +442,12 @@ def evaluate_scheme2(
         chosen = tuple(sorted(cand.beams))
         rate = sol.objective_rate
     coeffs = PowerCoefficients(alpha_p, alpha_s, chosen)
-    in_set = set(chosen)
-    primary = np.array(
-        [
-            rate_primary(m, g_gain[m], coeffs, cfg.rho, in_active_set=(m in in_set))
-            for m in range(cfg.m_beams)
-        ]
-    )
     return SchemeOutcome(
         scheme_tag="scheme2",
         chosen_set=chosen,
-        secondary_rate=rate,
-        outage=(best is None) or rate < cfg.r_s,
-        sic_ok=np.ones(cfg.m_beams, dtype=bool),
-        primary_rates=primary,
-        coefficients=coeffs,
         secondary_rate_raw=rate,
+        sic_ok=True,
+        outage=(best is None) or rate < cfg.r_s,
+        primary_rates=primary_rates(g_gain, coeffs, cfg.rho),
+        coefficients=coeffs,
     )

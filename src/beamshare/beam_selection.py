@@ -3,9 +3,9 @@
 Per beam the largest admissible secondary share is computed, the beam with
 the best secondary SINR wins (ties to the lowest index), and the outcome
 records outage and the achieved rate.  The rate is credited only when the
-SIC precondition holds -- the secondary user cannot decode anything if it
-fails to strip the primary signal first; the unconditioned value
-log2(1 + sinr) is kept alongside for diagnostics.
+SIC precondition holds on the chosen beam -- the secondary user cannot
+decode anything if it fails to strip the primary signal first; the
+unconditioned value log2(1 + sinr) is what the outcome stores.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .channel_model import ChannelRealization, SystemConfig
 from .link_rates import (
     SIC_SLACK,
-    rate_primary,
+    primary_rates,
     rate_sel_decode_primary,
     rate_sel_secondary,
 )
@@ -37,13 +37,17 @@ class SchemeOutcome:
 
     scheme_tag: str                    # selection | scheme1 | scheme2
     chosen_set: tuple[int, ...]        # beams carrying secondary power
-    secondary_rate: float              # BPCU, 0 when SIC failed
+    secondary_rate_raw: float          # BPCU, ignoring the SIC precondition
+    sic_ok: bool                       # SIC precondition holds on chosen_set
     outage: bool
-    sic_ok: np.ndarray                 # per-beam decode-precondition flags
     primary_rates: np.ndarray          # legacy users' rates, per beam
     coefficients: PowerCoefficients
-    secondary_rate_raw: float = 0.0    # rate ignoring the SIC precondition
     resamples: int = 0                 # singular-channel redraws (audit)
+
+    @property
+    def secondary_rate(self) -> float:
+        """Rate the secondary user earns: 0 when SIC fails."""
+        return self.secondary_rate_raw if self.sic_ok else 0.0
 
 
 def evaluate_selection(
@@ -63,35 +67,23 @@ def evaluate_selection(
 
     gammas = [0.0] * m_beams
     alpha_s = [0.0] * m_beams
-    r_tilde = [0.0] * m_beams
     for m in range(m_beams):
         a = alpha_s_selection(m, h_gain, g_gain[m], base_ap, rho, eps_p)
         alpha_s[m] = a
         gammas[m] = h_gain[m] * a / tau((m,), h_gain, base_ap, rho)
-        cand = _coeffs_for(m, a, base_ap)
-        r_tilde[m] = rate_sel_decode_primary(m, h_gain, cand, rho)
 
     best = max(range(m_beams), key=lambda m: (gammas[m], -m))
     coeffs = _coeffs_for(best, alpha_s[best], base_ap)
-    sic_ok = np.array([rt >= cfg.r_p - SIC_SLACK for rt in r_tilde])
+    sic_ok = rate_sel_decode_primary(best, h_gain, coeffs, rho) >= cfg.r_p - SIC_SLACK
     rate = rate_sel_secondary(best, h_gain, coeffs, rho)
-    rate_earned = rate if sic_ok[best] else 0.0
-    outage = not (sic_ok[best] and rate >= cfg.r_s)
-    primary = np.array(
-        [
-            rate_primary(m, g_gain[m], coeffs, rho, in_active_set=(m == best))
-            for m in range(m_beams)
-        ]
-    )
     return SchemeOutcome(
         scheme_tag="selection",
         chosen_set=(best,),
-        secondary_rate=rate_earned,
-        outage=outage,
-        sic_ok=sic_ok,
-        primary_rates=primary,
-        coefficients=coeffs,
         secondary_rate_raw=rate,
+        sic_ok=sic_ok,
+        outage=not (sic_ok and rate >= cfg.r_s),
+        primary_rates=primary_rates(g_gain, coeffs, rho),
+        coefficients=coeffs,
     )
 
 

@@ -9,8 +9,7 @@ beam power sums to one:
 
 which gives g_m^H f_i = 0 for m != i and ||f_m||^2 = 1/M for every beam.
 The scalar quantities the power-allocation layer consumes are the effective
-gains g_m = |g_m^H f_m|^2 and h_m = |h^H f_m|^2 plus the unit-modulus
-combining phases beta_m.
+gains g_m = |g_m^H f_m|^2 and h_m = |h^H f_m|^2.
 """
 
 from __future__ import annotations
@@ -80,11 +79,6 @@ class SystemConfig:
         """SINR threshold 2^r_p - 1 protecting the primary users."""
         return 2.0 ** self.r_p - 1.0
 
-    @cached_property
-    def eps_s(self) -> float:
-        """SINR threshold 2^r_s - 1 for the secondary user's own target."""
-        return 2.0 ** self.r_s - 1.0
-
 
 @dataclass(frozen=True)
 class TrialSeed:
@@ -121,7 +115,6 @@ class ChannelRealization:
     F: np.ndarray        # N x M beam matrix, columns f_m
     g_gain: np.ndarray   # g_m = |g_m^H f_m|^2
     h_gain: np.ndarray   # h_m = |h^H f_m|^2
-    beta: np.ndarray     # unit-modulus combining phases (1 where h_m = 0)
     resamples: int = 0   # singular-channel redraws consumed by this trial
 
 
@@ -167,20 +160,13 @@ def zf_beams(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return F, g_gain
 
 
-def effective_gains(
-    h: np.ndarray, F: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Secondary-user gains h_m = |h^H f_m|^2 and combining phases beta_m.
+def effective_gains(h: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Secondary-user gains h_m = |h^H f_m|^2.
 
-    beta_m = conj(h^H f_m) / |h^H f_m| makes the aggregated beams combine
-    coherently; it is set to 1 on beams with zero gain (inert by convention).
+    The aggregation schemes assume the combining phases that align the beams
+    coherently at the secondary user, so only the gains enter the rates.
     """
-    proj = h.conj() @ F
-    h_gain = np.abs(proj) ** 2
-    beta = np.ones_like(proj)
-    nz = h_gain > 0.0
-    beta[nz] = proj[nz].conj() / np.abs(proj[nz])
-    return h_gain, beta
+    return np.abs(h.conj() @ F) ** 2
 
 
 def realize(cfg: SystemConfig, seed: TrialSeed) -> ChannelRealization:
@@ -197,14 +183,12 @@ def realize(cfg: SystemConfig, seed: TrialSeed) -> ChannelRealization:
             F, g_gain = zf_beams(G)
         except SingularChannel:
             continue
-        h_gain, beta = effective_gains(h, F)
         return ChannelRealization(
             G=G,
             h=h,
             F=F,
             g_gain=g_gain,
-            h_gain=h_gain,
-            beta=beta,
+            h_gain=effective_gains(h, F),
             resamples=attempt - seed.attempt,
         )
     raise SingularChannel(

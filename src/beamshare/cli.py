@@ -15,15 +15,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
+import stat
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO
+from contextlib import contextmanager, suppress
+from dataclasses import replace
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .montecarlo import METRICS, SweepResult, SweepSpec, estimate
 from .validation import SUITES
 from . import __version__
 
-__all__ = ["ExperimentConfig", "main"]
+__all__ = ["main"]
 
 CSV_HEADER = "snr_db,n,m,scheme,metric,value,std_err,trials,seed,resamples"
 
@@ -33,17 +37,19 @@ _STRATEGY_FLAGS = {
     "all-subsets": "all_subsets",
 }
 
-_CONFIG_FIELDS = {
-    "n_antennas",
-    "m_beams",
-    "snr_db",
-    "r_p_bpcu",
-    "r_s_bpcu",
-    "trials",
-    "seed",
-    "schemes",
-    "metric",
-    "candidate_strategy",
+# JSON config key -> SweepSpec field; every key but candidate_strategy is
+# required
+_CONFIG_KEYS = {
+    "n_antennas": "n_antennas",
+    "m_beams": "m_beams",
+    "snr_db": "snr_grid_db",
+    "r_p_bpcu": "r_p",
+    "r_s_bpcu": "r_s",
+    "trials": "trials",
+    "seed": "seed",
+    "schemes": "schemes",
+    "metric": "metric",
+    "candidate_strategy": "candidate_strategy",
 }
 
 
@@ -51,76 +57,26 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Serialized experiment description (JSON key/value tree)."""
-
-    n_antennas: int
-    m_beams: int
-    snr_db: tuple[float, ...]
-    r_p_bpcu: float
-    r_s_bpcu: float
-    trials: int
-    seed: int
-    schemes: tuple[str, ...]
-    metric: str
-    candidate_strategy: str = "prefixes_plus_singletons"
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}"
-            ) from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
-        unknown = sorted(set(raw) - _CONFIG_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
-        missing = sorted(
-            _CONFIG_FIELDS - {"candidate_strategy"} - set(raw)
-        )
-        if missing:
-            raise ConfigError(f"missing config field(s): {', '.join(missing)}")
-        try:
-            return cls(
-                n_antennas=int(raw["n_antennas"]),
-                m_beams=int(raw["m_beams"]),
-                snr_db=tuple(float(v) for v in raw["snr_db"]),
-                r_p_bpcu=float(raw["r_p_bpcu"]),
-                r_s_bpcu=float(raw["r_s_bpcu"]),
-                trials=int(raw["trials"]),
-                seed=int(raw["seed"]),
-                schemes=tuple(str(s) for s in raw["schemes"]),
-                metric=str(raw["metric"]),
-                candidate_strategy=str(
-                    raw.get("candidate_strategy", "prefixes_plus_singletons")
-                ),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
-
-    def to_spec(self) -> SweepSpec:
-        try:
-            return SweepSpec(
-                n_antennas=self.n_antennas,
-                m_beams=self.m_beams,
-                r_p=self.r_p_bpcu,
-                r_s=self.r_s_bpcu,
-                snr_grid_db=self.snr_db,
-                schemes=self.schemes,
-                metric=self.metric,
-                trials=self.trials,
-                seed=self.seed,
-                candidate_strategy=self.candidate_strategy,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+def _load_config(path: str) -> SweepSpec:
+    """Read a flat JSON experiment config into a SweepSpec."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}"
+        ) from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
+    missing = sorted(set(_CONFIG_KEYS) - {"candidate_strategy"} - set(raw))
+    if missing:
+        raise ConfigError(f"missing config field(s): {', '.join(missing)}")
+    return SweepSpec(**{_CONFIG_KEYS[key]: value for key, value in raw.items()})
 
 
 # figure presets: schemes, metric, targets, and which assumptions we had to
@@ -163,6 +119,7 @@ _PRESETS = {
 _PRESET_M = (2, 4)
 _PRESET_SNR = "0:40:5"
 _PRESET_TRIALS = 2000
+_MAX_SNR_POINTS = 10 ** 7
 
 
 def _parse_snr_grid(text: str) -> tuple[float, ...]:
@@ -174,31 +131,30 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        # steps below 1e-9 would merge points at the 9-decimal rounding
+        if not (math.isfinite(start) and math.isfinite(stop) and step >= 1e-9):
+            raise ValueError
+        if stop < start:
             raise ValueError
     except ValueError:
         raise ConfigError(
-            f"bad --snr-db {text!r}: expected a single value or start:stop:step"
+            f"bad --snr-db {text!r}: expected a single value or "
+            "start:stop:step with step >= 1e-9"
         ) from None
-    grid = []
-    value = start
-    while value <= stop + 1e-9:
-        grid.append(round(value, 9))
-        value += step
-    return tuple(grid)
+    span = (stop - start + 1e-9) / step
+    if not span < _MAX_SNR_POINTS:
+        raise ConfigError(
+            f"bad --snr-db {text!r}: more than {_MAX_SNR_POINTS} grid points"
+        )
+    # each point is start + k*step, so rounding errors do not accumulate
+    return tuple(round(start + k * step, 9) for k in range(math.floor(span) + 1))
 
 
 def _format_value(v: float) -> str:
     return repr(float(v))
 
 
-def _write_result(
-    out: TextIO, result: SweepResult, metadata: Sequence[str], header: bool = True
-) -> None:
-    if header:
-        for line in metadata:
-            out.write(f"# {line}\n")
-        out.write(CSV_HEADER + "\n")
+def _write_rows(out: TextIO, result: SweepResult) -> None:
     spec = result.spec
     for row in result.rows:
         est = row.estimate
@@ -221,97 +177,132 @@ def _write_result(
         )
 
 
-def _open_out(path: str):
+@contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """Yield a stream for the CSV text bound for `path` (stdout for '-').
+
+    Callers write only after every estimate is done, so a failed run writes
+    nothing. A new or regular file (symlinks followed) is written to a
+    temporary file beside it and renamed over it, so an interrupted write
+    leaves no partial CSV either; other targets, such as devices, pipes and
+    files in read-only directories, are written in place. The stream is
+    opened first, so a bad path fails before any trial runs.
+    """
     if path == "-":
-        return sys.stdout, False
+        yield sys.stdout
+        return
+    real = os.path.realpath(path)
     try:
-        return open(path, "w", encoding="utf-8", newline="\n"), True
+        mode = os.stat(real).st_mode
+    except FileNotFoundError:
+        mode = None
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    if path.endswith(os.sep) or (mode is not None and stat.S_ISDIR(mode)):
+        raise OSError(f"cannot write {path}: is a directory")
+    directory, name = os.path.split(real)
+    # no temporary file can be made beside a target in a read-only directory
+    if mode is not None and not (
+        stat.S_ISREG(mode) and os.access(directory, os.W_OK)
+    ):
+        with _open(path, real, "w") as fh:
+            yield fh
+        return
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = _open(path, tmp, "x")
+    try:
+        with fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, real)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _open(path: str, target: str, mode: str) -> TextIO:
+    try:
+        return open(target, mode, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def _overrides(args: argparse.Namespace) -> dict:
+    """SweepSpec fields set by the flags sweep and preset share."""
+    fields = {
+        "trials": args.trials,
+        "seed": args.seed,
+        "metric": args.metric,
+        "snr_grid_db": None if args.snr_db is None else _parse_snr_grid(args.snr_db),
+        "candidate_strategy": _STRATEGY_FLAGS.get(args.strategy),
+    }
+    return {k: v for k, v in fields.items() if v is not None}
+
+
+def _run(
+    args: argparse.Namespace, specs: Sequence[SweepSpec], metadata: Sequence[str]
+) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
+    with _output(args.out) as out:
+        results = [estimate(spec, workers=args.workers) for spec in specs]
+        for line in metadata:
+            out.write(f"# {line}\n")
+        out.write(CSV_HEADER + "\n")
+        for result in results:
+            _write_rows(out, result)
+    return 0
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.snr_db is not None:
-        overrides["snr_db"] = _parse_snr_grid(args.snr_db)
-    if args.metric is not None:
-        overrides["metric"] = args.metric
-    if args.strategy is not None:
-        overrides["candidate_strategy"] = _STRATEGY_FLAGS[args.strategy]
-    if overrides:
-        cfg = ExperimentConfig(**{**cfg.__dict__, **overrides})
-    spec = cfg.to_spec()
-    result = estimate(spec, workers=args.workers)
+    try:
+        spec = replace(_load_config(args.config), **_overrides(args))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     metadata = [
         f"beamshare {__version__} sweep",
         f"config: {args.config}",
-        f"r_p_bpcu: {cfg.r_p_bpcu} r_s_bpcu: {cfg.r_s_bpcu}",
-        f"strategy: {cfg.candidate_strategy} seed: {cfg.seed} trials: {cfg.trials}",
+        f"r_p_bpcu: {spec.r_p} r_s_bpcu: {spec.r_s}",
+        f"strategy: {spec.candidate_strategy} seed: {spec.seed} trials: {spec.trials}",
     ]
-    out, close = _open_out(args.out)
-    try:
-        _write_result(out, result, metadata)
-    finally:
-        if close:
-            out.close()
-    return 0
+    return _run(args, [spec], metadata)
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
     preset = _PRESETS[args.name]
-    trials = args.trials if args.trials is not None else _PRESET_TRIALS
-    seed = args.seed if args.seed is not None else 1
-    grid = _parse_snr_grid(args.snr_db if args.snr_db is not None else _PRESET_SNR)
-    metric = args.metric if args.metric is not None else preset["metric"]
     m_list = tuple(args.m_beams) if args.m_beams else _PRESET_M
-    r_p = args.r_p_bpcu if args.r_p_bpcu is not None else preset["r_p"]
-    r_s = args.r_s_bpcu if args.r_s_bpcu is not None else preset["r_s"]
-    strategy = (
-        _STRATEGY_FLAGS[args.strategy]
-        if args.strategy is not None
-        else "prefixes_plus_singletons"
+    fields = dict(
+        r_p=preset["r_p"] if args.r_p_bpcu is None else args.r_p_bpcu,
+        r_s=preset["r_s"] if args.r_s_bpcu is None else args.r_s_bpcu,
+        snr_grid_db=_parse_snr_grid(_PRESET_SNR),
+        schemes=preset["schemes"],
+        metric=preset["metric"],
+        trials=_PRESET_TRIALS,
+        seed=1,
+        candidate_strategy="prefixes_plus_singletons",
     )
+    fields.update(_overrides(args))
+    try:
+        specs = [SweepSpec(n_antennas=m, m_beams=m, **fields) for m in m_list]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    spec = specs[0]
     metadata = [
         f"beamshare {__version__} preset {args.name}",
-        f"schemes: {','.join(preset['schemes'])} metric: {metric}",
-        f"r_p_bpcu: {r_p} r_s_bpcu: {r_s} n=m in {list(m_list)}",
-        f"strategy: {strategy} seed: {seed} trials: {trials}",
+        f"schemes: {','.join(spec.schemes)} metric: {spec.metric}",
+        f"r_p_bpcu: {spec.r_p} r_s_bpcu: {spec.r_s} n=m in {list(m_list)}",
+        f"strategy: {spec.candidate_strategy} seed: {spec.seed} trials: {spec.trials}",
     ]
     metadata.extend(f"assumption: {a}" for a in preset["assumptions"])
-    out, close = _open_out(args.out)
-    try:
-        first = True
-        for m in m_list:
-            try:
-                spec = SweepSpec(
-                    n_antennas=m,
-                    m_beams=m,
-                    r_p=r_p,
-                    r_s=r_s,
-                    snr_grid_db=grid,
-                    schemes=preset["schemes"],
-                    metric=metric,
-                    trials=trials,
-                    seed=seed,
-                    candidate_strategy=strategy,
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            result = estimate(spec, workers=args.workers)
-            _write_result(out, result, metadata, header=first)
-            first = False
-    finally:
-        if close:
-            out.close()
-    return 0
+    return _run(args, specs, metadata)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    # the solver suite draws from seed + 1, which must still fit in 64 bits
+    if not 0 <= args.seed < 2 ** 64 - 1:
+        raise ConfigError("--seed must be in [0, 2**64 - 1)")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:

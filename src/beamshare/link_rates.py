@@ -10,7 +10,6 @@ produce bit-identical floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,50 +17,18 @@ import numpy as np
 from .power_allocation import PowerCoefficients
 
 __all__ = [
-    "RateReport",
     "SIC_SLACK",
     "rate_sel_decode_primary",
     "rate_sel_secondary",
     "rate_scheme1_secondary",
     "rate_primary",
-    "rate_agg_decode_primary",
-    "rate_agg_secondary",
+    "primary_rates",
 ]
 
 # Numerical slack on the SIC precondition r_tilde >= r_p: the constructed
 # coefficients meet it with equality, so exact comparison would fail on
 # rounding noise alone.
 SIC_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Bundle of the rates produced when evaluating a scheme on one draw."""
-
-    r_tilde: np.ndarray      # secondary user's decode rate of each primary signal
-    r_secondary: float       # secondary user's own achievable rate
-    r_primary: np.ndarray    # legacy users' rates
-    sic_ok: np.ndarray       # r_tilde[m] >= r_p - SIC_SLACK
-
-    @classmethod
-    def build(
-        cls,
-        r_tilde: Sequence[float],
-        r_secondary: float,
-        r_primary: Sequence[float],
-        r_p: float,
-    ) -> "RateReport":
-        rt = np.asarray(r_tilde, dtype=float)
-        rp = np.asarray(r_primary, dtype=float)
-        if not (
-            np.all(np.isfinite(rt))
-            and np.all(np.isfinite(rp))
-            and math.isfinite(r_secondary)
-        ):
-            raise ValueError("rates must be finite")
-        if np.any(rt < 0.0) or np.any(rp < 0.0) or r_secondary < 0.0:
-            raise ValueError("rates must be non-negative")
-        return cls(rt, float(r_secondary), rp, rt >= r_p - SIC_SLACK)
 
 
 def _interference_others(
@@ -98,16 +65,6 @@ def rate_sel_secondary(
     return math.log2(1.0 + num / den)
 
 
-def _coherent_power(
-    active_set: Sequence[int], h_gain: Sequence[float], coeffs: PowerCoefficients
-) -> float:
-    """(sum over the active set of sqrt(h_i alpha_s_i))^2."""
-    t = 0.0
-    for i in active_set:
-        t += math.sqrt(float(h_gain[i]) * float(coeffs.alpha_s[i]))
-    return t * t
-
-
 def rate_scheme1_secondary(
     active_set: Sequence[int],
     h_gain: Sequence[float],
@@ -116,7 +73,10 @@ def rate_scheme1_secondary(
 ) -> float:
     """Aggregated rate when the secondary user decodes directly, treating
     every primary signal (including those on its own beams) as noise."""
-    num = _coherent_power(active_set, h_gain, coeffs)
+    t = 0.0
+    for i in active_set:
+        t += math.sqrt(float(h_gain[i]) * float(coeffs.alpha_s[i]))
+    num = t * t
     acc = 0.0
     for j in range(len(h_gain)):
         acc += float(h_gain[j]) * float(coeffs.alpha_p[j])
@@ -142,47 +102,15 @@ def rate_primary(
     return math.log2(1.0 + g_m * ap * rho)
 
 
-def rate_agg_decode_primary(
-    m: int,
-    active_set: Sequence[int],
-    h_gain: Sequence[float],
-    coeffs: PowerCoefficients,
-    rho: float,
-) -> float:
-    """Secondary user's rate decoding beam m's primary signal inside the
-    aggregation SIC chain.
-
-    active_set lists the aggregated beams in decode order (descending
-    h_gain).  Not yet cancelled at step m: primary signals later in the
-    chain, every primary signal outside the set, and the aggregated
-    secondary signal itself.
-    """
-    chain = list(active_set)
-    pos = chain.index(m)
-    active = set(chain)
-    acc = 0.0
-    for j in chain[pos + 1 :]:
-        acc += float(h_gain[j]) * float(coeffs.alpha_p[j])
-    for j in range(len(h_gain)):
-        if j not in active:
-            acc += float(h_gain[j]) * float(coeffs.alpha_p[j])
-    acc += _coherent_power(active_set, h_gain, coeffs)
-    num = float(h_gain[m]) * float(coeffs.alpha_p[m])
-    return math.log2(1.0 + num / (acc + 1.0 / rho))
-
-
-def rate_agg_secondary(
-    active_set: Sequence[int],
-    h_gain: Sequence[float],
-    coeffs: PowerCoefficients,
-    rho: float,
-) -> float:
-    """Secondary user's own aggregated rate after the SIC chain cleared the
-    active set; only out-of-set primary signals and noise interfere."""
-    num = _coherent_power(active_set, h_gain, coeffs)
-    active = set(active_set)
-    acc = 0.0
-    for j in range(len(h_gain)):
-        if j not in active:
-            acc += float(h_gain[j]) * float(coeffs.alpha_p[j])
-    return math.log2(1.0 + num / (acc + 1.0 / rho))
+def primary_rates(
+    g_gain: Sequence[float], coeffs: PowerCoefficients, rho: float
+) -> np.ndarray:
+    """Every legacy user's rate under coeffs, beams in coeffs.active_set
+    carrying secondary power."""
+    active = set(coeffs.active_set)
+    return np.array(
+        [
+            rate_primary(m, g_gain[m], coeffs, rho, in_active_set=(m in active))
+            for m in range(len(g_gain))
+        ]
+    )

@@ -10,6 +10,7 @@ linear scale internally.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
@@ -45,9 +46,28 @@ def snr_db_to_linear(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """A full experiment: SNR grid x schemes at fixed targets and trial count."""
+    """A full experiment: SNR grid x schemes at fixed targets and trial count.
+
+    Construction checks every field's type and range, so a spec built from
+    untrusted input (JSON, command line) either is valid or raises
+    ValueError.  Lists are stored as tuples and numbers as int or float.
+    """
 
     n_antennas: int
     m_beams: int
@@ -61,6 +81,23 @@ class SweepSpec:
     candidate_strategy: str = "prefixes_plus_singletons"
 
     def __post_init__(self) -> None:
+        def store(name, value):
+            object.__setattr__(self, name, value)
+
+        for name in ("n_antennas", "m_beams", "trials", "seed"):
+            store(name, _integer(name, getattr(self, name)))
+        for name in ("r_p", "r_s"):
+            store(name, _finite(name, getattr(self, name)))
+        if not isinstance(self.snr_grid_db, (list, tuple)):
+            raise ValueError("snr_grid_db must be a list of numbers")
+        store("snr_grid_db", tuple(_finite("snr_db", v) for v in self.snr_grid_db))
+        if not isinstance(self.schemes, (list, tuple)) or not all(
+            isinstance(s, str) for s in self.schemes
+        ):
+            raise ValueError(f"schemes must be a list of names from {SCHEMES}")
+        store("schemes", tuple(self.schemes))
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must be in [0, 2**64)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if len(self.snr_grid_db) == 0:
@@ -74,8 +111,11 @@ class SweepSpec:
             raise ValueError(f"metric must be one of {METRICS}")
         if self.candidate_strategy not in STRATEGIES:
             raise ValueError(f"candidate_strategy must be one of {STRATEGIES}")
-        # validates antenna/beam counts and targets
-        SystemConfig(self.n_antennas, self.m_beams, 1.0, self.r_p, self.r_s)
+        try:
+            for snr_db in self.snr_grid_db:
+                self.config_at(snr_db)  # validates geometry, targets and rho
+        except OverflowError:
+            raise ValueError("snr_db is out of range for a linear SNR") from None
 
     def config_at(self, snr_db: float) -> SystemConfig:
         return SystemConfig(

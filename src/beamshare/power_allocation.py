@@ -44,18 +44,6 @@ class PowerCoefficients:
     alpha_s: np.ndarray
     active_set: tuple[int, ...]
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Check the range and sparsity invariants; raises on violation."""
-        ap, as_ = self.alpha_p, self.alpha_s
-        if np.any(ap < -tol) or np.any(as_ < -tol):
-            raise ValueError("negative power coefficient")
-        if np.any(ap + as_ > 1.0 + tol):
-            raise ValueError("per-beam power exceeds the budget")
-        active = set(self.active_set)
-        for m in range(len(as_)):
-            if m not in active and as_[m] != 0.0:
-                raise ValueError(f"beam {m} outside the active set has alpha_s != 0")
-
 
 def eta(g_m: float, rho: float, eps_p: float) -> float:
     """Minimum primary share on beam m preserving legacy QoS under NOMA.

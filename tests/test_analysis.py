@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from beamshare.analysis import (
-    GainLaw,
     gain_cdf,
     gamma_lower_regularized,
     ks_statistic,
@@ -97,7 +96,7 @@ def test_gain_cdf():
     for x in (0.2, 1.0, 2.5):
         assert gain_cdf(x, 3, 3) == pytest.approx(1.0 - math.exp(-x), rel=1e-12)
     with pytest.raises(ValueError):
-        GainLaw(0)
+        gain_cdf(1.0, 2, 3)  # N < M has no gain law
 
 
 def test_ks_statistic_basics():

@@ -33,7 +33,6 @@ def _chan(g_gain, h_gain):
         F=np.eye(m, dtype=complex),
         g_gain=np.array(g_gain, dtype=float),
         h_gain=np.array(h_gain, dtype=float),
-        beta=np.ones(m, dtype=complex),
     )
 
 
@@ -100,7 +99,7 @@ def test_solve_worked_instance_closed_form():
     assert sol.status == "optimal"
     assert sol.t_star ** 2 == pytest.approx(U_REF, abs=1e-9)
     assert sol.alpha_p == pytest.approx([U_REF + 0.1, U_REF + 0.1], abs=1e-8)
-    assert sol.alpha_s == pytest.approx([0.9 - U_REF, 0.9 - U_REF], abs=1e-8)
+    assert [x * x for x in sol.x] == pytest.approx([0.9 - U_REF, 0.9 - U_REF], abs=1e-8)
     assert sol.objective_rate == pytest.approx(math.log2(1.0 + U_REF / 0.1), abs=1e-8)
     assert certify_solution(WORKED, WORKED_H, 1.0, sol) == []
     # both decode constraints are tight at the optimum

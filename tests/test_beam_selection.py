@@ -17,7 +17,6 @@ def _chan(g_gain, h_gain):
         F=np.eye(m, dtype=complex),
         g_gain=np.array(g_gain, dtype=float),
         h_gain=np.array(h_gain, dtype=float),
-        beta=np.ones(m, dtype=complex),
     )
 
 
@@ -88,14 +87,14 @@ def test_outage_event_formulation():
     # outage == {gamma_best < eps_s} union {decode rate < r_p}, away from
     # the measure-zero comparison boundaries
     cfg = SystemConfig(4, 4, 10.0, 1.0, 1.5)
+    eps_s = 2.0 ** cfg.r_s - 1.0
     for t in range(300):
         chan = realize(cfg, TrialSeed(73, t))
         out = evaluate_selection(chan, cfg)
-        m = out.chosen_set[0]
         gamma = 2.0 ** out.secondary_rate_raw - 1.0
-        if abs(gamma - cfg.eps_s) < 1e-9:
+        if abs(gamma - eps_s) < 1e-9:
             continue
-        expected = (gamma < cfg.eps_s) or (not out.sic_ok[m])
+        expected = (gamma < eps_s) or (not out.sic_ok)
         assert out.outage == expected
 
 
@@ -105,8 +104,7 @@ def test_rate_earned_only_with_sic():
     for t in range(500):
         chan = realize(cfg, TrialSeed(79, t))
         out = evaluate_selection(chan, cfg)
-        m = out.chosen_set[0]
-        if out.sic_ok[m]:
+        if out.sic_ok:
             assert out.secondary_rate == out.secondary_rate_raw
         else:
             seen_fail = True

@@ -1,6 +1,11 @@
 import json
+import os
+import stat
 
-from beamshare.cli import CSV_HEADER, main
+import pytest
+
+import beamshare.cli as cli_mod
+from beamshare.cli import CSV_HEADER, _parse_snr_grid, main
 
 
 def _write_config(path, **overrides):
@@ -27,9 +32,10 @@ def _rows(text):
 
 
 def test_sweep_minimal_config(tmp_path):
-    cfg = _write_config(tmp_path / "cfg.json")
+    cfg = _write_config(tmp_path / "cfg.json", r_s_bpcu=1)
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert "# r_p_bpcu: 0.1 r_s_bpcu: 1.0\n" in out.read_text()  # ints print as floats
     rows = _rows(out.read_text())
     assert len(rows) == 2  # one SNR point x two schemes
     for row in rows:
@@ -75,6 +81,8 @@ def test_sweep_unwritable_output(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json")
     target = tmp_path / "missing-dir" / "out.csv"
     assert main(["sweep", "--config", cfg, "--out", str(target)]) == 3
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_sweep_overrides_and_stdout(tmp_path, capsys):
@@ -103,6 +111,110 @@ def test_sweep_overrides_and_stdout(tmp_path, capsys):
 def test_bad_snr_spec(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     assert main(["sweep", "--config", cfg, "--snr-db", "10:0:5", "--out", "-"]) == 2
+
+
+def test_snr_grid_has_no_float_drift():
+    # every point is start + k*step, never a running sum of steps
+    grid = _parse_snr_grid("0:1000:0.001")
+    assert grid == tuple(round(k * 0.001, 9) for k in range(1_000_001))
+    assert _parse_snr_grid("0:40:5") == tuple(float(v) for v in range(0, 41, 5))
+
+
+@pytest.mark.parametrize(
+    "config, flags, culprit",
+    [
+        pytest.param({}, ["--seed", "-1"], "seed", id="seed-negative"),
+        pytest.param({}, ["--seed", str(2 ** 64)], "seed", id="seed-2**64"),
+        pytest.param({}, ["--snr-db", "nan"], "snr_db", id="snr-nan"),
+        pytest.param({}, ["--snr-db", "inf"], "snr_db", id="snr-inf"),
+        pytest.param({}, ["--snr-db", "0:inf:5"], "snr-db", id="snr-grid-inf"),
+        pytest.param({}, ["--snr-db", "0:40:1e-12"], "snr-db", id="snr-grid-tiny-step"),
+        pytest.param({}, ["--snr-db", "0:1e300:1"], "snr-db", id="snr-grid-huge"),
+        pytest.param({}, ["--snr-db", "5000"], "snr_db", id="snr-overflow"),
+        pytest.param({}, ["--workers", "-3"], "workers", id="workers-negative"),
+        pytest.param({"trials": 2.7}, [], "trials", id="trials-float"),
+        pytest.param({"seed": True}, [], "seed", id="seed-bool"),
+        pytest.param({"r_s_bpcu": "1"}, [], "r_s", id="rate-string"),
+        pytest.param(
+            {"schemes": "selection"}, [], "schemes must be a list", id="schemes-string"
+        ),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, config, flags, culprit):
+    cfg = _write_config(tmp_path / "cfg.json", **config)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", cfg, *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert culprit in lines[0]
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("target", ["F.csv", "-"])
+def test_preset_failure_writes_nothing(tmp_path, capsys, target):
+    # the M = 2 block would be valid; M = 0 must fail before anything is written
+    out = target if target == "-" else str(tmp_path / target)
+    args = ["preset", "fig1a", "--trials", "3", "--snr-db", "10"]
+    assert main(args + ["--m-beams", "2", "--m-beams", "0", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_interrupted_run_leaves_no_file(tmp_path, monkeypatch):
+    # a run that dies after its first estimate removes its temporary file
+    real = cli_mod.estimate
+    calls = []
+
+    def flaky(spec, workers=1):
+        if calls:
+            raise KeyboardInterrupt
+        calls.append(spec)
+        return real(spec, workers)
+
+    monkeypatch.setattr(cli_mod, "estimate", flaky)
+    out = tmp_path / "F.csv"
+    with pytest.raises(KeyboardInterrupt):
+        main(["preset", "fig1a", "--trials", "3", "--snr-db", "10", "--out", str(out)])
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_follows_symlinks_and_writes_pipes_in_place(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json")
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert main(["sweep", "--config", cfg, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    expected = target.read_text()
+    assert _rows(expected)
+    # a pipe is written in place, not replaced by a regular file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["sweep", "--config", cfg, "--out", str(fifo)]) == 0
+        assert os.read(fd, 1 << 16).decode() == expected
+    finally:
+        os.close(fd)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "link.csv", "pipe", "target.csv"]
+
+
+def test_output_in_read_only_directory_is_written_in_place(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out.csv"
+    out.write_text("old")
+    inode = out.stat().st_ino
+    monkeypatch.setattr(cli_mod.os, "access", lambda path, mode: False)
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert out.stat().st_ino == inode
+    assert _rows(out.read_text())
 
 
 def test_preset_unknown_name():
@@ -178,6 +290,13 @@ def test_validate_failure_exit_code(capsys, monkeypatch):
     assert main(["validate", "zf"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] zf.forced" in out
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64 - 1)])
+def test_validate_rejects_bad_seed(capsys, seed):
+    assert main(["validate", "solver", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --seed")
 
 
 def test_validate_zf_passes(capsys):

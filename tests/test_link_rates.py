@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from beamshare.beam_aggregation import enumerate_candidates, solve_problem4
 from beamshare.channel_model import SystemConfig, TrialSeed, realize
 from beamshare.link_rates import (
-    RateReport,
-    rate_agg_decode_primary,
-    rate_agg_secondary,
+    primary_rates,
     rate_primary,
     rate_scheme1_secondary,
     rate_sel_decode_primary,
     rate_sel_secondary,
 )
-from beamshare.power_allocation import PowerCoefficients, mode_i_alpha_p
+from beamshare.power_allocation import (
+    PowerCoefficients,
+    alpha_s_selection,
+    mode_i_alpha_p,
+)
 
 
 def _coeffs(alpha_p, alpha_s, active):
@@ -86,55 +89,44 @@ def test_rate_primary_values():
     assert active == pytest.approx(legacy, abs=1e-12)
 
 
-def test_rate_agg_decode_primary_worked_optimum():
-    # two-beam optimum with h=(2,1), eps=1, tau=0.1: both decode rates hit
-    # the target exactly (alpha_p = u + 0.1 with u = 0.9(3+2sqrt2)/(4+2sqrt2))
-    u = 0.9 * (3 + 2 * math.sqrt(2)) / (4 + 2 * math.sqrt(2))
-    ap = u + 0.1
-    coeffs = _coeffs([ap, ap], [1 - ap, 1 - ap], (0, 1))
-    r1 = rate_agg_decode_primary(0, (0, 1), [2.0, 1.0], coeffs, 10.0)
-    r2 = rate_agg_decode_primary(1, (0, 1), [2.0, 1.0], coeffs, 10.0)
-    assert r1 == pytest.approx(1.0, abs=1e-9)
-    assert r2 == pytest.approx(1.0, abs=1e-9)
-
-
-def test_rate_agg_decode_primary_single_beam_no_secondary():
-    coeffs = _coeffs([0.7], [0.0], (0,))
-    got = rate_agg_decode_primary(0, (0,), [1.3], coeffs, 10.0)
-    assert got == pytest.approx(math.log2(1.0 + 10.0 * 1.3 * 0.7))
-
-
-def test_rate_agg_secondary_worked_value():
-    u = 0.9 * (3 + 2 * math.sqrt(2)) / (4 + 2 * math.sqrt(2))
-    ap = u + 0.1
-    coeffs = _coeffs([ap, ap], [1 - ap, 1 - ap], (0, 1))
-    got = rate_agg_secondary((0, 1), [2.0, 1.0], coeffs, 10.0)
-    # coherent signal power equals u at the optimum, all beams aggregated
-    assert got == pytest.approx(math.log2(1.0 + u / 0.1), abs=1e-9)
-    silent = _coeffs([ap, ap], [0.0, 0.0], (0, 1))
-    assert rate_agg_secondary((0, 1), [2.0, 1.0], silent, 10.0) == 0.0
+def test_primary_rates_marks_the_active_set():
+    coeffs = _coeffs([0.55, 0.1, 0.3], [0.45, 0.0, 0.0], (0,))
+    got = primary_rates([1.0, 1.0, 2.0], coeffs, 10.0)
+    assert got.tolist() == [
+        rate_primary(0, 1.0, coeffs, 10.0, in_active_set=True),
+        rate_primary(1, 1.0, coeffs, 10.0, in_active_set=False),
+        rate_primary(2, 2.0, coeffs, 10.0, in_active_set=False),
+    ]
 
 
 def test_aggregation_reduces_to_selection_on_singletons():
-    rng = np.random.default_rng(23)
-    cfg = SystemConfig(4, 4, 10.0, 1.0, 1.0)
+    # on a single beam the scheme 2 program's optimum is the selection
+    # share, and its rate is the selection rate
+    cfg = SystemConfig(4, 4, 100.0, 0.1, 1.0)
+    solved = 0
     for t in range(100):
         chan = realize(cfg, TrialSeed(61, t))
         h = chan.h_gain.tolist()
-        base = mode_i_alpha_p(chan.g_gain.tolist(), cfg.rho, cfg.eps_p)
-        m = int(rng.integers(0, 4))
-        a_s = float(rng.uniform(0.0, 0.4))
-        ap = list(base)
-        ap[m] = 1.0 - a_s
-        as_ = [0.0] * 4
-        as_[m] = a_s
-        coeffs = _coeffs(ap, as_, (m,))
-        assert rate_agg_secondary((m,), h, coeffs, cfg.rho) == pytest.approx(
-            rate_sel_secondary(m, h, coeffs, cfg.rho), abs=1e-12
-        )
-        assert rate_agg_decode_primary(m, (m,), h, coeffs, cfg.rho) == pytest.approx(
-            rate_sel_decode_primary(m, h, coeffs, cfg.rho), abs=1e-12
-        )
+        g = chan.g_gain.tolist()
+        base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
+        for cand in enumerate_candidates(chan, cfg, "prefixes_plus_singletons"):
+            if len(cand.beams) != 1:
+                continue
+            (m,) = cand.beams
+            sol = solve_problem4(cand, h, cfg.eps_p)
+            if sol.status != "optimal":
+                continue
+            solved += 1
+            a_s = alpha_s_selection(m, h, g[m], base, cfg.rho, cfg.eps_p)
+            ap = list(base)
+            ap[m] = 1.0 - a_s
+            as_ = [0.0] * 4
+            as_[m] = a_s
+            coeffs = _coeffs(ap, as_, (m,))
+            assert sol.objective_rate == pytest.approx(
+                rate_sel_secondary(m, h, coeffs, cfg.rho), abs=1e-12
+            )
+    assert solved > 100
 
 
 def test_rate_monotonicity_random():
@@ -149,12 +141,15 @@ def test_rate_monotonicity_random():
         up = list(as_)
         up[0] = min(1.0 - ap[0], as_[0] + 0.05)
         more_signal = _coeffs(ap, up, (0, 1, 2))
-        assert rate_agg_secondary((0, 1, 2), h, more_signal, rho) >= rate_agg_secondary(
-            (0, 1, 2), h, coeffs, rho
+        assert rate_sel_secondary(0, h, more_signal, rho) >= rate_sel_secondary(
+            0, h, coeffs, rho
         )
-        assert rate_agg_decode_primary(
-            0, (0, 1, 2), h, more_signal, rho
-        ) <= rate_agg_decode_primary(0, (0, 1, 2), h, coeffs, rho)
+        assert rate_sel_decode_primary(0, h, more_signal, rho) <= rate_sel_decode_primary(
+            0, h, coeffs, rho
+        )
+        assert rate_scheme1_secondary(
+            (0, 1, 2), h, more_signal, rho
+        ) >= rate_scheme1_secondary((0, 1, 2), h, coeffs, rho)
         bump = list(ap)
         bump[1] = min(1.0 - as_[1], ap[1] + 0.05)
         more_interf = _coeffs(bump, as_, (0, 1, 2))
@@ -164,14 +159,3 @@ def test_rate_monotonicity_random():
         assert rate_sel_decode_primary(0, h, more_interf, rho) <= rate_sel_decode_primary(
             0, h, coeffs, rho
         )
-
-
-def test_rate_report_invariants():
-    report = RateReport.build([1.0, 0.5], 2.0, [1.0, 1.0], r_p=1.0)
-    assert report.sic_ok.tolist() == [True, False]
-    boundary = RateReport.build([1.0 - 1e-13], 0.0, [0.0], r_p=1.0)
-    assert bool(boundary.sic_ok[0])  # tolerance absorbs rounding noise
-    with pytest.raises(ValueError):
-        RateReport.build([math.inf], 0.0, [0.0], r_p=1.0)
-    with pytest.raises(ValueError):
-        RateReport.build([-0.1], 0.0, [0.0], r_p=1.0)

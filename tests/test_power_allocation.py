@@ -5,7 +5,6 @@ import pytest
 
 from beamshare.channel_model import SystemConfig, TrialSeed, realize
 from beamshare.power_allocation import (
-    PowerCoefficients,
     alpha_p_inactive,
     alpha_s_selection,
     eta,
@@ -85,15 +84,6 @@ def test_scheme1_rejects_bad_set():
         scheme1_coefficients(cfg, [1.0, 1.0], (0, 5))
 
 
-def test_power_coefficients_validate():
-    good = PowerCoefficients(np.array([0.5, 0.1]), np.array([0.5, 0.0]), (0,))
-    good.validate()
-    with pytest.raises(ValueError):
-        PowerCoefficients(np.array([0.8, 0.1]), np.array([0.5, 0.0]), (0,)).validate()
-    with pytest.raises(ValueError):
-        PowerCoefficients(np.array([0.5, 0.1]), np.array([0.0, 0.2]), (0,)).validate()
-
-
 def test_selection_cap_equals_one_minus_eta_exactly():
     # when the QoS cap binds, the admissible share is bitwise 1 - eta; the
     # aggregation solver's singleton reduction leans on this identity
@@ -148,8 +138,11 @@ def test_coefficient_ranges_random():
     cfg = SystemConfig(4, 4, 31.6, 0.5, 1.0)
     for t in range(100):
         chan = realize(cfg, TrialSeed(55, t))
-        coeffs = scheme1_coefficients(cfg, chan.g_gain.tolist(), (0, 1, 2, 3))
-        coeffs.validate()
-        assert np.all(coeffs.alpha_p >= 0.0) and np.all(coeffs.alpha_p <= 1.0)
-        assert np.all(coeffs.alpha_s >= 0.0) and np.all(coeffs.alpha_s <= 1.0)
-        assert np.all(coeffs.alpha_p + coeffs.alpha_s <= 1.0 + 1e-12)
+        for active in ((0, 1, 2, 3), (0, 2)):
+            coeffs = scheme1_coefficients(cfg, chan.g_gain.tolist(), active)
+            assert coeffs.active_set == active
+            if active == (0, 2):
+                assert coeffs.alpha_s[1] == 0.0 and coeffs.alpha_s[3] == 0.0
+            assert np.all(coeffs.alpha_p >= 0.0) and np.all(coeffs.alpha_p <= 1.0)
+            assert np.all(coeffs.alpha_s >= 0.0) and np.all(coeffs.alpha_s <= 1.0)
+            assert np.all(coeffs.alpha_p + coeffs.alpha_s <= 1.0 + 1e-12)
