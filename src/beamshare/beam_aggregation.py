@@ -60,7 +60,7 @@ __all__ = [
 STRATEGIES = ("prefixes", "prefixes_plus_singletons", "all_subsets")
 
 _BISECT_MAX_ITER = 200
-_ALL_SUBSETS_MAX_BEAMS = 8
+ALL_SUBSETS_MAX_BEAMS = 8
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,9 @@ def enumerate_candidates(
 
     beam_sets: list[tuple[int, ...]] = []
     if strategy == "all_subsets":
-        if m_beams > _ALL_SUBSETS_MAX_BEAMS:
+        if m_beams > ALL_SUBSETS_MAX_BEAMS:
             raise ValueError(
-                f"all_subsets enumeration is limited to {_ALL_SUBSETS_MAX_BEAMS} beams"
+                f"all_subsets enumeration is limited to {ALL_SUBSETS_MAX_BEAMS} beams"
             )
         for size in range(1, m_beams + 1):
             beam_sets.extend(itertools.combinations(order, size))
@@ -374,21 +374,16 @@ def oracle_grid_solver(
     )
 
 
-def evaluate_scheme1(
-    chan: ChannelRealization,
-    cfg: SystemConfig,
-    active_set: Optional[Sequence[int]] = None,
-) -> SchemeOutcome:
-    """Evaluate direct-decoding aggregation; the set defaults to all beams.
+def evaluate_scheme1(chan: ChannelRealization, cfg: SystemConfig) -> SchemeOutcome:
+    """Evaluate direct-decoding aggregation over every beam.
 
     There is no SIC precondition: the achieved rate is always decodable, so
     outage is simply rate < r_s.
     """
-    active = tuple(active_set) if active_set is not None else tuple(range(cfg.m_beams))
     h_gain = chan.h_gain.tolist()
     g_gain = chan.g_gain.tolist()
-    coeffs = scheme1_coefficients(cfg, g_gain, active)
-    rate = rate_scheme1_secondary(active, h_gain, coeffs, cfg.rho)
+    coeffs = scheme1_coefficients(cfg, g_gain)
+    rate = rate_scheme1_secondary(h_gain, coeffs, cfg.rho)
     return SchemeOutcome(
         scheme_tag="scheme1",
         chosen_set=coeffs.active_set,

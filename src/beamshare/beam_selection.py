@@ -10,17 +10,13 @@ unconditioned value log2(1 + sinr) is what the outcome stores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel_model import ChannelRealization, SystemConfig
-from .link_rates import (
-    SIC_SLACK,
-    primary_rates,
-    rate_sel_decode_primary,
-    rate_sel_secondary,
-)
+from .link_rates import SIC_SLACK, primary_rates, rate_sel_decode_primary
 from .power_allocation import (
     PowerCoefficients,
     alpha_s_selection,
@@ -42,7 +38,6 @@ class SchemeOutcome:
     outage: bool
     primary_rates: np.ndarray          # legacy users' rates, per beam
     coefficients: PowerCoefficients
-    resamples: int = 0                 # singular-channel redraws (audit)
 
     @property
     def secondary_rate(self) -> float:
@@ -67,15 +62,17 @@ def evaluate_selection(
 
     gammas = [0.0] * m_beams
     alpha_s = [0.0] * m_beams
+    taus = [0.0] * m_beams
     for m in range(m_beams):
-        a = alpha_s_selection(m, h_gain, g_gain[m], base_ap, rho, eps_p)
-        alpha_s[m] = a
-        gammas[m] = h_gain[m] * a / tau((m,), h_gain, base_ap, rho)
+        alpha_s[m] = alpha_s_selection(m, h_gain, g_gain[m], base_ap, rho, eps_p)
+        taus[m] = tau((m,), h_gain, base_ap, rho)
+        gammas[m] = h_gain[m] * alpha_s[m] / taus[m]
 
     best = max(range(m_beams), key=lambda m: (gammas[m], -m))
     coeffs = _coeffs_for(best, alpha_s[best], base_ap)
-    sic_ok = rate_sel_decode_primary(best, h_gain, coeffs, rho) >= cfg.r_p - SIC_SLACK
-    rate = rate_sel_secondary(best, h_gain, coeffs, rho)
+    decode = rate_sel_decode_primary(h_gain[best], alpha_s[best], taus[best])
+    sic_ok = decode >= cfg.r_p - SIC_SLACK
+    rate = math.log2(1.0 + gammas[best])
     return SchemeOutcome(
         scheme_tag="selection",
         chosen_set=(best,),

@@ -79,21 +79,17 @@ def _load_config(path: str) -> SweepSpec:
     return SweepSpec(**{_CONFIG_KEYS[key]: value for key, value in raw.items()})
 
 
-# figure presets: schemes, metric, targets, and which assumptions we had to
-# fill in (recorded in the CSV metadata so they are auditable)
+# figure presets: schemes, metric, and which assumptions we had to fill in
+# (recorded in the CSV metadata so they are auditable)
 _PRESETS = {
     "fig1a": dict(
         schemes=("selection",),
         metric="outage",
-        r_p=0.1,
-        r_s=1.0,
         assumptions=("r_p_bpcu=0.1 assumed (stated only for the rate figures)",),
     ),
     "fig1b": dict(
         schemes=("selection",),
         metric="ergodic_rate",
-        r_p=0.1,
-        r_s=1.0,
         assumptions=(
             "r_p_bpcu=0.1 assumed (stated only for the comparison figures)",
             "rate conditioned on the SIC precondition; use --metric "
@@ -103,20 +99,18 @@ _PRESETS = {
     "fig2a": dict(
         schemes=("selection", "scheme1"),
         metric="ergodic_rate",
-        r_p=0.1,
-        r_s=1.0,
         assumptions=(),
     ),
     "fig2b": dict(
         schemes=("selection", "scheme2"),
         metric="ergodic_rate",
-        r_p=0.1,
-        r_s=1.0,
         assumptions=(),
     ),
 }
 
 _PRESET_M = (2, 4)
+_PRESET_R_P = 0.1  # BPCU, shared by every preset
+_PRESET_R_S = 1.0
 _PRESET_SNR = "0:40:5"
 _PRESET_TRIALS = 2000
 _MAX_SNR_POINTS = 10 ** 7
@@ -274,8 +268,8 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     preset = _PRESETS[args.name]
     m_list = tuple(args.m_beams) if args.m_beams else _PRESET_M
     fields = dict(
-        r_p=preset["r_p"] if args.r_p_bpcu is None else args.r_p_bpcu,
-        r_s=preset["r_s"] if args.r_s_bpcu is None else args.r_s_bpcu,
+        r_p=_PRESET_R_P if args.r_p_bpcu is None else args.r_p_bpcu,
+        r_s=_PRESET_R_S if args.r_s_bpcu is None else args.r_s_bpcu,
         snr_grid_db=_parse_snr_grid(_PRESET_SNR),
         schemes=preset["schemes"],
         metric=preset["metric"],

@@ -19,7 +19,6 @@ from .power_allocation import PowerCoefficients
 __all__ = [
     "SIC_SLACK",
     "rate_sel_decode_primary",
-    "rate_sel_secondary",
     "rate_scheme1_secondary",
     "rate_primary",
     "primary_rates",
@@ -31,50 +30,22 @@ __all__ = [
 SIC_SLACK = 1e-12
 
 
-def _interference_others(
-    m: int, h_gain: Sequence[float], coeffs: PowerCoefficients, rho: float
-) -> float:
-    """sum_{i != m} h_i (alpha_p_i + alpha_s_i) + 1/rho."""
-    ap, as_ = coeffs.alpha_p, coeffs.alpha_s
-    acc = 0.0
-    for i in range(len(h_gain)):
-        if i != m:
-            acc += float(h_gain[i]) * (float(ap[i]) + float(as_[i]))
-    return acc + 1.0 / rho
-
-
-def rate_sel_decode_primary(
-    m: int, h_gain: Sequence[float], coeffs: PowerCoefficients, rho: float
-) -> float:
-    """Secondary user's rate decoding the primary signal on beam m, with the
-    secondary signals independently encoded per beam (no aggregation)."""
-    num = float(h_gain[m]) * float(coeffs.alpha_p[m])
-    den = float(h_gain[m]) * float(coeffs.alpha_s[m]) + _interference_others(
-        m, h_gain, coeffs, rho
-    )
-    return math.log2(1.0 + num / den)
-
-
-def rate_sel_secondary(
-    m: int, h_gain: Sequence[float], coeffs: PowerCoefficients, rho: float
-) -> float:
-    """Secondary user's own rate on beam m after cancelling that beam's
-    primary signal."""
-    num = float(h_gain[m]) * float(coeffs.alpha_s[m])
-    den = _interference_others(m, h_gain, coeffs, rho)
-    return math.log2(1.0 + num / den)
+def rate_sel_decode_primary(h_m: float, alpha_s_m: float, tau_m: float) -> float:
+    """Secondary user's rate decoding the primary signal on the one beam m
+    it uses: that beam carries alpha_p_m = 1 - alpha_s_m, and tau_m is the
+    interference-plus-noise from the other (inactive) beams."""
+    num = h_m * (1.0 - alpha_s_m)
+    return math.log2(1.0 + num / (h_m * alpha_s_m + tau_m))
 
 
 def rate_scheme1_secondary(
-    active_set: Sequence[int],
-    h_gain: Sequence[float],
-    coeffs: PowerCoefficients,
-    rho: float,
+    h_gain: Sequence[float], coeffs: PowerCoefficients, rho: float
 ) -> float:
-    """Aggregated rate when the secondary user decodes directly, treating
-    every primary signal (including those on its own beams) as noise."""
+    """Aggregated rate when the secondary user combines every beam's share
+    coherently and decodes directly, treating every primary signal
+    (including those on its own beams) as noise."""
     t = 0.0
-    for i in active_set:
+    for i in range(len(h_gain)):
         t += math.sqrt(float(h_gain[i]) * float(coeffs.alpha_s[i]))
     num = t * t
     acc = 0.0

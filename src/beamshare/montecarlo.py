@@ -1,10 +1,11 @@
 """Reproducible Monte Carlo runner for outage and ergodic-rate sweeps.
 
-Every trial is a pure function of (experiment seed, trial index), so trials
-can run on any number of workers; results are reduced in trial-index order
-regardless of scheduling, which makes estimates bit-identical across worker
-counts.  SNR is expressed in dB at the interface and converted to the
-linear scale internally.
+A trial is one channel draw, a pure function of (experiment seed, trial
+index), on which every scheme of the sweep is evaluated, so the schemes are
+compared on the same draws.  Trials can run on any number of workers;
+results are reduced in trial-index order regardless of scheduling, which
+makes estimates bit-identical across worker counts.  SNR is expressed in dB
+at the interface and converted to the linear scale internally.
 """
 
 from __future__ import annotations
@@ -12,13 +13,20 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import ExitStack
+from dataclasses import dataclass
+from itertools import islice
 from multiprocessing import get_context
 
 import numpy as np
 
-from .beam_aggregation import STRATEGIES, evaluate_scheme1, evaluate_scheme2
-from .beam_selection import SchemeOutcome, evaluate_selection
+from .beam_aggregation import (
+    ALL_SUBSETS_MAX_BEAMS,
+    STRATEGIES,
+    evaluate_scheme1,
+    evaluate_scheme2,
+)
+from .beam_selection import evaluate_selection
 from .channel_model import SystemConfig, TrialSeed, realize
 
 __all__ = [
@@ -111,6 +119,15 @@ class SweepSpec:
             raise ValueError(f"metric must be one of {METRICS}")
         if self.candidate_strategy not in STRATEGIES:
             raise ValueError(f"candidate_strategy must be one of {STRATEGIES}")
+        if (
+            self.candidate_strategy == "all_subsets"
+            and "scheme2" in self.schemes
+            and self.m_beams > ALL_SUBSETS_MAX_BEAMS
+        ):
+            raise ValueError(
+                f"candidate_strategy all_subsets is limited to "
+                f"m_beams <= {ALL_SUBSETS_MAX_BEAMS}"
+            )
         try:
             for snr_db in self.snr_grid_db:
                 self.config_at(snr_db)  # validates geometry, targets and rho
@@ -148,71 +165,45 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def run_trial(
-    cfg: SystemConfig, seed: TrialSeed, scheme: str, strategy: str
-) -> SchemeOutcome:
-    """Evaluate one scheme on the channel draw owned by this trial seed.
-
-    Singular draws are redrawn internally and counted on the outcome.
-    """
-    chan = realize(cfg, seed)
-    if scheme == "selection":
-        outcome = evaluate_selection(chan, cfg)
-    elif scheme == "scheme1":
-        outcome = evaluate_scheme1(chan, cfg)
-    elif scheme == "scheme2":
-        outcome = evaluate_scheme2(chan, cfg, strategy)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if chan.resamples:
-        outcome = replace(outcome, resamples=chan.resamples)
-    return outcome
-
-
 # compact per-trial record: (outage, rate, raw rate, min primary rate, resamples)
 _TrialRecord = tuple[bool, float, float, float, int]
 
 
-def _record(outcome: SchemeOutcome) -> _TrialRecord:
-    return (
-        bool(outcome.outage),
-        float(outcome.secondary_rate),
-        float(outcome.secondary_rate_raw),
-        float(np.min(outcome.primary_rates)),
-        outcome.resamples,
-    )
-
-
-def _run_batch(args) -> list[_TrialRecord]:
-    cfg, seed, scheme, strategy, start, stop = args
-    return [
-        _record(run_trial(cfg, TrialSeed(seed, t), scheme, strategy))
-        for t in range(start, stop)
-    ]
-
-
-def _collect(
-    cfg: SystemConfig,
-    seed: int,
-    scheme: str,
-    strategy: str,
-    trials: int,
-    workers: int,
+def run_trial(
+    cfg: SystemConfig, seed: TrialSeed, schemes: tuple[str, ...], strategy: str
 ) -> list[_TrialRecord]:
-    if workers <= 1:
-        return _run_batch((cfg, seed, scheme, strategy, 0, trials))
-    chunk = max(1, math.ceil(trials / (workers * 4)))
-    batches = [
-        (cfg, seed, scheme, strategy, start, min(start + chunk, trials))
-        for start in range(0, trials, chunk)
-    ]
-    records: list[_TrialRecord] = []
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=get_context("spawn")
-    ) as pool:
-        for batch in pool.map(_run_batch, batches):
-            records.extend(batch)  # pool.map preserves submission order
+    """Evaluate each scheme, in order, on the channel draw owned by this
+    trial seed and return one record per scheme.
+
+    Singular draws are redrawn inside realize; each record carries the
+    redraw count.
+    """
+    chan = realize(cfg, seed)
+    records = []
+    for scheme in schemes:
+        if scheme == "selection":
+            outcome = evaluate_selection(chan, cfg)
+        elif scheme == "scheme1":
+            outcome = evaluate_scheme1(chan, cfg)
+        elif scheme == "scheme2":
+            outcome = evaluate_scheme2(chan, cfg, strategy)
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        records.append(
+            (
+                bool(outcome.outage),
+                float(outcome.secondary_rate),
+                float(outcome.secondary_rate_raw),
+                float(np.min(outcome.primary_rates)),
+                chan.resamples,
+            )
+        )
     return records
+
+
+def _run_batch(args) -> list[list[_TrialRecord]]:
+    cfg, seed, schemes, strategy, trials = args
+    return [run_trial(cfg, TrialSeed(seed, t), schemes, strategy) for t in trials]
 
 
 def _reduce(records: list[_TrialRecord], metric: str) -> MetricEstimate:
@@ -234,13 +225,31 @@ def _reduce(records: list[_TrialRecord], metric: str) -> MetricEstimate:
 
 
 def estimate(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Run the sweep and return one estimate per (SNR point, scheme)."""
+    """Run the sweep and return one estimate per (SNR point, scheme).
+
+    Each operating point's trials are split into batches; with workers > 1
+    every batch of every point goes through one process pool, and pool.map
+    hands the batches back in submission order.
+    """
+    chunk = math.ceil(spec.trials / (4 * workers if workers > 1 else 1))
+    chunks = [range(spec.trials)[t : t + chunk] for t in range(0, spec.trials, chunk)]
+    batches = [
+        (cfg, spec.seed, spec.schemes, spec.candidate_strategy, trials)
+        for cfg in map(spec.config_at, spec.snr_grid_db)
+        for trials in chunks
+    ]
     rows = []
-    for snr_db in spec.snr_grid_db:
-        cfg = spec.config_at(snr_db)
-        for scheme in spec.schemes:
-            records = _collect(
-                cfg, spec.seed, scheme, spec.candidate_strategy, spec.trials, workers
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
             )
-            rows.append(SweepRow(snr_db, scheme, _reduce(records, spec.metric)))
+            results = pool.map(_run_batch, batches)
+        else:
+            results = map(_run_batch, batches)
+        for snr_db in spec.snr_grid_db:
+            draws = [draw for batch in islice(results, len(chunks)) for draw in batch]
+            for k, scheme in enumerate(spec.schemes):
+                records = [draw[k] for draw in draws]
+                rows.append(SweepRow(snr_db, scheme, _reduce(records, spec.metric)))
     return SweepResult(spec=spec, rows=tuple(rows))

@@ -116,30 +116,11 @@ def alpha_s_selection(
     return _alpha_s_capped(float(h_gain[m]), eta(g_m, rho, eps_p), tau_m, eps_p)
 
 
-def scheme1_coefficients(
-    cfg: SystemConfig,
-    g_gain: Sequence[float],
-    active_set: Sequence[int],
-) -> PowerCoefficients:
-    """Power split for aggregated direct decoding.
+def scheme1_coefficients(cfg: SystemConfig, g_gain: Sequence[float]) -> PowerCoefficients:
+    """Power split for aggregated direct decoding over every beam.
 
-    Active beams give the secondary user everything the legacy QoS can
-    spare (alpha_p = min(1, eta_m), alpha_s = 1 - alpha_p, which sums to one
-    exactly whenever g_m >= eps_p/rho); the rest run in inactive mode.
+    Each beam gives the secondary user everything the legacy QoS can spare:
+    alpha_p = min(1, eta_m) and alpha_s = 1 - alpha_p.
     """
-    m_beams = cfg.m_beams
-    rho, eps_p = cfg.rho, cfg.eps_p
-    active = set(active_set)
-    if not active <= set(range(m_beams)):
-        raise ValueError("active_set contains an invalid beam index")
-    alpha_p = np.empty(m_beams)
-    alpha_s = np.zeros(m_beams)
-    for m in range(m_beams):
-        g = float(g_gain[m])
-        if m in active:
-            ap = min(1.0, eta(g, rho, eps_p))
-            alpha_p[m] = ap
-            alpha_s[m] = 1.0 - ap
-        else:
-            alpha_p[m] = alpha_p_inactive(g, rho, eps_p)
-    return PowerCoefficients(alpha_p, alpha_s, tuple(sorted(active)))
+    alpha_p = np.array([min(1.0, eta(float(g), cfg.rho, cfg.eps_p)) for g in g_gain])
+    return PowerCoefficients(alpha_p, 1.0 - alpha_p, tuple(range(cfg.m_beams)))

@@ -212,11 +212,13 @@ def test_oracle_random_agreement():
 
 
 def test_scheme1_worked_values():
+    # one beam: alpha = (0.55, 0.45), signal 2*0.45 over 2*0.55 + 1/rho
+    one = evaluate_scheme1(_chan([1.0], [2.0]), SystemConfig(1, 1, 10.0, 1.0, 1.0))
+    assert one.secondary_rate == pytest.approx(math.log2(1.0 + 0.9 / 1.2), abs=1e-12)
+    assert one.chosen_set == (0,)
     chan = _chan([1.0, 1.0], [2.0, 1.0])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    one = evaluate_scheme1(chan, cfg, active_set=(0,))
-    assert one.secondary_rate == pytest.approx(math.log2(1.0 + 0.9 / 1.3), abs=1e-12)
-    both = evaluate_scheme1(chan, cfg, active_set=(0, 1))
+    both = evaluate_scheme1(chan, cfg)
     coherent = (math.sqrt(0.9) + math.sqrt(0.45)) ** 2
     assert both.secondary_rate == pytest.approx(
         math.log2(1.0 + coherent / 1.75), abs=1e-12

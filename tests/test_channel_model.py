@@ -24,6 +24,10 @@ def test_config_validation():
         SystemConfig(2, 2, -1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         SystemConfig(2, 2, 10.0, 0.0, 1.0)
+    # 2**r_p - 1 must stay finite: 2.0**1024 overflows, 2**inf is infinite
+    for r_p in (1024.0, 2000.0, float("inf")):
+        with pytest.raises(ValueError, match="r_p"):
+            SystemConfig(2, 2, 10.0, r_p, 1.0)
     cfg = SystemConfig(4, 2, 10.0, 1.0, 2.0)
     assert cfg.eps_p == pytest.approx(1.0)
 

@@ -5,6 +5,7 @@ import stat
 import pytest
 
 import beamshare.cli as cli_mod
+from beamshare import montecarlo
 from beamshare.cli import CSV_HEADER, _parse_snr_grid, main
 
 
@@ -138,9 +139,22 @@ def test_snr_grid_has_no_float_drift():
         pytest.param(
             {"schemes": "selection"}, [], "schemes must be a list", id="schemes-string"
         ),
+        pytest.param({"r_p_bpcu": 1024}, [], "r_p", id="rate-overflow"),
+        pytest.param(
+            {"n_antennas": 9, "m_beams": 9, "schemes": ["selection", "scheme2"]},
+            ["--strategy", "all-subsets"],
+            "all_subsets",
+            id="all-subsets-9-beams",
+        ),
     ],
 )
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, config, flags, culprit):
+def test_bad_input_exits_2_with_one_line(
+    tmp_path, capsys, monkeypatch, config, flags, culprit
+):
+    def no_trials(*args):
+        raise AssertionError("a trial ran before the input was rejected")
+
+    monkeypatch.setattr(montecarlo, "realize", no_trials)
     cfg = _write_config(tmp_path / "cfg.json", **config)
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", cfg, *flags, "--out", str(out)]) == 2
@@ -161,6 +175,13 @@ def test_preset_failure_writes_nothing(tmp_path, capsys, target):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert os.listdir(tmp_path) == []
+    # so must an all_subsets scheme 2 block past the 8-beam limit
+    args = ["preset", "fig2b", "--strategy", "all-subsets", "--trials", "1"]
+    assert main(args + ["--m-beams", "2", "--m-beams", "9", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "all_subsets" in captured.err
     assert os.listdir(tmp_path) == []
 
 

@@ -10,12 +10,12 @@ from beamshare.link_rates import (
     rate_primary,
     rate_scheme1_secondary,
     rate_sel_decode_primary,
-    rate_sel_secondary,
 )
 from beamshare.power_allocation import (
     PowerCoefficients,
     alpha_s_selection,
     mode_i_alpha_p,
+    tau,
 )
 
 
@@ -24,57 +24,43 @@ def _coeffs(alpha_p, alpha_s, active):
 
 
 def test_rate_sel_decode_primary_hand_value():
-    # numerator 2*0.55 = 1.1; denominator 2*0.45 + 1*0.1 + 0.1 = 1.1
-    coeffs = _coeffs([0.55, 0.1], [0.45, 0.0], (0,))
-    assert rate_sel_decode_primary(0, [2.0, 1.0], coeffs, 10.0) == pytest.approx(1.0)
+    # h = (2, 1), beam 0 splits 0.55/0.45, beam 1 inactive at 0.1, rho = 10:
+    # numerator 2*0.55 = 1.1; denominator 2*0.45 + tau = 0.9 + (1*0.1 + 0.1)
+    tau_0 = tau((0,), [2.0, 1.0], [0.55, 0.1], 10.0)
+    assert rate_sel_decode_primary(2.0, 0.45, tau_0) == pytest.approx(1.0)
 
 
 def test_rate_sel_decode_primary_zero_and_limit():
-    coeffs = _coeffs([0.0, 0.1], [0.45, 0.0], (0,))
-    assert rate_sel_decode_primary(0, [2.0, 1.0], coeffs, 10.0) == 0.0
+    # all of the beam to the secondary signal leaves nothing to decode
+    assert rate_sel_decode_primary(2.0, 1.0, 0.2) == 0.0
     # interference-limited: growing the budget cannot push the rate past
     # the zero-noise value
-    coeffs = _coeffs([0.5, 0.1], [0.5, 0.0], (0,))
     limit = math.log2(1.0 + 2 * 0.5 / (2 * 0.5 + 1 * 0.1))
     last = 0.0
     for rho in (1e1, 1e3, 1e5):
-        r = rate_sel_decode_primary(0, [2.0, 1.0], coeffs, rho)
+        r = rate_sel_decode_primary(2.0, 0.5, tau((0,), [2.0, 1.0], [0.5, 0.1], rho))
         assert last < r <= limit
         last = r
 
 
-def test_rate_sel_secondary_values():
-    coeffs = _coeffs([0.55, 0.1], [0.45, 0.0], (0,))
-    # 2*0.45 / (1*0.1 + 0.1) = 4.5
-    assert rate_sel_secondary(0, [2.0, 1.0], coeffs, 10.0) == pytest.approx(
-        math.log2(5.5)
-    )
-    zero = _coeffs([0.55, 0.1], [0.0, 0.0], (0,))
-    assert rate_sel_secondary(0, [2.0, 1.0], zero, 10.0) == 0.0
-    single = _coeffs([0.5], [0.5], (0,))
-    assert rate_sel_secondary(0, [2.0], single, 10.0) == pytest.approx(
-        math.log2(1.0 + 10.0 * 2.0 * 0.5)
-    )
-
-
 def test_rate_scheme1_secondary_hand_value():
-    # single active beam: 0.9 / (1.1 + 0.1 + 0.1)
+    # secondary power on beam 0 only: 0.9 / (1.1 + 0.1 + 0.1)
     coeffs = _coeffs([0.55, 0.1], [0.45, 0.0], (0,))
     expected = math.log2(1.0 + 0.9 / 1.3)
-    assert rate_scheme1_secondary((0,), [2.0, 1.0], coeffs, 10.0) == pytest.approx(
+    assert rate_scheme1_secondary([2.0, 1.0], coeffs, 10.0) == pytest.approx(
         expected
     )
 
 
 def test_rate_scheme1_secondary_zero_and_coherence():
     coeffs = _coeffs([0.55, 0.55], [0.0, 0.0], (0, 1))
-    assert rate_scheme1_secondary((0, 1), [2.0, 1.0], coeffs, 10.0) == 0.0
+    assert rate_scheme1_secondary([2.0, 1.0], coeffs, 10.0) == 0.0
     # two equal beams combine coherently: 4x the single-beam signal power
     one = _coeffs([0.0, 0.0], [0.4, 0.0], (0,))
     two = _coeffs([0.0, 0.0], [0.4, 0.4], (0, 1))
     rho = 10.0
-    s1 = 2 ** rate_scheme1_secondary((0,), [1.0, 1.0], one, rho) - 1.0
-    s2 = 2 ** rate_scheme1_secondary((0, 1), [1.0, 1.0], two, rho) - 1.0
+    s1 = 2 ** rate_scheme1_secondary([1.0, 1.0], one, rho) - 1.0
+    s2 = 2 ** rate_scheme1_secondary([1.0, 1.0], two, rho) - 1.0
     assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
 
 
@@ -118,14 +104,8 @@ def test_aggregation_reduces_to_selection_on_singletons():
                 continue
             solved += 1
             a_s = alpha_s_selection(m, h, g[m], base, cfg.rho, cfg.eps_p)
-            ap = list(base)
-            ap[m] = 1.0 - a_s
-            as_ = [0.0] * 4
-            as_[m] = a_s
-            coeffs = _coeffs(ap, as_, (m,))
-            assert sol.objective_rate == pytest.approx(
-                rate_sel_secondary(m, h, coeffs, cfg.rho), abs=1e-12
-            )
+            gamma = h[m] * a_s / tau((m,), h, base, cfg.rho)
+            assert sol.objective_rate == pytest.approx(math.log2(1.0 + gamma), abs=1e-12)
     assert solved > 100
 
 
@@ -141,21 +121,12 @@ def test_rate_monotonicity_random():
         up = list(as_)
         up[0] = min(1.0 - ap[0], as_[0] + 0.05)
         more_signal = _coeffs(ap, up, (0, 1, 2))
-        assert rate_sel_secondary(0, h, more_signal, rho) >= rate_sel_secondary(
-            0, h, coeffs, rho
+        assert rate_scheme1_secondary(h, more_signal, rho) >= rate_scheme1_secondary(
+            h, coeffs, rho
         )
-        assert rate_sel_decode_primary(0, h, more_signal, rho) <= rate_sel_decode_primary(
-            0, h, coeffs, rho
-        )
-        assert rate_scheme1_secondary(
-            (0, 1, 2), h, more_signal, rho
-        ) >= rate_scheme1_secondary((0, 1, 2), h, coeffs, rho)
-        bump = list(ap)
-        bump[1] = min(1.0 - as_[1], ap[1] + 0.05)
-        more_interf = _coeffs(bump, as_, (0, 1, 2))
-        assert rate_sel_secondary(0, h, more_interf, rho) <= rate_sel_secondary(
-            0, h, coeffs, rho
-        )
-        assert rate_sel_decode_primary(0, h, more_interf, rho) <= rate_sel_decode_primary(
-            0, h, coeffs, rho
-        )
+        # decoding the primary signal gets harder as the secondary share or
+        # the other beams' interference grows
+        tau_0 = tau((0,), h, ap, rho)
+        base = rate_sel_decode_primary(h[0], as_[0], tau_0)
+        assert rate_sel_decode_primary(h[0], up[0], tau_0) <= base
+        assert rate_sel_decode_primary(h[0], as_[0], tau_0 + h[1] * 0.05) <= base

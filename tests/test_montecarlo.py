@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from beamshare.channel_model import SystemConfig, TrialSeed
+from beamshare import montecarlo
+from beamshare.beam_aggregation import evaluate_scheme1, evaluate_scheme2
+from beamshare.beam_selection import evaluate_selection
+from beamshare.channel_model import SystemConfig, TrialSeed, realize
 from beamshare.montecarlo import (
     MetricEstimate,
     SweepSpec,
@@ -12,6 +15,8 @@ from beamshare.montecarlo import (
     run_trial,
     snr_db_to_linear,
 )
+
+SCHEMES = ("selection", "scheme1", "scheme2")
 
 
 def _spec(**overrides):
@@ -50,30 +55,47 @@ def test_spec_validation():
         _spec(candidate_strategy="bogus")
     with pytest.raises(ValueError):
         _spec(n_antennas=1, m_beams=2)
+    # all_subsets stops at 8 beams, but only scheme 2 enumerates subsets
+    with pytest.raises(ValueError, match="all_subsets"):
+        _spec(n_antennas=9, m_beams=9, schemes=("selection", "scheme2"),
+              candidate_strategy="all_subsets")
+    _spec(n_antennas=9, m_beams=9, candidate_strategy="all_subsets")
+    _spec(n_antennas=8, m_beams=8, schemes=("scheme2",), candidate_strategy="all_subsets")
 
 
 def test_run_trial_deterministic():
     cfg = SystemConfig(3, 3, 100.0, 0.5, 1.0)
-    for scheme in ("selection", "scheme1", "scheme2"):
-        a = run_trial(cfg, TrialSeed(5, 9), scheme, "prefixes_plus_singletons")
-        b = run_trial(cfg, TrialSeed(5, 9), scheme, "prefixes_plus_singletons")
-        assert a.secondary_rate == b.secondary_rate
-        assert a.outage == b.outage
-        assert np.array_equal(a.primary_rates, b.primary_rates)
+    seed = TrialSeed(5, 9)
+    records = run_trial(cfg, seed, SCHEMES, "prefixes_plus_singletons")
+    assert records == run_trial(cfg, seed, SCHEMES, "prefixes_plus_singletons")
+    # one record per scheme, in the order asked, each from the same draw
+    chan = realize(cfg, seed)
+    outcomes = (
+        evaluate_selection(chan, cfg),
+        evaluate_scheme1(chan, cfg),
+        evaluate_scheme2(chan, cfg, "prefixes_plus_singletons"),
+    )
+    assert records == [
+        (o.outage, o.secondary_rate, o.secondary_rate_raw, min(o.primary_rates), 0)
+        for o in outcomes
+    ]
+    reverse = run_trial(cfg, seed, SCHEMES[::-1], "prefixes_plus_singletons")
+    assert reverse == records[::-1]
 
 
 def test_run_trial_dominance_same_seed():
     cfg = SystemConfig(4, 4, 100.0, 0.1, 1.0)
     for t in range(30):
-        sel = run_trial(cfg, TrialSeed(6, t), "selection", "prefixes_plus_singletons")
-        agg = run_trial(cfg, TrialSeed(6, t), "scheme2", "prefixes_plus_singletons")
-        assert agg.secondary_rate >= sel.secondary_rate
+        sel, agg = run_trial(
+            cfg, TrialSeed(6, t), ("selection", "scheme2"), "prefixes_plus_singletons"
+        )
+        assert agg[1] >= sel[1]
 
 
 def test_run_trial_rejects_unknown_scheme():
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        run_trial(cfg, TrialSeed(1, 0), "bogus", "prefixes")
+        run_trial(cfg, TrialSeed(1, 0), ("selection", "bogus"), "prefixes")
 
 
 def test_reduce_outage_degenerate():
@@ -102,34 +124,58 @@ def test_estimate_matches_manual_reduction():
     result = estimate(spec)
     cfg = spec.config_at(10.0)
     manual = [
-        run_trial(cfg, TrialSeed(spec.seed, t), "selection", spec.candidate_strategy)
+        run_trial(cfg, TrialSeed(spec.seed, t), spec.schemes, spec.candidate_strategy)
         for t in range(40)
     ]
     assert result.rows[0].estimate.value == pytest.approx(
-        np.mean([o.outage for o in manual])
+        np.mean([records[0][0] for records in manual])
     )
 
 
 def test_stream_prefix_property():
     # growing the trial count leaves earlier trials untouched
     cfg = _spec().config_at(10.0)
-    first = [
-        run_trial(cfg, TrialSeed(3, t), "selection", "prefixes").secondary_rate
-        for t in range(30)
-    ]
-    longer = [
-        run_trial(cfg, TrialSeed(3, t), "selection", "prefixes").secondary_rate
-        for t in range(60)
-    ]
+    first = [run_trial(cfg, TrialSeed(3, t), SCHEMES, "prefixes") for t in range(30)]
+    longer = [run_trial(cfg, TrialSeed(3, t), SCHEMES, "prefixes") for t in range(60)]
     assert first == longer[:30]
 
 
 def test_worker_count_invariance():
-    spec = _spec(trials=60, snr_grid_db=(10.0,), schemes=("selection", "scheme2"))
-    serial = estimate(spec, workers=1)
-    parallel = estimate(spec, workers=2)
-    for a, b in zip(serial.rows, parallel.rows):
-        assert a.estimate == b.estimate  # bit-identical reduction
+    for spec in (
+        _spec(trials=60, snr_grid_db=(10.0,), schemes=("selection", "scheme2")),
+        _spec(trials=30, metric="ergodic_rate", schemes=SCHEMES),
+    ):
+        serial = estimate(spec, workers=1)
+        parallel = estimate(spec, workers=2)
+        assert serial.rows == parallel.rows  # bit-identical reduction
+
+
+def test_estimate_draws_each_channel_once(monkeypatch):
+    draws = []
+
+    def counted(cfg, seed):
+        draws.append((cfg.rho, seed.trial_index))
+        return realize(cfg, seed)
+
+    monkeypatch.setattr(montecarlo, "realize", counted)
+    spec = _spec(trials=7, schemes=("selection", "scheme2"))
+    result = estimate(spec)
+    assert len(result.rows) == 4  # 2 SNR points x 2 schemes
+    assert len(draws) == 7 * 2 == len(set(draws))
+
+
+def test_estimate_starts_one_pool(monkeypatch):
+    pools = []
+
+    class CountedPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountedPool)
+    spec = _spec(trials=9, schemes=("selection", "scheme1"))
+    assert estimate(spec, workers=2) == estimate(spec, workers=1)
+    assert len(pools) == 1
 
 
 def test_outage_bounds_and_metrics():

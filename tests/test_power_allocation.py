@@ -61,27 +61,20 @@ def test_tau_values():
 
 
 def test_scheme1_coefficients_hand_values():
+    # eta = eps (g + 1/rho) / (g (1 + eps)): 1.1/2 at g = 1, 2.1/4 at g = 2
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    coeffs = scheme1_coefficients(cfg, [1.0, 1.0], (0,))
-    assert coeffs.alpha_p[0] == pytest.approx(0.55)
-    assert coeffs.alpha_s[0] == pytest.approx(0.45)
+    coeffs = scheme1_coefficients(cfg, [1.0, 2.0])
+    assert coeffs.active_set == (0, 1)
+    assert coeffs.alpha_p.tolist() == pytest.approx([0.55, 0.525])
+    assert coeffs.alpha_s.tolist() == pytest.approx([0.45, 0.475])
     assert coeffs.alpha_p[0] + coeffs.alpha_s[0] == 1.0  # exactly
-    # inactive beam reuses the cheap legacy share
-    assert coeffs.alpha_p[1] == pytest.approx(0.1)
-    assert coeffs.alpha_s[1] == 0.0
 
 
 def test_scheme1_coefficients_clamp():
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    coeffs = scheme1_coefficients(cfg, [0.05, 1.0], (0, 1))
+    coeffs = scheme1_coefficients(cfg, [0.05, 1.0])
     assert coeffs.alpha_p[0] == 1.0
     assert coeffs.alpha_s[0] == 0.0
-
-
-def test_scheme1_rejects_bad_set():
-    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        scheme1_coefficients(cfg, [1.0, 1.0], (0, 5))
 
 
 def test_selection_cap_equals_one_minus_eta_exactly():
@@ -117,7 +110,7 @@ def test_qos_preserved_under_any_mode():
         g = [float(v) for v in rng.exponential(1.0, size=3)]
         h = [float(v) for v in rng.exponential(1.0, size=3)]
         cfg = SystemConfig(3, 3, rho, math.log2(1 + eps), 1.0)
-        coeffs = scheme1_coefficients(cfg, g, (0, 1, 2))
+        coeffs = scheme1_coefficients(cfg, g)
         for m in range(3):
             if g[m] >= eps / rho:
                 sinr = g[m] * coeffs.alpha_p[m] / (g[m] * coeffs.alpha_s[m] + 1 / rho)
@@ -138,11 +131,8 @@ def test_coefficient_ranges_random():
     cfg = SystemConfig(4, 4, 31.6, 0.5, 1.0)
     for t in range(100):
         chan = realize(cfg, TrialSeed(55, t))
-        for active in ((0, 1, 2, 3), (0, 2)):
-            coeffs = scheme1_coefficients(cfg, chan.g_gain.tolist(), active)
-            assert coeffs.active_set == active
-            if active == (0, 2):
-                assert coeffs.alpha_s[1] == 0.0 and coeffs.alpha_s[3] == 0.0
-            assert np.all(coeffs.alpha_p >= 0.0) and np.all(coeffs.alpha_p <= 1.0)
-            assert np.all(coeffs.alpha_s >= 0.0) and np.all(coeffs.alpha_s <= 1.0)
-            assert np.all(coeffs.alpha_p + coeffs.alpha_s <= 1.0 + 1e-12)
+        coeffs = scheme1_coefficients(cfg, chan.g_gain.tolist())
+        assert coeffs.active_set == (0, 1, 2, 3)
+        assert np.all(coeffs.alpha_p >= 0.0) and np.all(coeffs.alpha_p <= 1.0)
+        assert np.all(coeffs.alpha_s >= 0.0) and np.all(coeffs.alpha_s <= 1.0)
+        assert np.all(coeffs.alpha_p + coeffs.alpha_s <= 1.0 + 1e-12)
