@@ -32,15 +32,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .beam_selection import SchemeOutcome
 from .channel_model import ChannelRealization, SystemConfig
-from .link_rates import primary_rates, rate_scheme1_secondary
 from .power_allocation import (
-    PowerCoefficients,
-    _alpha_s_capped,
+    SchemeOutcome,
+    alpha_s_cap,
     eta,
     mode_i_alpha_p,
-    scheme1_coefficients,
+    primary_rates,
     tau,
 )
 
@@ -193,7 +191,7 @@ def _solve_singleton(
     # smaller of the QoS and SIC caps, exactly as in single-beam selection.
     if h_m <= 0.0 or eps_p * candidate.tau_d > h_m:
         return _infeasible()
-    alpha_s = _alpha_s_capped(h_m, candidate.etas[0], candidate.tau_d, eps_p)
+    alpha_s = alpha_s_cap(h_m, candidate.etas[0], candidate.tau_d, eps_p)
     u = h_m * alpha_s
     alpha_p = min(1.0, max(candidate.etas[0], eps_p * (u + candidate.tau_d) / h_m))
     return Problem4Solution(
@@ -377,21 +375,34 @@ def oracle_grid_solver(
 def evaluate_scheme1(chan: ChannelRealization, cfg: SystemConfig) -> SchemeOutcome:
     """Evaluate direct-decoding aggregation over every beam.
 
-    There is no SIC precondition: the achieved rate is always decodable, so
-    outage is simply rate < r_s.
+    Each beam gives the secondary user everything the legacy QoS can spare,
+    alpha_p = min(1, eta_m) and alpha_s = 1 - alpha_p.  The secondary user
+    combines its shares coherently and decodes directly, treating every
+    primary signal (including those on its own beams) as noise.  There is
+    no SIC precondition: the achieved rate is always decodable, so outage
+    is simply rate < r_s.
     """
     h_gain = chan.h_gain.tolist()
     g_gain = chan.g_gain.tolist()
-    coeffs = scheme1_coefficients(cfg, g_gain)
-    rate = rate_scheme1_secondary(h_gain, coeffs, cfg.rho)
+    alpha_p = np.array([min(1.0, eta(g, cfg.rho, cfg.eps_p)) for g in g_gain])
+    alpha_s = 1.0 - alpha_p
+    # ascending beam order, 1/rho last, as in every interference sum
+    t = 0.0
+    acc = 0.0
+    for m in range(cfg.m_beams):
+        t += math.sqrt(h_gain[m] * float(alpha_s[m]))
+        acc += h_gain[m] * float(alpha_p[m])
+    rate = math.log2(1.0 + t * t / (acc + 1.0 / cfg.rho))
+    chosen = tuple(range(cfg.m_beams))
     return SchemeOutcome(
         scheme_tag="scheme1",
-        chosen_set=coeffs.active_set,
+        chosen_set=chosen,
         secondary_rate_raw=rate,
         sic_ok=True,
         outage=rate < cfg.r_s,
-        primary_rates=primary_rates(g_gain, coeffs, cfg.rho),
-        coefficients=coeffs,
+        primary_rates=primary_rates(g_gain, alpha_p, alpha_s, chosen, cfg.rho),
+        alpha_p=alpha_p,
+        alpha_s=alpha_s,
     )
 
 
@@ -436,13 +447,13 @@ def evaluate_scheme2(
             alpha_s[b] = sol.x[k] * sol.x[k]
         chosen = tuple(sorted(cand.beams))
         rate = sol.objective_rate
-    coeffs = PowerCoefficients(alpha_p, alpha_s, chosen)
     return SchemeOutcome(
         scheme_tag="scheme2",
         chosen_set=chosen,
         secondary_rate_raw=rate,
         sic_ok=True,
         outage=(best is None) or rate < cfg.r_s,
-        primary_rates=primary_rates(g_gain, coeffs, cfg.rho),
-        coefficients=coeffs,
+        primary_rates=primary_rates(g_gain, alpha_p, alpha_s, chosen, cfg.rho),
+        alpha_p=alpha_p,
+        alpha_s=alpha_s,
     )

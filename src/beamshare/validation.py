@@ -1,5 +1,6 @@
-"""Self-check suites: construction identities, distribution law, solver
-cross-checks, dominance, and the no-outage-floor trend.
+"""Self-check suites: construction identities, distribution law and the
+weak-beam closed form, solver cross-checks, dominance, and the
+no-outage-floor trend.
 
 Each suite returns a list of CheckResult rows so the CLI can render a
 pass/fail table; sizes are parameters so callers can trade runtime for
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import gain_cdf, ks_statistic
+from .analysis import gain_cdf, ks_statistic, q1_exact, q1_high_snr
 from .beam_aggregation import (
     AggregationCandidate,
     certify_solution,
@@ -25,7 +26,7 @@ from .beam_aggregation import (
 from .beam_selection import evaluate_selection
 from .channel_model import SystemConfig, TrialSeed, realize
 from .montecarlo import SweepSpec, estimate
-from .power_allocation import alpha_s_selection, mode_i_alpha_p
+from .power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
 
 __all__ = [
     "CheckResult",
@@ -105,21 +106,45 @@ def distribution_checks(
     samples: int = 10_000,
     configs: tuple[tuple[int, int], ...] = ((2, 2), (4, 4), (4, 2)),
 ) -> list[CheckResult]:
-    """KS test of the scaled gains M g_1 against Gamma(N - M + 1, 1)."""
+    """KS test of the scaled gains M g_1 against Gamma(N - M + 1, 1), and
+    the share of draws with g_1 <= eps_p / rho against q1_exact within 3
+    standard errors, with q1_high_snr / q1_exact falling toward 1."""
     results = []
     threshold = KS_FACTOR_1PCT / math.sqrt(samples)
     for n, m in configs:
         cfg = SystemConfig(n, m, 10.0, 1.0, 1.0)
-        draws = np.empty(samples)
+        gains = np.empty(samples)
         for t in range(samples):
-            chan = realize(cfg, TrialSeed(seed, t))
-            draws[t] = m * chan.g_gain[0]
-        stat = ks_statistic(draws, lambda x: gain_cdf(x, n, m))
+            gains[t] = realize(cfg, TrialSeed(seed, t)).g_gain[0]
+        stat = ks_statistic(m * gains, lambda x: gain_cdf(x, n, m))
         results.append(
             CheckResult(
                 f"distribution.gain_law[N={n},M={m}]",
                 stat < threshold,
                 f"KS statistic {stat:.4f} (1% threshold {threshold:.4f})",
+            )
+        )
+        ratios = []
+        for rho in (1.0, 10.0, 100.0):
+            p_hat = float(np.mean(gains <= cfg.eps_p / rho))
+            p_ref = q1_exact(n, m, cfg.eps_p, rho)
+            se = math.sqrt(p_ref * (1.0 - p_ref) / samples)
+            results.append(
+                CheckResult(
+                    f"distribution.q1[N={n},M={m},rho={rho:g}]",
+                    abs(p_hat - p_ref) < 3.0 * se,
+                    f"P(g_1 <= eps_p/rho) {p_hat:.4g} vs exact {p_ref:.4g}: "
+                    f"{abs(p_hat - p_ref) / se:.2f} se (limit 3)",
+                )
+            )
+            ratios.append(q1_high_snr(n, m, cfg.eps_p, rho) / p_ref)
+        gaps = [abs(r - 1.0) for r in ratios]
+        results.append(
+            CheckResult(
+                f"distribution.q1_high_snr[N={n},M={m}]",
+                all(a > b for a, b in zip(gaps, gaps[1:])),
+                "q1_high_snr / q1_exact at rho = 1, 10, 100: "
+                + " -> ".join(f"{r:.4g}" for r in ratios),
             )
         )
     return results
@@ -191,10 +216,14 @@ def solver_checks(
     for t in range(reduction_draws):
         chan = realize(cfg, TrialSeed(seed + 1, t))
         h_gain = chan.h_gain.tolist()
-        base_ap = mode_i_alpha_p(chan.g_gain.tolist(), cfg.rho, cfg.eps_p)
+        g_gain = chan.g_gain.tolist()
+        base_ap = mode_i_alpha_p(g_gain, cfg.rho, cfg.eps_p)
         m = t % cfg.m_beams
-        expected = alpha_s_selection(
-            m, h_gain, float(chan.g_gain[m]), base_ap, cfg.rho, cfg.eps_p
+        expected = alpha_s_cap(
+            h_gain[m],
+            eta(g_gain[m], cfg.rho, cfg.eps_p),
+            tau((m,), h_gain, base_ap, cfg.rho),
+            cfg.eps_p,
         )
         for cand_m in enumerate_candidates(chan, cfg, "prefixes_plus_singletons"):
             if cand_m.beams != (m,):
@@ -248,29 +277,35 @@ def solver_checks(
 
 
 def dominance_checks(seed: int, draws: int = 2000) -> list[CheckResult]:
-    """Aggregation with singleton candidates can never fall below selection."""
-    cfg = SystemConfig(4, 4, 100.0, 0.1, 1.0)
-    violations = 0
-    gap_sum = 0.0
-    for t in range(draws):
-        chan = realize(cfg, TrialSeed(seed, t))
-        sel = evaluate_selection(chan, cfg)
-        agg = evaluate_scheme2(chan, cfg, "prefixes_plus_singletons")
-        if agg.secondary_rate < sel.secondary_rate:
-            violations += 1
-        gap_sum += agg.secondary_rate - sel.secondary_rate
-    return [
-        CheckResult(
-            "dominance.pointwise",
-            violations == 0,
-            f"{violations} of {draws} draws below selection",
-        ),
-        CheckResult(
-            "dominance.mean_gap",
-            gap_sum > 0.0,
-            f"mean rate gain {gap_sum / draws:.4f} BPCU",
-        ),
-    ]
+    """Aggregation with singleton candidates can never fall below selection,
+    and beats it on average, at 10, 20 and 30 dB."""
+    results = []
+    for snr_db in (10.0, 20.0, 30.0):
+        cfg = SystemConfig(4, 4, 10.0 ** (snr_db / 10.0), 0.1, 1.0)
+        violations = 0
+        gap_sum = 0.0
+        for t in range(draws):
+            chan = realize(cfg, TrialSeed(seed, t))
+            sel = evaluate_selection(chan, cfg)
+            agg = evaluate_scheme2(chan, cfg, "prefixes_plus_singletons")
+            if agg.secondary_rate < sel.secondary_rate:
+                violations += 1
+            gap_sum += agg.secondary_rate - sel.secondary_rate
+        results.append(
+            CheckResult(
+                f"dominance.pointwise[{snr_db:g}dB]",
+                violations == 0,
+                f"{violations} of {draws} draws below selection",
+            )
+        )
+        results.append(
+            CheckResult(
+                f"dominance.mean_gap[{snr_db:g}dB]",
+                gap_sum > 0.0,
+                f"mean rate gain {gap_sum / draws:.4f} BPCU",
+            )
+        )
+    return results
 
 
 def lemma1_checks(seed: int, trials: int = 60_000) -> list[CheckResult]:

@@ -22,10 +22,11 @@ from beamshare.beam_selection import evaluate_selection
 from beamshare.channel_model import SystemConfig, TrialSeed, realize
 from beamshare.cli import main
 from beamshare.montecarlo import SweepSpec, estimate
-from beamshare.power_allocation import alpha_s_selection, mode_i_alpha_p
+from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
 from beamshare.validation import (
     Z_95,
     distribution_checks,
+    dominance_checks,
     random_feasible_instance,
     zf_checks,
 )
@@ -62,21 +63,11 @@ def test_criterion_03_q1_closed_form():
     assert spot == pytest.approx(1.0 - math.exp(-0.2), abs=1e-12)
     assert spot == pytest.approx(0.181269, abs=1e-6)
 
-    trials = 100_000
-    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    gains = np.empty(trials)
-    for t in range(trials):
-        gains[t] = realize(cfg, TrialSeed(SEED + 3, t)).g_gain[0]
-    details = []
-    for rho in (1.0, 10.0, 100.0):
-        p_hat = float(np.mean(gains <= 1.0 / rho))
-        p_ref = q1_exact(2, 2, 1.0, rho)
-        se = math.sqrt(p_ref * (1.0 - p_ref) / trials)
-        assert abs(p_hat - p_ref) < 3.0 * se, (
-            f"rho={rho}: |{p_hat:.5f} - {p_ref:.5f}| >= 3se ({3*se:.5f})"
-        )
-        details.append(f"rho={rho:g}: {abs(p_hat - p_ref) / se:.2f}se")
-    _report(3, "Monte Carlo matches the exact form, " + ", ".join(details))
+    checks = distribution_checks(SEED + 3, samples=100_000, configs=((2, 2),))
+    for check in checks:
+        assert check.passed, f"{check.name}: {check.detail}"
+    details = [c.detail for c in checks if c.name.startswith("distribution.q1[")]
+    _report(3, "Monte Carlo matches the exact form; " + "; ".join(details))
 
 
 def test_criterion_04_no_outage_floor():
@@ -148,9 +139,12 @@ def test_criterion_06_solver_correctness():
     for t in range(10_000):
         chan = realize(cfg, TrialSeed(SEED + 6, t))
         h = chan.h_gain.tolist()
-        base = mode_i_alpha_p(chan.g_gain.tolist(), cfg.rho, cfg.eps_p)
+        g = chan.g_gain.tolist()
+        base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
         m = t % cfg.m_beams
-        expected = alpha_s_selection(m, h, float(chan.g_gain[m]), base, cfg.rho, cfg.eps_p)
+        expected = alpha_s_cap(
+            h[m], eta(g[m], cfg.rho, cfg.eps_p), tau((m,), h, base, cfg.rho), cfg.eps_p
+        )
         cand = next(
             c
             for c in enumerate_candidates(chan, cfg, "prefixes_plus_singletons")
@@ -200,24 +194,11 @@ def test_criterion_06_solver_correctness():
 
 
 def test_criterion_07_scheme2_always_beats_selection():
-    base = dict(n_antennas=4, m_beams=4, r_p=0.1, r_s=1.0)
-    details = []
-    for snr_db in (10.0, 20.0, 30.0):
-        cfg = SystemConfig(rho=10.0 ** (snr_db / 10.0), **base)
-        sel_rates = np.empty(10_000)
-        agg_rates = np.empty(10_000)
-        for t in range(10_000):
-            chan = realize(cfg, TrialSeed(SEED + 7, t))
-            sel = evaluate_selection(chan, cfg)
-            agg = evaluate_scheme2(chan, cfg, "prefixes_plus_singletons")
-            assert agg.secondary_rate >= sel.secondary_rate, (
-                f"trial {t} at {snr_db} dB: {agg.secondary_rate} < {sel.secondary_rate}"
-            )
-            sel_rates[t] = sel.secondary_rate
-            agg_rates[t] = agg.secondary_rate
-        assert agg_rates.mean() > sel_rates.mean()
-        details.append(f"{snr_db:g}dB: {agg_rates.mean():.3f}>{sel_rates.mean():.3f}")
-    _report(7, "pointwise dominance on 3x10^4 draws; means " + ", ".join(details))
+    checks = dominance_checks(SEED + 7, draws=10_000)
+    for check in checks:
+        assert check.passed, f"{check.name}: {check.detail}"
+    details = [c.detail for c in checks if c.name.startswith("dominance.mean_gap")]
+    _report(7, "pointwise dominance on 3x10^4 draws at 10/20/30 dB; " + ", ".join(details))
 
 
 def test_criterion_08_scheme1_gains_at_low_snr():
@@ -257,7 +238,7 @@ def test_criterion_09_legacy_protection():
                         f"{out.primary_rates[m]} below target"
                     )
                 else:
-                    assert out.coefficients.alpha_s[m] == 0.0, (
+                    assert out.alpha_s[m] == 0.0, (
                         f"{name} trial {t} beam {m}: weak beam carries secondary power"
                     )
     _report(9, f"{checked} beam audits across 3 schemes x {per_scheme} trials")

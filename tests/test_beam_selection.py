@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from beamshare import beam_selection, power_allocation
 from beamshare.beam_selection import evaluate_selection
 from beamshare.channel_model import ChannelRealization, SystemConfig, TrialSeed, realize
+from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
 
 
 def _chan(g_gain, h_gain):
@@ -25,7 +27,9 @@ def test_worked_two_beam_chain():
     cfg = SystemConfig(2, 2, 10.0, 1.0, 2.0)
     out = evaluate_selection(chan, cfg)
     assert out.chosen_set == (0,)
-    assert out.coefficients.alpha_s[0] == pytest.approx(0.45, abs=1e-12)
+    assert out.alpha_s[0] == pytest.approx(0.45, abs=1e-12)
+    assert out.alpha_p.tolist() == pytest.approx([0.55, 0.1])
+    assert out.primary_rates.tolist() == pytest.approx([1.0, 1.0])
     assert out.secondary_rate == pytest.approx(math.log2(5.5), abs=1e-12)
     assert not out.outage  # r_s = 2 < 2.459
     assert out.scheme_tag == "selection"
@@ -42,7 +46,7 @@ def test_all_beams_blocked():
     chan = _chan([0.05, 0.08], [2.0, 1.0])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
     out = evaluate_selection(chan, cfg)
-    assert np.all(out.coefficients.alpha_s == 0.0)
+    assert np.all(out.alpha_s == 0.0)
     assert out.secondary_rate == 0.0
     assert out.outage
 
@@ -65,16 +69,16 @@ def test_tie_breaks_to_lowest_index():
 
 def test_argmax_gamma_equals_argmax_rate():
     cfg = SystemConfig(4, 4, 31.6, 0.5, 1.0)
-    from beamshare.power_allocation import alpha_s_selection, mode_i_alpha_p, tau
-
     for t in range(200):
         chan = realize(cfg, TrialSeed(71, t))
         h = chan.h_gain.tolist()
-        base = mode_i_alpha_p(chan.g_gain.tolist(), cfg.rho, cfg.eps_p)
+        g = chan.g_gain.tolist()
+        base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
         gammas = []
         for m in range(4):
-            a = alpha_s_selection(m, h, float(chan.g_gain[m]), base, cfg.rho, cfg.eps_p)
-            gammas.append(h[m] * a / tau((m,), h, base, cfg.rho))
+            tau_m = tau((m,), h, base, cfg.rho)
+            a = alpha_s_cap(h[m], eta(g[m], cfg.rho, cfg.eps_p), tau_m, cfg.eps_p)
+            gammas.append(h[m] * a / tau_m)
         rates = [math.log2(1.0 + g) for g in gammas]
         by_gamma = max(range(4), key=lambda m: (gammas[m], -m))
         by_rate = max(range(4), key=lambda m: (rates[m], -m))
@@ -96,6 +100,44 @@ def test_outage_event_formulation():
             continue
         expected = (gamma < eps_s) or (not out.sic_ok)
         assert out.outage == expected
+
+
+def test_sic_flag_follows_decode_rate():
+    # worked chain: decoding the primary signal on beam 0 runs at
+    # log2(1 + 2*0.55 / (2*0.45 + 0.2)) = 1 = r_p, met with equality
+    cfg = SystemConfig(2, 2, 10.0, 1.0, 2.0)
+    out = evaluate_selection(_chan([1.0, 1.0], [2.0, 1.0]), cfg)
+    assert out.sic_ok
+    # both beams too weak to carry secondary power: beam 0 decodes at
+    # log2(1 + 0.05 / (0.05*0.1 + 0.1)) = 0.56 < r_p
+    weak = evaluate_selection(_chan([1.0, 1.0], [0.05, 0.05]), cfg)
+    assert weak.chosen_set == (0,) and not weak.sic_ok and weak.outage
+    # on random draws the flag is log2(1 + h a_p / (h a_s + tau)) >= r_p
+    # evaluated on the outcome's own shares
+    cfg = SystemConfig(4, 4, 10.0, 1.0, 1.0)
+    for t in range(300):
+        chan = realize(cfg, TrialSeed(79, t))
+        out = evaluate_selection(chan, cfg)
+        (b,) = out.chosen_set
+        h = chan.h_gain.tolist()
+        tau_b = tau((b,), h, out.alpha_p, cfg.rho)
+        sinr = h[b] * out.alpha_p[b] / (h[b] * out.alpha_s[b] + tau_b)
+        decode = math.log2(1.0 + sinr)
+        assert out.sic_ok == (decode >= cfg.r_p - power_allocation.SIC_SLACK)
+
+
+def test_tau_computed_once_per_beam(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return tau(*args)
+
+    for module in (power_allocation, beam_selection):
+        monkeypatch.setattr(module, "tau", counted)
+    cfg = SystemConfig(4, 4, 31.6, 0.5, 1.0)
+    evaluate_selection(realize(cfg, TrialSeed(71, 0)), cfg)
+    assert len(calls) == 4
 
 
 def test_rate_earned_only_with_sic():

@@ -3,40 +3,50 @@ import math
 import numpy as np
 import pytest
 
+from beamshare.beam_aggregation import evaluate_scheme1, evaluate_scheme2
+from beamshare.beam_selection import evaluate_selection
 from beamshare.channel_model import SystemConfig, TrialSeed, realize
 from beamshare.power_allocation import (
-    alpha_p_inactive,
-    alpha_s_selection,
+    alpha_s_cap,
     eta,
     mode_i_alpha_p,
-    scheme1_coefficients,
+    primary_rates,
     tau,
 )
 
 
 def test_alpha_p_inactive_values():
-    assert alpha_p_inactive(1.0, 10.0, 1.0) == pytest.approx(0.1)
-    assert alpha_p_inactive(0.05, 10.0, 1.0) == 1.0  # clamp branch
+    # 0.1 on a unit-gain beam, clamped to 1 below the legacy threshold
+    assert mode_i_alpha_p([1.0, 0.05], 10.0, 1.0) == pytest.approx([0.1, 1.0])
+    assert mode_i_alpha_p([0.05], 10.0, 1.0) == [1.0]
     # vanishes monotonically as the budget grows
-    values = [alpha_p_inactive(1.0, rho, 1.0) for rho in (1e2, 1e3, 1e4)]
+    values = [mode_i_alpha_p([1.0], rho, 1.0)[0] for rho in (1e2, 1e3, 1e4)]
     assert values[0] > values[1] > values[2]
     assert values[-1] == pytest.approx(1e-4)
 
 
-def test_alpha_s_selection_hand_value():
-    # h=(2,1), g_1=1, inactive share on beam 2 = 0.1, rho=10, eps=1:
+def _selection_cap(m, h, g, rho, eps):
+    # the share selection gives beam m, all other beams inactive
+    base = mode_i_alpha_p(g, rho, eps)
+    return alpha_s_cap(h[m], eta(g[m], rho, eps), tau((m,), h, base, rho), eps)
+
+
+def test_alpha_s_cap_hand_value():
+    # h=(2,1), g=(1,1), inactive share on beam 2 = 0.1, rho=10, eps=1:
     # QoS cap = (1 - 0.1)/2 = 0.45 and SIC cap = (2 - 0.1 - 0.1)/4 = 0.45
-    got = alpha_s_selection(0, [2.0, 1.0], 1.0, [0.0, 0.1], 10.0, 1.0)
+    assert tau((0,), [2.0, 1.0], [0.1, 0.1], 10.0) == pytest.approx(0.2)
+    got = _selection_cap(0, [2.0, 1.0], [1.0, 1.0], 10.0, 1.0)
     assert got == pytest.approx(0.45, abs=1e-12)
 
 
-def test_alpha_s_selection_clamps():
+def test_alpha_s_cap_clamps():
     # legacy beam cannot even meet its own target: no secondary power
-    assert alpha_s_selection(0, [2.0, 1.0], 0.05, [0.0, 0.1], 10.0, 1.0) == 0.0
+    assert _selection_cap(0, [2.0, 1.0], [0.05, 1.0], 10.0, 1.0) == 0.0
     # secondary channel too weak to decode the primary signal first
-    assert alpha_s_selection(0, [0.15, 1.0], 1.0, [0.0, 0.1], 10.0, 1.0) == 0.0
+    assert _selection_cap(0, [0.15, 1.0], [1.0, 1.0], 10.0, 1.0) == 0.0
     # degenerate zero-gain beam
-    assert alpha_s_selection(0, [0.0, 1.0], 1.0, [0.0, 0.1], 10.0, 1.0) == 0.0
+    assert _selection_cap(0, [0.0, 1.0], [1.0, 1.0], 10.0, 1.0) == 0.0
+    assert alpha_s_cap(0.0, 0.5, 0.1, 1.0) == 0.0
 
 
 def test_eta_values():
@@ -60,21 +70,24 @@ def test_tau_values():
     assert t2 < t1
 
 
-def test_scheme1_coefficients_hand_values():
-    # eta = eps (g + 1/rho) / (g (1 + eps)): 1.1/2 at g = 1, 2.1/4 at g = 2
-    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    coeffs = scheme1_coefficients(cfg, [1.0, 2.0])
-    assert coeffs.active_set == (0, 1)
-    assert coeffs.alpha_p.tolist() == pytest.approx([0.55, 0.525])
-    assert coeffs.alpha_s.tolist() == pytest.approx([0.45, 0.475])
-    assert coeffs.alpha_p[0] + coeffs.alpha_s[0] == 1.0  # exactly
+def test_rate_primary_values():
+    # selection's split on h=(2,1), g=(1,1), rho=10: both legacy rates are 1
+    alpha_p, alpha_s = np.array([0.55, 0.1]), np.array([0.45, 0.0])
+    rates = primary_rates([1.0, 1.0], alpha_p, alpha_s, (0,), 10.0)
+    assert rates.tolist() == pytest.approx([1.0, 1.0])
+    # with no secondary power the chosen-beam formula reduces to the legacy one
+    quiet = primary_rates([1.7, 1.7], np.array([0.3, 0.3]), np.zeros(2), (0,), 10.0)
+    assert quiet[0] == pytest.approx(quiet[1], abs=1e-12)
 
 
-def test_scheme1_coefficients_clamp():
-    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    coeffs = scheme1_coefficients(cfg, [0.05, 1.0])
-    assert coeffs.alpha_p[0] == 1.0
-    assert coeffs.alpha_s[0] == 0.0
+def test_primary_rates_marks_the_active_set():
+    alpha_p, alpha_s = np.array([0.55, 0.1, 0.3]), np.array([0.45, 0.0, 0.0])
+    got = primary_rates([1.0, 1.0, 2.0], alpha_p, alpha_s, (0,), 10.0)
+    assert got.tolist() == [
+        math.log2(1.0 + 1.0 * 0.55 / (1.0 * 0.45 + 1.0 / 10.0)),
+        math.log2(1.0 + 1.0 * 0.1 * 10.0),
+        math.log2(1.0 + 2.0 * 0.3 * 10.0),
+    ]
 
 
 def test_selection_cap_equals_one_minus_eta_exactly():
@@ -88,7 +101,7 @@ def test_selection_cap_equals_one_minus_eta_exactly():
         eps = float(rng.uniform(0.1, 3.0))
         h = [float(rng.uniform(5.0, 50.0)), float(rng.uniform(0.01, 0.2))]
         others = mode_i_alpha_p([g, g], rho, eps)
-        got = alpha_s_selection(0, h, g, others, rho, eps)
+        got = _selection_cap(0, h, [g, g], rho, eps)
         cap_qos = max(0.0, 1.0 - eta(g, rho, eps))
         interference = h[1] * others[1]
         cap_sic = (h[0] - eps * (interference + 1.0 / rho)) / ((1.0 + eps) * h[0])
@@ -104,22 +117,21 @@ def test_qos_preserved_under_any_mode():
     # whenever the beam can meet the legacy target at all, the NOMA split
     # keeps the primary SINR at or above the threshold
     rng = np.random.default_rng(17)
-    for _ in range(300):
+    for t in range(300):
         rho = float(10.0 ** rng.uniform(0.0, 3.0))
         eps = float(2.0 ** rng.uniform(0.1, 2.0) - 1.0)
-        g = [float(v) for v in rng.exponential(1.0, size=3)]
-        h = [float(v) for v in rng.exponential(1.0, size=3)]
         cfg = SystemConfig(3, 3, rho, math.log2(1 + eps), 1.0)
-        coeffs = scheme1_coefficients(cfg, g)
+        chan = realize(cfg, TrialSeed(17, t))
+        g, h = chan.g_gain.tolist(), chan.h_gain.tolist()
+        out = evaluate_scheme1(chan, cfg)
         for m in range(3):
             if g[m] >= eps / rho:
-                sinr = g[m] * coeffs.alpha_p[m] / (g[m] * coeffs.alpha_s[m] + 1 / rho)
+                sinr = g[m] * out.alpha_p[m] / (g[m] * out.alpha_s[m] + 1 / rho)
                 assert sinr >= eps - 1e-9
             else:
-                assert coeffs.alpha_s[m] == 0.0
-        base = mode_i_alpha_p(g, rho, eps)
+                assert out.alpha_s[m] == 0.0
         for m in range(3):
-            a_s = alpha_s_selection(m, h, g[m], base, rho, eps)
+            a_s = _selection_cap(m, h, g, rho, eps)
             if g[m] >= eps / rho:
                 sinr = g[m] * (1 - a_s) / (g[m] * a_s + 1 / rho)
                 assert sinr >= eps - 1e-9
@@ -131,8 +143,15 @@ def test_coefficient_ranges_random():
     cfg = SystemConfig(4, 4, 31.6, 0.5, 1.0)
     for t in range(100):
         chan = realize(cfg, TrialSeed(55, t))
-        coeffs = scheme1_coefficients(cfg, chan.g_gain.tolist())
-        assert coeffs.active_set == (0, 1, 2, 3)
-        assert np.all(coeffs.alpha_p >= 0.0) and np.all(coeffs.alpha_p <= 1.0)
-        assert np.all(coeffs.alpha_s >= 0.0) and np.all(coeffs.alpha_s <= 1.0)
-        assert np.all(coeffs.alpha_p + coeffs.alpha_s <= 1.0 + 1e-12)
+        for out in (
+            evaluate_selection(chan, cfg),
+            evaluate_scheme1(chan, cfg),
+            evaluate_scheme2(chan, cfg),
+        ):
+            assert np.all(out.alpha_p >= 0.0) and np.all(out.alpha_p <= 1.0)
+            assert np.all(out.alpha_s >= 0.0) and np.all(out.alpha_s <= 1.0)
+            assert np.all(out.alpha_p + out.alpha_s <= 1.0 + 1e-12)
+            # secondary power sits on the chosen beams only
+            off = [m for m in range(4) if m not in out.chosen_set]
+            assert np.all(out.alpha_s[off] == 0.0)
+        assert evaluate_scheme1(chan, cfg).chosen_set == (0, 1, 2, 3)
