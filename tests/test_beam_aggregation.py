@@ -128,31 +128,6 @@ def test_solve_singleton_matches_selection_cap_exactly():
             assert got == pytest.approx(expected, abs=1e-9)
 
 
-def test_aggregation_reduces_to_selection_on_singletons():
-    # on a single beam the scheme 2 program's optimum is the selection
-    # share, and its rate is the selection rate
-    cfg = SystemConfig(4, 4, 100.0, 0.1, 1.0)
-    solved = 0
-    for t in range(100):
-        chan = realize(cfg, TrialSeed(61, t))
-        h = chan.h_gain.tolist()
-        g = chan.g_gain.tolist()
-        base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
-        for cand in enumerate_candidates(chan, cfg, "prefixes_plus_singletons"):
-            if len(cand.beams) != 1:
-                continue
-            (m,) = cand.beams
-            sol = solve_problem4(cand, h, cfg.eps_p)
-            if sol.status != "optimal":
-                continue
-            solved += 1
-            tau_m = tau((m,), h, base, cfg.rho)
-            a_s = alpha_s_cap(h[m], eta(g[m], cfg.rho, cfg.eps_p), tau_m, cfg.eps_p)
-            gamma = h[m] * a_s / tau_m
-            assert sol.objective_rate == pytest.approx(math.log2(1.0 + gamma), abs=1e-12)
-    assert solved > 100
-
-
 def test_solve_infeasible_cases():
     # interference floor too high for the strongest beam
     cand = AggregationCandidate(beams=(0, 1), tau_d=50.0, etas=(0.5, 0.5), feasible=True)
@@ -251,27 +226,6 @@ def test_scheme1_worked_values():
     )
     assert both.chosen_set == (0, 1)
     assert not both.outage  # 1.32 BPCU > r_s = 1
-
-
-def test_scheme1_shares_hand_values():
-    # eta = eps (g + 1/rho) / (g (1 + eps)): 1.1/2 at g = 1, 2.1/4 at g = 2
-    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme1(_chan([1.0, 2.0], [1.0, 1.0]), cfg)
-    assert out.alpha_p.tolist() == pytest.approx([0.55, 0.525])
-    assert out.alpha_s.tolist() == pytest.approx([0.45, 0.475])
-    assert out.alpha_p[0] + out.alpha_s[0] == 1.0  # exactly
-    # a beam below the legacy threshold keeps everything for its user
-    clamped = evaluate_scheme1(_chan([0.05, 1.0], [1.0, 1.0]), cfg)
-    assert clamped.alpha_p[0] == 1.0
-    assert clamped.alpha_s[0] == 0.0
-
-
-def test_scheme1_combines_coherently():
-    # two equal beams: the amplitudes add, (2 sqrt(0.45))^2 = 1.8 over
-    # 2*0.55 + 0.1, where power addition would give 0.9 / 1.2
-    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme1(_chan([1.0, 1.0], [1.0, 1.0]), cfg)
-    assert 2.0 ** out.secondary_rate - 1.0 == pytest.approx(1.5, rel=1e-12)
 
 
 def test_scheme1_blocked_channel():

@@ -3,85 +3,124 @@ import math
 import numpy as np
 import pytest
 
-from beamshare.beam_aggregation import enumerate_candidates, solve_problem4
-from beamshare.channel_model import SystemConfig, TrialSeed, realize
-from beamshare.link_rates import (
-    primary_rates,
-    rate_primary,
-    rate_scheme1_secondary,
-    rate_sel_decode_primary,
+from beamshare.beam_aggregation import (
+    enumerate_candidates,
+    evaluate_scheme1,
+    solve_problem4,
 )
+from beamshare.beam_selection import evaluate_selection
+from beamshare.channel_model import ChannelRealization, SystemConfig, TrialSeed, realize
 from beamshare.power_allocation import (
-    PowerCoefficients,
-    alpha_s_selection,
+    SIC_SLACK,
+    alpha_s_cap,
+    eta,
     mode_i_alpha_p,
+    primary_rates,
     tau,
 )
 
 
-def _coeffs(alpha_p, alpha_s, active):
-    return PowerCoefficients(np.array(alpha_p), np.array(alpha_s), tuple(active))
+def _chan(g_gain, h_gain):
+    m = len(g_gain)
+    return ChannelRealization(
+        G=np.eye(m, dtype=complex),
+        h=np.zeros(m, dtype=complex),
+        F=np.eye(m, dtype=complex),
+        g_gain=np.array(g_gain, dtype=float),
+        h_gain=np.array(h_gain, dtype=float),
+    )
+
+
+def _decode_rate(out, h_gain, rho):
+    # rate at which the secondary user decodes the primary signal on the
+    # beam selection chose, from the outcome's own shares
+    (b,) = out.chosen_set
+    tau_b = tau((b,), h_gain, out.alpha_p, rho)
+    h_b = h_gain[b]
+    return math.log2(1.0 + h_b * out.alpha_p[b] / (h_b * out.alpha_s[b] + tau_b))
+
+
+def _signal_power(out, h_gain, rho):
+    # scheme 1's coherent signal power: SINR times interference-plus-noise
+    noise = sum(h * a for h, a in zip(h_gain, out.alpha_p)) + 1.0 / rho
+    return (2.0 ** out.secondary_rate - 1.0) * noise
 
 
 def test_rate_sel_decode_primary_hand_value():
     # h = (2, 1), beam 0 splits 0.55/0.45, beam 1 inactive at 0.1, rho = 10:
     # numerator 2*0.55 = 1.1; denominator 2*0.45 + tau = 0.9 + (1*0.1 + 0.1)
-    tau_0 = tau((0,), [2.0, 1.0], [0.55, 0.1], 10.0)
-    assert rate_sel_decode_primary(2.0, 0.45, tau_0) == pytest.approx(1.0)
+    h = [2.0, 1.0]
+    out = evaluate_selection(_chan([1.0, 1.0], h), SystemConfig(2, 2, 10.0, 1.0, 1.0))
+    assert out.alpha_p.tolist() == pytest.approx([0.55, 0.1])
+    assert out.alpha_s.tolist() == pytest.approx([0.45, 0.0])
+    assert tau((0,), h, out.alpha_p, 10.0) == pytest.approx(0.2)
+    assert _decode_rate(out, h, 10.0) == pytest.approx(1.0)
+    assert out.sic_ok
 
 
 def test_rate_sel_decode_primary_zero_and_limit():
-    # all of the beam to the secondary signal leaves nothing to decode
-    assert rate_sel_decode_primary(2.0, 1.0, 0.2) == 0.0
-    # interference-limited: growing the budget cannot push the rate past
-    # the zero-noise value
-    limit = math.log2(1.0 + 2 * 0.5 / (2 * 0.5 + 1 * 0.1))
-    last = 0.0
+    # a beam the secondary user cannot hear leaves nothing to decode
+    blind = [0.0, 0.0]
+    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
+    out = evaluate_selection(_chan([1.0, 1.0], blind), cfg)
+    assert _decode_rate(out, blind, cfg.rho) == 0.0
+    assert not out.sic_ok and out.secondary_rate == 0.0
+    # growing the budget pushes the decode rate down onto r_p, never below:
+    # both caps tend to 1/(1 + eps_p) and tau to 0
+    h = [2.0, 1.0]
+    gaps = []
     for rho in (1e1, 1e3, 1e5):
-        r = rate_sel_decode_primary(2.0, 0.5, tau((0,), [2.0, 1.0], [0.5, 0.1], rho))
-        assert last < r <= limit
-        last = r
+        cfg = SystemConfig(2, 2, rho, 1.0, 1.0)
+        out = evaluate_selection(_chan([0.5, 2.0], h), cfg)
+        assert out.chosen_set == (0,)
+        gaps.append(_decode_rate(out, h, rho) - cfg.r_p)
+    assert -SIC_SLACK <= gaps[2] < gaps[1] < gaps[0]
+    assert gaps[2] < 1e-4
 
 
 def test_rate_scheme1_secondary_hand_value():
-    # secondary power on beam 0 only: 0.9 / (1.1 + 0.1 + 0.1)
-    coeffs = _coeffs([0.55, 0.1], [0.45, 0.0], (0,))
-    expected = math.log2(1.0 + 0.9 / 1.3)
-    assert rate_scheme1_secondary([2.0, 1.0], coeffs, 10.0) == pytest.approx(
-        expected
-    )
+    # beam 1 is below the legacy threshold, so only beam 0 carries secondary
+    # power: 2*0.45 over 2*0.55 + 1*1.0 + 0.1
+    h = [2.0, 1.0]
+    out = evaluate_scheme1(_chan([1.0, 0.05], h), SystemConfig(2, 2, 10.0, 1.0, 1.0))
+    assert out.alpha_s.tolist() == pytest.approx([0.45, 0.0])
+    assert out.alpha_p[1] == 1.0
+    assert out.secondary_rate == pytest.approx(math.log2(1.0 + 0.9 / 2.2), abs=1e-12)
 
 
 def test_rate_scheme1_secondary_zero_and_coherence():
-    coeffs = _coeffs([0.55, 0.55], [0.0, 0.0], (0, 1))
-    assert rate_scheme1_secondary([2.0, 1.0], coeffs, 10.0) == 0.0
-    # two equal beams combine coherently: 4x the single-beam signal power
-    one = _coeffs([0.0, 0.0], [0.4, 0.0], (0,))
-    two = _coeffs([0.0, 0.0], [0.4, 0.4], (0, 1))
+    # no beam can spare anything for the secondary user
+    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
+    out = evaluate_scheme1(_chan([0.05, 0.05], [2.0, 1.0]), cfg)
+    assert out.secondary_rate == 0.0
+    # two equal beams combine coherently: 4x the single-beam signal power,
+    # (2 sqrt(0.45))^2 = 1.8 over 2*0.55 + 0.1, an SINR of exactly 1.5
     rho = 10.0
-    s1 = 2 ** rate_scheme1_secondary([1.0, 1.0], one, rho) - 1.0
-    s2 = 2 ** rate_scheme1_secondary([1.0, 1.0], two, rho) - 1.0
+    one = evaluate_scheme1(_chan([1.0], [1.0]), SystemConfig(1, 1, rho, 1.0, 1.0))
+    two = evaluate_scheme1(_chan([1.0, 1.0], [1.0, 1.0]), cfg)
+    s1 = _signal_power(one, [1.0], rho)
+    s2 = _signal_power(two, [1.0, 1.0], rho)
     assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
+    assert 2.0 ** two.secondary_rate - 1.0 == pytest.approx(1.5, rel=1e-12)
 
 
 def test_rate_primary_values():
-    coeffs = _coeffs([0.55, 0.1], [0.45, 0.0], (0,))
-    assert rate_primary(0, 1.0, coeffs, 10.0, in_active_set=True) == pytest.approx(1.0)
-    assert rate_primary(1, 1.0, coeffs, 10.0, in_active_set=False) == pytest.approx(1.0)
-    # with no secondary power the active formula reduces to the legacy one
-    quiet = _coeffs([0.3, 0.1], [0.0, 0.0], (0,))
-    active = rate_primary(0, 1.7, quiet, 10.0, in_active_set=True)
-    legacy = rate_primary(0, 1.7, quiet, 10.0, in_active_set=False)
-    assert active == pytest.approx(legacy, abs=1e-12)
+    # selection's split on h=(2,1), g=(1,1), rho=10: both legacy rates are 1
+    alpha_p, alpha_s = np.array([0.55, 0.1]), np.array([0.45, 0.0])
+    rates = primary_rates([1.0, 1.0], alpha_p, alpha_s, (0,), 10.0)
+    assert rates.tolist() == pytest.approx([1.0, 1.0])
+    # with no secondary power the chosen-beam formula reduces to the legacy one
+    quiet = primary_rates([1.7, 1.7], np.array([0.3, 0.3]), np.zeros(2), (0,), 10.0)
+    assert quiet[0] == pytest.approx(quiet[1], abs=1e-12)
 
 
 def test_primary_rates_marks_the_active_set():
-    coeffs = _coeffs([0.55, 0.1, 0.3], [0.45, 0.0, 0.0], (0,))
-    got = primary_rates([1.0, 1.0, 2.0], coeffs, 10.0)
+    alpha_p, alpha_s = np.array([0.55, 0.1, 0.3]), np.array([0.45, 0.0, 0.0])
+    got = primary_rates([1.0, 1.0, 2.0], alpha_p, alpha_s, (0,), 10.0)
     assert got.tolist() == [
-        rate_primary(0, 1.0, coeffs, 10.0, in_active_set=True),
-        rate_primary(1, 1.0, coeffs, 10.0, in_active_set=False),
-        rate_primary(2, 2.0, coeffs, 10.0, in_active_set=False),
+        math.log2(1.0 + 1.0 * 0.55 / (1.0 * 0.45 + 1.0 / 10.0)),
+        math.log2(1.0 + 1.0 * 0.1 * 10.0),
+        math.log2(1.0 + 2.0 * 0.3 * 10.0),
     ]
 
 
@@ -103,30 +142,28 @@ def test_aggregation_reduces_to_selection_on_singletons():
             if sol.status != "optimal":
                 continue
             solved += 1
-            a_s = alpha_s_selection(m, h, g[m], base, cfg.rho, cfg.eps_p)
-            gamma = h[m] * a_s / tau((m,), h, base, cfg.rho)
+            tau_m = tau((m,), h, base, cfg.rho)
+            a_s = alpha_s_cap(h[m], eta(g[m], cfg.rho, cfg.eps_p), tau_m, cfg.eps_p)
+            gamma = h[m] * a_s / tau_m
             assert sol.objective_rate == pytest.approx(math.log2(1.0 + gamma), abs=1e-12)
     assert solved > 100
 
 
 def test_rate_monotonicity_random():
-    # each rate grows with its own signal share and shrinks with interference
+    # a larger budget or a stronger legacy channel lowers the primary share
+    # each beam needs: more signal share and less interference for the
+    # secondary user, so neither closed-form rate can fall
     rng = np.random.default_rng(29)
     for _ in range(100):
+        g = [float(v) for v in rng.exponential(1.0, size=3) + 0.05]
         h = [float(v) for v in rng.exponential(1.0, size=3) + 0.05]
-        ap = [float(v) for v in rng.uniform(0.1, 0.5, size=3)]
-        as_ = [float(v) for v in rng.uniform(0.05, 0.4, size=3)]
         rho = float(10.0 ** rng.uniform(0.0, 2.0))
-        coeffs = _coeffs(ap, as_, (0, 1, 2))
-        up = list(as_)
-        up[0] = min(1.0 - ap[0], as_[0] + 0.05)
-        more_signal = _coeffs(ap, up, (0, 1, 2))
-        assert rate_scheme1_secondary(h, more_signal, rho) >= rate_scheme1_secondary(
-            h, coeffs, rho
-        )
-        # decoding the primary signal gets harder as the secondary share or
-        # the other beams' interference grows
-        tau_0 = tau((0,), h, ap, rho)
-        base = rate_sel_decode_primary(h[0], as_[0], tau_0)
-        assert rate_sel_decode_primary(h[0], up[0], tau_0) <= base
-        assert rate_sel_decode_primary(h[0], as_[0], tau_0 + h[1] * 0.05) <= base
+        r_p = float(rng.uniform(0.2, 2.0))
+        stronger = list(g)
+        stronger[0] *= 1.5
+        for evaluate in (evaluate_selection, evaluate_scheme1):
+            base = evaluate(_chan(g, h), SystemConfig(3, 3, rho, r_p, 1.0))
+            richer = evaluate(_chan(g, h), SystemConfig(3, 3, 1.5 * rho, r_p, 1.0))
+            clearer = evaluate(_chan(stronger, h), SystemConfig(3, 3, rho, r_p, 1.0))
+            assert richer.secondary_rate >= base.secondary_rate
+            assert clearer.secondary_rate >= base.secondary_rate

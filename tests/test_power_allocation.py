@@ -5,14 +5,19 @@ import pytest
 
 from beamshare.beam_aggregation import evaluate_scheme1, evaluate_scheme2
 from beamshare.beam_selection import evaluate_selection
-from beamshare.channel_model import SystemConfig, TrialSeed, realize
-from beamshare.power_allocation import (
-    alpha_s_cap,
-    eta,
-    mode_i_alpha_p,
-    primary_rates,
-    tau,
-)
+from beamshare.channel_model import ChannelRealization, SystemConfig, TrialSeed, realize
+from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
+
+
+def _chan(g_gain, h_gain):
+    m = len(g_gain)
+    return ChannelRealization(
+        G=np.eye(m, dtype=complex),
+        h=np.zeros(m, dtype=complex),
+        F=np.eye(m, dtype=complex),
+        g_gain=np.array(g_gain, dtype=float),
+        h_gain=np.array(h_gain, dtype=float),
+    )
 
 
 def test_alpha_p_inactive_values():
@@ -31,7 +36,7 @@ def _selection_cap(m, h, g, rho, eps):
     return alpha_s_cap(h[m], eta(g[m], rho, eps), tau((m,), h, base, rho), eps)
 
 
-def test_alpha_s_cap_hand_value():
+def test_alpha_s_selection_hand_value():
     # h=(2,1), g=(1,1), inactive share on beam 2 = 0.1, rho=10, eps=1:
     # QoS cap = (1 - 0.1)/2 = 0.45 and SIC cap = (2 - 0.1 - 0.1)/4 = 0.45
     assert tau((0,), [2.0, 1.0], [0.1, 0.1], 10.0) == pytest.approx(0.2)
@@ -39,7 +44,7 @@ def test_alpha_s_cap_hand_value():
     assert got == pytest.approx(0.45, abs=1e-12)
 
 
-def test_alpha_s_cap_clamps():
+def test_alpha_s_selection_clamps():
     # legacy beam cannot even meet its own target: no secondary power
     assert _selection_cap(0, [2.0, 1.0], [0.05, 1.0], 10.0, 1.0) == 0.0
     # secondary channel too weak to decode the primary signal first
@@ -70,24 +75,22 @@ def test_tau_values():
     assert t2 < t1
 
 
-def test_rate_primary_values():
-    # selection's split on h=(2,1), g=(1,1), rho=10: both legacy rates are 1
-    alpha_p, alpha_s = np.array([0.55, 0.1]), np.array([0.45, 0.0])
-    rates = primary_rates([1.0, 1.0], alpha_p, alpha_s, (0,), 10.0)
-    assert rates.tolist() == pytest.approx([1.0, 1.0])
-    # with no secondary power the chosen-beam formula reduces to the legacy one
-    quiet = primary_rates([1.7, 1.7], np.array([0.3, 0.3]), np.zeros(2), (0,), 10.0)
-    assert quiet[0] == pytest.approx(quiet[1], abs=1e-12)
+def test_scheme1_coefficients_hand_values():
+    # eta = eps (g + 1/rho) / (g (1 + eps)): 1.1/2 at g = 1, 2.1/4 at g = 2
+    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
+    out = evaluate_scheme1(_chan([1.0, 2.0], [1.0, 1.0]), cfg)
+    assert out.chosen_set == (0, 1)
+    assert out.alpha_p.tolist() == pytest.approx([0.55, 0.525])
+    assert out.alpha_s.tolist() == pytest.approx([0.45, 0.475])
+    assert out.alpha_p[0] + out.alpha_s[0] == 1.0  # exactly
 
 
-def test_primary_rates_marks_the_active_set():
-    alpha_p, alpha_s = np.array([0.55, 0.1, 0.3]), np.array([0.45, 0.0, 0.0])
-    got = primary_rates([1.0, 1.0, 2.0], alpha_p, alpha_s, (0,), 10.0)
-    assert got.tolist() == [
-        math.log2(1.0 + 1.0 * 0.55 / (1.0 * 0.45 + 1.0 / 10.0)),
-        math.log2(1.0 + 1.0 * 0.1 * 10.0),
-        math.log2(1.0 + 2.0 * 0.3 * 10.0),
-    ]
+def test_scheme1_coefficients_clamp():
+    # a beam below the legacy threshold keeps everything for its user
+    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
+    out = evaluate_scheme1(_chan([0.05, 1.0], [1.0, 1.0]), cfg)
+    assert out.alpha_p[0] == 1.0
+    assert out.alpha_s[0] == 0.0
 
 
 def test_selection_cap_equals_one_minus_eta_exactly():
