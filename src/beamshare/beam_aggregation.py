@@ -63,18 +63,24 @@ ALL_SUBSETS_MAX_BEAMS = 8
 
 @dataclass(frozen=True)
 class AggregationCandidate:
-    """One candidate beam set, ordered by descending secondary gain.
+    """One candidate beam set, ordered by descending secondary gain: the
+    whole instance of the scheme 2 program over that set.
 
-    tau_d is the interference-plus-noise constant contributed by the beams
-    outside the set (inactive mode) plus 1/rho; etas holds the minimum
-    primary share per in-set beam.  A candidate with any eta > 1 cannot
-    protect the legacy user at all and is flagged infeasible up front.
+    h and etas hold each in-set beam's secondary gain and minimum primary
+    share; tau_d is the interference-plus-noise from the beams outside the
+    set (inactive mode) plus 1/rho.  A candidate with any eta > 1 cannot
+    protect the legacy user at all and is infeasible up front.
     """
 
     beams: tuple[int, ...]
-    tau_d: float
+    h: tuple[float, ...]
     etas: tuple[float, ...]
-    feasible: bool
+    tau_d: float
+    eps_p: float
+
+    @property
+    def feasible(self) -> bool:
+        return max(self.etas) <= 1.0
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,7 @@ def enumerate_candidates(
     all_subsets              every nonempty subset (M <= 8)
 
     Every set is ordered by descending h_gain (ties by index); infeasible
-    candidates are flagged but still listed.
+    candidates are still listed.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -126,29 +132,21 @@ def enumerate_candidates(
             beam_sets.extend((i,) for i in order)
 
     base_ap = mode_i_alpha_p(g_gain, cfg.rho, cfg.eps_p)
-    seen: set[tuple[int, ...]] = set()
-    out: list[AggregationCandidate] = []
-    for beams in beam_sets:
-        if beams in seen:
-            continue
-        seen.add(beams)
-        etas = tuple(eta(g_gain[b], cfg.rho, cfg.eps_p) for b in beams)
-        out.append(
-            AggregationCandidate(
-                beams=beams,
-                tau_d=tau(beams, h_gain, base_ap, cfg.rho),
-                etas=etas,
-                feasible=all(e <= 1.0 for e in etas),
-            )
+    etas = [eta(g, cfg.rho, cfg.eps_p) for g in g_gain]
+    return [
+        AggregationCandidate(
+            beams=beams,
+            h=tuple(h_gain[b] for b in beams),
+            etas=tuple(etas[b] for b in beams),
+            tau_d=tau(beams, h_gain, base_ap, cfg.rho),
+            eps_p=cfg.eps_p,
         )
-    return out
+        for beams in dict.fromkeys(beam_sets)
+    ]
 
 
 def min_primary_power(
-    candidate: AggregationCandidate,
-    h_gain: Sequence[float],
-    t: float,
-    eps_p: float,
+    candidate: AggregationCandidate, t: float
 ) -> Optional[list[float]]:
     """Componentwise-minimal alpha_p meeting every decode constraint at
     aggregate amplitude t, or None when no alpha_p <= 1 works.
@@ -159,12 +157,12 @@ def min_primary_power(
     and taking max(eta_k, bound) is minimal at every position.
     """
     u = t * t
-    beams = candidate.beams
-    out = [0.0] * len(beams)
+    h = candidate.h
+    out = [0.0] * len(h)
     acc = 0.0
-    for k in range(len(beams) - 1, -1, -1):
-        h_k = float(h_gain[beams[k]])
-        required = eps_p * (acc + u + candidate.tau_d)
+    for k in range(len(h) - 1, -1, -1):
+        h_k = h[k]
+        required = candidate.eps_p * (acc + u + candidate.tau_d)
         if required > h_k:  # would need alpha_p > 1 (covers h_k = 0)
             return None
         a = max(candidate.etas[k], required / h_k)
@@ -184,11 +182,10 @@ def _infeasible() -> Problem4Solution:
     return Problem4Solution((), (), 0.0, 0.0, "infeasible")
 
 
-def _solve_singleton(
-    candidate: AggregationCandidate, h_m: float, eps_p: float
-) -> Problem4Solution:
+def _solve_singleton(candidate: AggregationCandidate) -> Problem4Solution:
     # The fixed point has a closed form on a single beam: alpha_s is the
     # smaller of the QoS and SIC caps, exactly as in single-beam selection.
+    (h_m,), eps_p = candidate.h, candidate.eps_p
     if h_m <= 0.0 or eps_p * candidate.tau_d > h_m:
         return _infeasible()
     alpha_s = alpha_s_cap(h_m, candidate.etas[0], candidate.tau_d, eps_p)
@@ -203,11 +200,7 @@ def _solve_singleton(
     )
 
 
-def solve_problem4(
-    candidate: AggregationCandidate,
-    h_gain: Sequence[float],
-    eps_p: float,
-) -> Problem4Solution:
+def solve_problem4(candidate: AggregationCandidate) -> Problem4Solution:
     """Maximize the secondary rate over the candidate set.
 
     Singleton sets use the closed-form fixed point; larger sets bisect on
@@ -217,12 +210,13 @@ def solve_problem4(
     """
     if not candidate.feasible:
         return _infeasible()
-    h = [float(h_gain[b]) for b in candidate.beams]
+    h = candidate.h
     if len(h) == 1:
-        return _solve_singleton(candidate, h[0], eps_p)
+        return _solve_singleton(candidate)
 
-    ap0 = min_primary_power(candidate, h_gain, 0.0, eps_p)
-    if ap0 is None:
+    # alpha_p always belongs to the feasible end lo of the bracket
+    alpha_p = min_primary_power(candidate, 0.0)
+    if alpha_p is None:
         return _infeasible()
     hi = sum(math.sqrt(h_k) for h_k in h)
     lo = 0.0
@@ -231,14 +225,12 @@ def solve_problem4(
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        ap_mid = min_primary_power(candidate, h_gain, mid, eps_p)
+        ap_mid = min_primary_power(candidate, mid)
         if ap_mid is not None and _cap(ap_mid, h) >= mid:
-            lo = mid
+            lo, alpha_p = mid, ap_mid
         else:
             hi = mid
     t_star = lo
-    alpha_p = min_primary_power(candidate, h_gain, t_star, eps_p)
-    assert alpha_p is not None  # lo side of the bracket is always feasible
     cap_star = _cap(alpha_p, h)
     scale = t_star / cap_star if cap_star > 0.0 else 0.0
     x = tuple(math.sqrt(1.0 - a) * scale for a in alpha_p)
@@ -252,18 +244,13 @@ def solve_problem4(
 
 
 def certify_solution(
-    candidate: AggregationCandidate,
-    h_gain: Sequence[float],
-    eps_p: float,
-    solution: Problem4Solution,
-    tol: float = 1e-8,
+    candidate: AggregationCandidate, solution: Problem4Solution, tol: float = 1e-8
 ) -> list[str]:
     """Re-check every program constraint at the returned point, without
     reusing any solver intermediate.  Returns the list of violations."""
     if solution.status != "optimal":
         return []
-    beams = candidate.beams
-    h = [float(h_gain[b]) for b in beams]
+    beams, h, eps_p = candidate.beams, candidate.h, candidate.eps_p
     ap, x = solution.alpha_p, solution.x
     t = sum(math.sqrt(h_k) * x_k for h_k, x_k in zip(h, x))
     u = t * t
@@ -285,10 +272,7 @@ def certify_solution(
 
 
 def oracle_grid_solver(
-    candidate: AggregationCandidate,
-    h_gain: Sequence[float],
-    eps_p: float,
-    resolution: float,
+    candidate: AggregationCandidate, resolution: float
 ) -> Problem4Solution:
     """Brute-force check of solve_problem4 over an x grid (sets of <= 3 beams).
 
@@ -297,16 +281,15 @@ def oracle_grid_solver(
     accepted point is returned.  Coordinates provably infeasible already at
     t = 0 are pruned, which cannot change the optimum.
     """
-    beams = candidate.beams
-    d = len(beams)
+    h, eps_p = candidate.h, candidate.eps_p
+    d = len(h)
     if d > 3:
         raise ValueError("grid oracle supports at most 3 beams")
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
-    h = [float(h_gain[b]) for b in beams]
     if not candidate.feasible or any(h_k <= 0.0 for h_k in h):
         return _infeasible()
-    ap0 = min_primary_power(candidate, h_gain, 0.0, eps_p)
+    ap0 = min_primary_power(candidate, 0.0)
     if ap0 is None:
         return _infeasible()
 
@@ -317,7 +300,6 @@ def oracle_grid_solver(
         bound = math.sqrt(1.0 - ap0[k])  # alpha_p only grows with t
         axes.append(axis[axis <= bound + 1e-12])
 
-    etas = np.asarray(candidate.etas)
     best_t = -1.0
     best_x: Optional[tuple[float, ...]] = None
 
@@ -337,7 +319,7 @@ def oracle_grid_solver(
         feasible = np.ones(t.shape, dtype=bool)
         acc = np.zeros(t.shape)
         for k in range(d - 1, -1, -1):
-            a = np.maximum(etas[k], eps_p * (acc + u + candidate.tau_d) / h[k])
+            a = np.maximum(candidate.etas[k], eps_p * (acc + u + candidate.tau_d) / h[k])
             feasible &= a <= 1.0 - xs[k] * xs[k]
             acc += h[k] * a
         if not feasible.any():
@@ -361,7 +343,7 @@ def oracle_grid_solver(
 
     if best_x is None:
         return _infeasible()
-    alpha_p = min_primary_power(candidate, h_gain, best_t, eps_p)
+    alpha_p = min_primary_power(candidate, best_t)
     assert alpha_p is not None
     return Problem4Solution(
         alpha_p=tuple(alpha_p),
@@ -386,13 +368,11 @@ def evaluate_scheme1(chan: ChannelRealization, cfg: SystemConfig) -> SchemeOutco
     g_gain = chan.g_gain.tolist()
     alpha_p = np.array([min(1.0, eta(g, cfg.rho, cfg.eps_p)) for g in g_gain])
     alpha_s = 1.0 - alpha_p
-    # ascending beam order, 1/rho last, as in every interference sum
+    # an explicit loop: sum() of floats is compensated on Python >= 3.12
     t = 0.0
-    acc = 0.0
     for m in range(cfg.m_beams):
         t += math.sqrt(h_gain[m] * float(alpha_s[m]))
-        acc += h_gain[m] * float(alpha_p[m])
-    rate = math.log2(1.0 + t * t / (acc + 1.0 / cfg.rho))
+    rate = math.log2(1.0 + t * t / tau((), h_gain, alpha_p, cfg.rho))
     chosen = tuple(range(cfg.m_beams))
     return SchemeOutcome(
         scheme_tag="scheme1",
@@ -419,7 +399,6 @@ def evaluate_scheme2(
     returned point; with singletons enumerated the result can never fall
     below single-beam selection on the same draw.
     """
-    h_gain = chan.h_gain.tolist()
     g_gain = chan.g_gain.tolist()
     base_ap = mode_i_alpha_p(g_gain, cfg.rho, cfg.eps_p)
 
@@ -428,7 +407,7 @@ def evaluate_scheme2(
     for cand in enumerate_candidates(chan, cfg, strategy):
         if not cand.feasible:
             continue
-        sol = solve_problem4(cand, h_gain, cfg.eps_p)
+        sol = solve_problem4(cand)
         if sol.status != "optimal":
             continue
         key = (-sol.objective_rate, len(cand.beams), tuple(sorted(cand.beams)))

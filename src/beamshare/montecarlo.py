@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -229,8 +230,15 @@ def estimate(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
     Each operating point's trials are split into batches; with workers > 1
     every batch of every point goes through one process pool, and pool.map
-    hands the batches back in submission order.
+    hands the batches back in submission order.  workers is capped at the
+    CPUs this process may use: the pool starts a process per batch while
+    none is idle, and more processes than CPUs only add start-up cost.
+    The output does not depend on workers.
     """
+    if hasattr(os, "sched_getaffinity"):
+        workers = min(workers, len(os.sched_getaffinity(0)))
+    else:
+        workers = min(workers, os.cpu_count() or 1)
     chunk = math.ceil(spec.trials / (4 * workers if workers > 1 else 1))
     chunks = [range(spec.trials)[t : t + chunk] for t in range(0, spec.trials, chunk)]
     batches = [

@@ -25,7 +25,7 @@ from .beam_aggregation import (
 )
 from .beam_selection import evaluate_selection
 from .channel_model import SystemConfig, TrialSeed, realize
-from .montecarlo import SweepSpec, estimate
+from .montecarlo import SweepSpec, estimate, snr_db_to_linear
 from .power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
 
 __all__ = [
@@ -40,6 +40,9 @@ __all__ = [
 
 # 1% Kolmogorov-Smirnov critical factor, sqrt(-ln(0.005)/2)
 KS_FACTOR_1PCT = 1.63
+
+# two-sided level of a 3-standard-error normal test, 0.27%
+LEVEL_3SE = math.erfc(3.0 / math.sqrt(2.0))
 
 # one-sided 95% normal quantile, used by the statistical trend checks
 Z_95 = 1.645
@@ -101,14 +104,28 @@ def zf_checks(
     return results
 
 
+def binomial_two_sided_p(k: int, n: int, p: float) -> float:
+    """Exact two-sided p-value of k successes in n Bernoulli(p) trials, twice
+    the smaller tail at k capped at 1; the pmf is summed in log space, so it
+    holds where the normal approximation fails (n p << 1)."""
+    lg = [math.lgamma(j + 1) for j in range(n + 1)]  # lg[j] = log j!
+    log_p, log_q = math.log(p), math.log1p(-p)
+    pmf = [
+        math.exp(lg[n] - lg[j] - lg[n - j] + j * log_p + (n - j) * log_q)
+        for j in range(n + 1)
+    ]
+    return min(1.0, 2.0 * sum(pmf[: k + 1]), 2.0 * sum(pmf[k:]))
+
+
 def distribution_checks(
     seed: int,
     samples: int = 10_000,
     configs: tuple[tuple[int, int], ...] = ((2, 2), (4, 4), (4, 2)),
 ) -> list[CheckResult]:
-    """KS test of the scaled gains M g_1 against Gamma(N - M + 1, 1), and
-    the share of draws with g_1 <= eps_p / rho against q1_exact within 3
-    standard errors, with q1_high_snr / q1_exact falling toward 1."""
+    """KS test of the scaled gains M g_1 against Gamma(N - M + 1, 1); the
+    count of draws with g_1 <= eps_p / rho against q1_exact by an exact
+    two-sided binomial test at the 3-standard-error level (0.27%); and
+    q1_high_snr / q1_exact falling toward 1."""
     results = []
     threshold = KS_FACTOR_1PCT / math.sqrt(samples)
     for n, m in configs:
@@ -126,15 +143,16 @@ def distribution_checks(
         )
         ratios = []
         for rho in (1.0, 10.0, 100.0):
-            p_hat = float(np.mean(gains <= cfg.eps_p / rho))
+            hits = int(np.count_nonzero(gains <= cfg.eps_p / rho))
             p_ref = q1_exact(n, m, cfg.eps_p, rho)
-            se = math.sqrt(p_ref * (1.0 - p_ref) / samples)
+            p_value = binomial_two_sided_p(hits, samples, p_ref)
             results.append(
                 CheckResult(
                     f"distribution.q1[N={n},M={m},rho={rho:g}]",
-                    abs(p_hat - p_ref) < 3.0 * se,
-                    f"P(g_1 <= eps_p/rho) {p_hat:.4g} vs exact {p_ref:.4g}: "
-                    f"{abs(p_hat - p_ref) / se:.2f} se (limit 3)",
+                    p_value >= LEVEL_3SE,
+                    f"P(g_1 <= eps_p/rho) {hits / samples:.4g} vs exact "
+                    f"{p_ref:.4g}: binomial p = {p_value:.2g} "
+                    f"(limit {LEVEL_3SE:.2g})",
                 )
             )
             ratios.append(q1_high_snr(n, m, cfg.eps_p, rho) / p_ref)
@@ -150,35 +168,22 @@ def distribution_checks(
     return results
 
 
-def _worked_candidate() -> tuple[AggregationCandidate, list[float], float, float]:
-    """Two-beam instance with h=(2,1), g=(1,1), rho=10, eps_p=1, whose
-    optimum has the closed form t*^2 = 0.9 (3 + 2 sqrt2) / (4 + 2 sqrt2)."""
-    cand = AggregationCandidate(
-        beams=(0, 1), tau_d=0.1, etas=(0.55, 0.55), feasible=True
-    )
-    u_ref = 0.9 * (3.0 + 2.0 * math.sqrt(2.0)) / (4.0 + 2.0 * math.sqrt(2.0))
-    rate_ref = math.log2(1.0 + u_ref / 0.1)
-    return cand, [2.0, 1.0], u_ref, rate_ref
-
-
 def random_feasible_instance(
     rng: np.random.Generator, set_size: int
-) -> tuple[AggregationCandidate, list[float], float]:
+) -> AggregationCandidate:
     """Draw a channel until the size-`set_size` prefix candidate solves."""
     while True:
         n = int(rng.integers(set_size, 7))
-        rho = float(10.0 ** rng.uniform(0.0, 3.0) )
+        rho = float(10.0 ** rng.uniform(0.0, 3.0))
         r_p = float(rng.uniform(0.3, 2.0))
         cfg = SystemConfig(n, n, rho, r_p, 1.0)
         chan = realize(cfg, TrialSeed(int(rng.integers(2 ** 32)), 0))
-        cands = enumerate_candidates(chan, cfg, "prefixes")
-        cand = cands[set_size - 1]
+        cand = enumerate_candidates(chan, cfg, "prefixes")[set_size - 1]
         if not cand.feasible:
             continue
-        h_gain = chan.h_gain.tolist()
-        sol = solve_problem4(cand, h_gain, cfg.eps_p)
+        sol = solve_problem4(cand)
         if sol.status == "optimal" and sol.t_star > 1e-6:
-            return cand, h_gain, cfg.eps_p
+            return cand
 
 
 def solver_checks(
@@ -191,8 +196,14 @@ def solver_checks(
     independent constraint certifier."""
     results = []
 
-    cand, h, u_ref, rate_ref = _worked_candidate()
-    sol = solve_problem4(cand, h, 1.0)
+    # two-beam instance with h=(2,1), g=(1,1), rho=10, eps_p=1, whose
+    # optimum has the closed form t*^2 = 0.9 (3 + 2 sqrt2) / (4 + 2 sqrt2)
+    cand = AggregationCandidate(
+        beams=(0, 1), h=(2.0, 1.0), etas=(0.55, 0.55), tau_d=0.1, eps_p=1.0
+    )
+    u_ref = 0.9 * (3.0 + 2.0 * math.sqrt(2.0)) / (4.0 + 2.0 * math.sqrt(2.0))
+    rate_ref = math.log2(1.0 + u_ref / 0.1)
+    sol = solve_problem4(cand)
     err_u = abs(sol.t_star ** 2 - u_ref)
     err_rate = abs(sol.objective_rate - rate_ref)
     results.append(
@@ -205,7 +216,7 @@ def solver_checks(
     results.append(
         CheckResult(
             "solver.worked_instance_certified",
-            not certify_solution(cand, h, 1.0, sol),
+            not certify_solution(cand, sol),
             "constraints re-checked at 1e-8",
         )
     )
@@ -228,10 +239,10 @@ def solver_checks(
         for cand_m in enumerate_candidates(chan, cfg, "prefixes_plus_singletons"):
             if cand_m.beams != (m,):
                 continue
-            sol_m = solve_problem4(cand_m, h_gain, cfg.eps_p)
+            sol_m = solve_problem4(cand_m)
             if sol_m.status == "optimal":
                 got = sol_m.x[0] ** 2
-                if certify_solution(cand_m, h_gain, cfg.eps_p, sol_m):
+                if certify_solution(cand_m, sol_m):
                     certifier_fail += 1
             else:
                 got = 0.0
@@ -249,12 +260,12 @@ def solver_checks(
     count = 0
     for set_size, resolution, instances in oracle_plan:
         for _ in range(instances):
-            cand_i, h_i, eps_i = random_feasible_instance(rng, set_size)
-            sol_i = solve_problem4(cand_i, h_i, eps_i)
-            if certify_solution(cand_i, h_i, eps_i, sol_i):
+            cand_i = random_feasible_instance(rng, set_size)
+            sol_i = solve_problem4(cand_i)
+            if certify_solution(cand_i, sol_i):
                 certifier_fail += 1
-            oracle = oracle_grid_solver(cand_i, h_i, eps_i, resolution)
-            sum_sqrt_h = sum(math.sqrt(h_i[b]) for b in cand_i.beams)
+            oracle = oracle_grid_solver(cand_i, resolution)
+            sum_sqrt_h = sum(math.sqrt(h_k) for h_k in cand_i.h)
             gap = abs(sol_i.t_star - oracle.t_star)
             worst_ratio = max(worst_ratio, gap / (2.0 * resolution * sum_sqrt_h))
             count += 1
@@ -281,7 +292,7 @@ def dominance_checks(seed: int, draws: int = 2000) -> list[CheckResult]:
     and beats it on average, at 10, 20 and 30 dB."""
     results = []
     for snr_db in (10.0, 20.0, 30.0):
-        cfg = SystemConfig(4, 4, 10.0 ** (snr_db / 10.0), 0.1, 1.0)
+        cfg = SystemConfig(4, 4, snr_db_to_linear(snr_db), 0.1, 1.0)
         violations = 0
         gap_sum = 0.0
         for t in range(draws):

@@ -150,20 +150,22 @@ def test_criterion_06_solver_correctness():
             for c in enumerate_candidates(chan, cfg, "prefixes_plus_singletons")
             if c.beams == (m,)
         )
-        sol = solve_problem4(cand, h, cfg.eps_p)
+        sol = solve_problem4(cand)
         got = sol.x[0] ** 2 if sol.status == "optimal" else 0.0
         worst = max(worst, abs(got - expected))
         if sol.status == "optimal":
-            assert certify_solution(cand, h, cfg.eps_p, sol) == []
+            assert certify_solution(cand, sol) == []
             certified += 1
     assert worst <= 1e-9, f"singleton reduction off by {worst:.2e}"
 
     # (b) two-beam worked instance against its closed-form fixed point
-    cand = AggregationCandidate(beams=(0, 1), tau_d=0.1, etas=(0.55, 0.55), feasible=True)
-    sol = solve_problem4(cand, [2.0, 1.0], 1.0)
+    cand = AggregationCandidate(
+        beams=(0, 1), h=(2.0, 1.0), etas=(0.55, 0.55), tau_d=0.1, eps_p=1.0
+    )
+    sol = solve_problem4(cand)
     assert sol.t_star ** 2 == pytest.approx(0.76820, abs=1e-4)
     assert sol.objective_rate == pytest.approx(3.118, abs=1e-3)
-    assert certify_solution(cand, [2.0, 1.0], 1.0, sol) == []
+    assert certify_solution(cand, sol) == []
 
     # (c) grid-oracle agreement on 200 random feasible instances
     rng = np.random.default_rng(SEED + 66)
@@ -171,10 +173,10 @@ def test_criterion_06_solver_correctness():
     worst_gap = 0.0
     for set_size, resolution, count in plans:
         for _ in range(count):
-            cand_i, h_i, eps_i = random_feasible_instance(rng, set_size)
-            sol_i = solve_problem4(cand_i, h_i, eps_i)
-            oracle = oracle_grid_solver(cand_i, h_i, eps_i, resolution)
-            sum_sqrt = sum(math.sqrt(h_i[b]) for b in cand_i.beams)
+            cand_i = random_feasible_instance(rng, set_size)
+            sol_i = solve_problem4(cand_i)
+            oracle = oracle_grid_solver(cand_i, resolution)
+            sum_sqrt = sum(math.sqrt(v) for v in cand_i.h)
             gap = abs(sol_i.t_star - oracle.t_star)
             assert gap <= 2e-3 * sum_sqrt, (
                 f"|D|={set_size}: gap {gap:.2e} above 2e-3 * sum sqrt(h) = "
@@ -183,7 +185,7 @@ def test_criterion_06_solver_correctness():
             assert gap <= 2.0 * resolution * sum_sqrt
             worst_gap = max(worst_gap, gap / (2e-3 * sum_sqrt))
             # (d) every returned solution passes the independent certifier
-            assert certify_solution(cand_i, h_i, eps_i, sol_i) == []
+            assert certify_solution(cand_i, sol_i) == []
             certified += 1
     _report(
         6,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from beamshare import beam_aggregation
 from beamshare.beam_aggregation import (
     AggregationCandidate,
     certify_solution,
@@ -21,8 +22,9 @@ from beamshare.validation import random_feasible_instance
 # closed-form optimum of the two-beam instance h=(2,1), g=(1,1), rho=10,
 # eps_p=1 (both decode constraints tight at the fixed point)
 U_REF = 0.9 * (3.0 + 2.0 * math.sqrt(2.0)) / (4.0 + 2.0 * math.sqrt(2.0))
-WORKED = AggregationCandidate(beams=(0, 1), tau_d=0.1, etas=(0.55, 0.55), feasible=True)
-WORKED_H = [2.0, 1.0]
+WORKED = AggregationCandidate(
+    beams=(0, 1), h=(2.0, 1.0), etas=(0.55, 0.55), tau_d=0.1, eps_p=1.0
+)
 
 
 def _chan(g_gain, h_gain):
@@ -46,8 +48,10 @@ def test_enumerate_counts_and_order():
     everything = enumerate_candidates(chan, cfg, "all_subsets")
     assert len(everything) == 7
     for cand in everything:
-        gains = [chan.h_gain[b] for b in cand.beams]
-        assert gains == sorted(gains, reverse=True)
+        assert cand.h == tuple(chan.h_gain[b] for b in cand.beams)
+        assert list(cand.h) == sorted(cand.h, reverse=True)
+        assert cand.etas == tuple(eta(1.0, cfg.rho, cfg.eps_p) for _ in cand.beams)
+        assert cand.eps_p == cfg.eps_p
 
 
 def test_enumerate_single_beam_dedupes():
@@ -77,36 +81,59 @@ def test_enumerate_rejects_unknown_strategy_and_large_subsets():
 
 def test_min_primary_power_worked_recursion():
     # backward sweep at the optimal amplitude: both shares are u + tau
-    ap = min_primary_power(WORKED, WORKED_H, math.sqrt(U_REF), 1.0)
+    ap = min_primary_power(WORKED, math.sqrt(U_REF))
     assert ap == pytest.approx([U_REF + 0.1, U_REF + 0.1], abs=1e-12)
 
 
 def test_min_primary_power_floor_and_overflow():
-    ap = min_primary_power(WORKED, WORKED_H, 0.0, 1.0)
+    ap = min_primary_power(WORKED, 0.0)
     # at t=0 the tau term dominates: max(eta, eps (acc + tau)/h)
     assert ap == pytest.approx([0.55, 0.55], abs=1e-12)
-    assert min_primary_power(WORKED, WORKED_H, 10.0, 1.0) is None
+    assert min_primary_power(WORKED, 10.0) is None
 
 
 def test_min_primary_power_eta_floor():
-    cand = AggregationCandidate(beams=(0, 1), tau_d=0.01, etas=(0.9, 0.9), feasible=True)
-    ap = min_primary_power(cand, [5.0, 4.0], 0.0, 0.1)
+    cand = AggregationCandidate(
+        beams=(0, 1), h=(5.0, 4.0), etas=(0.9, 0.9), tau_d=0.01, eps_p=0.1
+    )
+    ap = min_primary_power(cand, 0.0)
     assert ap == [0.9, 0.9]
 
 
 def test_solve_worked_instance_closed_form():
-    sol = solve_problem4(WORKED, WORKED_H, 1.0)
+    sol = solve_problem4(WORKED)
     assert sol.status == "optimal"
     assert sol.t_star ** 2 == pytest.approx(U_REF, abs=1e-9)
     assert sol.alpha_p == pytest.approx([U_REF + 0.1, U_REF + 0.1], abs=1e-8)
     assert [x * x for x in sol.x] == pytest.approx([0.9 - U_REF, 0.9 - U_REF], abs=1e-8)
     assert sol.objective_rate == pytest.approx(math.log2(1.0 + U_REF / 0.1), abs=1e-8)
-    assert certify_solution(WORKED, WORKED_H, 1.0, sol) == []
+    assert certify_solution(WORKED, sol) == []
     # both decode constraints are tight at the optimum
     for k in range(2):
-        tail = sum(WORKED_H[j] * sol.alpha_p[j] for j in range(k + 1, 2))
-        slack = WORKED_H[k] * sol.alpha_p[k] - (tail + sol.t_star ** 2 + 0.1)
+        tail = sum(WORKED.h[j] * sol.alpha_p[j] for j in range(k + 1, 2))
+        slack = WORKED.h[k] * sol.alpha_p[k] - (tail + sol.t_star ** 2 + 0.1)
         assert abs(slack) < 1e-8
+
+
+def test_solve_calls_min_primary_power_once_per_bisection_step(monkeypatch):
+    # one call at t = 0, then one per bisection step; the solution takes
+    # alpha_p from the feasible end of the bracket instead of solving again.
+    # The patch also checks that solve_problem4 looks the name up per call.
+    calls = []
+    original = beam_aggregation.min_primary_power
+
+    def counting(candidate, t):
+        calls.append(t)
+        return original(candidate, t)
+
+    monkeypatch.setattr(beam_aggregation, "min_primary_power", counting)
+    sol = solve_problem4(WORKED)
+    hi = sum(math.sqrt(v) for v in WORKED.h)
+    steps = math.ceil(math.log2(hi / (1e-10 * (1.0 + hi))))
+    assert steps == 33
+    assert len(calls) == steps + 1
+    assert calls[0] == 0.0
+    assert sol.alpha_p == tuple(original(WORKED, sol.t_star))
 
 
 def test_solve_singleton_matches_selection_cap_exactly():
@@ -123,40 +150,47 @@ def test_solve_singleton_matches_selection_cap_exactly():
             expected = alpha_s_cap(
                 h[m], eta(g[m], cfg.rho, cfg.eps_p), tau((m,), h, base, cfg.rho), cfg.eps_p
             )
-            sol = solve_problem4(cand, h, cfg.eps_p)
+            sol = solve_problem4(cand)
             got = sol.x[0] ** 2 if sol.status == "optimal" else 0.0
             assert got == pytest.approx(expected, abs=1e-9)
 
 
 def test_solve_infeasible_cases():
     # interference floor too high for the strongest beam
-    cand = AggregationCandidate(beams=(0, 1), tau_d=50.0, etas=(0.5, 0.5), feasible=True)
-    assert solve_problem4(cand, [2.0, 1.0], 1.0).status == "infeasible"
-    flagged = AggregationCandidate(beams=(0,), tau_d=0.1, etas=(1.2,), feasible=False)
-    assert solve_problem4(flagged, [2.0], 1.0).status == "infeasible"
-    zero_gain = AggregationCandidate(beams=(0,), tau_d=0.1, etas=(0.5,), feasible=True)
-    assert solve_problem4(zero_gain, [0.0], 1.0).status == "infeasible"
+    cand = AggregationCandidate(
+        beams=(0, 1), h=(2.0, 1.0), etas=(0.5, 0.5), tau_d=50.0, eps_p=1.0
+    )
+    assert solve_problem4(cand).status == "infeasible"
+    flagged = AggregationCandidate(
+        beams=(0,), h=(2.0,), etas=(1.2,), tau_d=0.1, eps_p=1.0
+    )
+    assert not flagged.feasible
+    assert solve_problem4(flagged).status == "infeasible"
+    zero_gain = AggregationCandidate(
+        beams=(0,), h=(0.0,), etas=(0.5,), tau_d=0.1, eps_p=1.0
+    )
+    assert zero_gain.feasible
+    assert solve_problem4(zero_gain).status == "infeasible"
 
 
 def test_cap_is_nonincreasing():
     rng = np.random.default_rng(37)
     for _ in range(50):
-        cand, h, eps = random_feasible_instance(rng, 2)
-        hs = [h[b] for b in cand.beams]
+        cand = random_feasible_instance(rng, 2)
         last = math.inf
-        for t in np.linspace(0.0, sum(math.sqrt(v) for v in hs), 40):
-            ap = min_primary_power(cand, h, float(t), eps)
+        for t in np.linspace(0.0, sum(math.sqrt(v) for v in cand.h), 40):
+            ap = min_primary_power(cand, float(t))
             cap = (
                 -math.inf
                 if ap is None
-                else sum(math.sqrt(v * (1.0 - a)) for v, a in zip(hs, ap))
+                else sum(math.sqrt(v * (1.0 - a)) for v, a in zip(cand.h, ap))
             )
             assert cap <= last + 1e-12
             last = cap
 
 
 def test_certifier_catches_violations():
-    sol = solve_problem4(WORKED, WORKED_H, 1.0)
+    sol = solve_problem4(WORKED)
     broken = type(sol)(
         alpha_p=(0.5, sol.alpha_p[1]),  # drops the first decode constraint
         x=sol.x,
@@ -164,38 +198,40 @@ def test_certifier_catches_violations():
         objective_rate=sol.objective_rate,
         status="optimal",
     )
-    assert certify_solution(WORKED, WORKED_H, 1.0, broken)
+    assert certify_solution(WORKED, broken)
 
 
 def test_oracle_agreement_worked_instance():
-    sol = solve_problem4(WORKED, WORKED_H, 1.0)
-    oracle = oracle_grid_solver(WORKED, WORKED_H, 1.0, 1e-3)
+    sol = solve_problem4(WORKED)
+    oracle = oracle_grid_solver(WORKED, 1e-3)
     budget = 2.0 * 1e-3 * (math.sqrt(2.0) + 1.0)
     assert oracle.status == "optimal"
     assert abs(sol.t_star - oracle.t_star) <= budget
     assert abs(sol.t_star - oracle.t_star) <= 5e-3  # coarse sanity bound
-    assert certify_solution(WORKED, WORKED_H, 1.0, oracle) == []
+    assert certify_solution(WORKED, oracle) == []
 
 
 def test_oracle_resolution_one_examines_corners():
     # at resolution 1 only the {0,1}-corners exist; replicate by hand
-    cand, h = WORKED, WORKED_H
+    cand, h = WORKED, WORKED.h
     best = -1.0
     for x0 in (0.0, 1.0):
         for x1 in (0.0, 1.0):
             t = math.sqrt(h[0]) * x0 + math.sqrt(h[1]) * x1
-            ap = min_primary_power(cand, h, t, 1.0)
+            ap = min_primary_power(cand, t)
             if ap is None:
                 continue
             if all(a <= 1.0 - x * x for a, x in zip(ap, (x0, x1))):
                 best = max(best, t)
-    oracle = oracle_grid_solver(cand, h, 1.0, 1.0)
+    oracle = oracle_grid_solver(cand, 1.0)
     assert oracle.t_star == pytest.approx(best)
 
 
 def test_oracle_infeasible_candidate():
-    cand = AggregationCandidate(beams=(0, 1), tau_d=50.0, etas=(0.5, 0.5), feasible=True)
-    assert oracle_grid_solver(cand, [2.0, 1.0], 1.0, 0.01).status == "infeasible"
+    cand = AggregationCandidate(
+        beams=(0, 1), h=(2.0, 1.0), etas=(0.5, 0.5), tau_d=50.0, eps_p=1.0
+    )
+    assert oracle_grid_solver(cand, 0.01).status == "infeasible"
 
 
 def test_oracle_random_agreement():
@@ -203,13 +239,13 @@ def test_oracle_random_agreement():
     plans = ((2, 1e-3, 12), (3, 2e-3, 4))
     for set_size, resolution, count in plans:
         for _ in range(count):
-            cand, h, eps = random_feasible_instance(rng, set_size)
-            sol = solve_problem4(cand, h, eps)
-            oracle = oracle_grid_solver(cand, h, eps, resolution)
-            sum_sqrt = sum(math.sqrt(h[b]) for b in cand.beams)
+            cand = random_feasible_instance(rng, set_size)
+            sol = solve_problem4(cand)
+            oracle = oracle_grid_solver(cand, resolution)
+            sum_sqrt = sum(math.sqrt(v) for v in cand.h)
             assert oracle.status == "optimal"
             assert abs(sol.t_star - oracle.t_star) <= 2.0 * resolution * sum_sqrt
-            assert certify_solution(cand, h, eps, sol) == []
+            assert certify_solution(cand, sol) == []
 
 
 def test_scheme1_worked_values():

@@ -138,7 +138,7 @@ def test_aggregation_reduces_to_selection_on_singletons():
             if len(cand.beams) != 1:
                 continue
             (m,) = cand.beams
-            sol = solve_problem4(cand, h, cfg.eps_p)
+            sol = solve_problem4(cand)
             if sol.status != "optimal":
                 continue
             solved += 1

@@ -178,6 +178,43 @@ def test_estimate_starts_one_pool(monkeypatch):
     assert len(pools) == 1
 
 
+def test_pool_capped_at_usable_cpus(monkeypatch):
+    # the fake pool records its size and maps in-process, so no process
+    # starts whatever workers asks for
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    spec = _spec(trials=9, schemes=("selection", "scheme1"))
+    serial = estimate(spec, workers=1)
+    monkeypatch.setattr(
+        montecarlo.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False
+    )
+    assert estimate(spec, workers=100_000) == serial
+    assert sizes == [3]
+    # without an affinity mask the cap is the CPU count
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 5)
+    assert estimate(spec, workers=100_000) == serial
+    assert sizes == [3, 5]
+    # on one CPU no pool is started at all
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
+    assert estimate(spec, workers=8) == serial
+    assert sizes == [3, 5]
+
+
 def test_outage_bounds_and_metrics():
     spec = _spec(trials=30, metric="ergodic_rate", schemes=("selection", "scheme1"))
     result = estimate(spec)

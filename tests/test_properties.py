@@ -1,4 +1,5 @@
-"""Property tests for invariants every scheme must keep on any channel draw."""
+"""Property tests for invariants every scheme, and the scheme 2 solver, must
+keep on any channel draw."""
 
 import math
 
@@ -11,6 +12,11 @@ from beamshare import (
     evaluate_scheme2,
     evaluate_selection,
     realize,
+)
+from beamshare.beam_aggregation import (
+    certify_solution,
+    enumerate_candidates,
+    solve_problem4,
 )
 
 # (r_p, r_s): the paper's operating point, vanishing targets, extreme targets
@@ -37,3 +43,25 @@ def test_rates_finite_and_scheme2_dominates_selection(
         for rate in (out.secondary_rate, out.secondary_rate_raw, *out.primary_rates):
             assert math.isfinite(rate) and rate >= 0.0, (out.scheme_tag, rate)
     assert agg.secondary_rate >= sel.secondary_rate
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(
+    log10_rho=st.floats(min_value=-8.0, max_value=30.0),
+    targets=st.sampled_from(TARGETS),
+    m_beams=st.integers(min_value=2, max_value=6),
+    trial=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+def test_candidates_are_whole_instances_and_solutions_certify(
+    log10_rho, targets, m_beams, trial
+):
+    r_p, r_s = targets
+    cfg = SystemConfig(m_beams, m_beams, 10.0 ** log10_rho, r_p, r_s)
+    chan = realize(cfg, TrialSeed(2027, trial))
+    for cand in enumerate_candidates(chan, cfg, "all_subsets"):
+        assert cand.h == tuple(chan.h_gain[b] for b in cand.beams)
+        assert all(a >= b for a, b in zip(cand.h, cand.h[1:]))
+        assert cand.feasible == all(e <= 1.0 for e in cand.etas)
+        sol = solve_problem4(cand)
+        if sol.status == "optimal":
+            assert certify_solution(cand, sol) == [], (cand, sol)

@@ -1,0 +1,31 @@
+"""The statistical tests behind the validate suites."""
+
+import math
+
+from beamshare.cli import main
+from beamshare.validation import LEVEL_3SE, binomial_two_sided_p
+
+
+def test_binomial_test_is_exact_for_rare_events():
+    # the q1 row at N=4, M=2, rho=100: one weak draw in 10 000 is 8.6
+    # normal standard errors out, but likely enough under the exact law
+    p = 1.313e-6
+    assert binomial_two_sided_p(1, 10_000, p) >= LEVEL_3SE
+    assert binomial_two_sided_p(3, 10_000, p) < LEVEL_3SE
+
+
+def test_binomial_test_matches_normal_level_for_common_events():
+    # q1 at N=M=2, rho=10 and the acceptance sample size: 2 se passes,
+    # 4 se fails, on either side
+    n, p = 100_000, 0.181269
+    se = math.sqrt(n * p * (1.0 - p))
+    for sign in (1.0, -1.0):
+        assert binomial_two_sided_p(round(n * p + sign * 2.0 * se), n, p) >= LEVEL_3SE
+        assert binomial_two_sided_p(round(n * p + sign * 4.0 * se), n, p) < LEVEL_3SE
+
+
+def test_validate_distribution_seed_52_passes(capsys):
+    # seed 52 draws one weak channel on the q1 row with q1 = 1.3e-6
+    assert main(["validate", "distribution", "--seed", "52"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] distribution.q1[N=4,M=2,rho=100]" in out
