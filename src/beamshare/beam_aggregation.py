@@ -21,6 +21,12 @@ a backward sweep gives it), and the resulting power headroom
 is nonincreasing in t.  The optimum is the largest t with cap(t) >= t.
 A brute-force grid oracle and an independent constraint certifier are kept
 alongside the solver to cross-check it.
+
+Scheme 2 does not solve every candidate set.  It visits them in
+descending order of a bound that needs no sweep and drops, with one sweep
+at most, each set whose rate provably ranks below the best set solved so
+far (see evaluate_scheme2); the winner is the one an exhaustive search
+picks, bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +64,8 @@ __all__ = [
 STRATEGIES = ("prefixes", "prefixes_plus_singletons", "all_subsets")
 
 _BISECT_MAX_ITER = 200
+# relative margin of scheme 2's set pruning bounds (see evaluate_scheme2)
+_PRUNE_MARGIN = 1e-9
 ALL_SUBSETS_MAX_BEAMS = 8
 
 
@@ -386,35 +394,27 @@ def evaluate_scheme1(chan: ChannelRealization, cfg: SystemConfig) -> SchemeOutco
     )
 
 
-def evaluate_scheme2(
+def _key(rate: float, beams: tuple[int, ...]) -> tuple:
+    """Scheme 2's ranking, least first: largest rate, then smaller set, then
+    lexicographic beam indices.  Distinct sets never tie on it."""
+    return (-rate, len(beams), tuple(sorted(beams)))
+
+
+def _rate_bound(snr: float) -> float:
+    """log2(1 + snr) with snr raised by the pruning margin, which covers the
+    rounding between a bound and the solver's own t*^2 / tau_d."""
+    return math.log2(1.0 + (1.0 + _PRUNE_MARGIN) * snr)
+
+
+def _outcome(
     chan: ChannelRealization,
     cfg: SystemConfig,
-    strategy: str = "prefixes_plus_singletons",
+    best: Optional[tuple[AggregationCandidate, Problem4Solution]],
 ) -> SchemeOutcome:
-    """Evaluate SIC-chain aggregation with the set chosen by enumeration.
-
-    Every feasible candidate is solved and the largest secondary rate wins
-    (ties: smaller set, then lexicographic beam indices).  The decode
-    constraints are part of the program, so SIC always succeeds at the
-    returned point; with singletons enumerated the result can never fall
-    below single-beam selection on the same draw.
-    """
+    """The scheme 2 outcome of the winning (candidate, solution), if any;
+    beams outside the set keep the inactive split."""
     g_gain = chan.g_gain.tolist()
-    base_ap = mode_i_alpha_p(g_gain, cfg.rho, cfg.eps_p)
-
-    best: Optional[tuple[AggregationCandidate, Problem4Solution]] = None
-    best_key: Optional[tuple[float, int, tuple[int, ...]]] = None
-    for cand in enumerate_candidates(chan, cfg, strategy):
-        if not cand.feasible:
-            continue
-        sol = solve_problem4(cand)
-        if sol.status != "optimal":
-            continue
-        key = (-sol.objective_rate, len(cand.beams), tuple(sorted(cand.beams)))
-        if best_key is None or key < best_key:
-            best, best_key = (cand, sol), key
-
-    alpha_p = np.array(base_ap)
+    alpha_p = np.array(mode_i_alpha_p(g_gain, cfg.rho, cfg.eps_p))
     alpha_s = np.zeros(cfg.m_beams)
     if best is None:
         chosen: tuple[int, ...] = ()
@@ -436,3 +436,78 @@ def evaluate_scheme2(
         alpha_p=alpha_p,
         alpha_s=alpha_s,
     )
+
+
+def _loses_to(
+    cand: AggregationCandidate,
+    best: tuple[AggregationCandidate, Problem4Solution],
+    best_key: tuple,
+) -> bool:
+    """True when cand provably ranks below the incumbent, by one sweep at
+    t_R, just under the amplitude at which cand would match the
+    incumbent's SNR.  If no alpha_p fits at t_R or cap(t_R) < t_R, the
+    bisection ends below t_R because cap is nonincreasing."""
+    inc_cand, inc_sol = best
+    s_star = inc_sol.t_star * inc_sol.t_star / inc_cand.tau_d
+    t_r = math.sqrt(s_star * cand.tau_d) * (1.0 - _PRUNE_MARGIN)
+    alpha_p = min_primary_power(cand, t_r)
+    if alpha_p is not None and _cap(alpha_p, cand.h) >= t_r:
+        return False
+    return _key(_rate_bound(t_r * t_r / cand.tau_d), cand.beams) > best_key
+
+
+def evaluate_scheme2(
+    chan: ChannelRealization,
+    cfg: SystemConfig,
+    strategy: str = "prefixes_plus_singletons",
+) -> SchemeOutcome:
+    """Evaluate SIC-chain aggregation with the set chosen by enumeration.
+
+    The winner has the largest secondary rate over the feasible candidates
+    (ties: smaller set, then lexicographic beam indices).  The decode
+    constraints are part of the program, so SIC always succeeds at the
+    returned point; with singletons enumerated the result can never fall
+    below single-beam selection on the same draw.
+
+    Not every candidate is solved, yet the winner, its rate and its power
+    split are bit for bit those of solving them all.  A set's bound
+    B = sum sqrt(h_k (1 - eta_k)) is at least cap(t) for every t (alpha_p
+    >= eta), hence at least its t*.  The singletons (closed form) go first
+    and seed the incumbent cheaply, then the larger sets; each group is
+    visited in descending B^2 / tau_d, and its visit stops at the first set
+    whose bound rate log2(1 + B^2 / tau_d) is below the incumbent's rate.
+    A larger set is first tested by one sweep at t_R = sqrt(s* tau_d)
+    (1 - 1e-9), s* = t*^2 / tau_d being the incumbent's SNR: if no alpha_p
+    fits there or cap(t_R) < t_R, the bisection ends below t_R (cap is
+    nonincreasing), and the set is skipped when its rate bound at t_R
+    already ranks below the incumbent.  Every bound is raised by the
+    relative margin 1e-9, far above rounding, so a set within that margin
+    of the incumbent is solved in full.  Bounds are compared as rates under
+    the full ranking, not as SNRs: 1 + s can round SNRs more than 1e-9
+    apart onto one rate, and the smaller set must then still win.  The
+    ranking is a total order, so the visiting order cannot change the
+    winner.
+    """
+    singles, multis = [], []
+    for cand in enumerate_candidates(chan, cfg, strategy):
+        if cand.feasible:
+            b = _cap(cand.etas, cand.h)
+            group = singles if len(cand.beams) == 1 else multis
+            group.append((b * b / cand.tau_d, cand))
+
+    best: Optional[tuple[AggregationCandidate, Problem4Solution]] = None
+    best_key: Optional[tuple] = None
+    for phase in (singles, multis):
+        for snr_bound, cand in sorted(phase, key=lambda v: -v[0]):
+            if best is not None:
+                if _rate_bound(snr_bound) < -best_key[0]:
+                    break  # every later set of the phase has a smaller bound
+                if len(cand.beams) > 1 and _loses_to(cand, best, best_key):
+                    continue
+            sol = solve_problem4(cand)
+            if sol.status != "optimal":
+                continue
+            key = _key(sol.objective_rate, cand.beams)
+            if best_key is None or key < best_key:
+                best, best_key = (cand, sol), key
+    return _outcome(chan, cfg, best)

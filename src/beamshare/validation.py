@@ -16,7 +16,10 @@ import numpy as np
 
 from .analysis import gain_cdf, ks_statistic, q1_exact, q1_high_snr
 from .beam_aggregation import (
+    STRATEGIES,
     AggregationCandidate,
+    _key,
+    _outcome,
     certify_solution,
     enumerate_candidates,
     evaluate_scheme2,
@@ -24,9 +27,9 @@ from .beam_aggregation import (
     solve_problem4,
 )
 from .beam_selection import evaluate_selection
-from .channel_model import SystemConfig, TrialSeed, realize
+from .channel_model import ChannelRealization, SystemConfig, TrialSeed, realize
 from .montecarlo import SweepSpec, estimate, snr_db_to_linear
-from .power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
+from .power_allocation import SchemeOutcome, alpha_s_cap, eta, mode_i_alpha_p, tau
 
 __all__ = [
     "CheckResult",
@@ -284,7 +287,61 @@ def solver_checks(
             f"{certifier_fail} solutions rejected by the constraint certifier",
         )
     )
+    results.append(set_search_check(seed + 3))
     return results
+
+
+def exhaustive_scheme2(
+    chan: ChannelRealization, cfg: SystemConfig, strategy: str
+) -> SchemeOutcome:
+    """Reference for evaluate_scheme2's pruned set search: solve every
+    feasible candidate and keep the one of least ranking key."""
+    best, best_key = None, None
+    for cand in enumerate_candidates(chan, cfg, strategy):
+        if not cand.feasible:
+            continue
+        sol = solve_problem4(cand)
+        if sol.status != "optimal":
+            continue
+        key = _key(sol.objective_rate, cand.beams)
+        if best is None or key < best_key:
+            best, best_key = (cand, sol), key
+    return _outcome(chan, cfg, best)
+
+
+def same_scheme2_choice(a: SchemeOutcome, b: SchemeOutcome) -> bool:
+    """Equal chosen set, and rate and power split equal bit for bit."""
+    return (
+        a.chosen_set == b.chosen_set
+        and a.secondary_rate_raw.hex() == b.secondary_rate_raw.hex()
+        and a.alpha_p.tobytes() == b.alpha_p.tobytes()
+        and a.alpha_s.tobytes() == b.alpha_s.tobytes()
+    )
+
+
+def set_search_check(seed: int, draws: int = 60) -> CheckResult:
+    """evaluate_scheme2 against the exhaustive reference under every
+    strategy, on `draws` draws at each N = M in {2, 4, 6, 8}, cycling
+    through 0-40 dB and r_p in {0.1, 1}."""
+    mismatches = 0
+    count = 0
+    for m in (2, 4, 6, 8):
+        for t in range(draws):
+            rho = snr_db_to_linear(10.0 * (t % 5))
+            cfg = SystemConfig(m, m, rho, (0.1, 1.0)[t // 5 % 2], 1.0)
+            chan = realize(cfg, TrialSeed(seed, m * draws + t))
+            for strategy in STRATEGIES:
+                got = evaluate_scheme2(chan, cfg, strategy)
+                mismatches += not same_scheme2_choice(
+                    got, exhaustive_scheme2(chan, cfg, strategy)
+                )
+                count += 1
+    return CheckResult(
+        "solver.set_search_exact",
+        mismatches == 0,
+        f"{mismatches} of {count} pruned set searches differ from the "
+        "exhaustive one (chosen set, rate, alpha_p, alpha_s)",
+    )
 
 
 def dominance_checks(seed: int, draws: int = 2000) -> list[CheckResult]:

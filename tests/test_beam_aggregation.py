@@ -17,7 +17,11 @@ from beamshare.beam_aggregation import (
 from beamshare.beam_selection import evaluate_selection
 from beamshare.channel_model import ChannelRealization, SystemConfig, TrialSeed, realize
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
-from beamshare.validation import random_feasible_instance
+from beamshare.validation import (
+    exhaustive_scheme2,
+    random_feasible_instance,
+    same_scheme2_choice,
+)
 
 # closed-form optimum of the two-beam instance h=(2,1), g=(1,1), rho=10,
 # eps_p=1 (both decode constraints tight at the fixed point)
@@ -313,3 +317,77 @@ def test_scheme2_deterministic():
     b = evaluate_scheme2(chan, cfg)
     assert a.secondary_rate == b.secondary_rate
     assert a.chosen_set == b.chosen_set
+
+
+def test_scheme2_set_search_makes_a_fifth_of_the_exhaustive_calls(monkeypatch):
+    # One N = M = 8 all_subsets draw at 20 dB. Solving every candidate costs
+    # 255 solve_problem4 calls and 8398 min_primary_power sweeps; the pruned
+    # search must make at most a fifth of each. The patches also check that
+    # both names are looked up at call time, as the benchmark tracer needs.
+    cfg = SystemConfig(8, 8, 100.0, 0.1, 1.0)
+    chan = realize(cfg, TrialSeed(0, 0))
+    assert sum(c.feasible for c in enumerate_candidates(chan, cfg, "all_subsets")) == 255
+    counts = {"solve_problem4": 0, "min_primary_power": 0}
+    solve, sweep = beam_aggregation.solve_problem4, beam_aggregation.min_primary_power
+
+    def counting_solve(candidate):
+        counts["solve_problem4"] += 1
+        return solve(candidate)
+
+    def counting_sweep(candidate, t):
+        counts["min_primary_power"] += 1
+        return sweep(candidate, t)
+
+    monkeypatch.setattr(beam_aggregation, "solve_problem4", counting_solve)
+    monkeypatch.setattr(beam_aggregation, "min_primary_power", counting_sweep)
+    reference = exhaustive_scheme2(chan, cfg, "all_subsets")
+    assert counts["min_primary_power"] == 8398
+    counts.update(solve_problem4=0, min_primary_power=0)
+    out = evaluate_scheme2(chan, cfg, "all_subsets")
+    assert same_scheme2_choice(out, reference)
+    assert counts["solve_problem4"] <= 255 / 5
+    assert counts["min_primary_power"] <= 8398 / 5
+
+
+def test_scheme2_solves_a_set_tied_with_the_incumbent(monkeypatch):
+    # beams 0 and 2 are twins, so {0, 1} and {1, 2} are the same program and
+    # tie exactly; the one visited second still gets a full solve, and the
+    # tie goes to the lexicographically smaller set, as in the exhaustive
+    # search
+    chan = _chan([1.0, 1.0, 1.0], [0.5, 1.0, 0.5])
+    cfg = SystemConfig(3, 3, 30.0, 1.0, 1.0)
+    solved = {}
+    solve = beam_aggregation.solve_problem4
+
+    def recording(candidate):
+        sol = solve(candidate)
+        solved[tuple(sorted(candidate.beams))] = sol.objective_rate
+        return sol
+
+    monkeypatch.setattr(beam_aggregation, "solve_problem4", recording)
+    out = evaluate_scheme2(chan, cfg, "all_subsets")
+    assert solved[(0, 1)] == solved[(1, 2)] == out.secondary_rate_raw
+    assert out.chosen_set == (0, 1)
+    assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+
+
+def test_scheme2_rounded_rate_tie_goes_to_the_smaller_set():
+    # At rho = 1e-9 the SNRs s = t*^2 / tau_d are near 3e-9, and 1 + s rounds
+    # SNRs up to about 7e-8 apart (relative) onto one rate. Here {0, 1, 2}
+    # has an SNR 4.4e-9 above that of {0, 1}, more than the 1e-9 pruning
+    # margin, yet the same rate, so the smaller set {0, 1} wins. Pruning on
+    # the SNR alone would drop {0, 1} behind the {0, 1, 2} incumbent.
+    chan = _chan([1.0, 1.0, 1.0], [1.0, 0.7, 0.06931477635546292])
+    cfg = SystemConfig(3, 3, 1e-9, 1e-10, 1.0)
+    sols = {
+        tuple(sorted(c.beams)): (c, solve_problem4(c))
+        for c in enumerate_candidates(chan, cfg, "all_subsets")
+    }
+    (c2, s2), (c3, s3) = sols[(0, 1)], sols[(0, 1, 2)]
+    assert s2.objective_rate == s3.objective_rate > 0.0
+    snr2 = s2.t_star * s2.t_star / c2.tau_d
+    snr3 = s3.t_star * s3.t_star / c3.tau_d
+    assert snr3 > snr2 * (1.0 + 1e-9)
+    out = evaluate_scheme2(chan, cfg, "all_subsets")
+    assert out.chosen_set == (0, 1)
+    assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))

@@ -14,10 +14,12 @@ from beamshare import (
     realize,
 )
 from beamshare.beam_aggregation import (
+    STRATEGIES,
     certify_solution,
     enumerate_candidates,
     solve_problem4,
 )
+from beamshare.validation import exhaustive_scheme2, same_scheme2_choice
 
 # (r_p, r_s): the paper's operating point, vanishing targets, extreme targets
 TARGETS = [(0.1, 1.0), (1e-9, 0.0), (8.0, 8.0)]
@@ -65,3 +67,19 @@ def test_candidates_are_whole_instances_and_solutions_certify(
         sol = solve_problem4(cand)
         if sol.status == "optimal":
             assert certify_solution(cand, sol) == [], (cand, sol)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    log10_rho=st.floats(min_value=-8.0, max_value=30.0),
+    r_p=st.sampled_from([0.1, 1.0]),
+    m_beams=st.integers(min_value=2, max_value=8),
+    trial=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+def test_pruned_set_search_picks_the_exhaustive_winner(log10_rho, r_p, m_beams, trial):
+    cfg = SystemConfig(m_beams, m_beams, 10.0 ** log10_rho, r_p, 1.0)
+    chan = realize(cfg, TrialSeed(2028, trial))
+    for strategy in STRATEGIES:
+        got = evaluate_scheme2(chan, cfg, strategy)
+        want = exhaustive_scheme2(chan, cfg, strategy)
+        assert same_scheme2_choice(got, want), (strategy, got, want)
