@@ -26,15 +26,18 @@ Scheme 2 does not solve every candidate set.  It visits them in
 descending order of a bound that needs no sweep and drops, with one sweep
 at most, each set whose rate provably ranks below the best set solved so
 far (see evaluate_scheme2); the winner is the one an exhaustive search
-picks, bit for bit.
+picks, bit for bit.  Nor does a solve sweep every bisection midpoint: a
+root bracket decides all but the few inside it (see solve_problem4).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +67,9 @@ __all__ = [
 STRATEGIES = ("prefixes", "prefixes_plus_singletons", "all_subsets")
 
 _BISECT_MAX_ITER = 200
+# width of the root bracket the bisection replay decides its midpoints by,
+# relative to 1 + sum sqrt(h_m) (see solve_problem4)
+_BRACKET_WIDTH = 1e-13
 # relative margin of scheme 2's set pruning bounds (see evaluate_scheme2)
 _PRUNE_MARGIN = 1e-9
 ALL_SUBSETS_MAX_BEAMS = 8
@@ -107,6 +113,105 @@ class Problem4Solution:
     status: str  # optimal | infeasible
 
 
+@functools.lru_cache(maxsize=None)
+def _rank_masks(strategy: str, m_beams: int) -> tuple[int, ...]:
+    """The strategy's beam sets in enumeration order, as rank masks: bit r
+    stands for the r-th strongest beam."""
+    if strategy == "all_subsets":
+        return tuple(
+            sum(1 << r for r in ranks)
+            for size in range(1, m_beams + 1)
+            for ranks in itertools.combinations(range(m_beams), size)
+        )
+    masks = [(1 << k) - 1 for k in range(1, m_beams + 1)]
+    if strategy == "prefixes_plus_singletons":
+        masks.extend(1 << r for r in range(m_beams))
+    return tuple(dict.fromkeys(masks))
+
+
+class _BeamSets:
+    """A draw's candidate sets as rank masks, with each set's tau_d and its
+    bound B = sum sqrt(h_k (1 - eta_k)) (see evaluate_scheme2), but no
+    AggregationCandidate until one is asked for.
+
+    Every sum repeats the float additions of tau() and of the sequential
+    sum in candidate order (descending h), so the values are bit for bit
+    those of the built candidates.  Under all_subsets both come from the
+    subset lattice: the sum over a mask is the sum over the mask without
+    its top bit plus the top term, over index masks for tau_d and over
+    rank masks for B.  Sets containing a beam with eta > 1 are infeasible
+    and get no bound.
+    """
+
+    def __init__(self, chan: ChannelRealization, cfg: SystemConfig, strategy: str):
+        if strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
+            )
+        m_beams = cfg.m_beams
+        if strategy == "all_subsets" and m_beams > ALL_SUBSETS_MAX_BEAMS:
+            raise ValueError(
+                f"all_subsets enumeration is limited to {ALL_SUBSETS_MAX_BEAMS} beams"
+            )
+        h_gain = chan.h_gain.tolist()
+        g_gain = chan.g_gain.tolist()
+        order = sorted(range(m_beams), key=lambda i: (-h_gain[i], i))
+        base_ap = mode_i_alpha_p(g_gain, cfg.rho, cfg.eps_p)
+        etas = [eta(g, cfg.rho, cfg.eps_p) for g in g_gain]
+        self.order, self.eps_p = order, cfg.eps_p
+        self.h = [h_gain[b] for b in order]
+        self.etas = [etas[b] for b in order]
+        self.masks = _rank_masks(strategy, m_beams)
+        # rank bits of the beams no candidate containing them can use
+        self.infeasible = sum(1 << r for r, e in enumerate(self.etas) if e > 1.0)
+        terms = [
+            math.sqrt(h_r * (1.0 - e_r)) if e_r <= 1.0 else 0.0
+            for h_r, e_r in zip(self.h, self.etas)
+        ]
+        if strategy == "all_subsets":
+            outside = [0.0]  # index mask -> sum of h alpha_p, in index order
+            for j in range(m_beams):
+                w = h_gain[j] * base_ap[j]
+                outside += [acc + w for acc in outside]
+            index = [0]  # rank mask -> index mask
+            bound = [0.0]  # rank mask -> B
+            for r, b in enumerate(order):
+                index += [mask | 1 << b for mask in index]
+                bound += [acc + terms[r] for acc in bound]
+            full, inv_rho = (1 << m_beams) - 1, 1.0 / cfg.rho
+            self.tau_d = [outside[full ^ mask] + inv_rho for mask in index]
+            self.bound = bound
+        else:
+            self.tau_d, self.bound = {}, {}
+            for mask in self.masks:
+                pick = _picker(mask)
+                self.tau_d[mask] = tau(pick(order), h_gain, base_ap, cfg.rho)
+                acc = 0.0
+                for w in pick(terms):
+                    acc += w
+                self.bound[mask] = acc
+
+    def candidate(self, mask: int) -> AggregationCandidate:
+        pick = _picker(mask)
+        return AggregationCandidate(
+            beams=pick(self.order),
+            h=pick(self.h),
+            etas=pick(self.etas),
+            tau_d=self.tau_d[mask],
+            eps_p=self.eps_p,
+        )
+
+
+# one entry per mask in use: at most 255 under all_subsets, 2M otherwise
+@functools.lru_cache(maxsize=None)
+def _picker(mask: int) -> Callable[[Sequence], tuple]:
+    """Picks the items of a sequence at the set bits of mask, as a tuple."""
+    ranks = [r for r in range(mask.bit_length()) if mask >> r & 1]
+    if len(ranks) == 1:
+        return lambda seq, r=ranks[0]: (seq[r],)
+    return operator.itemgetter(*ranks)
+
+
 def enumerate_candidates(
     chan: ChannelRealization, cfg: SystemConfig, strategy: str
 ) -> list[AggregationCandidate]:
@@ -119,38 +224,8 @@ def enumerate_candidates(
     Every set is ordered by descending h_gain (ties by index); infeasible
     candidates are still listed.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    m_beams = cfg.m_beams
-    h_gain = chan.h_gain.tolist()
-    g_gain = chan.g_gain.tolist()
-    order = sorted(range(m_beams), key=lambda i: (-h_gain[i], i))
-
-    beam_sets: list[tuple[int, ...]] = []
-    if strategy == "all_subsets":
-        if m_beams > ALL_SUBSETS_MAX_BEAMS:
-            raise ValueError(
-                f"all_subsets enumeration is limited to {ALL_SUBSETS_MAX_BEAMS} beams"
-            )
-        for size in range(1, m_beams + 1):
-            beam_sets.extend(itertools.combinations(order, size))
-    else:
-        beam_sets.extend(tuple(order[:k]) for k in range(1, m_beams + 1))
-        if strategy == "prefixes_plus_singletons":
-            beam_sets.extend((i,) for i in order)
-
-    base_ap = mode_i_alpha_p(g_gain, cfg.rho, cfg.eps_p)
-    etas = [eta(g, cfg.rho, cfg.eps_p) for g in g_gain]
-    return [
-        AggregationCandidate(
-            beams=beams,
-            h=tuple(h_gain[b] for b in beams),
-            etas=tuple(etas[b] for b in beams),
-            tau_d=tau(beams, h_gain, base_ap, cfg.rho),
-            eps_p=cfg.eps_p,
-        )
-        for beams in dict.fromkeys(beam_sets)
-    ]
+    sets = _BeamSets(chan, cfg, strategy)
+    return [sets.candidate(mask) for mask in sets.masks]
 
 
 def min_primary_power(
@@ -183,7 +258,11 @@ def min_primary_power(
 
 def _cap(alpha_p: Sequence[float], h: Sequence[float]) -> float:
     """Largest achievable sum sqrt(h_k) x_k given x_k^2 <= 1 - alpha_p_k."""
-    return sum(math.sqrt(h_k * (1.0 - a)) for h_k, a in zip(h, alpha_p))
+    # an explicit loop: sum() of floats is compensated on Python >= 3.12
+    acc = 0.0
+    for h_k, a in zip(h, alpha_p):
+        acc += math.sqrt(h_k * (1.0 - a))
+    return acc
 
 
 def _infeasible() -> Problem4Solution:
@@ -208,13 +287,99 @@ def _solve_singleton(candidate: AggregationCandidate) -> Problem4Solution:
     )
 
 
+def _step_from_below(
+    candidate: AggregationCandidate, t: float, alpha_p: list[float]
+) -> float:
+    """An estimate, never below the root in exact arithmetic, of the largest
+    t with cap(t) >= t, from the sweep alpha_p at a t below it.
+
+    It is the least of the Newton step on cap(t) - t and, for each beam
+    whose decode constraint binds, the amplitude at which its alpha_p
+    reaches 1 if it keeps growing linearly in t^2.  Each alpha_p_k is
+    convex and piecewise linear in t^2 and cap is concave in t, so both
+    tangents overshoot; the second finds the edge where no alpha_p fits,
+    which the first cannot see.
+    """
+    h, etas, eps_p = candidate.h, candidate.etas, candidate.eps_p
+    u = t * t
+    tail = 0.0  # d/du of sum of h_j alpha_p_j over the later beams
+    slope = 0.0  # -d cap / du
+    cap = 0.0
+    edge = math.inf
+    for k in range(len(h) - 1, -1, -1):
+        a = alpha_p[k]
+        root = math.sqrt(h[k] * (1.0 - a))
+        cap += root
+        if a > etas[k]:  # the decode constraint binds, not the QoS floor
+            d = eps_p * (tail + 1.0) / h[k]
+            tail += h[k] * d
+            slope = slope + h[k] * d / (2.0 * root) if root > 0.0 else math.inf
+            edge = min(edge, math.sqrt(u + (1.0 - a) / d))
+    newton = t + (cap - t) / (1.0 + 2.0 * t * slope) if slope < math.inf else t
+    return min(newton, edge)
+
+
+def _bracket(
+    candidate: AggregationCandidate, alpha_p0: list[float], hi: float
+) -> tuple[float, list[float], float]:
+    """(lo, alpha_p at lo, up) around the largest t in [0, hi] with
+    cap(t) >= t, up - lo <= 1e-13 (1 + hi): cap(lo) >= lo, and at up
+    either no alpha_p fits, or cap(up) < up, or up = hi.
+
+    A safeguarded Illinois iteration on f(t) = cap(t) - t: regula falsi
+    while both ends have a value of f, halving the value of the end that
+    stayed put while the other moved twice in a row.  While the upper end
+    has no value, the step is _step_from_below from lo; if that lands on
+    the upper end again, the root is the edge where alpha_p reaches 1, and
+    the next probe is just below it.  The first step, and every step after
+    two that did not halve the bracket, is a plain halving.  Probes keep a
+    quarter of the target width from both ends.
+    """
+    h = candidate.h
+    width = _BRACKET_WIDTH * (1.0 + hi)
+    gap = 0.25 * width
+    lo, alpha_p, f_lo = 0.0, alpha_p0, _cap(alpha_p0, h)
+    up, f_up = hi, None
+    moved = 0  # the end the last step moved: -1 lo, 1 up
+    two_ago = one_ago = hi
+    while up - lo > width:
+        if up - lo > 0.5 * two_ago:
+            t = 0.5 * (lo + up)
+        elif f_up is not None:
+            t = lo + (up - lo) * f_lo / (f_lo - f_up)
+        else:
+            t = _step_from_below(candidate, lo, alpha_p)
+            if t >= up - gap:
+                t = up - gap if t <= up + gap else 0.5 * (lo + up)
+        t = min(max(t, lo + gap), up - gap)
+        two_ago, one_ago = one_ago, up - lo
+        ap = min_primary_power(candidate, t)
+        cap = None if ap is None else _cap(ap, h)
+        if cap is not None and cap >= t:  # the bisection's own test
+            if moved == -1 and f_up is not None:
+                f_up *= 0.5
+            lo, alpha_p, f_lo, moved = t, ap, cap - t, -1
+        else:
+            if moved == 1 and cap is not None:
+                f_lo *= 0.5
+            up, f_up, moved = t, None if cap is None else cap - t, 1
+    return lo, alpha_p, up
+
+
 def solve_problem4(candidate: AggregationCandidate) -> Problem4Solution:
     """Maximize the secondary rate over the candidate set.
 
-    Singleton sets use the closed-form fixed point; larger sets bisect on
-    t over [0, sum sqrt(h_m)] to absolute tolerance 1e-10 (1 + sum sqrt(h_m)).
-    The returned x is rescaled by t*/cap(t*) so the achieved aggregate
-    amplitude equals t* and every box constraint keeps its slack.
+    Singleton sets use the closed-form fixed point.  Larger sets return the
+    t* of bisecting on t over [0, sum sqrt(h_m)] to absolute tolerance
+    1e-10 (1 + sum sqrt(h_m)), keeping the midpoint when cap(t) >= t.  The
+    float test cap(t) >= t is monotone in t, so the bisection's path is
+    replayed instead of swept: _bracket first closes in on the root to
+    1e-13 (1 + sum sqrt(h_m)), every midpoint outside that bracket is
+    decided by it, and only the midpoints inside are swept.  alpha_p comes
+    from a sweep at the final t*; t*, alpha_p and x are bit for bit those
+    of the plain bisection.  The returned x is rescaled by t*/cap(t*) so
+    the achieved aggregate amplitude equals t* and every box constraint
+    keeps its slack.
     """
     if not candidate.feasible:
         return _infeasible()
@@ -222,24 +387,45 @@ def solve_problem4(candidate: AggregationCandidate) -> Problem4Solution:
     if len(h) == 1:
         return _solve_singleton(candidate)
 
-    # alpha_p always belongs to the feasible end lo of the bracket
-    alpha_p = min_primary_power(candidate, 0.0)
-    if alpha_p is None:
+    alpha_p0 = min_primary_power(candidate, 0.0)
+    if alpha_p0 is None:
         return _infeasible()
-    hi = sum(math.sqrt(h_k) for h_k in h)
+    hi = 0.0
+    for h_k in h:
+        hi += math.sqrt(h_k)
+    lo_t, lo_ap, up_t = _bracket(candidate, alpha_p0, hi)
     lo = 0.0
     tol = 1e-10 * (1.0 + hi)
     for _ in range(_BISECT_MAX_ITER):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        ap_mid = min_primary_power(candidate, mid)
-        if ap_mid is not None and _cap(ap_mid, h) >= mid:
-            lo, alpha_p = mid, ap_mid
+        # the bracket decides a midpoint outside it; one inside is swept
+        if lo_t < mid < up_t:
+            ap_mid = min_primary_power(candidate, mid)
+            if ap_mid is not None and _cap(ap_mid, h) >= mid:
+                lo_t, lo_ap = mid, ap_mid
+            else:
+                up_t = mid
+        if mid <= lo_t:
+            lo = mid
         else:
             hi = mid
-    t_star = lo
-    cap_star = _cap(alpha_p, h)
+    if lo == lo_t:
+        alpha_p = lo_ap
+    elif lo == 0.0:
+        alpha_p = alpha_p0
+    else:
+        alpha_p = min_primary_power(candidate, lo)
+    return _solution(candidate, lo, alpha_p)
+
+
+def _solution(
+    candidate: AggregationCandidate, t_star: float, alpha_p: list[float]
+) -> Problem4Solution:
+    """The solution at amplitude t_star with the sweep alpha_p there; x is
+    rescaled by t*/cap(t*) so the aggregate amplitude equals t*."""
+    cap_star = _cap(alpha_p, candidate.h)
     scale = t_star / cap_star if cap_star > 0.0 else 0.0
     x = tuple(math.sqrt(1.0 - a) * scale for a in alpha_p)
     return Problem4Solution(
@@ -453,7 +639,11 @@ def _loses_to(
     alpha_p = min_primary_power(cand, t_r)
     if alpha_p is not None and _cap(alpha_p, cand.h) >= t_r:
         return False
-    return _key(_rate_bound(t_r * t_r / cand.tau_d), cand.beams) > best_key
+    rate = _rate_bound(t_r * t_r / cand.tau_d)
+    # the rest of the ranking matters only on a tie in rate
+    return rate < -best_key[0] or (
+        rate == -best_key[0] and _key(rate, cand.beams) > best_key
+    )
 
 
 def evaluate_scheme2(
@@ -486,24 +676,28 @@ def evaluate_scheme2(
     the full ranking, not as SNRs: 1 + s can round SNRs more than 1e-9
     apart onto one rate, and the smaller set must then still win.  The
     ranking is a total order, so the visiting order cannot change the
-    winner.
+    winner.  The sets are ranked as masks (_BeamSets, whose tau_d and B
+    come from the subset lattice under all_subsets), and a set gets its
+    AggregationCandidate only when the visit reaches it.
     """
+    sets = _BeamSets(chan, cfg, strategy)
+    bound, tau_d = sets.bound, sets.tau_d
     singles, multis = [], []
-    for cand in enumerate_candidates(chan, cfg, strategy):
-        if cand.feasible:
-            b = _cap(cand.etas, cand.h)
-            group = singles if len(cand.beams) == 1 else multis
-            group.append((b * b / cand.tau_d, cand))
+    for mask in sets.masks:
+        if not mask & sets.infeasible:
+            b = bound[mask]
+            group = multis if mask & (mask - 1) else singles
+            group.append((b * b / tau_d[mask], mask))
 
     best: Optional[tuple[AggregationCandidate, Problem4Solution]] = None
     best_key: Optional[tuple] = None
     for phase in (singles, multis):
-        for snr_bound, cand in sorted(phase, key=lambda v: -v[0]):
-            if best is not None:
-                if _rate_bound(snr_bound) < -best_key[0]:
-                    break  # every later set of the phase has a smaller bound
-                if len(cand.beams) > 1 and _loses_to(cand, best, best_key):
-                    continue
+        for snr_bound, mask in sorted(phase, key=lambda v: -v[0]):
+            if best is not None and _rate_bound(snr_bound) < -best_key[0]:
+                break  # every later set of the phase has a smaller bound
+            cand = sets.candidate(mask)
+            if best is not None and phase is multis and _loses_to(cand, best, best_key):
+                continue
             sol = solve_problem4(cand)
             if sol.status != "optimal":
                 continue

@@ -9,17 +9,24 @@ statistical power.  All randomness flows from the seed argument.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import beam_aggregation
 from .analysis import gain_cdf, ks_statistic, q1_exact, q1_high_snr
 from .beam_aggregation import (
+    _BISECT_MAX_ITER,
     STRATEGIES,
     AggregationCandidate,
+    Problem4Solution,
+    _cap,
+    _infeasible,
     _key,
     _outcome,
+    _solution,
     certify_solution,
     enumerate_candidates,
     evaluate_scheme2,
@@ -195,8 +202,9 @@ def solver_checks(
     oracle_plan: tuple[tuple[int, float, int], ...] = ((2, 1e-3, 30), (3, 2e-3, 6)),
 ) -> list[CheckResult]:
     """Solver cross-checks: the closed-form two-beam instance, singleton
-    reduction to the single-beam cap, grid-oracle agreement, and the
-    independent constraint certifier."""
+    reduction to the single-beam cap, grid-oracle agreement, the
+    independent constraint certifier, the pruned set search against an
+    exhaustive one, and the bisection replay against a plain bisection."""
     results = []
 
     # two-beam instance with h=(2,1), g=(1,1), rho=10, eps_p=1, whose
@@ -288,6 +296,7 @@ def solver_checks(
         )
     )
     results.append(set_search_check(seed + 3))
+    results.append(root_replay_check(seed + 3))
     return results
 
 
@@ -319,28 +328,110 @@ def same_scheme2_choice(a: SchemeOutcome, b: SchemeOutcome) -> bool:
     )
 
 
-def set_search_check(seed: int, draws: int = 60) -> CheckResult:
-    """evaluate_scheme2 against the exhaustive reference under every
-    strategy, on `draws` draws at each N = M in {2, 4, 6, 8}, cycling
+def _set_search_draws(seed: int, draws: int):
+    """(chan, cfg) of `draws` draws at each N = M in {2, 4, 6, 8}, cycling
     through 0-40 dB and r_p in {0.1, 1}."""
-    mismatches = 0
-    count = 0
     for m in (2, 4, 6, 8):
         for t in range(draws):
             rho = snr_db_to_linear(10.0 * (t % 5))
             cfg = SystemConfig(m, m, rho, (0.1, 1.0)[t // 5 % 2], 1.0)
-            chan = realize(cfg, TrialSeed(seed, m * draws + t))
-            for strategy in STRATEGIES:
-                got = evaluate_scheme2(chan, cfg, strategy)
-                mismatches += not same_scheme2_choice(
-                    got, exhaustive_scheme2(chan, cfg, strategy)
-                )
-                count += 1
+            yield realize(cfg, TrialSeed(seed, m * draws + t)), cfg
+
+
+def set_search_check(seed: int, draws: int = 60) -> CheckResult:
+    """evaluate_scheme2 against the exhaustive reference under every
+    strategy, on the _set_search_draws."""
+    mismatches = 0
+    count = 0
+    for chan, cfg in _set_search_draws(seed, draws):
+        for strategy in STRATEGIES:
+            got = evaluate_scheme2(chan, cfg, strategy)
+            mismatches += not same_scheme2_choice(
+                got, exhaustive_scheme2(chan, cfg, strategy)
+            )
+            count += 1
     return CheckResult(
         "solver.set_search_exact",
         mismatches == 0,
         f"{mismatches} of {count} pruned set searches differ from the "
         "exhaustive one (chosen set, rate, alpha_p, alpha_s)",
+    )
+
+
+def bisection_reference(candidate: AggregationCandidate) -> Problem4Solution:
+    """Reference for solve_problem4's bisection replay on sets of two or
+    more beams: the plain bisection on t over [0, sum sqrt(h_m)], one
+    min_primary_power sweep per midpoint."""
+    sweep = beam_aggregation.min_primary_power
+    alpha_p = sweep(candidate, 0.0) if candidate.feasible else None
+    if alpha_p is None:
+        return _infeasible()
+    h = candidate.h
+    hi = 0.0
+    for h_k in h:
+        hi += math.sqrt(h_k)
+    lo = 0.0
+    tol = 1e-10 * (1.0 + hi)
+    for _ in range(_BISECT_MAX_ITER):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        ap_mid = sweep(candidate, mid)
+        if ap_mid is not None and _cap(ap_mid, h) >= mid:
+            lo, alpha_p = mid, ap_mid
+        else:
+            hi = mid
+    return _solution(candidate, lo, alpha_p)
+
+
+@contextlib.contextmanager
+def _counted_sweeps():
+    """Count the min_primary_power calls made in the block, through the
+    module global that solve_problem4 looks up at call time."""
+    calls = [0]
+    sweep = beam_aggregation.min_primary_power
+
+    def counting(candidate, t):
+        calls[0] += 1
+        return sweep(candidate, t)
+
+    beam_aggregation.min_primary_power = counting
+    try:
+        yield calls
+    finally:
+        beam_aggregation.min_primary_power = sweep
+
+
+def root_replay_check(seed: int, draws: int = 60) -> CheckResult:
+    """solve_problem4 against bisection_reference, bit for bit, on every
+    feasible set of two or more beams of the _set_search_draws, with the
+    mean sweeps per solve of each."""
+    mismatches = 0
+    count = 0
+    solves = 0
+    replay_sweeps = bisection_sweeps = 0
+    for chan, cfg in _set_search_draws(seed, draws):
+        for cand in enumerate_candidates(chan, cfg, "all_subsets"):
+            if len(cand.beams) < 2 or not cand.feasible:
+                continue
+            with _counted_sweeps() as replay:
+                got = solve_problem4(cand)
+            with _counted_sweeps() as bisection:
+                want = bisection_reference(cand)
+            # repr spells every float exactly, so equal reprs are equal bits
+            mismatches += repr(got) != repr(want)
+            count += 1
+            if want.status == "optimal":
+                solves += 1
+                replay_sweeps += replay[0]
+                bisection_sweeps += bisection[0]
+    return CheckResult(
+        "solver.root_replay_exact",
+        mismatches == 0,
+        f"{mismatches} of {count} multi-beam solves differ from the plain "
+        f"bisection (t*, alpha_p, x, rate); min_primary_power calls per "
+        f"optimal solve {replay_sweeps / max(solves, 1):.2f} (bisection "
+        f"{bisection_sweeps / max(solves, 1):.2f}, {solves} solves)",
     )
 
 

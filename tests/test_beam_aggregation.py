@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from beamshare import beam_aggregation
 from beamshare.beam_aggregation import (
+    STRATEGIES,
     AggregationCandidate,
+    _BeamSets,
     certify_solution,
     enumerate_candidates,
     evaluate_scheme1,
@@ -18,6 +21,7 @@ from beamshare.beam_selection import evaluate_selection
 from beamshare.channel_model import ChannelRealization, SystemConfig, TrialSeed, realize
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
 from beamshare.validation import (
+    bisection_reference,
     exhaustive_scheme2,
     random_feasible_instance,
     same_scheme2_choice,
@@ -83,6 +87,65 @@ def test_enumerate_rejects_unknown_strategy_and_large_subsets():
         )
 
 
+def _listed_candidates(chan, cfg, strategy):
+    # enumerate_candidates written set by set: combinations of the
+    # descending-h order, tau() of each set, deduplicated in listing order
+    m = cfg.m_beams
+    h, g = chan.h_gain.tolist(), chan.g_gain.tolist()
+    order = sorted(range(m), key=lambda i: (-h[i], i))
+    if strategy == "all_subsets":
+        sets = [c for k in range(1, m + 1) for c in itertools.combinations(order, k)]
+    else:
+        sets = [tuple(order[:k]) for k in range(1, m + 1)]
+        if strategy == "prefixes_plus_singletons":
+            sets += [(i,) for i in order]
+    base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
+    etas = [eta(x, cfg.rho, cfg.eps_p) for x in g]
+    return [
+        AggregationCandidate(
+            beams=b,
+            h=tuple(h[i] for i in b),
+            etas=tuple(etas[i] for i in b),
+            tau_d=tau(b, h, base, cfg.rho),
+            eps_p=cfg.eps_p,
+        )
+        for b in dict.fromkeys(sets)
+    ]
+
+
+def test_subset_lattice_matches_the_per_set_sums():
+    # The lattice sums must be the per-set sums bit for bit: tau_d as tau()
+    # adds it, and the bound as a sequential sum in candidate order. repr
+    # spells every float exactly.
+    infeasible_sets = 0
+    for m in range(1, 9):
+        for t in range(6):
+            cfg = SystemConfig(m, m, 10.0 ** (t - 2), (0.1, 1.0)[t % 2], 1.0)
+            chan = realize(cfg, TrialSeed(83, 10 * m + t))
+            for strategy in STRATEGIES:
+                got = enumerate_candidates(chan, cfg, strategy)
+                assert [repr(c) for c in got] == [
+                    repr(c) for c in _listed_candidates(chan, cfg, strategy)
+                ]
+            h, g = chan.h_gain.tolist(), chan.g_gain.tolist()
+            base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
+            sets = _BeamSets(chan, cfg, "all_subsets")
+            assert len(sets.masks) == 2 ** m - 1
+            for mask in sets.masks:
+                cand = sets.candidate(mask)
+                assert repr(sets.tau_d[mask]) == repr(tau(cand.beams, h, base, cfg.rho))
+                if mask & sets.infeasible:
+                    assert not cand.feasible
+                    infeasible_sets += 1
+                    continue
+                assert cand.feasible
+                bound = 0.0
+                for h_k, e_k in zip(cand.h, cand.etas):
+                    bound += math.sqrt(h_k * (1.0 - e_k))
+                assert repr(sets.bound[mask]) == repr(bound)
+    assert infeasible_sets > 0
+
+
 def test_min_primary_power_worked_recursion():
     # backward sweep at the optimal amplitude: both shares are u + tau
     ap = min_primary_power(WORKED, math.sqrt(U_REF))
@@ -120,9 +183,12 @@ def test_solve_worked_instance_closed_form():
 
 
 def test_solve_calls_min_primary_power_once_per_bisection_step(monkeypatch):
-    # one call at t = 0, then one per bisection step; the solution takes
-    # alpha_p from the feasible end of the bracket instead of solving again.
-    # The patch also checks that solve_problem4 looks the name up per call.
+    # The plain bisection sweeps once at t = 0, then once per bisection step:
+    # 34 calls. solve_problem4 replays that bisection's path: it brackets the
+    # root first and sweeps only the midpoints inside the bracket, 13 calls in
+    # all on this instance, with the same solution bit for bit and alpha_p
+    # from a sweep at t*. The patch also checks that both look the name up
+    # per call.
     calls = []
     original = beam_aggregation.min_primary_power
 
@@ -131,12 +197,16 @@ def test_solve_calls_min_primary_power_once_per_bisection_step(monkeypatch):
         return original(candidate, t)
 
     monkeypatch.setattr(beam_aggregation, "min_primary_power", counting)
-    sol = solve_problem4(WORKED)
+    reference = bisection_reference(WORKED)
     hi = sum(math.sqrt(v) for v in WORKED.h)
     steps = math.ceil(math.log2(hi / (1e-10 * (1.0 + hi))))
     assert steps == 33
     assert len(calls) == steps + 1
+    calls.clear()
+    sol = solve_problem4(WORKED)
+    assert len(calls) == 13
     assert calls[0] == 0.0
+    assert repr(sol) == repr(reference)
     assert sol.alpha_p == tuple(original(WORKED, sol.t_star))
 
 
@@ -321,7 +391,7 @@ def test_scheme2_deterministic():
 
 def test_scheme2_set_search_makes_a_fifth_of_the_exhaustive_calls(monkeypatch):
     # One N = M = 8 all_subsets draw at 20 dB. Solving every candidate costs
-    # 255 solve_problem4 calls and 8398 min_primary_power sweeps; the pruned
+    # 255 solve_problem4 calls and 2353 min_primary_power sweeps; the pruned
     # search must make at most a fifth of each. The patches also check that
     # both names are looked up at call time, as the benchmark tracer needs.
     cfg = SystemConfig(8, 8, 100.0, 0.1, 1.0)
@@ -341,12 +411,12 @@ def test_scheme2_set_search_makes_a_fifth_of_the_exhaustive_calls(monkeypatch):
     monkeypatch.setattr(beam_aggregation, "solve_problem4", counting_solve)
     monkeypatch.setattr(beam_aggregation, "min_primary_power", counting_sweep)
     reference = exhaustive_scheme2(chan, cfg, "all_subsets")
-    assert counts["min_primary_power"] == 8398
+    assert counts["min_primary_power"] == 2353
     counts.update(solve_problem4=0, min_primary_power=0)
     out = evaluate_scheme2(chan, cfg, "all_subsets")
     assert same_scheme2_choice(out, reference)
     assert counts["solve_problem4"] <= 255 / 5
-    assert counts["min_primary_power"] <= 8398 / 5
+    assert counts["min_primary_power"] <= 2353 / 5
 
 
 def test_scheme2_solves_a_set_tied_with_the_incumbent(monkeypatch):

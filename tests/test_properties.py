@@ -17,9 +17,14 @@ from beamshare.beam_aggregation import (
     STRATEGIES,
     certify_solution,
     enumerate_candidates,
+    min_primary_power,
     solve_problem4,
 )
-from beamshare.validation import exhaustive_scheme2, same_scheme2_choice
+from beamshare.validation import (
+    bisection_reference,
+    exhaustive_scheme2,
+    same_scheme2_choice,
+)
 
 # (r_p, r_s): the paper's operating point, vanishing targets, extreme targets
 TARGETS = [(0.1, 1.0), (1e-9, 0.0), (8.0, 8.0)]
@@ -83,3 +88,27 @@ def test_pruned_set_search_picks_the_exhaustive_winner(log10_rho, r_p, m_beams, 
         got = evaluate_scheme2(chan, cfg, strategy)
         want = exhaustive_scheme2(chan, cfg, strategy)
         assert same_scheme2_choice(got, want), (strategy, got, want)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    log10_rho=st.floats(min_value=-8.0, max_value=30.0),
+    r_p=st.sampled_from([0.1, 1.0]),
+    m_beams=st.integers(min_value=2, max_value=8),
+    trial=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+def test_root_replay_matches_the_plain_bisection(log10_rho, r_p, m_beams, trial):
+    # Every feasible prefix of 2..m_beams beams. At r_p = 1 (eps_p = 1) no
+    # alpha_p fits at t = sum sqrt(h) (the last beam would need
+    # h alpha_p >= (sum sqrt(h))^2 > h), so half the examples have the
+    # infeasible region inside the bisection's interval.
+    cfg = SystemConfig(m_beams, m_beams, 10.0 ** log10_rho, r_p, 1.0)
+    chan = realize(cfg, TrialSeed(2029, trial))
+    for cand in enumerate_candidates(chan, cfg, "prefixes")[1:]:
+        if not cand.feasible or min_primary_power(cand, 0.0) is None:
+            continue
+        if r_p == 1.0:
+            assert min_primary_power(cand, sum(math.sqrt(v) for v in cand.h)) is None
+        got, want = solve_problem4(cand), bisection_reference(cand)
+        assert want.status == "optimal"
+        assert repr(got) == repr(want), (cand, got, want)
