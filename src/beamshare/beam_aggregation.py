@@ -23,11 +23,12 @@ A brute-force grid oracle and an independent constraint certifier are kept
 alongside the solver to cross-check it.
 
 Scheme 2 does not solve every candidate set.  It visits them in
-descending order of a bound that needs no sweep and drops, with one sweep
-at most, each set whose rate provably ranks below the best set solved so
-far (see evaluate_scheme2); the winner is the one an exhaustive search
-picks, bit for bit.  Nor does a solve sweep every bisection midpoint: a
-root bracket decides all but the few inside it (see solve_problem4).
+descending order of a bound that needs neither a sweep nor a candidate
+object and drops, with one sweep at most, each set whose rate provably
+ranks below the best set solved so far (see evaluate_scheme2); the winner
+is the one an exhaustive search picks, bit for bit.  Nor does a solve
+sweep every bisection midpoint: a root bracket decides all but the few
+inside it (see solve_problem4).
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ _BISECT_MAX_ITER = 200
 _BRACKET_WIDTH = 1e-13
 # relative margin of scheme 2's set pruning bounds (see evaluate_scheme2)
 _PRUNE_MARGIN = 1e-9
+# relative slack of the weakest-beam edge (see evaluate_scheme2)
+_EDGE_SLACK = 1e-12
 ALL_SUBSETS_MAX_BEAMS = 8
 
 
@@ -129,18 +132,27 @@ def _rank_masks(strategy: str, m_beams: int) -> tuple[int, ...]:
     return tuple(dict.fromkeys(masks))
 
 
+@functools.lru_cache(maxsize=None)
+def _subset_axis(m_beams: int) -> tuple[np.ndarray, np.ndarray]:
+    """The all_subsets rank masks in enumeration order, and their top bits."""
+    masks = _rank_masks("all_subsets", m_beams)
+    return np.array(masks), np.array([mask.bit_length() - 1 for mask in masks])
+
+
 class _BeamSets:
-    """A draw's candidate sets as rank masks, with each set's tau_d and its
-    bound B = sum sqrt(h_k (1 - eta_k)) (see evaluate_scheme2), but no
-    AggregationCandidate until one is asked for.
+    """A draw's candidate sets as rank masks, with each set's tau_d, its
+    bound B = sum sqrt(h_k (1 - eta_k)) and the visit order of
+    evaluate_scheme2, but no AggregationCandidate until one is asked for.
 
     Every sum repeats the float additions of tau() and of the sequential
     sum in candidate order (descending h), so the values are bit for bit
     those of the built candidates.  Under all_subsets both come from the
-    subset lattice: the sum over a mask is the sum over the mask without
-    its top bit plus the top term, over index masks for tau_d and over
-    rank masks for B.  Sets containing a beam with eta > 1 are infeasible
-    and get no bound.
+    subset lattice, as arrays over the candidate axis: the sum over a mask
+    is the sum over the mask without its top bit plus the top term, over
+    index masks for tau_d and over rank masks for B.  visits yields, once,
+    the (min(B^2, edge) / tau_d, mask) pairs of evaluate_scheme2's visit,
+    in descending bound, ties in enumeration order; sets with a beam of
+    eta > 1 or an edge below 0 fit no alpha_p and are left out.
     """
 
     def __init__(self, chan: ChannelRealization, cfg: SystemConfig, strategy: str):
@@ -164,32 +176,51 @@ class _BeamSets:
         self.masks = _rank_masks(strategy, m_beams)
         # rank bits of the beams no candidate containing them can use
         self.infeasible = sum(1 << r for r, e in enumerate(self.etas) if e > 1.0)
+        # B's terms; nan marks an infeasible beam and stays nan in every sum
         terms = [
-            math.sqrt(h_r * (1.0 - e_r)) if e_r <= 1.0 else 0.0
+            math.sqrt(h_r * (1.0 - e_r)) if e_r <= 1.0 else math.nan
             for h_r, e_r in zip(self.h, self.etas)
         ]
+        # edge + tau_d per rank, the slack relative to h_last / eps_p; a
+        # tiny r_p rounds eps_p to 0, and then no beam has an edge
+        reach = [
+            h_r / cfg.eps_p * (1.0 + _EDGE_SLACK) if cfg.eps_p > 0.0 else math.inf
+            for h_r in self.h
+        ]
         if strategy == "all_subsets":
-            outside = [0.0]  # index mask -> sum of h alpha_p, in index order
-            for j in range(m_beams):
-                w = h_gain[j] * base_ap[j]
-                outside += [acc + w for acc in outside]
-            index = [0]  # rank mask -> index mask
-            bound = [0.0]  # rank mask -> B
-            for r, b in enumerate(order):
-                index += [mask | 1 << b for mask in index]
-                bound += [acc + terms[r] for acc in bound]
-            full, inv_rho = (1 << m_beams) - 1, 1.0 / cfg.rho
-            self.tau_d = [outside[full ^ mask] + inv_rho for mask in index]
-            self.bound = bound
+            # one doubling per beam: the sums of h alpha_p over index masks,
+            # and B and the index mask itself (exact) over rank masks
+            weights = [h_gain[j] * base_ap[j] for j in range(m_beams)]
+            steps = np.array([weights, terms, [1 << b for b in order]], dtype=float)
+            lattice = np.zeros((3, 1))
+            for step in steps.T[:, :, None]:
+                lattice = np.concatenate([lattice, lattice + step], axis=1)
+            inside, bound, index = lattice
+            # reversed, the sum over an index mask is that over its complement
+            tau_d = inside[::-1][index.astype(np.intp)] + 1.0 / cfg.rho
+            self.tau_d, self.bound = tau_d.tolist(), bound.tolist()
+            masks, top = _subset_axis(m_beams)
+            tau_d, bound = tau_d[masks], bound[masks]
+            edge = np.array(reach)[top] - tau_d
+            snr = np.minimum(bound * bound, edge) / tau_d
+            keep = snr >= 0.0  # false at an edge below 0, and at nan
+            snr, masks = snr[keep], masks[keep]
+            by_bound = np.argsort(-snr, kind="stable")
+            self.visits = zip(snr[by_bound].tolist(), masks[by_bound].tolist())
         else:
             self.tau_d, self.bound = {}, {}
+            visits = []
             for mask in self.masks:
                 pick = _picker(mask)
-                self.tau_d[mask] = tau(pick(order), h_gain, base_ap, cfg.rho)
+                tau_d = self.tau_d[mask] = tau(pick(order), h_gain, base_ap, cfg.rho)
                 acc = 0.0
                 for w in pick(terms):
                     acc += w
                 self.bound[mask] = acc
+                edge = reach[mask.bit_length() - 1] - tau_d
+                if not mask & self.infeasible and edge >= 0.0:
+                    visits.append((min(acc * acc, edge) / tau_d, mask))
+            self.visits = sorted(visits, key=lambda v: -v[0])
 
     def candidate(self, mask: int) -> AggregationCandidate:
         pick = _picker(mask)
@@ -660,48 +691,44 @@ def evaluate_scheme2(
     below single-beam selection on the same draw.
 
     Not every candidate is solved, yet the winner, its rate and its power
-    split are bit for bit those of solving them all.  A set's bound
-    B = sum sqrt(h_k (1 - eta_k)) is at least cap(t) for every t (alpha_p
-    >= eta), hence at least its t*.  The singletons (closed form) go first
-    and seed the incumbent cheaply, then the larger sets; each group is
-    visited in descending B^2 / tau_d, and its visit stops at the first set
-    whose bound rate log2(1 + B^2 / tau_d) is below the incumbent's rate.
-    A larger set is first tested by one sweep at t_R = sqrt(s* tau_d)
-    (1 - 1e-9), s* = t*^2 / tau_d being the incumbent's SNR: if no alpha_p
-    fits there or cap(t_R) < t_R, the bisection ends below t_R (cap is
-    nonincreasing), and the set is skipped when its rate bound at t_R
-    already ranks below the incumbent.  Every bound is raised by the
-    relative margin 1e-9, far above rounding, so a set within that margin
-    of the incumbent is solved in full.  Bounds are compared as rates under
+    split are bit for bit those of solving them all.  Two bounds on a
+    set's t* need no sweep: B = sum sqrt(h_k (1 - eta_k)) >= cap(t) for
+    every t (alpha_p >= eta), and the edge of the weakest beam, decoded
+    last: every t the backward sweep accepts has eps_p (t^2 + tau_d) <=
+    h_last.  Near t* = 0, h_last / eps_p - tau_d cancels and t*^2 can
+    exceed its float value by the rounding of t^2 + tau_d, so the edge is
+    h_last / eps_p (1 + 1e-12) - tau_d, its slack relative to
+    h_last / eps_p; a set whose edge is below 0 fits no alpha_p and is
+    dropped unbuilt.  The sets are visited in descending
+    s_bound = min(B^2, edge) / tau_d, and the visit stops at the first
+    whose bound rate log2(1 + s_bound) is below the incumbent's rate.  A
+    set of two or more beams is then tested by one sweep at
+    t_R = sqrt(s* tau_d) (1 - 1e-9), s* being the incumbent's SNR: if no
+    alpha_p fits there or cap(t_R) < t_R, the bisection ends below t_R
+    (cap is nonincreasing), and the set is skipped when its rate bound at
+    t_R already ranks below the incumbent.  Every rate bound is raised by
+    the relative margin 1e-9, far above rounding, so a set within it of
+    the incumbent is solved in full.  Bounds are compared as rates under
     the full ranking, not as SNRs: 1 + s can round SNRs more than 1e-9
     apart onto one rate, and the smaller set must then still win.  The
     ranking is a total order, so the visiting order cannot change the
-    winner.  The sets are ranked as masks (_BeamSets, whose tau_d and B
-    come from the subset lattice under all_subsets), and a set gets its
+    winner.  _BeamSets ranks the sets as masks, with arrays over the
+    subset lattice under all_subsets, and a set gets its
     AggregationCandidate only when the visit reaches it.
     """
     sets = _BeamSets(chan, cfg, strategy)
-    bound, tau_d = sets.bound, sets.tau_d
-    singles, multis = [], []
-    for mask in sets.masks:
-        if not mask & sets.infeasible:
-            b = bound[mask]
-            group = multis if mask & (mask - 1) else singles
-            group.append((b * b / tau_d[mask], mask))
-
     best: Optional[tuple[AggregationCandidate, Problem4Solution]] = None
     best_key: Optional[tuple] = None
-    for phase in (singles, multis):
-        for snr_bound, mask in sorted(phase, key=lambda v: -v[0]):
-            if best is not None and _rate_bound(snr_bound) < -best_key[0]:
-                break  # every later set of the phase has a smaller bound
-            cand = sets.candidate(mask)
-            if best is not None and phase is multis and _loses_to(cand, best, best_key):
-                continue
-            sol = solve_problem4(cand)
-            if sol.status != "optimal":
-                continue
-            key = _key(sol.objective_rate, cand.beams)
-            if best_key is None or key < best_key:
-                best, best_key = (cand, sol), key
+    for snr_bound, mask in sets.visits:
+        if best is not None and _rate_bound(snr_bound) < -best_key[0]:
+            break  # every later set has a smaller bound
+        cand = sets.candidate(mask)
+        if best is not None and len(cand.beams) > 1 and _loses_to(cand, best, best_key):
+            continue
+        sol = solve_problem4(cand)
+        if sol.status != "optimal":
+            continue
+        key = _key(sol.objective_rate, cand.beams)
+        if best_key is None or key < best_key:
+            best, best_key = (cand, sol), key
     return _outcome(chan, cfg, best)

@@ -22,6 +22,7 @@ from .beam_aggregation import (
     STRATEGIES,
     AggregationCandidate,
     Problem4Solution,
+    _BeamSets,
     _cap,
     _infeasible,
     _key,
@@ -340,21 +341,37 @@ def _set_search_draws(seed: int, draws: int):
 
 def set_search_check(seed: int, draws: int = 60) -> CheckResult:
     """evaluate_scheme2 against the exhaustive reference under every
-    strategy, on the _set_search_draws."""
+    strategy, on the _set_search_draws, with the mean candidates built and
+    sweeps per search of each."""
     mismatches = 0
     count = 0
+    built = {"pruned": 0, "exhaustive": 0}
+    swept = dict(built)
     for chan, cfg in _set_search_draws(seed, draws):
         for strategy in STRATEGIES:
-            got = evaluate_scheme2(chan, cfg, strategy)
+            outcomes = {}
+            for name, search in (
+                ("pruned", evaluate_scheme2),
+                ("exhaustive", exhaustive_scheme2),
+            ):
+                with _counted(_BeamSets, "candidate") as candidates, _counted(
+                    beam_aggregation, "min_primary_power"
+                ) as sweeps:
+                    outcomes[name] = search(chan, cfg, strategy)
+                built[name] += candidates[0]
+                swept[name] += sweeps[0]
             mismatches += not same_scheme2_choice(
-                got, exhaustive_scheme2(chan, cfg, strategy)
+                outcomes["pruned"], outcomes["exhaustive"]
             )
             count += 1
     return CheckResult(
         "solver.set_search_exact",
         mismatches == 0,
         f"{mismatches} of {count} pruned set searches differ from the "
-        "exhaustive one (chosen set, rate, alpha_p, alpha_s)",
+        "exhaustive one (chosen set, rate, alpha_p, alpha_s); per search, "
+        f"{built['pruned'] / count:.2f} candidates built and "
+        f"{swept['pruned'] / count:.2f} min_primary_power calls (exhaustive "
+        f"{built['exhaustive'] / count:.2f} and {swept['exhaustive'] / count:.2f})",
     )
 
 
@@ -385,21 +402,21 @@ def bisection_reference(candidate: AggregationCandidate) -> Problem4Solution:
 
 
 @contextlib.contextmanager
-def _counted_sweeps():
-    """Count the min_primary_power calls made in the block, through the
-    module global that solve_problem4 looks up at call time."""
+def _counted(owner, name: str):
+    """Count the calls made in the block to owner.name, a module global or
+    a method that its callers look up at call time."""
     calls = [0]
-    sweep = beam_aggregation.min_primary_power
+    original = getattr(owner, name)
 
-    def counting(candidate, t):
+    def counting(*args):
         calls[0] += 1
-        return sweep(candidate, t)
+        return original(*args)
 
-    beam_aggregation.min_primary_power = counting
+    setattr(owner, name, counting)
     try:
         yield calls
     finally:
-        beam_aggregation.min_primary_power = sweep
+        setattr(owner, name, original)
 
 
 def root_replay_check(seed: int, draws: int = 60) -> CheckResult:
@@ -414,9 +431,9 @@ def root_replay_check(seed: int, draws: int = 60) -> CheckResult:
         for cand in enumerate_candidates(chan, cfg, "all_subsets"):
             if len(cand.beams) < 2 or not cand.feasible:
                 continue
-            with _counted_sweeps() as replay:
+            with _counted(beam_aggregation, "min_primary_power") as replay:
                 got = solve_problem4(cand)
-            with _counted_sweeps() as bisection:
+            with _counted(beam_aggregation, "min_primary_power") as bisection:
                 want = bisection_reference(cand)
             # repr spells every float exactly, so equal reprs are equal bits
             mismatches += repr(got) != repr(want)

@@ -392,13 +392,21 @@ def test_scheme2_deterministic():
 def test_scheme2_set_search_makes_a_fifth_of_the_exhaustive_calls(monkeypatch):
     # One N = M = 8 all_subsets draw at 20 dB. Solving every candidate costs
     # 255 solve_problem4 calls and 2353 min_primary_power sweeps; the pruned
-    # search must make at most a fifth of each. The patches also check that
-    # both names are looked up at call time, as the benchmark tracer needs.
+    # search must make at most a fifth of each. Ranked under the
+    # weakest-beam edge, the first set it visits wins: 1 candidate, 1 solve,
+    # 15 sweeps (ranked by B^2 / tau_d, singletons first, it built 19
+    # candidates for 3 solves and 39 sweeps). The patches also check that
+    # the names are looked up at call time, as the benchmark tracer needs.
     cfg = SystemConfig(8, 8, 100.0, 0.1, 1.0)
     chan = realize(cfg, TrialSeed(0, 0))
     assert sum(c.feasible for c in enumerate_candidates(chan, cfg, "all_subsets")) == 255
-    counts = {"solve_problem4": 0, "min_primary_power": 0}
+    counts = {"candidate": 0, "solve_problem4": 0, "min_primary_power": 0}
+    build = _BeamSets.candidate
     solve, sweep = beam_aggregation.solve_problem4, beam_aggregation.min_primary_power
+
+    def counting_build(sets, mask):
+        counts["candidate"] += 1
+        return build(sets, mask)
 
     def counting_solve(candidate):
         counts["solve_problem4"] += 1
@@ -408,13 +416,15 @@ def test_scheme2_set_search_makes_a_fifth_of_the_exhaustive_calls(monkeypatch):
         counts["min_primary_power"] += 1
         return sweep(candidate, t)
 
+    monkeypatch.setattr(_BeamSets, "candidate", counting_build)
     monkeypatch.setattr(beam_aggregation, "solve_problem4", counting_solve)
     monkeypatch.setattr(beam_aggregation, "min_primary_power", counting_sweep)
     reference = exhaustive_scheme2(chan, cfg, "all_subsets")
     assert counts["min_primary_power"] == 2353
-    counts.update(solve_problem4=0, min_primary_power=0)
+    counts.update(candidate=0, solve_problem4=0, min_primary_power=0)
     out = evaluate_scheme2(chan, cfg, "all_subsets")
     assert same_scheme2_choice(out, reference)
+    assert counts == {"candidate": 1, "solve_problem4": 1, "min_primary_power": 15}
     assert counts["solve_problem4"] <= 255 / 5
     assert counts["min_primary_power"] <= 2353 / 5
 
@@ -461,3 +471,105 @@ def test_scheme2_rounded_rate_tie_goes_to_the_smaller_set():
     out = evaluate_scheme2(chan, cfg, "all_subsets")
     assert out.chosen_set == (0, 1)
     assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+
+
+def test_scheme2_weak_beam_edge_drops_sets_before_they_are_built(monkeypatch):
+    # eps_p = 1 and tau_d = 0.1 for the full set. A solution must keep the
+    # last decode (beam 2, h = 0.25) within h: t*^2 <= 0.25 - tau_d. That
+    # is below 0 for {2} and {1, 2}, which fit no alpha_p, and it caps
+    # {0, 2} and {0, 1, 2} at rates 0.32 and 1.32. {0, 1} ranks first (its
+    # edge bounds its SNR by 0.875 / 0.125 = 7) and solves at rate 2.80,
+    # above every other set's bound, so it is the only candidate built and
+    # every sweep is one of its solve. Ranked by B^2 / tau_d alone,
+    # {0, 1, 2} (38 against 21) went first, and {0}, {0, 1, 2} and {0, 2}
+    # were built and swept as well.
+    chan = _chan([1.0, 1.0, 1.0], [2.0, 1.0, 0.25])
+    cfg = SystemConfig(3, 3, 10.0, 1.0, 1.0)
+    built, swept = [], []
+    build, sweep = _BeamSets.candidate, beam_aggregation.min_primary_power
+
+    def recording_build(sets, mask):
+        cand = build(sets, mask)
+        built.append(cand.beams)
+        return cand
+
+    def recording_sweep(candidate, t):
+        swept.append(candidate.beams)
+        return sweep(candidate, t)
+
+    monkeypatch.setattr(_BeamSets, "candidate", recording_build)
+    monkeypatch.setattr(beam_aggregation, "min_primary_power", recording_sweep)
+    out = evaluate_scheme2(chan, cfg, "all_subsets")
+    assert built == [(0, 1)]
+    assert swept == [(0, 1)] * 14
+    monkeypatch.undo()
+    assert out.chosen_set == (0, 1)
+    assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+
+
+def _edge_instance():
+    # Two beams, eps_p = 1, tau_d = 1 for the pair, and h_1 the fixed point
+    # of h_1 = (hi / 4)^2 + tau_d with hi = sqrt(h_0) + sqrt(h_1): the
+    # bisection's second midpoint hi / 4 lands exactly on beam 1's edge, and
+    # every later one is past it.
+    h_0, h_1 = 9.0, 2.0
+    for _ in range(100):
+        hi = 0.0
+        for h_k in (h_0, h_1):
+            hi += math.sqrt(h_k)
+        if (hi / 4) ** 2 + 1.0 == h_1:
+            break
+        h_1 = (hi / 4) ** 2 + 1.0
+    return _chan([10.0, 1.0], [h_0, h_1]), SystemConfig(2, 2, 1.0, 1.0, 1.0)
+
+
+def _zero_edge_instance():
+    # The weakest beam has h = eps_p tau_d of the full set, so h/eps_p -
+    # tau_d is 0 and the set fits alpha_p only while t^2 is below the
+    # rounding of t^2 + tau_d.
+    cfg = SystemConfig(3, 3, 0.3, 0.1, 1.0)
+    h_2 = cfg.eps_p * (1.0 / cfg.rho)
+    return _chan([10.0, 10.0, 10.0], [400.0 * h_2, 20.0 * h_2, h_2]), cfg
+
+
+def test_scheme2_edge_bound_holds_at_the_edge():
+    # In both draws the set of every beam ends on its weakest beam's edge:
+    # t*^2 equals h/eps_p - tau_d (edge binding, the winner) or exceeds the
+    # float difference h/eps_p - tau_d = 0 by the rounding of t^2 + tau_d
+    # (zero edge). Every set that solves must still be visited, under a
+    # bound at least its solved SNR, and the search must pick the
+    # exhaustive winner.
+    for chan, cfg in (_edge_instance(), _zero_edge_instance()):
+        m = cfg.m_beams
+        sets = _BeamSets(chan, cfg, "all_subsets")
+        bounds = {mask: snr for snr, mask in sets.visits}
+        for mask in sets.masks:
+            cand = sets.candidate(mask)
+            sol = solve_problem4(cand)
+            if sol.status == "optimal":
+                assert sol.t_star * sol.t_star / cand.tau_d <= bounds[mask]
+        full = sets.candidate((1 << m) - 1)
+        sol = solve_problem4(full)
+        u, edge = sol.t_star * sol.t_star, full.h[-1] / cfg.eps_p - full.tau_d
+        assert sol.alpha_p[-1] == 1.0
+        out = evaluate_scheme2(chan, cfg, "all_subsets")
+        assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+        if m == 2:
+            assert u == edge < sets.bound[3] ** 2
+            assert out.chosen_set == (0, 1)
+        else:
+            assert edge == 0.0 < u < 1e-15
+            assert out.chosen_set == (0,)
+
+
+def test_scheme2_without_a_primary_threshold():
+    # r_p = 1e-17 rounds eps_p = 2**r_p - 1 to 0: no decode constraint
+    # binds, so no set has a weakest-beam edge, and the search still picks
+    # the exhaustive winner under every strategy
+    cfg = SystemConfig(4, 4, 100.0, 1e-17, 1.0)
+    assert cfg.eps_p == 0.0
+    chan = realize(cfg, TrialSeed(0, 0))
+    for strategy in STRATEGIES:
+        out = evaluate_scheme2(chan, cfg, strategy)
+        assert out.chosen_set == (0, 1, 2, 3)
+        assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, strategy))

@@ -77,11 +77,13 @@ def test_candidates_are_whole_instances_and_solutions_certify(
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     log10_rho=st.floats(min_value=-8.0, max_value=30.0),
-    r_p=st.sampled_from([0.1, 1.0]),
+    r_p=st.sampled_from([1e-9, 0.1, 1.0, 8.0]),
     m_beams=st.integers(min_value=2, max_value=8),
     trial=st.integers(min_value=0, max_value=2 ** 32 - 1),
 )
 def test_pruned_set_search_picks_the_exhaustive_winner(log10_rho, r_p, m_beams, trial):
+    # At r_p = 1e-9 the weakest-beam edge h/eps_p - tau_d is far above B^2
+    # and never binds; at r_p = 8 (eps_p = 255) it binds on almost every set.
     cfg = SystemConfig(m_beams, m_beams, 10.0 ** log10_rho, r_p, 1.0)
     chan = realize(cfg, TrialSeed(2028, trial))
     for strategy in STRATEGIES:
