@@ -149,7 +149,9 @@ class _BeamSets:
     those of the built candidates.  Under all_subsets both come from the
     subset lattice, as arrays over the candidate axis: the sum over a mask
     is the sum over the mask without its top bit plus the top term, over
-    index masks for tau_d and over rank masks for B.  visits yields, once,
+    index masks for tau_d and over rank masks for B; both stay arrays
+    indexed by rank mask, and a set's tau_d is read only when its candidate
+    is built.  Otherwise they are dicts keyed by mask.  visits yields, once,
     the (min(B^2, edge) / tau_d, mask) pairs of evaluate_scheme2's visit,
     in descending bound, ties in enumeration order; sets with a beam of
     eta > 1 or an edge below 0 fit no alpha_p and are left out.
@@ -198,7 +200,7 @@ class _BeamSets:
             inside, bound, index = lattice
             # reversed, the sum over an index mask is that over its complement
             tau_d = inside[::-1][index.astype(np.intp)] + 1.0 / cfg.rho
-            self.tau_d, self.bound = tau_d.tolist(), bound.tolist()
+            self.tau_d, self.bound = tau_d, bound
             masks, top = _subset_axis(m_beams)
             tau_d, bound = tau_d[masks], bound[masks]
             edge = np.array(reach)[top] - tau_d
@@ -228,7 +230,7 @@ class _BeamSets:
             beams=pick(self.order),
             h=pick(self.h),
             etas=pick(self.etas),
-            tau_d=self.tau_d[mask],
+            tau_d=float(self.tau_d[mask]),
             eps_p=self.eps_p,
         )
 

@@ -10,13 +10,19 @@ beam power sums to one:
 which gives g_m^H f_i = 0 for m != i and ||f_m||^2 = 1/M for every beam.
 The scalar quantities the power-allocation layer consumes are the effective
 gains g_m = |g_m^H f_m|^2 and h_m = |h^H f_m|^2.
+
+A block of trials is drawn one trial at a time, each from its own seed, and
+zero-forced as one stack; realize is the block of one.  The stacked linear
+algebra does per matrix what the single call does, so every trial's values
+are bit for bit the same whatever block it is drawn in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +35,7 @@ __all__ = [
     "zf_beams",
     "effective_gains",
     "realize",
+    "realize_block",
 ]
 
 # Draws with condition number at or above this are treated as numerically
@@ -39,7 +46,15 @@ _MAX_RESAMPLES = 64
 
 
 class SingularChannel(Exception):
-    """Raised when G^H G is numerically singular (condition number >= 1e12)."""
+    """Raised when G^H G is numerically singular (condition number >= 1e12).
+
+    ``rows`` holds the indices of the singular matrices of a stack; None
+    means every matrix.
+    """
+
+    def __init__(self, message: str, rows: Sequence[int] | None = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -142,28 +157,34 @@ def sample_channels(
 
 
 def zf_beams(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Build the normalized zero-forcing beams for channel matrix G.
+    """Build the normalized zero-forcing beams for channel matrix G, or for
+    each matrix of a stack G[..., N, M].
 
     Returns (F, g_gain) with F = G (G^H G)^-1 D and g_gain[m] = |g_m^H f_m|^2.
-    Raises SingularChannel when G is rank deficient at working precision.
+    Raises SingularChannel, naming the stack's offending matrices, when any
+    is rank deficient at working precision.
     """
-    n, m = G.shape
+    n, m = G.shape[-2:]
     if n < m:
         raise ValueError("G must have at least as many rows as columns")
     sv = np.linalg.svd(G, compute_uv=False)
-    if sv[-1] <= 0.0 or not np.isfinite(sv[0]) or sv[0] / sv[-1] >= COND_LIMIT:
-        raise SingularChannel(
-            f"channel matrix condition number {sv[0] / max(sv[-1], 1e-300):.3e} "
-            f"exceeds {COND_LIMIT:.0e}"
-        )
-    gram_inv = np.linalg.inv(G.conj().T @ G)
-    diag = np.real(np.diag(gram_inv))
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-        raise SingularChannel("Gram inverse has non-positive diagonal")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[..., 0] / sv[..., -1]  # inf or nan when rank deficient
+    _raise_if_any(~(cond < COND_LIMIT), f"condition number >= {COND_LIMIT:.0e}")
+    gram_inv = np.linalg.inv(G.conj().swapaxes(-1, -2) @ G)
+    diag = np.real(np.diagonal(gram_inv, axis1=-2, axis2=-1))
+    ok = np.all((diag > 0.0) & np.isfinite(diag), axis=-1)
+    _raise_if_any(~ok, "Gram inverse has a non-positive diagonal")
     d = 1.0 / np.sqrt(m * diag)
-    F = (G @ gram_inv) * d
-    g_gain = np.abs(np.einsum("nm,nm->m", G.conj(), F)) ** 2
+    F = (G @ gram_inv) * d[..., None, :]
+    g_gain = np.abs(np.einsum("...nm,...nm->...m", G.conj(), F)) ** 2
     return F, g_gain
+
+
+def _raise_if_any(singular: np.ndarray, reason: str) -> None:
+    if singular.any():
+        rows = np.flatnonzero(singular).tolist()
+        raise SingularChannel(f"singular channel matrix {rows}: {reason}", rows)
 
 
 def effective_gains(h: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -172,7 +193,7 @@ def effective_gains(h: np.ndarray, F: np.ndarray) -> np.ndarray:
     The aggregation schemes assume the combining phases that align the beams
     coherently at the secondary user, so only the gains enter the rates.
     """
-    return np.abs(h.conj() @ F) ** 2
+    return np.abs((h.conj()[..., None, :] @ F)[..., 0, :]) ** 2
 
 
 def realize(cfg: SystemConfig, seed: TrialSeed) -> ChannelRealization:
@@ -182,21 +203,43 @@ def realize(cfg: SystemConfig, seed: TrialSeed) -> ChannelRealization:
     index, bumped attempt counter), so the result is a pure function of
     (cfg, seed) regardless of how many redraws occur.
     """
-    for attempt in range(seed.attempt, seed.attempt + _MAX_RESAMPLES):
-        sub = TrialSeed(seed.experiment_seed, seed.trial_index, attempt)
-        G, h = sample_channels(cfg, sub)
+    return realize_block(cfg, [seed])[0]
+
+
+def realize_block(
+    cfg: SystemConfig, seeds: Sequence[TrialSeed]
+) -> list[ChannelRealization]:
+    """Draw one realization per seed, zero-forced as one stack.
+
+    Each trial samples from its own seed, as realize does.  A singular
+    matrix redraws only its own trial, from the next attempt's stream, and
+    the stack is zero-forced again; so each realization equals
+    realize(cfg, seed) bit for bit.
+    """
+    attempts = [seed.attempt for seed in seeds]
+    draws = [sample_channels(cfg, seed) for seed in seeds]
+    while True:
         try:
-            F, g_gain = zf_beams(G)
-        except SingularChannel:
-            continue
-        return ChannelRealization(
+            F, g_gain = zf_beams(np.stack([G for G, _ in draws]))
+            break
+        except SingularChannel as exc:
+            for i in range(len(seeds)) if exc.rows is None else exc.rows:
+                attempts[i] += 1
+                if attempts[i] - seeds[i].attempt >= _MAX_RESAMPLES:
+                    raise SingularChannel(
+                        f"{_MAX_RESAMPLES} consecutive singular draws for {seeds[i]}"
+                    ) from None
+                draws[i] = sample_channels(cfg, replace(seeds[i], attempt=attempts[i]))
+    h = np.stack([h for _, h in draws])
+    h_gain = effective_gains(h, F)
+    return [
+        ChannelRealization(
             G=G,
-            h=h,
-            F=F,
-            g_gain=g_gain,
-            h_gain=effective_gains(h, F),
-            resamples=attempt - seed.attempt,
+            h=h[i],
+            F=F[i],
+            g_gain=g_gain[i],
+            h_gain=h_gain[i],
+            resamples=attempts[i] - seed.attempt,
         )
-    raise SingularChannel(
-        f"{_MAX_RESAMPLES} consecutive singular draws for {seed}"
-    )
+        for i, ((G, _), seed) in enumerate(zip(draws, seeds))
+    ]

@@ -241,7 +241,7 @@ def _run(
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
     with _output(args.out) as out:
-        results = [estimate(spec, workers=args.workers) for spec in specs]
+        results = estimate(specs, workers=args.workers)
         for line in metadata:
             out.write(f"# {line}\n")
         out.write(CSV_HEADER + "\n")

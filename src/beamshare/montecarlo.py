@@ -1,11 +1,14 @@
 """Reproducible Monte Carlo runner for outage and ergodic-rate sweeps.
 
 A trial is one channel draw, a pure function of (experiment seed, trial
-index), on which every scheme of the sweep is evaluated, so the schemes are
-compared on the same draws.  Trials can run on any number of workers;
-results are reduced in trial-index order regardless of scheduling, which
-makes estimates bit-identical across worker counts.  SNR is expressed in dB
-at the interface and converted to the linear scale internally.
+index).  A draw does not depend on the SNR, so each trial is drawn once and
+every (SNR point, scheme) cell of the sweep is evaluated on it: the schemes
+and the SNR points are compared on the same draws.  Trials are drawn in
+blocks of at most _BLOCK, zero-forced as one stack, and a block is the unit
+of work handed to a worker.  Results are reduced in trial-index order
+regardless of scheduling, which makes estimates bit-identical across worker
+counts and block sizes.  SNR is expressed in dB at the interface and
+converted to the linear scale internally.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import islice
 from multiprocessing import get_context
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +32,13 @@ from .beam_aggregation import (
     evaluate_scheme2,
 )
 from .beam_selection import evaluate_selection
-from .channel_model import SystemConfig, TrialSeed, realize
+from .channel_model import (
+    ChannelRealization,
+    SystemConfig,
+    TrialSeed,
+    realize,
+    realize_block,
+)
 
 __all__ = [
     "SCHEMES",
@@ -49,6 +59,9 @@ METRICS = (
     "ergodic_rate_unconditioned",
     "primary_min_rate",
 )
+
+# trials drawn and zero-forced as one stack; also bounds a work unit's memory
+_BLOCK = 64
 
 
 def snr_db_to_linear(snr_db: float) -> float:
@@ -171,15 +184,21 @@ _TrialRecord = tuple[bool, float, float, float, int]
 
 
 def run_trial(
-    cfg: SystemConfig, seed: TrialSeed, schemes: tuple[str, ...], strategy: str
+    cfg: SystemConfig,
+    seed: TrialSeed,
+    schemes: tuple[str, ...],
+    strategy: str,
+    chan: ChannelRealization | None = None,
 ) -> list[_TrialRecord]:
     """Evaluate each scheme, in order, on the channel draw owned by this
     trial seed and return one record per scheme.
 
-    Singular draws are redrawn inside realize; each record carries the
-    redraw count.
+    The draw is chan when given (the same draw serves every SNR point),
+    else realize(cfg, seed).  Singular draws are redrawn there; each record
+    carries the redraw count.
     """
-    chan = realize(cfg, seed)
+    if chan is None:
+        chan = realize(cfg, seed)
     records = []
     for scheme in schemes:
         if scheme == "selection":
@@ -195,69 +214,97 @@ def run_trial(
                 bool(outcome.outage),
                 float(outcome.secondary_rate),
                 float(outcome.secondary_rate_raw),
-                float(np.min(outcome.primary_rates)),
+                float(outcome.primary_rates.min()),
                 chan.resamples,
             )
         )
     return records
 
 
-def _run_batch(args) -> list[list[_TrialRecord]]:
-    cfg, seed, schemes, strategy, trials = args
-    return [run_trial(cfg, TrialSeed(seed, t), schemes, strategy) for t in trials]
+# the record field each metric reduces; METRICS follow the record's order
+_FIELD = dict(zip(METRICS, range(4)))
 
 
-def _reduce(records: list[_TrialRecord], metric: str) -> MetricEstimate:
-    n = len(records)
-    resamples = sum(r[4] for r in records)
-    if metric == "outage":
-        p = float(np.mean([r[0] for r in records]))
-        se = math.sqrt(p * (1.0 - p) / n)
-        return MetricEstimate(p, se, n, resamples)
-    if metric == "ergodic_rate":
-        values = np.array([r[1] for r in records])
-    elif metric == "ergodic_rate_unconditioned":
-        values = np.array([r[2] for r in records])
-    else:  # primary_min_rate
-        values = np.array([r[3] for r in records])
+def _run_block(args) -> tuple[np.ndarray, int]:
+    """Draw a block of trials once and evaluate every (SNR point, scheme)
+    cell on it.  Returns the metric's field of each cell's records as an
+    (SNR point, scheme, trial) array, and the block's redraw count."""
+    spec, trials = args
+    cfgs = [spec.config_at(snr_db) for snr_db in spec.snr_grid_db]
+    seeds = [TrialSeed(spec.seed, t) for t in trials]
+    chans = realize_block(cfgs[0], seeds)
+    field = _FIELD[spec.metric]
+    schemes, strategy = spec.schemes, spec.candidate_strategy
+    values = [
+        [
+            record[field]
+            for cfg in cfgs
+            for record in run_trial(cfg, seed, schemes, strategy, chan)
+        ]
+        for seed, chan in zip(seeds, chans)
+    ]
+    values = np.array(values, dtype=float).T.reshape(len(cfgs), len(schemes), -1)
+    return values, sum(chan.resamples for chan in chans)
+
+
+def _reduce(values: Sequence, resamples: int, metric: str) -> MetricEstimate:
+    """One cell's estimate from its records' metric field, in trial order."""
+    n = len(values)
     mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    if metric == "outage":
+        se = math.sqrt(mean * (1.0 - mean) / n)
+    else:
+        se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return MetricEstimate(mean, se, n, resamples)
 
 
-def estimate(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Run the sweep and return one estimate per (SNR point, scheme).
+def estimate(
+    specs: SweepSpec | Sequence[SweepSpec], workers: int = 1
+) -> SweepResult | list[SweepResult]:
+    """Run the sweeps and return one estimate per (SNR point, scheme) each.
 
-    Each operating point's trials are split into batches; with workers > 1
-    every batch of every point goes through one process pool, and pool.map
-    hands the batches back in submission order.  workers is capped at the
-    CPUs this process may use: the pool starts a process per batch while
-    none is idle, and more processes than CPUs only add start-up cost.
-    The output does not depend on workers.
+    A single spec is the batch of one: it returns its SweepResult, and a
+    sequence of specs returns a list of them.  Each spec's trials are split
+    into blocks of at most _BLOCK; with workers > 1 every block of every
+    spec goes through one process pool, in blocks small enough to give each
+    worker about four, and pool.map hands them back in submission order.
+    workers is capped at the CPUs this process may use: the pool starts a
+    process per block while none is idle, and more processes than CPUs only
+    add start-up cost.  The output does not depend on workers.
     """
+    single = isinstance(specs, SweepSpec)
+    if single:
+        specs = [specs]
     if hasattr(os, "sched_getaffinity"):
         workers = min(workers, len(os.sched_getaffinity(0)))
     else:
         workers = min(workers, os.cpu_count() or 1)
-    chunk = math.ceil(spec.trials / (4 * workers if workers > 1 else 1))
-    chunks = [range(spec.trials)[t : t + chunk] for t in range(0, spec.trials, chunk)]
-    batches = [
-        (cfg, spec.seed, spec.schemes, spec.candidate_strategy, trials)
-        for cfg in map(spec.config_at, spec.snr_grid_db)
-        for trials in chunks
-    ]
-    rows = []
+    blocks = []
+    for spec in specs:
+        size = _BLOCK
+        if workers > 1:
+            size = min(size, math.ceil(spec.trials / (4 * workers)))
+        blocks.append(
+            [range(spec.trials)[t : t + size] for t in range(0, spec.trials, size)]
+        )
+    units = [(spec, trials) for spec, own in zip(specs, blocks) for trials in own]
+    out = []
     with ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
             )
-            results = pool.map(_run_batch, batches)
+            results = pool.map(_run_block, units)
         else:
-            results = map(_run_batch, batches)
-        for snr_db in spec.snr_grid_db:
-            draws = [draw for batch in islice(results, len(chunks)) for draw in batch]
-            for k, scheme in enumerate(spec.schemes):
-                records = [draw[k] for draw in draws]
-                rows.append(SweepRow(snr_db, scheme, _reduce(records, spec.metric)))
-    return SweepResult(spec=spec, rows=tuple(rows))
+            results = map(_run_block, units)
+        for spec, own in zip(specs, blocks):
+            done = list(islice(results, len(own)))
+            values = np.concatenate([v for v, _ in done], axis=-1)
+            resamples = sum(r for _, r in done)
+            rows = [
+                SweepRow(snr_db, scheme, _reduce(values[i, k], resamples, spec.metric))
+                for i, snr_db in enumerate(spec.snr_grid_db)
+                for k, scheme in enumerate(spec.schemes)
+            ]
+            out.append(SweepResult(spec=spec, rows=tuple(rows)))
+    return out[0] if single else out

@@ -35,8 +35,14 @@ from .beam_aggregation import (
     solve_problem4,
 )
 from .beam_selection import evaluate_selection
-from .channel_model import ChannelRealization, SystemConfig, TrialSeed, realize
-from .montecarlo import SweepSpec, estimate, snr_db_to_linear
+from .channel_model import (
+    ChannelRealization,
+    SystemConfig,
+    TrialSeed,
+    realize,
+    realize_block,
+)
+from .montecarlo import _BLOCK, SweepSpec, estimate, snr_db_to_linear
 from .power_allocation import SchemeOutcome, alpha_s_cap, eta, mode_i_alpha_p, tau
 
 __all__ = [
@@ -59,6 +65,13 @@ LEVEL_3SE = math.erfc(3.0 / math.sqrt(2.0))
 Z_95 = 1.645
 
 
+def _draws(cfg: SystemConfig, seed: int, count: int):
+    """realize(cfg, TrialSeed(seed, t)) for t < count, drawn in blocks."""
+    for start in range(0, count, _BLOCK):
+        stop = min(start + _BLOCK, count)
+        yield from realize_block(cfg, [TrialSeed(seed, t) for t in range(start, stop)])
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -77,8 +90,7 @@ def zf_checks(
         worst_cross = 0.0
         worst_norm = 0.0
         worst_gain = 0.0
-        for t in range(realizations):
-            chan = realize(cfg, TrialSeed(seed, t))
+        for chan in _draws(cfg, seed, realizations):
             cross = chan.G.conj().T @ chan.F
             off = np.abs(cross - np.diag(np.diag(cross)))
             worst_cross = max(worst_cross, float(off.max()))
@@ -141,9 +153,7 @@ def distribution_checks(
     threshold = KS_FACTOR_1PCT / math.sqrt(samples)
     for n, m in configs:
         cfg = SystemConfig(n, m, 10.0, 1.0, 1.0)
-        gains = np.empty(samples)
-        for t in range(samples):
-            gains[t] = realize(cfg, TrialSeed(seed, t)).g_gain[0]
+        gains = np.array([chan.g_gain[0] for chan in _draws(cfg, seed, samples)])
         stat = ks_statistic(m * gains, lambda x: gain_cdf(x, n, m))
         results.append(
             CheckResult(
@@ -456,12 +466,12 @@ def dominance_checks(seed: int, draws: int = 2000) -> list[CheckResult]:
     """Aggregation with singleton candidates can never fall below selection,
     and beats it on average, at 10, 20 and 30 dB."""
     results = []
+    chans = list(_draws(SystemConfig(4, 4, 1.0, 0.1, 1.0), seed, draws))
     for snr_db in (10.0, 20.0, 30.0):
         cfg = SystemConfig(4, 4, snr_db_to_linear(snr_db), 0.1, 1.0)
         violations = 0
         gap_sum = 0.0
-        for t in range(draws):
-            chan = realize(cfg, TrialSeed(seed, t))
+        for chan in chans:
             sel = evaluate_selection(chan, cfg)
             agg = evaluate_scheme2(chan, cfg, "prefixes_plus_singletons")
             if agg.secondary_rate < sel.secondary_rate:

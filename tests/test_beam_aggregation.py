@@ -133,7 +133,8 @@ def test_subset_lattice_matches_the_per_set_sums():
             assert len(sets.masks) == 2 ** m - 1
             for mask in sets.masks:
                 cand = sets.candidate(mask)
-                assert repr(sets.tau_d[mask]) == repr(tau(cand.beams, h, base, cfg.rho))
+                want = tau(cand.beams, h, base, cfg.rho)
+                assert repr(float(sets.tau_d[mask])) == repr(want)
                 if mask & sets.infeasible:
                     assert not cand.feasible
                     infeasible_sets += 1
@@ -142,7 +143,7 @@ def test_subset_lattice_matches_the_per_set_sums():
                 bound = 0.0
                 for h_k, e_k in zip(cand.h, cand.etas):
                     bound += math.sqrt(h_k * (1.0 - e_k))
-                assert repr(sets.bound[mask]) == repr(bound)
+                assert repr(float(sets.bound[mask])) == repr(bound)
     assert infeasible_sets > 0
 
 

@@ -10,6 +10,7 @@ from beamshare.channel_model import (
     TrialSeed,
     effective_gains,
     realize,
+    realize_block,
     sample_channels,
     zf_beams,
 )
@@ -167,3 +168,58 @@ def test_realize_resamples_with_derived_subseed(monkeypatch):
     ref = realize(cfg, TrialSeed(41, 7, attempt=1))
     assert chan.G.tobytes() == ref.G.tobytes()
     assert chan.h.tobytes() == ref.h.tobytes()
+
+
+def _same_draw(a, b):
+    for name in ("G", "h", "F", "g_gain", "h_gain"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.resamples == b.resamples
+
+
+def test_block_draws_equal_scalar_realize_bitwise():
+    # the stacked svd/inv/matmul does per matrix what the single call does,
+    # whatever the block's size and the trial's place in it
+    for m in range(1, 9):
+        for n in sorted({m, m + 1, m + 3, 8}):
+            cfg = SystemConfig(n, m, 10.0, 0.1, 1.0)
+            seeds = [TrialSeed(29, t) for t in range(12)]
+            for size in (1, 5, 12):
+                block = []
+                for start in range(0, len(seeds), size):
+                    block += realize_block(cfg, seeds[start : start + size])
+                for chan, seed in zip(block, seeds):
+                    _same_draw(chan, realize(cfg, seed))
+
+
+def test_block_redraws_only_the_singular_row(monkeypatch):
+    cfg = SystemConfig(3, 2, 10.0, 1.0, 1.0)
+    seeds = [TrialSeed(41, t) for t in range(6)]
+    clean = realize_block(cfg, seeds)
+    real_sample = channel_model.sample_channels
+    draws = []
+
+    def singular_once(cfg, seed):
+        draws.append((seed.trial_index, seed.attempt))
+        G, h = real_sample(cfg, seed)
+        if seed.trial_index == 3 and seed.attempt == 0:
+            G = np.ones_like(G)  # identical columns
+        return G, h
+
+    monkeypatch.setattr(channel_model, "sample_channels", singular_once)
+    block = realize_block(cfg, seeds)
+    assert draws == [(t, 0) for t in range(6)] + [(3, 1)]
+    assert [chan.resamples for chan in block] == [0, 0, 0, 1, 0, 0]
+    monkeypatch.setattr(channel_model, "sample_channels", real_sample)
+    for t in (0, 1, 2, 4, 5):
+        _same_draw(block[t], clean[t])
+    # the redraw is trial 3's attempt-1 stream, reproducible in isolation
+    redraw = realize(cfg, TrialSeed(41, 3, attempt=1))
+    for name in ("G", "h", "F", "g_gain", "h_gain"):
+        assert getattr(block[3], name).tobytes() == getattr(redraw, name).tobytes()
+
+
+def test_zf_names_the_singular_matrices_of_a_stack():
+    G = np.stack([np.eye(3, 2, dtype=complex), np.ones((3, 2), dtype=complex)] * 2)
+    with pytest.raises(SingularChannel) as exc:
+        zf_beams(G)
+    assert exc.value.rows == [1, 3]

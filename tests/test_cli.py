@@ -186,17 +186,18 @@ def test_preset_failure_writes_nothing(tmp_path, capsys, target):
 
 
 def test_interrupted_run_leaves_no_file(tmp_path, monkeypatch):
-    # a run that dies after its first estimate removes its temporary file
-    real = cli_mod.estimate
+    # a run that dies after its first block removes its temporary file
+    real = montecarlo._run_block
     calls = []
 
-    def flaky(spec, workers=1):
+    def flaky(unit):
         if calls:
+            assert len(os.listdir(tmp_path)) == 1  # the temporary file
             raise KeyboardInterrupt
-        calls.append(spec)
-        return real(spec, workers)
+        calls.append(unit)
+        return real(unit)
 
-    monkeypatch.setattr(cli_mod, "estimate", flaky)
+    monkeypatch.setattr(montecarlo, "_run_block", flaky)
     out = tmp_path / "F.csv"
     with pytest.raises(KeyboardInterrupt):
         main(["preset", "fig1a", "--trials", "3", "--snr-db", "10", "--out", str(out)])
@@ -336,3 +337,19 @@ def test_validate_deterministic_report(capsys):
 
 def test_csv_header_schema():
     assert CSV_HEADER == "snr_db,n,m,scheme,metric,value,std_err,trials,seed,resamples"
+
+
+def test_preset_hands_every_curve_to_one_estimate(tmp_path, monkeypatch):
+    calls = []
+    real = cli_mod.estimate
+
+    def counted(specs, workers=1):
+        calls.append([(s.n_antennas, s.m_beams) for s in specs])
+        return real(specs, workers=workers)
+
+    monkeypatch.setattr(cli_mod, "estimate", counted)
+    out = tmp_path / "fig1a.csv"
+    args = ["preset", "fig1a", "--trials", "5", "--snr-db", "10", "--out", str(out)]
+    assert main(args + ["--m-beams", "2", "--m-beams", "3"]) == 0
+    assert calls == [[(2, 2), (3, 3)]]
+    assert [r.split(",")[2] for r in _rows(out.read_text())] == ["2", "3"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from beamshare import montecarlo
+from beamshare import channel_model, montecarlo
 from beamshare.beam_aggregation import evaluate_scheme1, evaluate_scheme2
 from beamshare.beam_selection import evaluate_selection
 from beamshare.channel_model import SystemConfig, TrialSeed, realize
@@ -99,13 +99,12 @@ def test_run_trial_rejects_unknown_scheme():
 
 
 def test_reduce_outage_degenerate():
-    est = _reduce([(True, 0.0, 0.0, 1.0, 0)], "outage")
+    est = _reduce([True], 0, "outage")
     assert est == MetricEstimate(1.0, 0.0, 1, 0)
 
 
 def test_reduce_rate_two_trials():
-    records = [(False, 0.0, 0.0, 1.0, 0), (False, 2.0, 2.0, 1.0, 1)]
-    est = _reduce(records, "ergodic_rate")
+    est = _reduce([0.0, 2.0], 1, "ergodic_rate")
     assert est.value == pytest.approx(1.0)
     assert est.std_err == pytest.approx(1.0)  # std([0,2], ddof=1)/sqrt(2)
     assert est.trials == 2
@@ -113,8 +112,7 @@ def test_reduce_rate_two_trials():
 
 
 def test_reduce_binomial_se():
-    records = [(t < 3, 0.0, 0.0, 1.0, 0) for t in range(10)]
-    est = _reduce(records, "outage")
+    est = _reduce([t < 3 for t in range(10)], 0, "outage")
     assert est.value == pytest.approx(0.3)
     assert est.std_err == pytest.approx(math.sqrt(0.3 * 0.7 / 10))
 
@@ -151,17 +149,43 @@ def test_worker_count_invariance():
 
 
 def test_estimate_draws_each_channel_once(monkeypatch):
-    draws = []
+    # a draw does not depend on the SNR: one sampling per trial for the
+    # whole grid, and the trials of a block are zero-forced as one stack
+    draws, stacks = [], []
+    sample, zf = channel_model.sample_channels, channel_model.zf_beams
 
-    def counted(cfg, seed):
-        draws.append((cfg.rho, seed.trial_index))
-        return realize(cfg, seed)
+    def counted_sample(cfg, seed):
+        draws.append((seed.trial_index, seed.attempt))
+        return sample(cfg, seed)
 
-    monkeypatch.setattr(montecarlo, "realize", counted)
+    def counted_zf(G):
+        stacks.append(G.shape)
+        return zf(G)
+
+    monkeypatch.setattr(channel_model, "sample_channels", counted_sample)
+    monkeypatch.setattr(channel_model, "zf_beams", counted_zf)
     spec = _spec(trials=7, schemes=("selection", "scheme2"))
     result = estimate(spec)
     assert len(result.rows) == 4  # 2 SNR points x 2 schemes
-    assert len(draws) == 7 * 2 == len(set(draws))
+    assert sorted(draws) == [(t, 0) for t in range(7)]
+    assert stacks == [(7, 2, 2)]
+
+
+def test_every_cell_goes_through_run_trial_with_the_shared_draw(monkeypatch):
+    cells = []
+
+    def recording(cfg, seed, schemes, strategy, chan=None):
+        cells.append((cfg.rho, seed.trial_index, chan))
+        return run_trial(cfg, seed, schemes, strategy, chan)
+
+    spec = _spec(trials=5, schemes=("selection", "scheme1"))
+    expected = estimate(spec)
+    monkeypatch.setattr(montecarlo, "run_trial", recording)
+    assert estimate(spec) == expected
+    assert len(cells) == 5 * 2 == len({(rho, t) for rho, t, _ in cells})
+    # both SNR points of a trial are evaluated on one draw object
+    for rho, t, chan in cells:
+        assert chan is cells[2 * t][2] is not None
 
 
 def test_estimate_starts_one_pool(monkeypatch):
@@ -176,6 +200,27 @@ def test_estimate_starts_one_pool(monkeypatch):
     spec = _spec(trials=9, schemes=("selection", "scheme1"))
     assert estimate(spec, workers=2) == estimate(spec, workers=1)
     assert len(pools) == 1
+    # two specs in one call share one more pool and give what each gives alone
+    specs = [spec, _spec(n_antennas=3, m_beams=3, trials=6, metric="ergodic_rate")]
+    assert estimate(specs, workers=2) == [estimate(s) for s in specs]
+    assert len(pools) == 2
+
+
+def test_estimate_blocks_are_capped(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK", 4)
+    stacks = []
+    zf = channel_model.zf_beams
+
+    def counted_zf(G):
+        stacks.append(len(G))
+        return zf(G)
+
+    spec = _spec(trials=11, metric="ergodic_rate", schemes=SCHEMES)
+    monkeypatch.setattr(channel_model, "zf_beams", counted_zf)
+    capped = estimate(spec)
+    assert stacks == [4, 4, 3]
+    monkeypatch.undo()
+    assert capped == estimate(spec)
 
 
 def test_pool_capped_at_usable_cpus(monkeypatch):

@@ -3,6 +3,7 @@ keep on any channel draw."""
 
 import math
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from beamshare import (
@@ -20,6 +21,7 @@ from beamshare.beam_aggregation import (
     min_primary_power,
     solve_problem4,
 )
+from beamshare.montecarlo import METRICS, SCHEMES, SweepSpec, _run_block
 from beamshare.validation import (
     bisection_reference,
     exhaustive_scheme2,
@@ -114,3 +116,37 @@ def test_root_replay_matches_the_plain_bisection(log10_rho, r_p, m_beams, trial)
         got, want = solve_problem4(cand), bisection_reference(cand)
         assert want.status == "optimal"
         assert repr(got) == repr(want), (cand, got, want)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    m_beams=st.integers(min_value=1, max_value=4),
+    extra_antennas=st.integers(min_value=0, max_value=2),
+    metric=st.sampled_from(METRICS),
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    cuts=st.lists(st.integers(min_value=1, max_value=23), max_size=6),
+)
+def test_records_do_not_depend_on_the_block_split(
+    m_beams, extra_antennas, metric, seed, cuts
+):
+    # any split of the trials into blocks gives the records of one block,
+    # bit for bit: each trial is drawn from its own seed, and the stacked
+    # zero-forcing does per matrix what the single call does
+    spec = SweepSpec(
+        n_antennas=m_beams + extra_antennas,
+        m_beams=m_beams,
+        r_p=0.1,
+        r_s=1.0,
+        snr_grid_db=(-10.0, 10.0, 30.0),
+        schemes=SCHEMES,
+        metric=metric,
+        trials=24,
+        seed=seed,
+    )
+    whole, resamples = _run_block((spec, range(24)))
+    edges = [0, *sorted(set(cuts)), 24]
+    parts = [_run_block((spec, range(a, b))) for a, b in zip(edges, edges[1:])]
+    split = np.concatenate([values for values, _ in parts], axis=-1)
+    assert whole.shape == (3, 3, 24)
+    assert split.tobytes() == whole.tobytes()
+    assert sum(r for _, r in parts) == resamples
