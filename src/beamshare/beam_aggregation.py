@@ -44,11 +44,12 @@ import numpy as np
 
 from .channel_model import ChannelRealization, SystemConfig
 from .power_allocation import (
+    CellOutcomes,
     SchemeOutcome,
     alpha_s_cap,
     eta,
+    log2_each,
     mode_i_alpha_p,
-    primary_rates,
     tau,
 )
 
@@ -62,6 +63,7 @@ __all__ = [
     "oracle_grid_solver",
     "certify_solution",
     "evaluate_scheme1",
+    "evaluate_scheme1_block",
     "evaluate_scheme2",
 ]
 
@@ -170,7 +172,7 @@ class _BeamSets:
         h_gain = chan.h_gain.tolist()
         g_gain = chan.g_gain.tolist()
         order = sorted(range(m_beams), key=lambda i: (-h_gain[i], i))
-        base_ap = mode_i_alpha_p(g_gain, cfg.rho, cfg.eps_p)
+        base_ap = mode_i_alpha_p(chan.g_gain, cfg.rho, cfg.eps_p).tolist()
         etas = [eta(g, cfg.rho, cfg.eps_p) for g in g_gain]
         self.order, self.eps_p = order, cfg.eps_p
         self.h = [h_gain[b] for b in order]
@@ -308,7 +310,7 @@ def _solve_singleton(candidate: AggregationCandidate) -> Problem4Solution:
     (h_m,), eps_p = candidate.h, candidate.eps_p
     if h_m <= 0.0 or eps_p * candidate.tau_d > h_m:
         return _infeasible()
-    alpha_s = alpha_s_cap(h_m, candidate.etas[0], candidate.tau_d, eps_p)
+    alpha_s = float(alpha_s_cap(h_m, candidate.etas[0], candidate.tau_d, eps_p))
     u = h_m * alpha_s
     alpha_p = min(1.0, max(candidate.etas[0], eps_p * (u + candidate.tau_d) / h_m))
     return Problem4Solution(
@@ -581,36 +583,48 @@ def oracle_grid_solver(
     )
 
 
-def evaluate_scheme1(chan: ChannelRealization, cfg: SystemConfig) -> SchemeOutcome:
-    """Evaluate direct-decoding aggregation over every beam.
+def evaluate_scheme1_block(
+    g_gain: np.ndarray, h_gain: np.ndarray, cfgs: Sequence[SystemConfig]
+) -> CellOutcomes:
+    """Evaluate direct-decoding aggregation over every beam, on every
+    (SNR point, trial) cell of a block.
 
-    Each beam gives the secondary user everything the legacy QoS can spare,
-    alpha_p = min(1, eta_m) and alpha_s = 1 - alpha_p.  The secondary user
-    combines its shares coherently and decodes directly, treating every
-    primary signal (including those on its own beams) as noise.  There is
-    no SIC precondition: the achieved rate is always decodable, so outage
-    is simply rate < r_s.
+    g_gain and h_gain are (M, T), beam-major; cfgs are the SNR points, one
+    per row of the cells, and share their targets.  Each beam gives the
+    secondary user everything the legacy QoS can spare, alpha_p =
+    min(1, eta_m) and alpha_s = 1 - alpha_p.  The secondary user combines
+    its shares coherently and decodes directly, treating every primary
+    signal (including those on its own beams) as noise.  There is no SIC
+    precondition: the achieved rate is always decodable, so outage is
+    simply rate < r_s.
     """
-    h_gain = chan.h_gain.tolist()
-    g_gain = chan.g_gain.tolist()
-    alpha_p = np.array([min(1.0, eta(g, cfg.rho, cfg.eps_p)) for g in g_gain])
+    cfg = cfgs[0]
+    rho = np.array([c.rho for c in cfgs])[:, None]
+    g, h = g_gain[:, None, :], h_gain[:, None, :]
+    alpha_p = np.minimum(1.0, eta(g, rho, cfg.eps_p))
     alpha_s = 1.0 - alpha_p
-    # an explicit loop: sum() of floats is compensated on Python >= 3.12
+    # summed beam by beam: np.sum would add pairwise
     t = 0.0
-    for m in range(cfg.m_beams):
-        t += math.sqrt(h_gain[m] * float(alpha_s[m]))
-    rate = math.log2(1.0 + t * t / tau((), h_gain, alpha_p, cfg.rho))
-    chosen = tuple(range(cfg.m_beams))
-    return SchemeOutcome(
-        scheme_tag="scheme1",
-        chosen_set=chosen,
+    for m in range(len(g)):
+        t += np.sqrt(h[m] * alpha_s[m])
+    rate = log2_each(1.0 + t * t / tau((), h, alpha_p, rho))
+    return CellOutcomes(
         secondary_rate_raw=rate,
-        sic_ok=True,
+        sic_ok=np.ones(rate.shape, dtype=bool),
         outage=rate < cfg.r_s,
-        primary_rates=primary_rates(g_gain, alpha_p, alpha_s, chosen, cfg.rho),
+        chosen=np.ones(alpha_p.shape, dtype=bool),
         alpha_p=alpha_p,
         alpha_s=alpha_s,
+        g_gain=g,
+        rho=rho,
     )
+
+
+def evaluate_scheme1(chan: ChannelRealization, cfg: SystemConfig) -> SchemeOutcome:
+    """Evaluate direct-decoding aggregation on one realization: the block
+    of one cell."""
+    block = evaluate_scheme1_block(chan.g_gain[:, None], chan.h_gain[:, None], [cfg])
+    return block.cell("scheme1")
 
 
 def _key(rate: float, beams: tuple[int, ...]) -> tuple:
@@ -632,8 +646,7 @@ def _outcome(
 ) -> SchemeOutcome:
     """The scheme 2 outcome of the winning (candidate, solution), if any;
     beams outside the set keep the inactive split."""
-    g_gain = chan.g_gain.tolist()
-    alpha_p = np.array(mode_i_alpha_p(g_gain, cfg.rho, cfg.eps_p))
+    alpha_p = mode_i_alpha_p(chan.g_gain, cfg.rho, cfg.eps_p)
     alpha_s = np.zeros(cfg.m_beams)
     if best is None:
         chosen: tuple[int, ...] = ()
@@ -651,9 +664,10 @@ def _outcome(
         secondary_rate_raw=rate,
         sic_ok=True,
         outage=(best is None) or rate < cfg.r_s,
-        primary_rates=primary_rates(g_gain, alpha_p, alpha_s, chosen, cfg.rho),
         alpha_p=alpha_p,
         alpha_s=alpha_s,
+        g_gain=chan.g_gain,
+        rho=cfg.rho,
     )
 
 

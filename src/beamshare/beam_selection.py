@@ -1,4 +1,4 @@
-"""Single-beam secondary access: evaluate one channel draw end to end.
+"""Single-beam secondary access, scored on a block of cells at once.
 
 Every beam is tried with itself in NOMA mode and all others inactive.  Its
 tau, computed once, sets the largest admissible secondary share, the
@@ -8,68 +8,78 @@ lowest index).  The rate is credited only when the SIC precondition holds on
 the chosen beam -- the secondary user cannot decode anything if it fails to
 strip the primary signal first; the unconditioned value log2(1 + gamma) is
 what the outcome stores.
+
+evaluate_selection_block scores every (SNR point, trial) cell of a block as
+numpy arrays, beam by beam, with each cell's floats computed in the order
+of a scalar evaluation of that cell; evaluate_selection is its block of one.
 """
 
 from __future__ import annotations
 
-import math
+from typing import Sequence
 
 import numpy as np
 
 from .channel_model import ChannelRealization, SystemConfig
 from .power_allocation import (
     SIC_SLACK,
+    CellOutcomes,
     SchemeOutcome,
     alpha_s_cap,
     eta,
+    log2_each,
     mode_i_alpha_p,
-    primary_rates,
     tau,
 )
 
-__all__ = ["evaluate_selection"]
+__all__ = ["evaluate_selection", "evaluate_selection_block"]
+
+
+def evaluate_selection_block(
+    g_gain: np.ndarray, h_gain: np.ndarray, cfgs: Sequence[SystemConfig]
+) -> CellOutcomes:
+    """Evaluate beam selection on every (SNR point, trial) cell of a block.
+
+    g_gain and h_gain are (M, T), beam-major; cfgs are the SNR points, one
+    per row of the cells, and share their targets.  The candidate with the
+    largest secondary SINR gamma_m wins (argmax of gamma equals argmax of
+    the rate since log2 is monotone).
+    """
+    cfg = cfgs[0]
+    eps_p = cfg.eps_p
+    rho = np.array([c.rho for c in cfgs])[:, None]
+    g, h = g_gain[:, None, :], h_gain[:, None, :]
+    base_ap = mode_i_alpha_p(g, rho, eps_p)
+    taus = np.empty(base_ap.shape)
+    for m in range(len(g)):
+        taus[m] = tau((m,), h, base_ap, rho)
+    caps = alpha_s_cap(h, eta(g, rho, eps_p), taus, eps_p)
+    gammas = h * caps / taus
+    best = np.argmax(gammas, axis=0)  # ties to the lowest index
+    chosen = np.arange(len(g))[:, None, None] == best
+    rows, cols = np.indices(best.shape, sparse=True)
+    pick = (best, rows, cols)  # each cell's chosen beam
+    h_b, a_s = h_gain[best, cols], caps[pick]
+    # rate of decoding the primary signal on the chosen beam, the other
+    # beams' inactive power and the noise making up tau
+    decode = log2_each(1.0 + h_b * (1.0 - a_s) / (h_b * a_s + taus[pick]))
+    sic_ok = decode >= cfg.r_p - SIC_SLACK
+    rate = log2_each(1.0 + gammas[pick])
+    return CellOutcomes(
+        secondary_rate_raw=rate,
+        sic_ok=sic_ok,
+        outage=~(sic_ok & (rate >= cfg.r_s)),
+        chosen=chosen,
+        alpha_p=np.where(chosen, 1.0 - caps, base_ap),
+        alpha_s=np.where(chosen, caps, 0.0),
+        g_gain=g,
+        rho=rho,
+    )
 
 
 def evaluate_selection(
     chan: ChannelRealization, cfg: SystemConfig
 ) -> SchemeOutcome:
-    """Evaluate beam selection on one realization.
-
-    The candidate with the largest secondary SINR gamma_m wins (argmax of
-    gamma equals argmax of the rate since log2 is monotone).
-    """
-    m_beams = cfg.m_beams
-    rho, eps_p = cfg.rho, cfg.eps_p
-    h_gain = chan.h_gain.tolist()
-    g_gain = chan.g_gain.tolist()
-    base_ap = mode_i_alpha_p(g_gain, rho, eps_p)
-
-    gammas = [0.0] * m_beams
-    caps = [0.0] * m_beams
-    taus = [0.0] * m_beams
-    for m in range(m_beams):
-        taus[m] = tau((m,), h_gain, base_ap, rho)
-        caps[m] = alpha_s_cap(h_gain[m], eta(g_gain[m], rho, eps_p), taus[m], eps_p)
-        gammas[m] = h_gain[m] * caps[m] / taus[m]
-
-    best = max(range(m_beams), key=lambda m: (gammas[m], -m))
-    h_b, a_s = h_gain[best], caps[best]
-    alpha_p = np.array(base_ap)
-    alpha_s = np.zeros(m_beams)
-    alpha_p[best] = 1.0 - a_s
-    alpha_s[best] = a_s
-    # rate of decoding the primary signal on the chosen beam, the other
-    # beams' inactive power and the noise making up tau
-    decode = math.log2(1.0 + h_b * (1.0 - a_s) / (h_b * a_s + taus[best]))
-    sic_ok = decode >= cfg.r_p - SIC_SLACK
-    rate = math.log2(1.0 + gammas[best])
-    return SchemeOutcome(
-        scheme_tag="selection",
-        chosen_set=(best,),
-        secondary_rate_raw=rate,
-        sic_ok=sic_ok,
-        outage=not (sic_ok and rate >= cfg.r_s),
-        primary_rates=primary_rates(g_gain, alpha_p, alpha_s, (best,), rho),
-        alpha_p=alpha_p,
-        alpha_s=alpha_s,
-    )
+    """Evaluate beam selection on one realization: the block of one cell."""
+    block = evaluate_selection_block(chan.g_gain[:, None], chan.h_gain[:, None], [cfg])
+    return block.cell("selection")

@@ -5,9 +5,12 @@ index).  A draw does not depend on the SNR, so each trial is drawn once and
 every (SNR point, scheme) cell of the sweep is evaluated on it: the schemes
 and the SNR points are compared on the same draws.  Trials are drawn in
 blocks of at most _BLOCK, zero-forced as one stack, and a block is the unit
-of work handed to a worker.  Results are reduced in trial-index order
-regardless of scheduling, which makes estimates bit-identical across worker
-counts and block sizes.  SNR is expressed in dB at the interface and
+of work handed to a worker.  Selection and scheme 1 score all of a block's
+(SNR point, trial) cells as arrays in one pass; scheme 2 cells go one by
+one through run_trial on the shared draw.  Each cell's floats are those of
+run_trial on that cell, bit for bit.  Results are reduced in trial-index
+order regardless of scheduling, which makes estimates bit-identical across
+worker counts and block sizes.  SNR is expressed in dB at the interface and
 converted to the linear scale internally.
 """
 
@@ -16,12 +19,12 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import islice
 from multiprocessing import get_context
-from typing import Sequence
 
 import numpy as np
 
@@ -29,9 +32,10 @@ from .beam_aggregation import (
     ALL_SUBSETS_MAX_BEAMS,
     STRATEGIES,
     evaluate_scheme1,
+    evaluate_scheme1_block,
     evaluate_scheme2,
 )
-from .beam_selection import evaluate_selection
+from .beam_selection import evaluate_selection, evaluate_selection_block
 from .channel_model import (
     ChannelRealization,
     SystemConfig,
@@ -39,6 +43,7 @@ from .channel_model import (
     realize,
     realize_block,
 )
+from .power_allocation import SchemeOutcome
 
 __all__ = [
     "SCHEMES",
@@ -179,8 +184,42 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-# compact per-trial record: (outage, rate, raw rate, min primary rate, resamples)
-_TrialRecord = tuple[bool, float, float, float, int]
+# each metric's value from one cell's SchemeOutcome, or cell by cell from a
+# block's CellOutcomes; METRICS follow the order of a record's fields
+_VALUE = {
+    "outage": lambda outcome: outcome.outage,
+    "ergodic_rate": lambda outcome: outcome.secondary_rate,
+    "ergodic_rate_unconditioned": lambda outcome: outcome.secondary_rate_raw,
+    "primary_min_rate": lambda outcome: outcome.primary_rates.min(axis=0),
+}
+
+
+class _TrialRecord(Sequence):
+    """One scheme's record of one cell, equal to the tuple (outage, rate,
+    raw rate, min primary rate, resamples).  A field is computed when read,
+    so a sweep pays only for its metric's: the primary rates cost more than
+    the rest of a closed-form outcome."""
+
+    def __init__(self, outcome: SchemeOutcome, resamples: int):
+        self._outcome, self._resamples = outcome, resamples
+
+    def __len__(self) -> int:
+        return 5
+
+    def __getitem__(self, i: int):
+        i = range(5)[i]
+        if i == 4:
+            return self._resamples
+        value = _VALUE[METRICS[i]](self._outcome)
+        return bool(value) if i == 0 else float(value)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _TrialRecord)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def run_trial(
@@ -209,41 +248,39 @@ def run_trial(
             outcome = evaluate_scheme2(chan, cfg, strategy)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        records.append(
-            (
-                bool(outcome.outage),
-                float(outcome.secondary_rate),
-                float(outcome.secondary_rate_raw),
-                float(outcome.primary_rates.min()),
-                chan.resamples,
-            )
-        )
+        records.append(_TrialRecord(outcome, chan.resamples))
     return records
 
 
-# the record field each metric reduces; METRICS follow the record's order
-_FIELD = dict(zip(METRICS, range(4)))
+_BLOCK_PASS = {"selection": evaluate_selection_block, "scheme1": evaluate_scheme1_block}
 
 
 def _run_block(args) -> tuple[np.ndarray, int]:
     """Draw a block of trials once and evaluate every (SNR point, scheme)
-    cell on it.  Returns the metric's field of each cell's records as an
-    (SNR point, scheme, trial) array, and the block's redraw count."""
+    cell on it: selection and scheme 1 score all the block's cells as
+    arrays, and each scheme 2 cell goes through run_trial on the shared
+    draw.  Returns the metric's value of each cell as an (SNR point, scheme,
+    trial) array, and the block's redraw count."""
     spec, trials = args
     cfgs = [spec.config_at(snr_db) for snr_db in spec.snr_grid_db]
     seeds = [TrialSeed(spec.seed, t) for t in trials]
     chans = realize_block(cfgs[0], seeds)
-    field = _FIELD[spec.metric]
-    schemes, strategy = spec.schemes, spec.candidate_strategy
-    values = [
-        [
-            record[field]
-            for cfg in cfgs
-            for record in run_trial(cfg, seed, schemes, strategy, chan)
-        ]
-        for seed, chan in zip(seeds, chans)
-    ]
-    values = np.array(values, dtype=float).T.reshape(len(cfgs), len(schemes), -1)
+    g_gain = np.stack([chan.g_gain for chan in chans], axis=1)
+    h_gain = np.stack([chan.h_gain for chan in chans], axis=1)
+    field, strategy = METRICS.index(spec.metric), spec.candidate_strategy
+    values = np.empty((len(cfgs), len(spec.schemes), len(seeds)))
+    for k, scheme in enumerate(spec.schemes):
+        if scheme == "scheme2":
+            values[:, k] = [
+                [
+                    run_trial(cfg, seed, (scheme,), strategy, chan)[0][field]
+                    for seed, chan in zip(seeds, chans)
+                ]
+                for cfg in cfgs
+            ]
+        else:
+            cells = _BLOCK_PASS[scheme](g_gain, h_gain, cfgs)
+            values[:, k] = _VALUE[spec.metric](cells)
     return values, sum(chan.resamples for chan in chans)
 
 

@@ -11,15 +11,21 @@ here:
   interference-plus-noise from the beams outside the secondary user's set;
 * the single-beam alpha_s cap, the smaller of the QoS and SIC caps, which
   selection and scheme 2's singleton sets share;
-* the legacy users' rates and the SchemeOutcome record every scheme returns.
+* the legacy users' rates, the SchemeOutcome record every scheme returns
+  for one cell, and the CellOutcomes arrays of a block of cells.
 
-Each scheme module builds its own split from these rules.
+Each scheme module builds its own split from these rules.  Every rule is
+elementwise: a gain, share or rho may be a float or an array over cells, and
+per-beam sequences are beam-major (item m belongs to beam m), so one rule
+serves a single draw and a whole (SNR point, trial) block with the same
+float operations in the same order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,11 +33,13 @@ import numpy as np
 __all__ = [
     "SIC_SLACK",
     "SchemeOutcome",
+    "CellOutcomes",
     "eta",
     "tau",
     "mode_i_alpha_p",
     "alpha_s_cap",
     "primary_rates",
+    "log2_each",
 ]
 
 # Numerical slack on the SIC precondition r_tilde >= r_p: the constructed
@@ -49,14 +57,64 @@ class SchemeOutcome:
     secondary_rate_raw: float          # BPCU, ignoring the SIC precondition
     sic_ok: bool                       # SIC precondition holds on chosen_set
     outage: bool
-    primary_rates: np.ndarray          # legacy users' rates, per beam
     alpha_p: np.ndarray                # primary share, per beam
     alpha_s: np.ndarray                # secondary share, per beam
+    g_gain: np.ndarray                 # legacy users' gains, per beam
+    rho: float
 
     @property
     def secondary_rate(self) -> float:
         """Rate the secondary user earns: 0 when SIC fails."""
         return self.secondary_rate_raw if self.sic_ok else 0.0
+
+    @cached_property
+    def primary_rates(self) -> np.ndarray:
+        """Legacy users' rates, per beam; computed when first read."""
+        chosen = np.zeros(len(self.g_gain), dtype=bool)
+        chosen[list(self.chosen_set)] = True
+        return primary_rates(self.g_gain, self.alpha_p, self.alpha_s, chosen, self.rho)
+
+
+@dataclass(frozen=True)
+class CellOutcomes:
+    """One scheme's outcomes on every (SNR point, trial) cell of a block.
+
+    Cell values have shape (S, T); per-beam values are beam-major, (M, S, T),
+    with g_gain (M, 1, T) and rho (S, 1) broadcasting to them.
+    """
+
+    secondary_rate_raw: np.ndarray
+    sic_ok: np.ndarray
+    outage: np.ndarray
+    chosen: np.ndarray                 # mask of the beams carrying secondary power
+    alpha_p: np.ndarray
+    alpha_s: np.ndarray
+    g_gain: np.ndarray
+    rho: np.ndarray
+
+    @property
+    def secondary_rate(self) -> np.ndarray:
+        return np.where(self.sic_ok, self.secondary_rate_raw, 0.0)
+
+    @property
+    def primary_rates(self) -> np.ndarray:
+        return primary_rates(
+            self.g_gain, self.alpha_p, self.alpha_s, self.chosen, self.rho
+        )
+
+    def cell(self, scheme_tag: str) -> SchemeOutcome:
+        """The SchemeOutcome of a block of one cell (S = T = 1)."""
+        return SchemeOutcome(
+            scheme_tag=scheme_tag,
+            chosen_set=tuple(np.flatnonzero(self.chosen).tolist()),
+            secondary_rate_raw=self.secondary_rate_raw.item(),
+            sic_ok=bool(self.sic_ok.item()),
+            outage=bool(self.outage.item()),
+            alpha_p=self.alpha_p.ravel(),
+            alpha_s=self.alpha_s.ravel(),
+            g_gain=self.g_gain.ravel(),
+            rho=self.rho.item(),
+        )
 
 
 def eta(g_m: float, rho: float, eps_p: float) -> float:
@@ -70,29 +128,30 @@ def eta(g_m: float, rho: float, eps_p: float) -> float:
 
 def tau(
     active_set: Sequence[int],
-    h_gain: Sequence[float],
-    alpha_p: Sequence[float],
-    rho: float,
-) -> float:
+    h_gain: Sequence,
+    alpha_p: Sequence,
+    rho,
+):
     """Residual interference-plus-noise from beams outside the active set.
 
-    tau = sum over complement of h_j alpha_p_j, plus 1/rho.  Beams outside
-    the active set are expected to carry their inactive-mode alpha_p.
+    tau = sum over complement of h_j alpha_p_j, plus 1/rho, summed in
+    ascending beam order.  Beams outside the active set are expected to
+    carry their inactive-mode alpha_p.
     """
     active = set(active_set)
     acc = 0.0
     for j in range(len(h_gain)):
         if j not in active:
-            acc += float(h_gain[j]) * float(alpha_p[j])
+            acc += h_gain[j] * alpha_p[j]
     return acc + 1.0 / rho
 
 
-def mode_i_alpha_p(g_gain: Sequence[float], rho: float, eps_p: float) -> list[float]:
+def mode_i_alpha_p(g_gain: Sequence, rho, eps_p: float) -> np.ndarray:
     """Inactive-mode alpha_p = min(1, eps_p / (rho g_m)) for every beam."""
-    return [min(1.0, eps_p / (rho * float(g))) for g in g_gain]
+    return np.minimum(1.0, eps_p / (rho * np.asarray(g_gain, dtype=float)))
 
 
-def alpha_s_cap(h_m: float, eta_m: float, tau_m: float, eps_p: float) -> float:
+def alpha_s_cap(h_m, eta_m, tau_m, eps_p: float):
     """Largest admissible secondary share when beam m alone serves the
     secondary user: min of the QoS cap (1 - eta_m) and the SIC cap, both
     clamped at 0, and 0 on a zero-gain beam.
@@ -101,34 +160,38 @@ def alpha_s_cap(h_m: float, eta_m: float, tau_m: float, eps_p: float) -> float:
     secondary share that still lets the secondary user decode the primary
     signal on beam m before its own.  Shared verbatim by selection and the
     aggregation solver so the two stay bit-identical on singleton sets.
+    np.maximum and np.minimum equal max and min only on NaN-free input, and
+    the SIC cap is NaN or infinite on a zero-gain beam, hence its own branch.
     """
-    if h_m <= 0.0:
-        return 0.0
-    cap_qos = max(0.0, 1.0 - eta_m)
-    cap_sic = max(0.0, (h_m - eps_p * tau_m) / ((1.0 + eps_p) * h_m))
-    return min(cap_qos, cap_sic)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap_sic = np.divide(h_m - eps_p * tau_m, (1.0 + eps_p) * h_m)
+        cap = np.minimum(np.maximum(0.0, 1.0 - eta_m), np.maximum(0.0, cap_sic))
+    return np.where(h_m <= 0.0, 0.0, cap)[()]
 
 
 def primary_rates(
-    g_gain: Sequence[float],
+    g_gain: Sequence,
     alpha_p: np.ndarray,
     alpha_s: np.ndarray,
-    chosen: tuple[int, ...],
-    rho: float,
+    chosen: np.ndarray,
+    rho,
 ) -> np.ndarray:
-    """Every legacy user's rate, the beams in chosen carrying secondary power.
+    """Every legacy user's rate, the beams marked in the mask chosen
+    carrying secondary power.
 
     Zero-forcing removes all inter-beam interference at the primary
     receivers, so only the superimposed secondary signal (|beta_m|^2 = 1)
     and noise remain on a chosen beam.  The two branches are kept apart
     because g a / (g alpha_s + 1/rho) and g a rho round differently.
     """
-    rates = []
-    for m, g_m in enumerate(g_gain):
-        ap = float(alpha_p[m])
-        if m in chosen:
-            sinr = g_m * ap / (g_m * float(alpha_s[m]) + 1.0 / rho)
-        else:
-            sinr = g_m * ap * rho
-        rates.append(math.log2(1.0 + sinr))
-    return np.array(rates)
+    g = np.asarray(g_gain, dtype=float)
+    on = g * alpha_p / (g * alpha_s + 1.0 / rho)
+    off = g * alpha_p * rho
+    return log2_each(1.0 + np.where(chosen, on, off))
+
+
+def log2_each(x: np.ndarray) -> np.ndarray:
+    """math.log2 of every element.  np.log2 differs from it by 1 ulp on
+    about 1 value in 4,000, and the rates are defined by math.log2."""
+    values = map(math.log2, x.ravel().tolist())
+    return np.fromiter(values, float, x.size).reshape(x.shape)

@@ -34,7 +34,7 @@ from .beam_aggregation import (
     oracle_grid_solver,
     solve_problem4,
 )
-from .beam_selection import evaluate_selection
+from .beam_selection import evaluate_selection_block
 from .channel_model import (
     ChannelRealization,
     SystemConfig,
@@ -464,19 +464,22 @@ def root_replay_check(seed: int, draws: int = 60) -> CheckResult:
 
 def dominance_checks(seed: int, draws: int = 2000) -> list[CheckResult]:
     """Aggregation with singleton candidates can never fall below selection,
-    and beats it on average, at 10, 20 and 30 dB."""
+    and beats it on average, at 10, 20 and 30 dB.  Selection scores all the
+    draws as one block, as a sweep does."""
     results = []
     chans = list(_draws(SystemConfig(4, 4, 1.0, 0.1, 1.0), seed, draws))
+    g_gain = np.stack([chan.g_gain for chan in chans], axis=1)
+    h_gain = np.stack([chan.h_gain for chan in chans], axis=1)
     for snr_db in (10.0, 20.0, 30.0):
         cfg = SystemConfig(4, 4, snr_db_to_linear(snr_db), 0.1, 1.0)
+        selection = evaluate_selection_block(g_gain, h_gain, [cfg]).secondary_rate[0]
         violations = 0
         gap_sum = 0.0
-        for chan in chans:
-            sel = evaluate_selection(chan, cfg)
+        for chan, sel_rate in zip(chans, selection.tolist()):
             agg = evaluate_scheme2(chan, cfg, "prefixes_plus_singletons")
-            if agg.secondary_rate < sel.secondary_rate:
+            if agg.secondary_rate < sel_rate:
                 violations += 1
-            gap_sum += agg.secondary_rate - sel.secondary_rate
+            gap_sum += agg.secondary_rate - sel_rate
         results.append(
             CheckResult(
                 f"dominance.pointwise[{snr_db:g}dB]",

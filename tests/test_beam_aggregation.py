@@ -99,7 +99,7 @@ def _listed_candidates(chan, cfg, strategy):
         sets = [tuple(order[:k]) for k in range(1, m + 1)]
         if strategy == "prefixes_plus_singletons":
             sets += [(i,) for i in order]
-    base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
+    base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p).tolist()
     etas = [eta(x, cfg.rho, cfg.eps_p) for x in g]
     return [
         AggregationCandidate(
@@ -128,7 +128,7 @@ def test_subset_lattice_matches_the_per_set_sums():
                     repr(c) for c in _listed_candidates(chan, cfg, strategy)
                 ]
             h, g = chan.h_gain.tolist(), chan.g_gain.tolist()
-            base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
+            base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p).tolist()
             sets = _BeamSets(chan, cfg, "all_subsets")
             assert len(sets.masks) == 2 ** m - 1
             for mask in sets.masks:

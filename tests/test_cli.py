@@ -302,12 +302,18 @@ def test_preset_fig1a_outage_nonincreasing_high_snr(tmp_path):
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def test_suite_names_are_the_validation_suites():
+    from beamshare import validation
+
+    assert cli_mod.SUITE_NAMES == tuple(validation.SUITES)
+
+
 def test_validate_failure_exit_code(capsys, monkeypatch):
-    import beamshare.cli as cli_mod
+    from beamshare import validation
     from beamshare.validation import CheckResult
 
     monkeypatch.setitem(
-        cli_mod.SUITES, "zf", lambda seed: [CheckResult("zf.forced", False, "boom")]
+        validation.SUITES, "zf", lambda seed: [CheckResult("zf.forced", False, "boom")]
     )
     assert main(["validate", "zf"]) == 1
     out = capsys.readouterr().out

@@ -107,16 +107,18 @@ def test_rate_scheme1_secondary_zero_and_coherence():
 def test_rate_primary_values():
     # selection's split on h=(2,1), g=(1,1), rho=10: both legacy rates are 1
     alpha_p, alpha_s = np.array([0.55, 0.1]), np.array([0.45, 0.0])
-    rates = primary_rates([1.0, 1.0], alpha_p, alpha_s, (0,), 10.0)
+    rates = primary_rates([1.0, 1.0], alpha_p, alpha_s, [True, False], 10.0)
     assert rates.tolist() == pytest.approx([1.0, 1.0])
     # with no secondary power the chosen-beam formula reduces to the legacy one
-    quiet = primary_rates([1.7, 1.7], np.array([0.3, 0.3]), np.zeros(2), (0,), 10.0)
+    quiet = primary_rates(
+        [1.7, 1.7], np.array([0.3, 0.3]), np.zeros(2), [True, False], 10.0
+    )
     assert quiet[0] == pytest.approx(quiet[1], abs=1e-12)
 
 
 def test_primary_rates_marks_the_active_set():
     alpha_p, alpha_s = np.array([0.55, 0.1, 0.3]), np.array([0.45, 0.0, 0.0])
-    got = primary_rates([1.0, 1.0, 2.0], alpha_p, alpha_s, (0,), 10.0)
+    got = primary_rates([1.0, 1.0, 2.0], alpha_p, alpha_s, [True, False, False], 10.0)
     assert got.tolist() == [
         math.log2(1.0 + 1.0 * 0.55 / (1.0 * 0.45 + 1.0 / 10.0)),
         math.log2(1.0 + 1.0 * 0.1 * 10.0),

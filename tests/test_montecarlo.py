@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -171,21 +172,73 @@ def test_estimate_draws_each_channel_once(monkeypatch):
     assert stacks == [(7, 2, 2)]
 
 
-def test_every_cell_goes_through_run_trial_with_the_shared_draw(monkeypatch):
+def test_every_scheme2_cell_goes_through_run_trial_with_the_shared_draw(monkeypatch):
     cells = []
 
     def recording(cfg, seed, schemes, strategy, chan=None):
-        cells.append((cfg.rho, seed.trial_index, chan))
+        cells.append((cfg.rho, seed.trial_index, schemes, chan))
         return run_trial(cfg, seed, schemes, strategy, chan)
 
-    spec = _spec(trials=5, schemes=("selection", "scheme1"))
+    spec = _spec(trials=5, schemes=SCHEMES)
     expected = estimate(spec)
     monkeypatch.setattr(montecarlo, "run_trial", recording)
     assert estimate(spec) == expected
-    assert len(cells) == 5 * 2 == len({(rho, t) for rho, t, _ in cells})
+    # selection and scheme 1 are scored as arrays, scheme 2 cell by cell
+    assert len(cells) == 5 * 2 == len({(rho, t) for rho, t, _, _ in cells})
+    assert {schemes for _, _, schemes, _ in cells} == {("scheme2",)}
     # both SNR points of a trial are evaluated on one draw object
-    for rho, t, chan in cells:
-        assert chan is cells[2 * t][2] is not None
+    draws = {}
+    for _, t, _, chan in cells:
+        assert chan is draws.setdefault(t, chan) is not None
+
+
+@pytest.mark.parametrize("m_beams", range(1, 9))
+def test_array_cells_equal_run_trial_records(m_beams):
+    # every metric of every (SNR point, scheme, trial) cell of a block, bit
+    # for bit, against run_trial on its own draw; r_p = 1 fails SIC often
+    spec = _spec(
+        n_antennas=m_beams + m_beams % 3,
+        m_beams=m_beams,
+        r_p=(0.1, 1.0)[m_beams % 2],
+        snr_grid_db=(-30.0, -15.0, 0.0, 10.0, 20.0, 35.0, 60.0),
+        schemes=("selection", "scheme1"),
+        trials=12,
+        seed=40 + m_beams,
+    )
+    records = [
+        [
+            run_trial(cfg, TrialSeed(spec.seed, t), spec.schemes, "prefixes")
+            for t in range(spec.trials)
+        ]
+        for cfg in map(spec.config_at, spec.snr_grid_db)
+    ]
+    for field, metric in enumerate(montecarlo.METRICS):
+        values, resamples = montecarlo._run_block(
+            (dataclasses.replace(spec, metric=metric), range(spec.trials))
+        )
+        want = [
+            [[cell[k][field] for cell in row] for k in range(len(spec.schemes))]
+            for row in records
+        ]
+        assert values.tobytes() == np.array(want, dtype=float).tobytes(), metric
+        assert resamples == sum(row[0][-1] for row in records[0])
+
+
+@pytest.mark.parametrize("m_beams", [2, 4])
+def test_scheme2_dominates_selection_on_every_block_cell(m_beams):
+    spec = _spec(
+        n_antennas=m_beams,
+        m_beams=m_beams,
+        snr_grid_db=(0.0, 10.0, 20.0, 30.0, 40.0),
+        schemes=("selection", "scheme2"),
+        metric="ergodic_rate",
+        trials=64,
+        seed=11,
+    )
+    values, _ = montecarlo._run_block((spec, range(spec.trials)))
+    selection, scheme2 = values[:, 0], values[:, 1]
+    assert np.all(scheme2 >= selection)
+    assert np.any(scheme2 > selection)
 
 
 def test_estimate_starts_one_pool(monkeypatch):

@@ -21,6 +21,8 @@ from beamshare.beam_aggregation import (
     min_primary_power,
     solve_problem4,
 )
+from beamshare.beam_aggregation import evaluate_scheme1_block
+from beamshare.beam_selection import evaluate_selection_block
 from beamshare.montecarlo import METRICS, SCHEMES, SweepSpec, _run_block
 from beamshare.validation import (
     bisection_reference,
@@ -150,3 +152,117 @@ def test_records_do_not_depend_on_the_block_split(
     assert whole.shape == (3, 3, 24)
     assert split.tobytes() == whole.tobytes()
     assert sum(r for _, r in parts) == resamples
+
+
+def _scalar_selection(g, h, rho, r_p, r_s):
+    """Selection on one cell as scalar Python floats, with max, min and
+    math.log2: (outage, rate, raw rate, min primary rate, chosen beam)."""
+    eps_p = 2.0 ** r_p - 1.0
+    beams = range(len(g))
+    base = [min(1.0, eps_p / (rho * g_m)) for g_m in g]
+    taus, caps, gammas = [], [], []
+    for m in beams:
+        acc = 0.0
+        for j in beams:
+            if j != m:
+                acc += h[j] * base[j]
+        taus.append(acc + 1.0 / rho)
+        eta = eps_p * (g[m] + 1.0 / rho) / (g[m] * (1.0 + eps_p))
+        if h[m] <= 0.0:
+            caps.append(0.0)
+        else:
+            cap_sic = (h[m] - eps_p * taus[m]) / ((1.0 + eps_p) * h[m])
+            caps.append(min(max(0.0, 1.0 - eta), max(0.0, cap_sic)))
+        gammas.append(h[m] * caps[m] / taus[m])
+    best = max(beams, key=lambda m: (gammas[m], -m))
+    h_b, a_s = h[best], caps[best]
+    decode = math.log2(1.0 + h_b * (1.0 - a_s) / (h_b * a_s + taus[best]))
+    sic_ok = decode >= r_p - 1e-12
+    rate = math.log2(1.0 + gammas[best])
+    primary = [
+        g[m] * (1.0 - a_s) / (g[m] * a_s + 1.0 / rho) if m == best
+        else g[m] * base[m] * rho
+        for m in beams
+    ]
+    return (
+        not (sic_ok and rate >= r_s),
+        rate if sic_ok else 0.0,
+        rate,
+        min(math.log2(1.0 + x) for x in primary),
+        best,
+    )
+
+
+def _scalar_scheme1(g, h, rho, r_p, r_s):
+    """Scheme 1 on one cell as scalar Python floats: (outage, rate, raw
+    rate, min primary rate)."""
+    eps_p = 2.0 ** r_p - 1.0
+    alpha_p = [
+        min(1.0, eps_p * (g_m + 1.0 / rho) / (g_m * (1.0 + eps_p))) for g_m in g
+    ]
+    t, acc = 0.0, 0.0
+    for h_m, a_p in zip(h, alpha_p):
+        t += math.sqrt(h_m * (1.0 - a_p))
+    for h_m, a_p in zip(h, alpha_p):
+        acc += h_m * a_p
+    rate = math.log2(1.0 + t * t / (acc + 1.0 / rho))
+    primary = [
+        g_m * a_p / (g_m * (1.0 - a_p) + 1.0 / rho) for g_m, a_p in zip(g, alpha_p)
+    ]
+    return rate < r_s, rate, rate, min(math.log2(1.0 + x) for x in primary)
+
+
+_GAIN = st.floats(min_value=1e-3, max_value=30.0)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    m_beams=st.integers(min_value=1, max_value=8),
+    trials=st.integers(min_value=1, max_value=5),
+    snr_db=st.lists(
+        st.floats(min_value=-30.0, max_value=60.0), min_size=1, max_size=4
+    ),
+    targets=st.sampled_from([(0.1, 1.0), (1e-9, 0.0), (1.0, 1.0), (8.0, 8.0)]),
+    data=st.data(),
+)
+def test_array_pass_equals_the_scalar_evaluation(
+    m_beams, trials, snr_db, targets, data
+):
+    # random gains, among them h = 0 beams and beams with the same (g, h) as
+    # beam 0, whose gammas tie with it exactly; SIC fails at r_p = 1 and 8
+    size = m_beams * trials
+    g = data.draw(st.lists(_GAIN, min_size=size, max_size=size))
+    h = data.draw(
+        st.lists(st.one_of(st.just(0.0), _GAIN), min_size=size, max_size=size)
+    )
+    g_gain = np.array(g).reshape(m_beams, trials)
+    h_gain = np.array(h).reshape(m_beams, trials)
+    for m in data.draw(st.sets(st.integers(1, 7))):
+        if m < m_beams:
+            g_gain[m], h_gain[m] = g_gain[0], h_gain[0]
+    r_p, r_s = targets
+    cfgs = [SystemConfig(m_beams, m_beams, 10.0 ** (x / 10.0), r_p, r_s) for x in snr_db]
+    sel = evaluate_selection_block(g_gain, h_gain, cfgs)
+    s1 = evaluate_scheme1_block(g_gain, h_gain, cfgs)
+    sel_primary = sel.primary_rates.min(axis=0)
+    s1_primary = s1.primary_rates.min(axis=0)
+    for i, cfg in enumerate(cfgs):
+        for t in range(trials):
+            g_t, h_t = g_gain[:, t].tolist(), h_gain[:, t].tolist()
+            want = _scalar_selection(g_t, h_t, cfg.rho, r_p, r_s)
+            got = (
+                bool(sel.outage[i, t]),
+                float(sel.secondary_rate[i, t]),
+                float(sel.secondary_rate_raw[i, t]),
+                float(sel_primary[i, t]),
+                int(np.flatnonzero(sel.chosen[:, i, t])[0]),
+            )
+            assert repr(got) == repr(want), (cfg, t)
+            want = _scalar_scheme1(g_t, h_t, cfg.rho, r_p, r_s)
+            got = (
+                bool(s1.outage[i, t]),
+                float(s1.secondary_rate[i, t]),
+                float(s1.secondary_rate_raw[i, t]),
+                float(s1_primary[i, t]),
+            )
+            assert repr(got) == repr(want), (cfg, t)
