@@ -1,34 +1,21 @@
 """Multi-beam secondary access: direct decoding and the SIC-chain variant.
 
-Two aggregation modes are evaluated per channel draw:
-
-* scheme 1 -- the secondary user combines its signal coherently over the
-  active beams and decodes directly, treating every primary signal as
-  noise; coefficients are closed-form.
-* scheme 2 -- the secondary user first decodes and cancels the primary
-  signals on its beams (strongest first), so the power split must let BOTH
-  the legacy receiver and the secondary receiver decode each primary
-  signal.  Maximizing the secondary rate is a concave program after the
-  substitution x_m = sqrt(alpha_s_m); it is solved here by bisection on
-  the aggregate amplitude t = sum sqrt(h_m) x_m.
-
-The bisection works because for fixed t the componentwise-minimal feasible
-alpha_p exists (each decode constraint involves only later beams and t, so
-a backward sweep gives it), and the resulting power headroom
-
-    cap(t) = sum over the set of sqrt(h_m (1 - alpha_p_m(t)))
-
-is nonincreasing in t.  The optimum is the largest t with cap(t) >= t.
-A brute-force grid oracle and an independent constraint certifier are kept
-alongside the solver to cross-check it.
-
-Scheme 2 does not solve every candidate set.  It visits them in
-descending order of a bound that needs neither a sweep nor a candidate
-object and drops, with one sweep at most, each set whose rate provably
-ranks below the best set solved so far (see evaluate_scheme2); the winner
-is the one an exhaustive search picks, bit for bit.  Nor does a solve
-sweep every bisection midpoint: a root bracket decides all but the few
-inside it (see solve_problem4).
+Both are evaluated on every (SNR point, trial) cell of a block of draws.
+Scheme 1 combines the secondary signal coherently over every beam and
+decodes directly, treating every primary signal as noise; its split is
+closed-form.  Scheme 2 first decodes and cancels the primary signals on its
+beams (strongest first), so the split must let both the legacy receiver
+and the secondary receiver decode each primary signal.  Maximizing the
+secondary rate is then a concave program in x_m = sqrt(alpha_s_m), solved
+by bisection on the aggregate amplitude t = sum sqrt(h_m) x_m: for fixed t
+a backward sweep gives the least feasible alpha_p (each decode constraint
+involves only later beams and t), and the headroom cap(t) = sum over the
+set of sqrt(h_m (1 - alpha_p_m(t))) is nonincreasing in t, so the optimum
+is the largest t with cap(t) >= t.  A block's sets are solved as lanes of
+one lockstep bisection whose floats are those of the scalar solve_problem4,
+after a pruned visit that keeps the exhaustive winner bit for bit (see
+evaluate_scheme2_block).  A grid oracle and an independent constraint
+certifier cross-check the solver.
 """
 
 from __future__ import annotations
@@ -36,9 +23,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -65,18 +51,18 @@ __all__ = [
     "evaluate_scheme1",
     "evaluate_scheme1_block",
     "evaluate_scheme2",
+    "evaluate_scheme2_block",
 ]
 
 STRATEGIES = ("prefixes", "prefixes_plus_singletons", "all_subsets")
 
 _BISECT_MAX_ITER = 200
-# width of the root bracket the bisection replay decides its midpoints by,
-# relative to 1 + sum sqrt(h_m) (see solve_problem4)
-_BRACKET_WIDTH = 1e-13
-# relative margin of scheme 2's set pruning bounds (see evaluate_scheme2)
+# relative margin of scheme 2's set pruning bounds (see evaluate_scheme2_block)
 _PRUNE_MARGIN = 1e-9
-# relative slack of the weakest-beam edge (see evaluate_scheme2)
+# relative slack of the weakest-beam edge (see evaluate_scheme2_block)
 _EDGE_SLACK = 1e-12
+# multi-beam sets a cell takes per round of scheme 2's search
+_ROUND = 8
 ALL_SUBSETS_MAX_BEAMS = 8
 
 
@@ -119,132 +105,204 @@ class Problem4Solution:
 
 
 @functools.lru_cache(maxsize=None)
-def _rank_masks(strategy: str, m_beams: int) -> tuple[int, ...]:
-    """The strategy's beam sets in enumeration order, as rank masks: bit r
-    stands for the r-th strongest beam."""
+def _layout(strategy: str, m_beams: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strategy's beam sets in enumeration order, as (set, rank)
+    membership, rank r being the r-th strongest beam, and as their ranks,
+    ascending and right-aligned in m_beams slots, -1 in the slots before."""
     if strategy == "all_subsets":
-        return tuple(
-            sum(1 << r for r in ranks)
+        sets = [
+            ranks
             for size in range(1, m_beams + 1)
             for ranks in itertools.combinations(range(m_beams), size)
-        )
-    masks = [(1 << k) - 1 for k in range(1, m_beams + 1)]
-    if strategy == "prefixes_plus_singletons":
-        masks.extend(1 << r for r in range(m_beams))
-    return tuple(dict.fromkeys(masks))
+        ]
+    else:
+        sets = [tuple(range(k)) for k in range(1, m_beams + 1)]
+        if strategy == "prefixes_plus_singletons":
+            sets = list(dict.fromkeys(sets + [(r,) for r in range(m_beams)]))
+    members = np.zeros((len(sets), m_beams), dtype=bool)
+    slots = np.full(members.shape, -1)
+    for i, ranks in enumerate(sets):
+        members[i, list(ranks)] = True
+        slots[i, m_beams - len(ranks) :] = ranks
+    members.flags.writeable = slots.flags.writeable = False
+    return members, slots
 
 
-@functools.lru_cache(maxsize=None)
-def _subset_axis(m_beams: int) -> tuple[np.ndarray, np.ndarray]:
-    """The all_subsets rank masks in enumeration order, and their top bits."""
-    masks = _rank_masks("all_subsets", m_beams)
-    return np.array(masks), np.array([mask.bit_length() - 1 for mask in masks])
+class _SetTable:
+    """A block's candidate sets on each of its (SNR point, trial) cells,
+    with each (set, cell) pair's tau_d and bound SNR as (set, cell) arrays.
 
-
-class _BeamSets:
-    """A draw's candidate sets as rank masks, with each set's tau_d, its
-    bound B = sum sqrt(h_k (1 - eta_k)) and the visit order of
-    evaluate_scheme2, but no AggregationCandidate until one is asked for.
-
-    Every sum repeats the float additions of tau() and of the sequential
-    sum in candidate order (descending h), so the values are bit for bit
-    those of the built candidates.  Under all_subsets both come from the
-    subset lattice, as arrays over the candidate axis: the sum over a mask
-    is the sum over the mask without its top bit plus the top term, over
-    index masks for tau_d and over rank masks for B; both stay arrays
-    indexed by rank mask, and a set's tau_d is read only when its candidate
-    is built.  Otherwise they are dicts keyed by mask.  visits yields, once,
-    the (min(B^2, edge) / tau_d, mask) pairs of evaluate_scheme2's visit,
-    in descending bound, ties in enumeration order; sets with a beam of
-    eta > 1 or an edge below 0 fit no alpha_p and are left out.
+    Cell c is trial c % T at SNR point c // T; h and etas are rank-major
+    (M, C), rank r being the cell's r-th strongest beam (descending h, ties
+    by index).  tau_d sums the beams outside the set in ascending index
+    order, plus 1/rho, as tau() does; B = sum sqrt(h_k (1 - eta_k)) sums
+    the set's ranks in ascending order, as a sequential sum in candidate
+    order does, and is nan for a set with a beam of eta > 1.  Both are
+    built over all sets at once, a beam outside a sum left out as adding
+    0.0 would, so every float is the scalar sum's.  snr = min(B^2, edge) /
+    tau_d (see evaluate_scheme2_block) is below 0 or nan for a set that
+    fits no alpha_p.
     """
 
-    def __init__(self, chan: ChannelRealization, cfg: SystemConfig, strategy: str):
+    def __init__(self, g_gain, h_gain, cfgs: Sequence[SystemConfig], strategy: str):
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
-        m_beams = cfg.m_beams
+        m_beams, trials = h_gain.shape
         if strategy == "all_subsets" and m_beams > ALL_SUBSETS_MAX_BEAMS:
             raise ValueError(
                 f"all_subsets enumeration is limited to {ALL_SUBSETS_MAX_BEAMS} beams"
             )
-        h_gain = chan.h_gain.tolist()
-        g_gain = chan.g_gain.tolist()
-        order = sorted(range(m_beams), key=lambda i: (-h_gain[i], i))
-        base_ap = mode_i_alpha_p(chan.g_gain, cfg.rho, cfg.eps_p).tolist()
-        etas = [eta(g, cfg.rho, cfg.eps_p) for g in g_gain]
-        self.order, self.eps_p = order, cfg.eps_p
-        self.h = [h_gain[b] for b in order]
-        self.etas = [etas[b] for b in order]
-        self.masks = _rank_masks(strategy, m_beams)
-        # rank bits of the beams no candidate containing them can use
-        self.infeasible = sum(1 << r for r, e in enumerate(self.etas) if e > 1.0)
-        # B's terms; nan marks an infeasible beam and stays nan in every sum
-        terms = [
-            math.sqrt(h_r * (1.0 - e_r)) if e_r <= 1.0 else math.nan
-            for h_r, e_r in zip(self.h, self.etas)
-        ]
+        eps_p = self.eps_p = cfgs[0].eps_p
+        self.members, self.slots = _layout(strategy, m_beams)
+        self.trial = np.tile(np.arange(trials), len(cfgs))
+        rho = np.repeat([c.rho for c in cfgs], trials)
+        self.order = np.argsort(-h_gain, axis=0, kind="stable")
+        by_rank = self.order[:, self.trial]
+        g = g_gain[:, self.trial]
+        self.base_ap = mode_i_alpha_p(g, rho, eps_p)
+        self.h = np.take_along_axis(h_gain[:, self.trial], by_rank, 0)
+        self.etas = np.take_along_axis(eta(g, rho, eps_p), by_rank, 0)
+        weights = h_gain[:, self.trial] * self.base_ap
+        rank_of = np.argsort(by_rank, axis=0)
+        self.tau_d = np.zeros((len(self.slots), len(rho)))
+        for j in range(m_beams):
+            outside = ~self.members[:, rank_of[j]]
+            np.add(self.tau_d, weights[j], out=self.tau_d, where=outside)
+        self.tau_d += 1.0 / rho
+        snr = self.power_bound()
+        snr *= snr
         # edge + tau_d per rank, the slack relative to h_last / eps_p; a
         # tiny r_p rounds eps_p to 0, and then no beam has an edge
-        reach = [
-            h_r / cfg.eps_p * (1.0 + _EDGE_SLACK) if cfg.eps_p > 0.0 else math.inf
-            for h_r in self.h
-        ]
-        if strategy == "all_subsets":
-            # one doubling per beam: the sums of h alpha_p over index masks,
-            # and B and the index mask itself (exact) over rank masks
-            weights = [h_gain[j] * base_ap[j] for j in range(m_beams)]
-            steps = np.array([weights, terms, [1 << b for b in order]], dtype=float)
-            lattice = np.zeros((3, 1))
-            for step in steps.T[:, :, None]:
-                lattice = np.concatenate([lattice, lattice + step], axis=1)
-            inside, bound, index = lattice
-            # reversed, the sum over an index mask is that over its complement
-            tau_d = inside[::-1][index.astype(np.intp)] + 1.0 / cfg.rho
-            self.tau_d, self.bound = tau_d, bound
-            masks, top = _subset_axis(m_beams)
-            tau_d, bound = tau_d[masks], bound[masks]
-            edge = np.array(reach)[top] - tau_d
-            snr = np.minimum(bound * bound, edge) / tau_d
-            keep = snr >= 0.0  # false at an edge below 0, and at nan
-            snr, masks = snr[keep], masks[keep]
-            by_bound = np.argsort(-snr, kind="stable")
-            self.visits = zip(snr[by_bound].tolist(), masks[by_bound].tolist())
+        if eps_p > 0.0:
+            reach = self.h / eps_p * (1.0 + _EDGE_SLACK)
         else:
-            self.tau_d, self.bound = {}, {}
-            visits = []
-            for mask in self.masks:
-                pick = _picker(mask)
-                tau_d = self.tau_d[mask] = tau(pick(order), h_gain, base_ap, cfg.rho)
-                acc = 0.0
-                for w in pick(terms):
-                    acc += w
-                self.bound[mask] = acc
-                edge = reach[mask.bit_length() - 1] - tau_d
-                if not mask & self.infeasible and edge >= 0.0:
-                    visits.append((min(acc * acc, edge) / tau_d, mask))
-            self.visits = sorted(visits, key=lambda v: -v[0])
+            reach = np.full(self.h.shape, np.inf)
+        edge = reach[self.slots[:, -1]]
+        edge -= self.tau_d
+        np.minimum(snr, edge, out=snr)
+        snr /= self.tau_d
+        self.snr = snr
 
-    def candidate(self, mask: int) -> AggregationCandidate:
-        pick = _picker(mask)
+    def power_bound(self) -> np.ndarray:
+        """B of every (set, cell) pair; nan for a set with a beam of eta > 1."""
+        with np.errstate(invalid="ignore"):
+            terms = np.sqrt(self.h * (1.0 - self.etas))
+        terms[self.etas > 1.0] = np.nan
+        bound = np.zeros(self.tau_d.shape)
+        for r, term in enumerate(terms):
+            np.add(bound, term, out=bound, where=self.members[:, r, None])
+        return bound
+
+    def beams(self, i: int, c: int) -> tuple[int, ...]:
+        """Set i's beam indices at cell c, in candidate order."""
+        ranks = self.slots[i][self.slots[i] >= 0]
+        return tuple(self.order[ranks, self.trial[c]].tolist())
+
+    def candidate(self, i: int, c: int) -> AggregationCandidate:
+        ranks = self.slots[i][self.slots[i] >= 0]
         return AggregationCandidate(
-            beams=pick(self.order),
-            h=pick(self.h),
-            etas=pick(self.etas),
-            tau_d=float(self.tau_d[mask]),
+            beams=self.beams(i, c),
+            h=tuple(self.h[ranks, c].tolist()),
+            etas=tuple(self.etas[ranks, c].tolist()),
+            tau_d=self.tau_d[i, c].item(),
             eps_p=self.eps_p,
         )
 
 
-# one entry per mask in use: at most 255 under all_subsets, 2M otherwise
-@functools.lru_cache(maxsize=None)
-def _picker(mask: int) -> Callable[[Sequence], tuple]:
-    """Picks the items of a sequence at the set bits of mask, as a tuple."""
-    ranks = [r for r in range(mask.bit_length()) if mask >> r & 1]
-    if len(ranks) == 1:
-        return lambda seq, r=ranks[0]: (seq[r],)
-    return operator.itemgetter(*ranks)
+_quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
+class _Lanes:
+    """Scheme 2 programs as arrays, one lane per (set, cell) pair.
+
+    Slot k of a lane holds a beam of its set, in candidate order and
+    right-aligned: a set of s beams fills slots M - s to M - 1.  The lanes
+    are kept by descending size, so those with a beam in slot k are a
+    prefix, of length n[k], and each step over slot k runs on that prefix
+    alone.  So each lane's floats are those of min_primary_power, _cap
+    and solve_problem4 on its candidate, in their order, every sum
+    starting from 0.0.  Arguments and results are in the caller's lane
+    order.
+    """
+
+    def __init__(self, table: _SetTable, sets: np.ndarray, cells: np.ndarray):
+        """The lanes of the (sets[l], cells[l]) pairs of the table."""
+        sizes = table.members.sum(axis=1)[sets]
+        self.perm = np.argsort(-sizes, kind="stable")
+        self.back = np.argsort(self.perm)  # sorted lanes back to the caller's
+        sets, cells = sets[self.perm], cells[self.perm]
+        ranks = table.slots[sets].T
+        self.h, self.etas = table.h[ranks, cells], table.etas[ranks, cells]
+        self.tau, self.eps_p = table.tau_d[sets, cells], table.eps_p
+        self.tau_d = self.tau[self.back]
+        m_beams = len(ranks)
+        self.n = [int(np.count_nonzero(sizes >= m_beams - k)) for k in range(m_beams)]
+
+    def _sweep(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """min_primary_power at each lane's t: alpha_p, and where it fits."""
+        u = t * t
+        acc = np.zeros(t.shape)
+        fails = np.zeros(t.shape, dtype=bool)
+        alpha_p = np.empty(self.h.shape)
+        for k in range(len(self.h) - 1, -1, -1):
+            n, h_k = self.n[k], self.h[k, : self.n[k]]
+            required = acc[:n] + u[:n]
+            required += self.tau[:n]
+            required *= self.eps_p
+            a = np.divide(required, h_k, out=alpha_p[k, :n])
+            np.maximum(self.etas[k, :n], a, out=a)
+            fails[:n] |= required > h_k
+            fails[:n] |= a > 1.0
+            acc[:n] += h_k * a
+        return alpha_p, ~fails
+
+    def _cap(self, alpha_p: np.ndarray) -> np.ndarray:
+        acc = np.zeros(self.tau.shape)
+        for k, n in enumerate(self.n):
+            acc[:n] += np.sqrt(self.h[k, :n] * (1.0 - alpha_p[k, :n]))
+        return acc
+
+    def _holds(self, t: np.ndarray) -> np.ndarray:
+        """The bisection's test: some alpha_p fits at t and cap(t) >= t."""
+        alpha_p, fits = self._sweep(t)
+        return fits & (self._cap(alpha_p) >= t)
+
+    # a lane that stops fitting goes on with values nothing reads, so the
+    # steps below silence numpy's warnings about them
+    @_quiet
+    def holds(self, t: np.ndarray) -> np.ndarray:
+        return self._holds(t[self.perm])[self.back]
+
+    @_quiet
+    def solve(self) -> tuple[np.ndarray, int]:
+        """Each lane's t*, nan where no alpha_p fits at t = 0, and the
+        lockstep iterations: solve_problem4's bisection on every lane at
+        once, a lane taking no step once hi - lo <= its tolerance."""
+        hi = self._cap(np.zeros(self.h.shape))  # sum sqrt(h_m)
+        feasible = self._sweep(np.zeros(hi.shape))[1]
+        tol = 1e-10 * (1.0 + hi)
+        lo = np.zeros(hi.shape)
+        hi = np.where(feasible, hi, 0.0)
+        steps = 0
+        while steps < _BISECT_MAX_ITER and (open_ := ~(hi - lo <= tol)).any():
+            steps += 1
+            mid = 0.5 * (lo + hi)
+            up = self._holds(mid)
+            lo, hi = np.where(open_ & up, mid, lo), np.where(open_ & ~up, mid, hi)
+        return np.where(feasible, lo, np.nan)[self.back], steps
+
+    @_quiet
+    def split(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """alpha_p and x at each lane's t*, as _solution has them; slots
+        without a beam hold values nothing reads."""
+        t = t[self.perm]
+        alpha_p, _ = self._sweep(t)
+        cap = self._cap(alpha_p)
+        scale = np.where(cap > 0.0, t / np.where(cap > 0.0, cap, 1.0), 0.0)
+        x = np.sqrt(1.0 - alpha_p) * scale
+        return alpha_p[:, self.back], x[:, self.back]
 
 
 def enumerate_candidates(
@@ -259,8 +317,8 @@ def enumerate_candidates(
     Every set is ordered by descending h_gain (ties by index); infeasible
     candidates are still listed.
     """
-    sets = _BeamSets(chan, cfg, strategy)
-    return [sets.candidate(mask) for mask in sets.masks]
+    table = _SetTable(chan.g_gain[:, None], chan.h_gain[:, None], [cfg], strategy)
+    return [table.candidate(i, 0) for i in range(len(table.slots))]
 
 
 def min_primary_power(
@@ -304,154 +362,68 @@ def _infeasible() -> Problem4Solution:
     return Problem4Solution((), (), 0.0, 0.0, "infeasible")
 
 
+def _singleton(h, etas, tau_d, eps_p: float):
+    """The fixed point on a single beam, elementwise over floats or arrays:
+    alpha_s is the smaller of the QoS and SIC caps, exactly as in
+    single-beam selection.  Returns where it fits, u = h alpha_s = t*^2,
+    alpha_p and alpha_s."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fits = np.logical_not(h <= 0.0) & np.logical_not(eps_p * tau_d > h)
+        alpha_s = alpha_s_cap(h, etas, tau_d, eps_p)
+        u = h * alpha_s
+        alpha_p = np.minimum(1.0, np.maximum(etas, eps_p * (u + tau_d) / h))
+    return fits, u, alpha_p, alpha_s
+
+
 def _solve_singleton(candidate: AggregationCandidate) -> Problem4Solution:
-    # The fixed point has a closed form on a single beam: alpha_s is the
-    # smaller of the QoS and SIC caps, exactly as in single-beam selection.
-    (h_m,), eps_p = candidate.h, candidate.eps_p
-    if h_m <= 0.0 or eps_p * candidate.tau_d > h_m:
+    (h,), (etas,), tau_d = candidate.h, candidate.etas, candidate.tau_d
+    fits, u, alpha_p, alpha_s = _singleton(h, etas, tau_d, candidate.eps_p)
+    if not fits:
         return _infeasible()
-    alpha_s = float(alpha_s_cap(h_m, candidate.etas[0], candidate.tau_d, eps_p))
-    u = h_m * alpha_s
-    alpha_p = min(1.0, max(candidate.etas[0], eps_p * (u + candidate.tau_d) / h_m))
     return Problem4Solution(
-        alpha_p=(alpha_p,),
+        alpha_p=(float(alpha_p),),
         x=(math.sqrt(alpha_s),),
         t_star=math.sqrt(u),
-        objective_rate=math.log2(1.0 + u / candidate.tau_d),
+        objective_rate=math.log2(1.0 + u / tau_d),
         status="optimal",
     )
-
-
-def _step_from_below(
-    candidate: AggregationCandidate, t: float, alpha_p: list[float]
-) -> float:
-    """An estimate, never below the root in exact arithmetic, of the largest
-    t with cap(t) >= t, from the sweep alpha_p at a t below it.
-
-    It is the least of the Newton step on cap(t) - t and, for each beam
-    whose decode constraint binds, the amplitude at which its alpha_p
-    reaches 1 if it keeps growing linearly in t^2.  Each alpha_p_k is
-    convex and piecewise linear in t^2 and cap is concave in t, so both
-    tangents overshoot; the second finds the edge where no alpha_p fits,
-    which the first cannot see.
-    """
-    h, etas, eps_p = candidate.h, candidate.etas, candidate.eps_p
-    u = t * t
-    tail = 0.0  # d/du of sum of h_j alpha_p_j over the later beams
-    slope = 0.0  # -d cap / du
-    cap = 0.0
-    edge = math.inf
-    for k in range(len(h) - 1, -1, -1):
-        a = alpha_p[k]
-        root = math.sqrt(h[k] * (1.0 - a))
-        cap += root
-        if a > etas[k]:  # the decode constraint binds, not the QoS floor
-            d = eps_p * (tail + 1.0) / h[k]
-            tail += h[k] * d
-            slope = slope + h[k] * d / (2.0 * root) if root > 0.0 else math.inf
-            edge = min(edge, math.sqrt(u + (1.0 - a) / d))
-    newton = t + (cap - t) / (1.0 + 2.0 * t * slope) if slope < math.inf else t
-    return min(newton, edge)
-
-
-def _bracket(
-    candidate: AggregationCandidate, alpha_p0: list[float], hi: float
-) -> tuple[float, list[float], float]:
-    """(lo, alpha_p at lo, up) around the largest t in [0, hi] with
-    cap(t) >= t, up - lo <= 1e-13 (1 + hi): cap(lo) >= lo, and at up
-    either no alpha_p fits, or cap(up) < up, or up = hi.
-
-    A safeguarded Illinois iteration on f(t) = cap(t) - t: regula falsi
-    while both ends have a value of f, halving the value of the end that
-    stayed put while the other moved twice in a row.  While the upper end
-    has no value, the step is _step_from_below from lo; if that lands on
-    the upper end again, the root is the edge where alpha_p reaches 1, and
-    the next probe is just below it.  The first step, and every step after
-    two that did not halve the bracket, is a plain halving.  Probes keep a
-    quarter of the target width from both ends.
-    """
-    h = candidate.h
-    width = _BRACKET_WIDTH * (1.0 + hi)
-    gap = 0.25 * width
-    lo, alpha_p, f_lo = 0.0, alpha_p0, _cap(alpha_p0, h)
-    up, f_up = hi, None
-    moved = 0  # the end the last step moved: -1 lo, 1 up
-    two_ago = one_ago = hi
-    while up - lo > width:
-        if up - lo > 0.5 * two_ago:
-            t = 0.5 * (lo + up)
-        elif f_up is not None:
-            t = lo + (up - lo) * f_lo / (f_lo - f_up)
-        else:
-            t = _step_from_below(candidate, lo, alpha_p)
-            if t >= up - gap:
-                t = up - gap if t <= up + gap else 0.5 * (lo + up)
-        t = min(max(t, lo + gap), up - gap)
-        two_ago, one_ago = one_ago, up - lo
-        ap = min_primary_power(candidate, t)
-        cap = None if ap is None else _cap(ap, h)
-        if cap is not None and cap >= t:  # the bisection's own test
-            if moved == -1 and f_up is not None:
-                f_up *= 0.5
-            lo, alpha_p, f_lo, moved = t, ap, cap - t, -1
-        else:
-            if moved == 1 and cap is not None:
-                f_lo *= 0.5
-            up, f_up, moved = t, None if cap is None else cap - t, 1
-    return lo, alpha_p, up
 
 
 def solve_problem4(candidate: AggregationCandidate) -> Problem4Solution:
     """Maximize the secondary rate over the candidate set.
 
-    Singleton sets use the closed-form fixed point.  Larger sets return the
-    t* of bisecting on t over [0, sum sqrt(h_m)] to absolute tolerance
-    1e-10 (1 + sum sqrt(h_m)), keeping the midpoint when cap(t) >= t.  The
-    float test cap(t) >= t is monotone in t, so the bisection's path is
-    replayed instead of swept: _bracket first closes in on the root to
-    1e-13 (1 + sum sqrt(h_m)), every midpoint outside that bracket is
-    decided by it, and only the midpoints inside are swept.  alpha_p comes
-    from a sweep at the final t*; t*, alpha_p and x are bit for bit those
-    of the plain bisection.  The returned x is rescaled by t*/cap(t*) so
-    the achieved aggregate amplitude equals t* and every box constraint
-    keeps its slack.
+    Singleton sets use the closed-form fixed point.  Larger sets bisect on
+    t over [0, sum sqrt(h_m)] to absolute tolerance 1e-10 (1 + sum
+    sqrt(h_m)), with one min_primary_power sweep per midpoint, keeping the
+    midpoint when some alpha_p fits there and cap(t) >= t; the set is
+    infeasible when no alpha_p fits at t = 0.  alpha_p is the sweep at the
+    final t*, and x is rescaled by t*/cap(t*) so the achieved aggregate
+    amplitude equals t* and every box constraint keeps its slack.  This is
+    the scalar lane of evaluate_scheme2_block's lockstep bisection, and
+    the reference its lanes are checked against bit for bit.
     """
     if not candidate.feasible:
         return _infeasible()
     h = candidate.h
     if len(h) == 1:
         return _solve_singleton(candidate)
-
-    alpha_p0 = min_primary_power(candidate, 0.0)
-    if alpha_p0 is None:
+    alpha_p = min_primary_power(candidate, 0.0)
+    if alpha_p is None:
         return _infeasible()
     hi = 0.0
     for h_k in h:
         hi += math.sqrt(h_k)
-    lo_t, lo_ap, up_t = _bracket(candidate, alpha_p0, hi)
     lo = 0.0
     tol = 1e-10 * (1.0 + hi)
     for _ in range(_BISECT_MAX_ITER):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        # the bracket decides a midpoint outside it; one inside is swept
-        if lo_t < mid < up_t:
-            ap_mid = min_primary_power(candidate, mid)
-            if ap_mid is not None and _cap(ap_mid, h) >= mid:
-                lo_t, lo_ap = mid, ap_mid
-            else:
-                up_t = mid
-        if mid <= lo_t:
-            lo = mid
+        ap_mid = min_primary_power(candidate, mid)
+        if ap_mid is not None and _cap(ap_mid, h) >= mid:
+            lo, alpha_p = mid, ap_mid
         else:
             hi = mid
-    if lo == lo_t:
-        alpha_p = lo_ap
-    elif lo == 0.0:
-        alpha_p = alpha_p0
-    else:
-        alpha_p = min_primary_power(candidate, lo)
     return _solution(candidate, lo, alpha_p)
 
 
@@ -507,8 +479,18 @@ def oracle_grid_solver(
 
     Every grid point x in [0, 1]^d is accepted iff the minimal alpha_p at
     its own aggregate amplitude fits under 1 - x_m^2 componentwise; the best
-    accepted point is returned.  Coordinates provably infeasible already at
-    t = 0 are pruned, which cannot change the optimum.
+    accepted point is returned, the first in C order on a tie.  Coordinates
+    provably infeasible already at t = 0 are pruned, which cannot change
+    the optimum.
+
+    The float test is downward-closed in every coordinate: raising x_k
+    raises t, u = t^2, every alpha_p and the running sum, each by monotone
+    float operations, and lowers 1 - x_k^2.  So for each point of the
+    plane of the leading d - 1 axes, the accepted points of the last axis
+    are a prefix of it, found by a binary search vectorized over the plane;
+    t does not fall along the prefix, so its end holds the plane point's
+    best t, and the grid's best is the first plane point reaching the
+    largest, at the first index of its row reaching it.
     """
     h, eps_p = candidate.h, candidate.eps_p
     d = len(h)
@@ -528,22 +510,14 @@ def oracle_grid_solver(
         axis = np.arange(0.0, 1.0 + 0.5 * resolution, resolution)
         bound = math.sqrt(1.0 - ap0[k])  # alpha_p only grows with t
         axes.append(axis[axis <= bound + 1e-12])
+    lead, last = np.meshgrid(*axes[:-1], indexing="ij"), axes[-1]
 
-    best_t = -1.0
-    best_x: Optional[tuple[float, ...]] = None
+    def amplitude(xs: Sequence) -> np.ndarray:
+        return sum(sqrt_h[k] * xs[k] for k in range(d))
 
-    def scan(block0: np.ndarray) -> None:
-        # block0: slice of the first coordinate axis handled in this chunk
-        nonlocal best_t, best_x
-        coords = [block0] + axes[1:d]
-        shape = [1] * d
-        xs = []
-        for k, vals in enumerate(coords):
-            view = shape.copy()
-            view[k] = len(vals)
-            xs.append(vals.reshape(view))
-        t = sum(sqrt_h[k] * xs[k] for k in range(d))
-        t = np.broadcast_to(t, tuple(len(v) for v in coords)).copy()
+    def accepted(x_last: np.ndarray) -> np.ndarray:
+        xs = [*lead, x_last]
+        t = amplitude(xs)
         u = t * t
         feasible = np.ones(t.shape, dtype=bool)
         acc = np.zeros(t.shape)
@@ -551,27 +525,23 @@ def oracle_grid_solver(
             a = np.maximum(candidate.etas[k], eps_p * (acc + u + candidate.tau_d) / h[k])
             feasible &= a <= 1.0 - xs[k] * xs[k]
             acc += h[k] * a
-        if not feasible.any():
-            return
-        t_masked = np.where(feasible, t, -np.inf)
-        flat = int(np.argmax(t_masked))
-        t_here = float(t_masked.flat[flat])
-        if t_here > best_t:
-            idx = np.unravel_index(flat, t.shape)
-            best_t = t_here
-            best_x = tuple(float(coords[k][idx[k]]) for k in range(d))
+        return feasible
 
-    if d < 3:
-        scan(axes[0])
-    else:
-        # chunk the first axis to bound the 3-beam grid's memory footprint
-        plane = max(1, len(axes[1]) * len(axes[2]))
-        block = max(1, 8_000_000 // plane)
-        for start in range(0, len(axes[0]), block):
-            scan(axes[0][start : start + block])
-
-    if best_x is None:
+    # largest accepted index on the last axis per plane point, -1 for none
+    shape = lead[0].shape if lead else ()
+    lo, hi = np.full(shape, -1), np.full(shape, len(last))
+    while (open_ := hi - lo > 1).any():
+        mid = (lo + hi) // 2  # an index of last (-1 too) where not open
+        ok = accepted(last[mid])
+        lo, hi = np.where(open_ & ok, mid, lo), np.where(open_ & ~ok, mid, hi)
+    if not (lo >= 0).any():
         return _infeasible()
+    t_end = np.where(lo >= 0, amplitude([*lead, last[np.maximum(lo, 0)]]), -np.inf)
+    plane = np.unravel_index(int(np.argmax(t_end)), shape)
+    best_t = float(t_end[plane])
+    at = [x[plane] for x in lead]
+    row = amplitude([*at, last[: lo[plane] + 1]])
+    best_x = (*map(float, at), float(last[int(np.argmax(row == best_t))]))
     alpha_p = min_primary_power(candidate, best_t)
     assert alpha_p is not None
     return Problem4Solution(
@@ -633,64 +603,213 @@ def _key(rate: float, beams: tuple[int, ...]) -> tuple:
     return (-rate, len(beams), tuple(sorted(beams)))
 
 
-def _rate_bound(snr: float) -> float:
+def _rate_bound(snr: np.ndarray) -> np.ndarray:
     """log2(1 + snr) with snr raised by the pruning margin, which covers the
     rounding between a bound and the solver's own t*^2 / tau_d."""
-    return math.log2(1.0 + (1.0 + _PRUNE_MARGIN) * snr)
+    return log2_each(1.0 + (1.0 + _PRUNE_MARGIN) * snr)
 
 
-def _outcome(
-    chan: ChannelRealization,
-    cfg: SystemConfig,
-    best: Optional[tuple[AggregationCandidate, Problem4Solution]],
-) -> SchemeOutcome:
-    """The scheme 2 outcome of the winning (candidate, solution), if any;
-    beams outside the set keep the inactive split."""
-    alpha_p = mode_i_alpha_p(chan.g_gain, cfg.rho, cfg.eps_p)
-    alpha_s = np.zeros(cfg.m_beams)
-    if best is None:
-        chosen: tuple[int, ...] = ()
-        rate = 0.0
-    else:
-        cand, sol = best
-        for k, b in enumerate(cand.beams):
-            alpha_p[b] = sol.alpha_p[k]
-            alpha_s[b] = sol.x[k] * sol.x[k]
-        chosen = tuple(sorted(cand.beams))
-        rate = sol.objective_rate
-    return SchemeOutcome(
-        scheme_tag="scheme2",
-        chosen_set=chosen,
+class _Incumbents:
+    """Each cell's best set so far under _key: its rate (-inf for none),
+    t* and set (-1 for none)."""
+
+    def __init__(self, table: _SetTable):
+        self.table = table
+        self.rate = np.full(len(table.trial), -np.inf)
+        self.t = np.zeros(self.rate.shape)
+        self.set = np.full(self.rate.shape, -1)
+
+    def below(self, rate: float, i: int, c: int) -> bool:
+        """Whether set i at this rate ranks below cell c's incumbent."""
+        if rate != self.rate[c]:
+            return rate < self.rate[c]
+        beams = self.table.beams
+        return _key(rate, beams(i, c)) > _key(rate, beams(self.set[c], c))
+
+    def offer(self, rate: np.ndarray, t: np.ndarray, sets: np.ndarray):
+        """Make set sets[p, c], at rate[p, c] and t*[p, c], cell c's
+        incumbent if it ranks first; rate is -inf where nothing is offered."""
+        best = rate.argmax(axis=0)
+        cells = np.arange(rate.shape[1])
+        top = rate[best, cells]
+        tied = ((rate == top).sum(axis=0) > 1) | (top == self.rate)
+        win = (top > self.rate) & ~tied
+        self.rate[win], self.t[win] = top[win], t[best, cells][win]
+        self.set[win] = sets[best, cells][win]
+        for c in np.flatnonzero(tied & (top > -np.inf)).tolist():
+            for p in np.flatnonzero(rate[:, c] == top[c]).tolist():
+                if not self.below(top[c], sets[p, c], c):
+                    self.rate[c], self.t[c], self.set[c] = top[c], t[p, c], sets[p, c]
+
+
+def evaluate_scheme2_block(
+    g_gain: np.ndarray,
+    h_gain: np.ndarray,
+    cfgs: Sequence[SystemConfig],
+    strategy: str = "prefixes_plus_singletons",
+) -> CellOutcomes:
+    """Evaluate SIC-chain aggregation, with the set chosen by enumeration,
+    on every (SNR point, trial) cell of a block.
+
+    g_gain and h_gain are (M, T), beam-major; cfgs are the SNR points, one
+    per row of the cells, and share their targets.  A cell's winner has
+    the largest secondary rate over its feasible candidates (ties: smaller
+    set, then lexicographic beam indices).  The decode constraints are part
+    of the program, so SIC always succeeds at the returned point; with
+    singletons enumerated the result never falls below selection.
+
+    Each cell's winner, rate and power split are bit for bit those of
+    solving every set, though most sets are not solved.  Two bounds on t*
+    need no sweep: B = sum sqrt(h_k (1 - eta_k)) >= cap(t) (alpha_p >=
+    eta), and the weakest beam's edge: every t the sweep accepts has
+    eps_p (t^2 + tau_d) <= h_last.  Near t* = 0, h_last / eps_p - tau_d
+    cancels, so the edge is h_last / eps_p (1 + 1e-12) - tau_d; a set whose
+    edge is below 0 fits no alpha_p and is left out.  The singletons' closed forms
+    are the first incumbents.  Each cell then visits its larger sets in
+    descending s_bound = min(B^2, edge) / tau_d (ties in enumeration
+    order), _ROUND sets a round, and stops at the first whose bound rate
+    log2(1 + s_bound) is below its incumbent's rate.  The other sets of the
+    round get one sweep at t_R = sqrt(s* tau_d) (1 - 1e-9), s* being the
+    incumbent's SNR: if no alpha_p fits there or cap(t_R) < t_R, t* < t_R
+    (cap is nonincreasing), and the set is dropped when its rate bound at
+    t_R ranks below the incumbent.  Rate bounds are raised by the relative
+    margin 1e-9, far above rounding, and compared as rates under the full
+    ranking, since 1 + s can round SNRs more than 1e-9 apart onto one rate.
+    Every cell's remaining sets are solved as lanes of one lockstep
+    bisection (see _Lanes), and each cell's best becomes its incumbent.
+    The ranking is a total order, so the visit cannot change the winner.
+
+    counts holds the block's search counters: multi-beam (set, cell) pairs
+    ranked, dropped by their bound and by the t_R test, lanes solved,
+    rounds, and lockstep bisection iterations.
+    """
+    cfg = cfgs[0]
+    m_beams, trials = h_gain.shape
+    table = _SetTable(g_gain, h_gain, cfgs, strategy)
+    inc = _Incumbents(table)
+    counts = dict(ranked=0, bound_drops=0, t_r_drops=0, lanes=0, rounds=0, iterations=0)
+    single = table.members.sum(axis=1) == 1
+    ones = np.flatnonzero(single)
+    one_ap, one_x = _singletons(table, inc, ones)
+    _visit(table, inc, single, counts)
+
+    # every cell's winning split, in slots, scattered to its beams
+    won = np.flatnonzero(inc.set >= 0)
+    alpha_p, x = _Lanes(table, inc.set[won], won).split(inc.t[won])
+    by_one = single[inc.set[won]]
+    place = np.searchsorted(ones, inc.set[won][by_one]), won[by_one]
+    alpha_p[-1, by_one], x[-1, by_one] = one_ap[place], one_x[place]
+    ranks = table.slots[inc.set[won]].T
+    slot, lane = np.nonzero(ranks >= 0)
+    at = table.order[ranks[slot, lane], table.trial[won[lane]]], won[lane]
+    out_ap, out_as = table.base_ap.copy(), np.zeros(table.base_ap.shape)
+    chosen = np.zeros(out_ap.shape, dtype=bool)
+    out_ap[at], out_as[at] = alpha_p[slot, lane], x[slot, lane] * x[slot, lane]
+    chosen[at] = True
+    shape = (m_beams, len(cfgs), trials)
+    rate = np.where(inc.set >= 0, inc.rate, 0.0).reshape(shape[1:])
+    return CellOutcomes(
         secondary_rate_raw=rate,
-        sic_ok=True,
-        outage=(best is None) or rate < cfg.r_s,
-        alpha_p=alpha_p,
-        alpha_s=alpha_s,
-        g_gain=chan.g_gain,
-        rho=cfg.rho,
+        sic_ok=np.ones(rate.shape, dtype=bool),
+        outage=(inc.set < 0).reshape(rate.shape) | (rate < cfg.r_s),
+        chosen=chosen.reshape(shape),
+        alpha_p=out_ap.reshape(shape),
+        alpha_s=out_as.reshape(shape),
+        g_gain=g_gain[:, None, :],
+        rho=np.array([c.rho for c in cfgs])[:, None],
+        counts=counts,
     )
 
 
-def _loses_to(
-    cand: AggregationCandidate,
-    best: tuple[AggregationCandidate, Problem4Solution],
-    best_key: tuple,
-) -> bool:
-    """True when cand provably ranks below the incumbent, by one sweep at
-    t_R, just under the amplitude at which cand would match the
-    incumbent's SNR.  If no alpha_p fits at t_R or cap(t_R) < t_R, the
-    bisection ends below t_R because cap is nonincreasing."""
-    inc_cand, inc_sol = best
-    s_star = inc_sol.t_star * inc_sol.t_star / inc_cand.tau_d
-    t_r = math.sqrt(s_star * cand.tau_d) * (1.0 - _PRUNE_MARGIN)
-    alpha_p = min_primary_power(cand, t_r)
-    if alpha_p is not None and _cap(alpha_p, cand.h) >= t_r:
-        return False
-    rate = _rate_bound(t_r * t_r / cand.tau_d)
-    # the rest of the ranking matters only on a tie in rate
-    return rate < -best_key[0] or (
-        rate == -best_key[0] and _key(rate, cand.beams) > best_key
+def _singletons(table: _SetTable, inc: _Incumbents, ones: np.ndarray):
+    """_solve_singleton on the singleton sets of every cell, offered as
+    the first incumbents; returns their alpha_p and x, (set, cell)."""
+    ranks, tau_d = table.slots[ones, -1], table.tau_d[ones]
+    fits, u, alpha_p, alpha_s = _singleton(
+        table.h[ranks], table.etas[ranks], tau_d, table.eps_p
     )
+    fits &= table.snr[ones] >= 0.0
+    rate = np.full(u.shape, -np.inf)
+    rate[fits] = log2_each(1.0 + u[fits] / tau_d[fits])
+    inc.offer(rate, np.sqrt(u), np.broadcast_to(ones[:, None], u.shape))
+    return alpha_p, np.sqrt(alpha_s)
+
+
+def _visit(table: _SetTable, inc: _Incumbents, single: np.ndarray, counts: dict):
+    """Visit every cell's sets of two or more beams in rounds, in
+    descending bound SNR, ties in enumeration order, until a bound rate is
+    below the incumbent's.  table.snr becomes the pending sets' bounds: a
+    set leaves it, as -inf, when visited or dropped."""
+    pending = table.snr
+    pending[single[:, None] | ~(pending >= 0.0)] = -np.inf  # or fit no alpha_p
+    left = (pending > -np.inf).sum(axis=0)
+    counts["ranked"] = int(left.sum())
+    width = min(_ROUND, int(left.max()))
+    cells, rows = np.arange(len(left)), np.arange(width)[:, None]
+    sets, bound = np.empty((width, len(cells)), dtype=int), np.empty((width, len(cells)))
+    while left.any():
+        counts["rounds"] += 1
+        for p in range(width):
+            sets[p] = pending.argmax(axis=0)  # the first of the largest
+            bound[p] = pending[sets[p], cells]
+            pending[sets[p], cells] = -np.inf
+        valid = bound > -np.inf
+        rate = np.full(bound.shape, -np.inf)
+        rate[valid] = _rate_bound(bound[valid])
+        below = valid & (rate < inc.rate)
+        ends = below.any(axis=0)
+        cut = np.where(ends, below.argmax(axis=0), width)
+        counts["bound_drops"] += int((left - cut)[ends].sum())
+        left = np.where(ends, 0, left - valid.sum(axis=0))
+        pending[:, ends] = -np.inf
+        visit = valid & (rows < cut)
+        owner = np.nonzero(visit)[1]
+        visit[visit] = ~_loses_at_t_r(table, inc, sets[visit], owner, counts)
+        _solve_round(table, inc, sets, visit, counts)
+
+
+def _loses_at_t_r(
+    table: _SetTable, inc: _Incumbents, sets: np.ndarray, cells: np.ndarray, counts: dict
+) -> np.ndarray:
+    """Where set sets[l] provably ranks below cell cells[l]'s incumbent, by
+    one sweep at t_R, just under the amplitude at which it would match the
+    incumbent's SNR."""
+    loses = np.zeros(sets.shape, dtype=bool)
+    tested = np.flatnonzero(inc.set[cells] >= 0)
+    at, by = sets[tested], cells[tested]
+    lanes = _Lanes(table, at, by)
+    inc_t = inc.t[by]
+    s_star = inc_t * inc_t / table.tau_d[inc.set[by], by]
+    t_r = np.sqrt(s_star * lanes.tau_d) * (1.0 - _PRUNE_MARGIN)
+    fails = ~lanes.holds(t_r)
+    t_r, at, by = t_r[fails], at[fails], by[fails]
+    rate = _rate_bound(t_r * t_r / lanes.tau_d[fails])
+    out = rate < inc.rate[by]
+    for l in np.flatnonzero(rate == inc.rate[by]).tolist():
+        out[l] = inc.below(rate[l], at[l], by[l])
+    loses[tested[fails]] = out
+    counts["t_r_drops"] += int(out.sum())
+    return loses
+
+
+def _solve_round(
+    table: _SetTable, inc: _Incumbents, sets: np.ndarray, visit: np.ndarray, counts: dict
+):
+    """Solve the round's visited pairs, set sets[p, c] at cell c, as the
+    lanes of one lockstep bisection, and offer them to the incumbents."""
+    lanes = _Lanes(table, sets[visit], np.nonzero(visit)[1])
+    t_star, steps = lanes.solve()
+    counts["lanes"] += len(t_star)
+    counts["iterations"] += steps
+    solved = ~np.isnan(t_star)
+    t = t_star[solved]
+    lane_rate = np.full(t_star.shape, -np.inf)
+    lane_rate[solved] = log2_each(1.0 + t * t / lanes.tau_d[solved])
+    rate = np.full(sets.shape, -np.inf)
+    rate[visit] = lane_rate
+    t_all = np.zeros(sets.shape)
+    t_all[visit] = t_star
+    inc.offer(rate, t_all, sets)
 
 
 def evaluate_scheme2(
@@ -698,53 +817,9 @@ def evaluate_scheme2(
     cfg: SystemConfig,
     strategy: str = "prefixes_plus_singletons",
 ) -> SchemeOutcome:
-    """Evaluate SIC-chain aggregation with the set chosen by enumeration.
-
-    The winner has the largest secondary rate over the feasible candidates
-    (ties: smaller set, then lexicographic beam indices).  The decode
-    constraints are part of the program, so SIC always succeeds at the
-    returned point; with singletons enumerated the result can never fall
-    below single-beam selection on the same draw.
-
-    Not every candidate is solved, yet the winner, its rate and its power
-    split are bit for bit those of solving them all.  Two bounds on a
-    set's t* need no sweep: B = sum sqrt(h_k (1 - eta_k)) >= cap(t) for
-    every t (alpha_p >= eta), and the edge of the weakest beam, decoded
-    last: every t the backward sweep accepts has eps_p (t^2 + tau_d) <=
-    h_last.  Near t* = 0, h_last / eps_p - tau_d cancels and t*^2 can
-    exceed its float value by the rounding of t^2 + tau_d, so the edge is
-    h_last / eps_p (1 + 1e-12) - tau_d, its slack relative to
-    h_last / eps_p; a set whose edge is below 0 fits no alpha_p and is
-    dropped unbuilt.  The sets are visited in descending
-    s_bound = min(B^2, edge) / tau_d, and the visit stops at the first
-    whose bound rate log2(1 + s_bound) is below the incumbent's rate.  A
-    set of two or more beams is then tested by one sweep at
-    t_R = sqrt(s* tau_d) (1 - 1e-9), s* being the incumbent's SNR: if no
-    alpha_p fits there or cap(t_R) < t_R, the bisection ends below t_R
-    (cap is nonincreasing), and the set is skipped when its rate bound at
-    t_R already ranks below the incumbent.  Every rate bound is raised by
-    the relative margin 1e-9, far above rounding, so a set within it of
-    the incumbent is solved in full.  Bounds are compared as rates under
-    the full ranking, not as SNRs: 1 + s can round SNRs more than 1e-9
-    apart onto one rate, and the smaller set must then still win.  The
-    ranking is a total order, so the visiting order cannot change the
-    winner.  _BeamSets ranks the sets as masks, with arrays over the
-    subset lattice under all_subsets, and a set gets its
-    AggregationCandidate only when the visit reaches it.
-    """
-    sets = _BeamSets(chan, cfg, strategy)
-    best: Optional[tuple[AggregationCandidate, Problem4Solution]] = None
-    best_key: Optional[tuple] = None
-    for snr_bound, mask in sets.visits:
-        if best is not None and _rate_bound(snr_bound) < -best_key[0]:
-            break  # every later set has a smaller bound
-        cand = sets.candidate(mask)
-        if best is not None and len(cand.beams) > 1 and _loses_to(cand, best, best_key):
-            continue
-        sol = solve_problem4(cand)
-        if sol.status != "optimal":
-            continue
-        key = _key(sol.objective_rate, cand.beams)
-        if best_key is None or key < best_key:
-            best, best_key = (cand, sol), key
-    return _outcome(chan, cfg, best)
+    """Evaluate SIC-chain aggregation on one realization: the block of one
+    cell (see evaluate_scheme2_block)."""
+    block = evaluate_scheme2_block(
+        chan.g_gain[:, None], chan.h_gain[:, None], [cfg], strategy
+    )
+    return block.cell("scheme2")

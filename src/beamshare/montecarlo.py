@@ -5,13 +5,14 @@ index).  A draw does not depend on the SNR, so each trial is drawn once and
 every (SNR point, scheme) cell of the sweep is evaluated on it: the schemes
 and the SNR points are compared on the same draws.  Trials are drawn in
 blocks of at most _BLOCK, zero-forced as one stack, and a block is the unit
-of work handed to a worker.  Selection and scheme 1 score all of a block's
-(SNR point, trial) cells as arrays in one pass; scheme 2 cells go one by
-one through run_trial on the shared draw.  Each cell's floats are those of
-run_trial on that cell, bit for bit.  Results are reduced in trial-index
-order regardless of scheduling, which makes estimates bit-identical across
-worker counts and block sizes.  SNR is expressed in dB at the interface and
-converted to the linear scale internally.
+of work handed to a worker.  Each scheme scores all of a block's (SNR
+point, trial) cells in one array pass (scheme 2 solves its beam sets as
+lanes of one lockstep bisection), and each cell's floats are those of
+run_trial, the one-cell replay, on that cell, bit for bit.  Results are
+reduced in trial-index order regardless of scheduling, which makes
+estimates bit-identical across worker counts and block sizes.  SNR is
+expressed in dB at the interface and converted to the linear scale
+internally.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .beam_aggregation import (
     evaluate_scheme1,
     evaluate_scheme1_block,
     evaluate_scheme2,
+    evaluate_scheme2_block,
 )
 from .beam_selection import evaluate_selection, evaluate_selection_block
 from .channel_model import (
@@ -255,32 +257,30 @@ def run_trial(
 _BLOCK_PASS = {"selection": evaluate_selection_block, "scheme1": evaluate_scheme1_block}
 
 
+def stacked_gains(chans: Sequence[ChannelRealization]) -> tuple[np.ndarray, np.ndarray]:
+    """The draws' g_gain and h_gain as (M, T) arrays, beam-major."""
+    g_gain = np.stack([chan.g_gain for chan in chans], axis=1)
+    h_gain = np.stack([chan.h_gain for chan in chans], axis=1)
+    return g_gain, h_gain
+
+
 def _run_block(args) -> tuple[np.ndarray, int]:
-    """Draw a block of trials once and evaluate every (SNR point, scheme)
-    cell on it: selection and scheme 1 score all the block's cells as
-    arrays, and each scheme 2 cell goes through run_trial on the shared
-    draw.  Returns the metric's value of each cell as an (SNR point, scheme,
-    trial) array, and the block's redraw count."""
+    """Draw a block of trials once and score every (SNR point, scheme)
+    cell on it, each scheme with one array pass over all the block's
+    cells.  Returns the metric's value of each cell as an (SNR point,
+    scheme, trial) array, and the block's redraw count."""
     spec, trials = args
     cfgs = [spec.config_at(snr_db) for snr_db in spec.snr_grid_db]
     seeds = [TrialSeed(spec.seed, t) for t in trials]
     chans = realize_block(cfgs[0], seeds)
-    g_gain = np.stack([chan.g_gain for chan in chans], axis=1)
-    h_gain = np.stack([chan.h_gain for chan in chans], axis=1)
-    field, strategy = METRICS.index(spec.metric), spec.candidate_strategy
+    g_gain, h_gain = stacked_gains(chans)
     values = np.empty((len(cfgs), len(spec.schemes), len(seeds)))
     for k, scheme in enumerate(spec.schemes):
         if scheme == "scheme2":
-            values[:, k] = [
-                [
-                    run_trial(cfg, seed, (scheme,), strategy, chan)[0][field]
-                    for seed, chan in zip(seeds, chans)
-                ]
-                for cfg in cfgs
-            ]
+            cells = evaluate_scheme2_block(g_gain, h_gain, cfgs, spec.candidate_strategy)
         else:
             cells = _BLOCK_PASS[scheme](g_gain, h_gain, cfgs)
-            values[:, k] = _VALUE[spec.metric](cells)
+        values[:, k] = _VALUE[spec.metric](cells)
     return values, sum(chan.resamples for chan in chans)
 
 

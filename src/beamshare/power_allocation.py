@@ -24,7 +24,7 @@ float operations in the same order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -91,6 +91,7 @@ class CellOutcomes:
     alpha_s: np.ndarray
     g_gain: np.ndarray
     rho: np.ndarray
+    counts: dict = field(default_factory=dict)  # the scheme's search counters
 
     @property
     def secondary_rate(self) -> np.ndarray:
@@ -102,18 +103,18 @@ class CellOutcomes:
             self.g_gain, self.alpha_p, self.alpha_s, self.chosen, self.rho
         )
 
-    def cell(self, scheme_tag: str) -> SchemeOutcome:
-        """The SchemeOutcome of a block of one cell (S = T = 1)."""
+    def cell(self, scheme_tag: str, s: int = 0, t: int = 0) -> SchemeOutcome:
+        """The SchemeOutcome of cell (s, t): SNR point s, trial t."""
         return SchemeOutcome(
             scheme_tag=scheme_tag,
-            chosen_set=tuple(np.flatnonzero(self.chosen).tolist()),
-            secondary_rate_raw=self.secondary_rate_raw.item(),
-            sic_ok=bool(self.sic_ok.item()),
-            outage=bool(self.outage.item()),
-            alpha_p=self.alpha_p.ravel(),
-            alpha_s=self.alpha_s.ravel(),
-            g_gain=self.g_gain.ravel(),
-            rho=self.rho.item(),
+            chosen_set=tuple(np.flatnonzero(self.chosen[:, s, t]).tolist()),
+            secondary_rate_raw=self.secondary_rate_raw[s, t].item(),
+            sic_ok=bool(self.sic_ok[s, t]),
+            outage=bool(self.outage[s, t]),
+            alpha_p=self.alpha_p[:, s, t],
+            alpha_s=self.alpha_s[:, s, t],
+            g_gain=self.g_gain[:, 0, t],
+            rho=self.rho[s, 0].item(),
         )
 
 

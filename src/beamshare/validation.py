@@ -9,28 +9,22 @@ statistical power.  All randomness flows from the seed argument.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import beam_aggregation
 from .analysis import gain_cdf, ks_statistic, q1_exact, q1_high_snr
 from .beam_aggregation import (
-    _BISECT_MAX_ITER,
     STRATEGIES,
     AggregationCandidate,
     Problem4Solution,
-    _BeamSets,
-    _cap,
-    _infeasible,
     _key,
-    _outcome,
-    _solution,
+    _Lanes,
+    _SetTable,
     certify_solution,
     enumerate_candidates,
-    evaluate_scheme2,
+    evaluate_scheme2_block,
     oracle_grid_solver,
     solve_problem4,
 )
@@ -42,8 +36,15 @@ from .channel_model import (
     realize,
     realize_block,
 )
-from .montecarlo import _BLOCK, SweepSpec, estimate, snr_db_to_linear
-from .power_allocation import SchemeOutcome, alpha_s_cap, eta, mode_i_alpha_p, tau
+from .montecarlo import _BLOCK, SweepSpec, estimate, snr_db_to_linear, stacked_gains
+from .power_allocation import (
+    SchemeOutcome,
+    alpha_s_cap,
+    eta,
+    log2_each,
+    mode_i_alpha_p,
+    tau,
+)
 
 __all__ = [
     "CheckResult",
@@ -215,7 +216,7 @@ def solver_checks(
     """Solver cross-checks: the closed-form two-beam instance, singleton
     reduction to the single-beam cap, grid-oracle agreement, the
     independent constraint certifier, the pruned set search against an
-    exhaustive one, and the bisection replay against a plain bisection."""
+    exhaustive one, and the lockstep lanes against the scalar bisection."""
     results = []
 
     # two-beam instance with h=(2,1), g=(1,1), rho=10, eps_p=1, whose
@@ -307,15 +308,16 @@ def solver_checks(
         )
     )
     results.append(set_search_check(seed + 3))
-    results.append(root_replay_check(seed + 3))
+    results.append(lanes_check(seed + 3))
     return results
 
 
 def exhaustive_scheme2(
     chan: ChannelRealization, cfg: SystemConfig, strategy: str
 ) -> SchemeOutcome:
-    """Reference for evaluate_scheme2's pruned set search: solve every
-    feasible candidate and keep the one of least ranking key."""
+    """Reference for evaluate_scheme2_block's pruned set search: solve
+    every feasible candidate with solve_problem4 and keep the one of least
+    ranking key; beams outside the set keep the inactive split."""
     best, best_key = None, None
     for cand in enumerate_candidates(chan, cfg, strategy):
         if not cand.feasible:
@@ -326,7 +328,25 @@ def exhaustive_scheme2(
         key = _key(sol.objective_rate, cand.beams)
         if best is None or key < best_key:
             best, best_key = (cand, sol), key
-    return _outcome(chan, cfg, best)
+    alpha_p = mode_i_alpha_p(chan.g_gain, cfg.rho, cfg.eps_p)
+    alpha_s = np.zeros(cfg.m_beams)
+    chosen, rate = (), 0.0
+    if best is not None:
+        cand, sol = best
+        for k, b in enumerate(cand.beams):
+            alpha_p[b], alpha_s[b] = sol.alpha_p[k], sol.x[k] * sol.x[k]
+        chosen, rate = tuple(sorted(cand.beams)), sol.objective_rate
+    return SchemeOutcome(
+        scheme_tag="scheme2",
+        chosen_set=chosen,
+        secondary_rate_raw=rate,
+        sic_ok=True,
+        outage=(best is None) or rate < cfg.r_s,
+        alpha_p=alpha_p,
+        alpha_s=alpha_s,
+        g_gain=chan.g_gain,
+        rho=cfg.rho,
+    )
 
 
 def same_scheme2_choice(a: SchemeOutcome, b: SchemeOutcome) -> bool:
@@ -340,146 +360,122 @@ def same_scheme2_choice(a: SchemeOutcome, b: SchemeOutcome) -> bool:
 
 
 def _set_search_draws(seed: int, draws: int):
-    """(chan, cfg) of `draws` draws at each N = M in {2, 4, 6, 8}, cycling
-    through 0-40 dB and r_p in {0.1, 1}."""
+    """`draws` draws at each N = M in {2, 4, 6, 8}, draw t at 10 (t % 5) dB
+    and r_p 0.1 or 1, alternating every 5 draws; yields each operating
+    point's cfg with its draws."""
     for m in (2, 4, 6, 8):
+        points: dict[SystemConfig, list] = {}
         for t in range(draws):
             rho = snr_db_to_linear(10.0 * (t % 5))
             cfg = SystemConfig(m, m, rho, (0.1, 1.0)[t // 5 % 2], 1.0)
-            yield realize(cfg, TrialSeed(seed, m * draws + t)), cfg
+            chan = realize(cfg, TrialSeed(seed, m * draws + t))
+            points.setdefault(cfg, []).append(chan)
+        yield from points.items()
 
 
 def set_search_check(seed: int, draws: int = 60) -> CheckResult:
-    """evaluate_scheme2 against the exhaustive reference under every
-    strategy, on the _set_search_draws, with the mean candidates built and
-    sweeps per search of each."""
-    mismatches = 0
-    count = 0
-    built = {"pruned": 0, "exhaustive": 0}
-    swept = dict(built)
-    for chan, cfg in _set_search_draws(seed, draws):
+    """evaluate_scheme2_block against the exhaustive reference under every
+    strategy, cell by cell, on the _set_search_draws, each operating
+    point's draws scored as one block; with the mean multi-beam sets
+    ranked and solved as lanes per search."""
+    mismatches = count = ranked = lanes = 0
+    for cfg, chans in _set_search_draws(seed, draws):
+        g_gain, h_gain = stacked_gains(chans)
         for strategy in STRATEGIES:
-            outcomes = {}
-            for name, search in (
-                ("pruned", evaluate_scheme2),
-                ("exhaustive", exhaustive_scheme2),
-            ):
-                with _counted(_BeamSets, "candidate") as candidates, _counted(
-                    beam_aggregation, "min_primary_power"
-                ) as sweeps:
-                    outcomes[name] = search(chan, cfg, strategy)
-                built[name] += candidates[0]
-                swept[name] += sweeps[0]
-            mismatches += not same_scheme2_choice(
-                outcomes["pruned"], outcomes["exhaustive"]
-            )
-            count += 1
+            block = evaluate_scheme2_block(g_gain, h_gain, [cfg], strategy)
+            ranked += block.counts["ranked"]
+            lanes += block.counts["lanes"]
+            for t, chan in enumerate(chans):
+                want = exhaustive_scheme2(chan, cfg, strategy)
+                mismatches += not same_scheme2_choice(block.cell("scheme2", 0, t), want)
+                count += 1
     return CheckResult(
         "solver.set_search_exact",
         mismatches == 0,
         f"{mismatches} of {count} pruned set searches differ from the "
         "exhaustive one (chosen set, rate, alpha_p, alpha_s); per search, "
-        f"{built['pruned'] / count:.2f} candidates built and "
-        f"{swept['pruned'] / count:.2f} min_primary_power calls (exhaustive "
-        f"{built['exhaustive'] / count:.2f} and {swept['exhaustive'] / count:.2f})",
+        f"{ranked / count:.2f} multi-beam sets ranked, {lanes / count:.2f} "
+        "solved as lanes",
     )
 
 
-def bisection_reference(candidate: AggregationCandidate) -> Problem4Solution:
-    """Reference for solve_problem4's bisection replay on sets of two or
-    more beams: the plain bisection on t over [0, sum sqrt(h_m)], one
-    min_primary_power sweep per midpoint."""
-    sweep = beam_aggregation.min_primary_power
-    alpha_p = sweep(candidate, 0.0) if candidate.feasible else None
-    if alpha_p is None:
-        return _infeasible()
-    h = candidate.h
-    hi = 0.0
-    for h_k in h:
-        hi += math.sqrt(h_k)
-    lo = 0.0
-    tol = 1e-10 * (1.0 + hi)
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        ap_mid = sweep(candidate, mid)
-        if ap_mid is not None and _cap(ap_mid, h) >= mid:
-            lo, alpha_p = mid, ap_mid
-        else:
-            hi = mid
-    return _solution(candidate, lo, alpha_p)
+def lane_solutions(
+    g_gain: np.ndarray, h_gain: np.ndarray, cfg: SystemConfig, strategy: str
+) -> tuple[list[tuple[AggregationCandidate, Problem4Solution]], int]:
+    """Every feasible set of two or more beams of every trial, solved as
+    the lanes of one lockstep bisection, as (candidate, solution) pairs,
+    with the lockstep iterations."""
+    table = _SetTable(g_gain, h_gain, [cfg], strategy)
+    pairs = [
+        (i, c)
+        for c in range(g_gain.shape[1])
+        for i, size in enumerate(table.members.sum(axis=1))
+        if size > 1 and table.candidate(i, c).feasible
+    ]
+    sets, cells = np.array(pairs, dtype=int).reshape(-1, 2).T
+    lanes = _Lanes(table, sets, cells)
+    t_star, steps = lanes.solve()
+    solved = ~np.isnan(t_star)
+    alpha_p, x = lanes.split(np.where(solved, t_star, 0.0))
+    rate = log2_each(1.0 + np.where(solved, t_star * t_star, 0.0) / lanes.tau_d)
+    out = []
+    for lane, (i, c) in enumerate(pairs):
+        cand, k = table.candidate(i, c), -len(table.beams(i, c))
+        sol = Problem4Solution((), (), 0.0, 0.0, "infeasible")
+        if solved[lane]:
+            sol = Problem4Solution(
+                tuple(alpha_p[k:, lane].tolist()),
+                tuple(x[k:, lane].tolist()),
+                t_star[lane].item(),
+                rate[lane].item(),
+                "optimal",
+            )
+        out.append((cand, sol))
+    return out, steps
 
 
-@contextlib.contextmanager
-def _counted(owner, name: str):
-    """Count the calls made in the block to owner.name, a module global or
-    a method that its callers look up at call time."""
-    calls = [0]
-    original = getattr(owner, name)
-
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
-
-    setattr(owner, name, counting)
-    try:
-        yield calls
-    finally:
-        setattr(owner, name, original)
-
-
-def root_replay_check(seed: int, draws: int = 60) -> CheckResult:
-    """solve_problem4 against bisection_reference, bit for bit, on every
-    feasible set of two or more beams of the _set_search_draws, with the
-    mean sweeps per solve of each."""
-    mismatches = 0
-    count = 0
-    solves = 0
-    replay_sweeps = bisection_sweeps = 0
-    for chan, cfg in _set_search_draws(seed, draws):
-        for cand in enumerate_candidates(chan, cfg, "all_subsets"):
-            if len(cand.beams) < 2 or not cand.feasible:
-                continue
-            with _counted(beam_aggregation, "min_primary_power") as replay:
-                got = solve_problem4(cand)
-            with _counted(beam_aggregation, "min_primary_power") as bisection:
-                want = bisection_reference(cand)
+def lanes_check(seed: int, draws: int = 60) -> CheckResult:
+    """The lockstep lanes against the scalar solve_problem4, bit for bit,
+    on every feasible set of two or more beams (all subsets) of the
+    _set_search_draws, each operating point's draws solved as one pass."""
+    mismatches = count = solves = steps = 0
+    for cfg, chans in _set_search_draws(seed, draws):
+        pairs, iterations = lane_solutions(*stacked_gains(chans), cfg, "all_subsets")
+        steps += iterations
+        for cand, got in pairs:
             # repr spells every float exactly, so equal reprs are equal bits
-            mismatches += repr(got) != repr(want)
-            count += 1
-            if want.status == "optimal":
-                solves += 1
-                replay_sweeps += replay[0]
-                bisection_sweeps += bisection[0]
+            mismatches += repr(got) != repr(solve_problem4(cand))
+            solves += got.status == "optimal"
+        count += len(pairs)
     return CheckResult(
-        "solver.root_replay_exact",
+        "solver.lanes_exact",
         mismatches == 0,
-        f"{mismatches} of {count} multi-beam solves differ from the plain "
-        f"bisection (t*, alpha_p, x, rate); min_primary_power calls per "
-        f"optimal solve {replay_sweeps / max(solves, 1):.2f} (bisection "
-        f"{bisection_sweeps / max(solves, 1):.2f}, {solves} solves)",
+        f"{mismatches} of {count} multi-beam lanes differ from the scalar "
+        f"bisection (t*, alpha_p, x, rate); {solves} optimal, in lockstep "
+        f"passes of {steps} iterations in all",
     )
 
 
 def dominance_checks(seed: int, draws: int = 2000) -> list[CheckResult]:
     """Aggregation with singleton candidates can never fall below selection,
-    and beats it on average, at 10, 20 and 30 dB.  Selection scores all the
-    draws as one block, as a sweep does."""
+    and beats it on average, at 10, 20 and 30 dB.  Both schemes score all
+    the draws at the three SNR points as one block, as a sweep does."""
     results = []
     chans = list(_draws(SystemConfig(4, 4, 1.0, 0.1, 1.0), seed, draws))
-    g_gain = np.stack([chan.g_gain for chan in chans], axis=1)
-    h_gain = np.stack([chan.h_gain for chan in chans], axis=1)
-    for snr_db in (10.0, 20.0, 30.0):
-        cfg = SystemConfig(4, 4, snr_db_to_linear(snr_db), 0.1, 1.0)
-        selection = evaluate_selection_block(g_gain, h_gain, [cfg]).secondary_rate[0]
+    g_gain, h_gain = stacked_gains(chans)
+    snrs_db = (10.0, 20.0, 30.0)
+    cfgs = [SystemConfig(4, 4, snr_db_to_linear(x), 0.1, 1.0) for x in snrs_db]
+    selection = evaluate_selection_block(g_gain, h_gain, cfgs).secondary_rate
+    scheme2 = evaluate_scheme2_block(
+        g_gain, h_gain, cfgs, "prefixes_plus_singletons"
+    ).secondary_rate
+    for snr_db, sel_rates, agg_rates in zip(snrs_db, selection, scheme2):
         violations = 0
         gap_sum = 0.0
-        for chan, sel_rate in zip(chans, selection.tolist()):
-            agg = evaluate_scheme2(chan, cfg, "prefixes_plus_singletons")
-            if agg.secondary_rate < sel_rate:
+        for sel_rate, agg_rate in zip(sel_rates.tolist(), agg_rates.tolist()):
+            if agg_rate < sel_rate:
                 violations += 1
-            gap_sum += agg.secondary_rate - sel_rate
+            gap_sum += agg_rate - sel_rate
         results.append(
             CheckResult(
                 f"dominance.pointwise[{snr_db:g}dB]",

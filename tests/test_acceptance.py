@@ -13,15 +13,15 @@ from beamshare.beam_aggregation import (
     AggregationCandidate,
     certify_solution,
     enumerate_candidates,
-    evaluate_scheme1,
-    evaluate_scheme2,
+    evaluate_scheme1_block,
+    evaluate_scheme2_block,
     oracle_grid_solver,
     solve_problem4,
 )
-from beamshare.beam_selection import evaluate_selection
-from beamshare.channel_model import SystemConfig, TrialSeed, realize
+from beamshare.beam_selection import evaluate_selection_block
+from beamshare.channel_model import SystemConfig, TrialSeed, realize, realize_block
 from beamshare.cli import main
-from beamshare.montecarlo import SweepSpec, estimate
+from beamshare.montecarlo import SweepSpec, estimate, stacked_gains
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
 from beamshare.validation import (
     Z_95,
@@ -203,15 +203,18 @@ def test_criterion_07_scheme2_always_beats_selection():
     _report(7, "pointwise dominance on 3x10^4 draws at 10/20/30 dB; " + ", ".join(details))
 
 
+def _block_draws(cfg, seed, trials):
+    """realize(cfg, TrialSeed(seed, t)) for t < trials, as (M, T) gains."""
+    return stacked_gains(realize_block(cfg, [TrialSeed(seed, t) for t in range(trials)]))
+
+
 def test_criterion_08_scheme1_gains_at_low_snr():
     cfg = SystemConfig(4, 4, 1.0, 0.1, 1.0)  # 0 dB
     trials = 5000
-    diffs = np.empty(trials)
-    for t in range(trials):
-        chan = realize(cfg, TrialSeed(SEED + 8, t))
-        s1 = evaluate_scheme1(chan, cfg)
-        sel = evaluate_selection(chan, cfg)
-        diffs[t] = s1.secondary_rate - sel.secondary_rate
+    g_gain, h_gain = _block_draws(cfg, SEED + 8, trials)
+    s1 = evaluate_scheme1_block(g_gain, h_gain, [cfg]).secondary_rate[0]
+    sel = evaluate_selection_block(g_gain, h_gain, [cfg]).secondary_rate[0]
+    diffs = s1 - sel
     mean = float(diffs.mean())
     se = float(diffs.std(ddof=1) / math.sqrt(trials))
     assert mean > Z_95 * se, f"paired gain {mean:.4f} not positive at 95% (se {se:.4f})"
@@ -221,26 +224,29 @@ def test_criterion_08_scheme1_gains_at_low_snr():
 def test_criterion_09_legacy_protection():
     cfg = SystemConfig(4, 4, 10.0, 1.0, 1.0)
     threshold = cfg.eps_p / cfg.rho
-    evaluators = {
-        "selection": lambda ch: evaluate_selection(ch, cfg),
-        "scheme1": lambda ch: evaluate_scheme1(ch, cfg),
-        "scheme2": lambda ch: evaluate_scheme2(ch, cfg, "prefixes_plus_singletons"),
-    }
     per_scheme = 3334
+    g_gain, h_gain = _block_draws(cfg, SEED + 9, per_scheme)
+    evaluators = {
+        "selection": lambda: evaluate_selection_block(g_gain, h_gain, [cfg]),
+        "scheme1": lambda: evaluate_scheme1_block(g_gain, h_gain, [cfg]),
+        "scheme2": lambda: evaluate_scheme2_block(
+            g_gain, h_gain, [cfg], "prefixes_plus_singletons"
+        ),
+    }
     checked = 0
     for name, evaluate in evaluators.items():
+        out = evaluate()
+        primary_rates, alpha_s = out.primary_rates[:, 0].T, out.alpha_s[:, 0].T
         for t in range(per_scheme):
-            chan = realize(cfg, TrialSeed(SEED + 9, t))
-            out = evaluate(chan)
             for m in range(cfg.m_beams):
                 checked += 1
-                if chan.g_gain[m] >= threshold:
-                    assert out.primary_rates[m] >= cfg.r_p - 1e-9, (
+                if g_gain[m, t] >= threshold:
+                    assert primary_rates[t, m] >= cfg.r_p - 1e-9, (
                         f"{name} trial {t} beam {m}: primary rate "
-                        f"{out.primary_rates[m]} below target"
+                        f"{primary_rates[t, m]} below target"
                     )
                 else:
-                    assert out.alpha_s[m] == 0.0, (
+                    assert alpha_s[t, m] == 0.0, (
                         f"{name} trial {t} beam {m}: weak beam carries secondary power"
                     )
     _report(9, f"{checked} beam audits across 3 schemes x {per_scheme} trials")

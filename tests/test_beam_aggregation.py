@@ -8,11 +8,12 @@ from beamshare import beam_aggregation
 from beamshare.beam_aggregation import (
     STRATEGIES,
     AggregationCandidate,
-    _BeamSets,
+    _SetTable,
     certify_solution,
     enumerate_candidates,
     evaluate_scheme1,
     evaluate_scheme2,
+    evaluate_scheme2_block,
     min_primary_power,
     oracle_grid_solver,
     solve_problem4,
@@ -21,7 +22,6 @@ from beamshare.beam_selection import evaluate_selection
 from beamshare.channel_model import ChannelRealization, SystemConfig, TrialSeed, realize
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
 from beamshare.validation import (
-    bisection_reference,
     exhaustive_scheme2,
     random_feasible_instance,
     same_scheme2_choice,
@@ -113,10 +113,21 @@ def _listed_candidates(chan, cfg, strategy):
     ]
 
 
+def _table(chan, cfg, strategy="all_subsets"):
+    return _SetTable(chan.g_gain[:, None], chan.h_gain[:, None], [cfg], strategy)
+
+
+def _counts(chan, cfg, strategy="all_subsets"):
+    block = evaluate_scheme2_block(
+        chan.g_gain[:, None], chan.h_gain[:, None], [cfg], strategy
+    )
+    return block.counts
+
+
 def test_subset_lattice_matches_the_per_set_sums():
-    # The lattice sums must be the per-set sums bit for bit: tau_d as tau()
-    # adds it, and the bound as a sequential sum in candidate order. repr
-    # spells every float exactly.
+    # The set sums, built as arrays over all sets at once, must be the
+    # per-set sums bit for bit: tau_d as tau() adds it, and the bound as a
+    # sequential sum in candidate order. repr spells every float exactly.
     infeasible_sets = 0
     for m in range(1, 9):
         for t in range(6):
@@ -129,21 +140,21 @@ def test_subset_lattice_matches_the_per_set_sums():
                 ]
             h, g = chan.h_gain.tolist(), chan.g_gain.tolist()
             base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p).tolist()
-            sets = _BeamSets(chan, cfg, "all_subsets")
-            assert len(sets.masks) == 2 ** m - 1
-            for mask in sets.masks:
-                cand = sets.candidate(mask)
+            table = _table(chan, cfg)
+            bounds = table.power_bound()[:, 0].tolist()
+            assert len(table.slots) == 2 ** m - 1
+            for i in range(len(table.slots)):
+                cand = table.candidate(i, 0)
                 want = tau(cand.beams, h, base, cfg.rho)
-                assert repr(float(sets.tau_d[mask])) == repr(want)
-                if mask & sets.infeasible:
-                    assert not cand.feasible
+                assert repr(table.tau_d[i, 0].item()) == repr(want)
+                if not cand.feasible:
+                    assert math.isnan(bounds[i])
                     infeasible_sets += 1
                     continue
-                assert cand.feasible
                 bound = 0.0
                 for h_k, e_k in zip(cand.h, cand.etas):
                     bound += math.sqrt(h_k * (1.0 - e_k))
-                assert repr(float(sets.bound[mask])) == repr(bound)
+                assert repr(bounds[i]) == repr(bound)
     assert infeasible_sets > 0
 
 
@@ -184,12 +195,9 @@ def test_solve_worked_instance_closed_form():
 
 
 def test_solve_calls_min_primary_power_once_per_bisection_step(monkeypatch):
-    # The plain bisection sweeps once at t = 0, then once per bisection step:
-    # 34 calls. solve_problem4 replays that bisection's path: it brackets the
-    # root first and sweeps only the midpoints inside the bracket, 13 calls in
-    # all on this instance, with the same solution bit for bit and alpha_p
-    # from a sweep at t*. The patch also checks that both look the name up
-    # per call.
+    # The plain bisection sweeps once at t = 0, then once per bisection
+    # step: 34 calls, alpha_p being the sweep at t*. The patch also checks
+    # that the name is looked up per call, as the benchmark tracer needs.
     calls = []
     original = beam_aggregation.min_primary_power
 
@@ -198,16 +206,12 @@ def test_solve_calls_min_primary_power_once_per_bisection_step(monkeypatch):
         return original(candidate, t)
 
     monkeypatch.setattr(beam_aggregation, "min_primary_power", counting)
-    reference = bisection_reference(WORKED)
+    sol = solve_problem4(WORKED)
     hi = sum(math.sqrt(v) for v in WORKED.h)
     steps = math.ceil(math.log2(hi / (1e-10 * (1.0 + hi))))
     assert steps == 33
     assert len(calls) == steps + 1
-    calls.clear()
-    sol = solve_problem4(WORKED)
-    assert len(calls) == 13
     assert calls[0] == 0.0
-    assert repr(sol) == repr(reference)
     assert sol.alpha_p == tuple(original(WORKED, sol.t_star))
 
 
@@ -309,6 +313,53 @@ def test_oracle_infeasible_candidate():
     assert oracle_grid_solver(cand, 0.01).status == "infeasible"
 
 
+def _dense_oracle(candidate, resolution):
+    # oracle_grid_solver as a scan of every grid point, in chunks of the
+    # first axis, keeping the first best point in C order
+    h, eps_p, d = candidate.h, candidate.eps_p, len(candidate.h)
+    ap0 = min_primary_power(candidate, 0.0)
+    sqrt_h = [math.sqrt(h_k) for h_k in h]
+    axes = []
+    for k in range(d):
+        axis = np.arange(0.0, 1.0 + 0.5 * resolution, resolution)
+        axes.append(axis[axis <= math.sqrt(1.0 - ap0[k]) + 1e-12])
+    best_t, best_x = -1.0, None
+    for start in range(0, len(axes[0]), 7):
+        coords = [axes[0][start : start + 7]] + axes[1:]
+        xs = np.meshgrid(*coords, indexing="ij")
+        t = sum(sqrt_h[k] * xs[k] for k in range(d))
+        u = t * t
+        feasible = np.ones(t.shape, dtype=bool)
+        acc = np.zeros(t.shape)
+        for k in range(d - 1, -1, -1):
+            a = np.maximum(candidate.etas[k], eps_p * (acc + u + candidate.tau_d) / h[k])
+            feasible &= a <= 1.0 - xs[k] * xs[k]
+            acc += h[k] * a
+        if not feasible.any():
+            continue
+        t_masked = np.where(feasible, t, -np.inf)
+        flat = int(np.argmax(t_masked))
+        if t_masked.flat[flat] > best_t:
+            idx = np.unravel_index(flat, t.shape)
+            best_t = float(t_masked.flat[flat])
+            best_x = tuple(float(coords[k][idx[k]]) for k in range(d))
+    return best_t, best_x
+
+
+def test_oracle_search_equals_the_dense_scan():
+    # the binary search over the last axis finds the dense scan's point,
+    # bit for bit, on random instances at a coarse resolution; some have
+    # the t = 0 pruning cut an axis short
+    rng = np.random.default_rng(43)
+    for set_size, resolution, count in ((1, 1e-2, 10), (2, 4e-3, 40), (3, 2e-2, 40)):
+        for _ in range(count):
+            cand = random_feasible_instance(rng, set_size)
+            oracle = oracle_grid_solver(cand, resolution)
+            assert (oracle.t_star, oracle.x) == _dense_oracle(cand, resolution)
+    oracle = oracle_grid_solver(WORKED, 0.05)
+    assert (oracle.t_star, oracle.x) == _dense_oracle(WORKED, 0.05)
+
+
 def test_oracle_random_agreement():
     rng = np.random.default_rng(41)
     plans = ((2, 1e-3, 12), (3, 2e-3, 4))
@@ -390,74 +441,75 @@ def test_scheme2_deterministic():
     assert a.chosen_set == b.chosen_set
 
 
-def test_scheme2_set_search_makes_a_fifth_of_the_exhaustive_calls(monkeypatch):
-    # One N = M = 8 all_subsets draw at 20 dB. Solving every candidate costs
-    # 255 solve_problem4 calls and 2353 min_primary_power sweeps; the pruned
-    # search must make at most a fifth of each. Ranked under the
-    # weakest-beam edge, the first set it visits wins: 1 candidate, 1 solve,
-    # 15 sweeps (ranked by B^2 / tau_d, singletons first, it built 19
-    # candidates for 3 solves and 39 sweeps). The patches also check that
-    # the names are looked up at call time, as the benchmark tracer needs.
+def test_scheme2_set_search_makes_a_fifth_of_the_exhaustive_calls():
+    # One N = M = 8 all_subsets draw at 20 dB. Solving every candidate
+    # solves 247 multi-beam sets; the pruned search must solve at most a
+    # fifth of the 255 sets. All 247 are ranked (none fits no alpha_p);
+    # the first round solves the best-bound set, which wins, and the next
+    # round's first bound ends the visit.
     cfg = SystemConfig(8, 8, 100.0, 0.1, 1.0)
     chan = realize(cfg, TrialSeed(0, 0))
     assert sum(c.feasible for c in enumerate_candidates(chan, cfg, "all_subsets")) == 255
-    counts = {"candidate": 0, "solve_problem4": 0, "min_primary_power": 0}
-    build = _BeamSets.candidate
-    solve, sweep = beam_aggregation.solve_problem4, beam_aggregation.min_primary_power
-
-    def counting_build(sets, mask):
-        counts["candidate"] += 1
-        return build(sets, mask)
-
-    def counting_solve(candidate):
-        counts["solve_problem4"] += 1
-        return solve(candidate)
-
-    def counting_sweep(candidate, t):
-        counts["min_primary_power"] += 1
-        return sweep(candidate, t)
-
-    monkeypatch.setattr(_BeamSets, "candidate", counting_build)
-    monkeypatch.setattr(beam_aggregation, "solve_problem4", counting_solve)
-    monkeypatch.setattr(beam_aggregation, "min_primary_power", counting_sweep)
-    reference = exhaustive_scheme2(chan, cfg, "all_subsets")
-    assert counts["min_primary_power"] == 2353
-    counts.update(candidate=0, solve_problem4=0, min_primary_power=0)
+    counts = _counts(chan, cfg)
+    assert counts == dict(
+        ranked=247, bound_drops=239, t_r_drops=0, lanes=8, rounds=2, iterations=33
+    )
+    assert counts["lanes"] <= 255 / 5
     out = evaluate_scheme2(chan, cfg, "all_subsets")
-    assert same_scheme2_choice(out, reference)
-    assert counts == {"candidate": 1, "solve_problem4": 1, "min_primary_power": 15}
-    assert counts["solve_problem4"] <= 255 / 5
-    assert counts["min_primary_power"] <= 2353 / 5
+    assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+
+
+def test_scheme2_search_counts_add_up():
+    # every ranked multi-beam set is dropped by its bound, dropped by the
+    # t_R test or solved as a lane, on every cell of a block
+    cfg = SystemConfig(6, 6, 10.0, 0.1, 1.0)
+    chans = [realize(cfg, TrialSeed(3, t)) for t in range(20)]
+    g = np.stack([c.g_gain for c in chans], axis=1)
+    h = np.stack([c.h_gain for c in chans], axis=1)
+    cfgs = [SystemConfig(6, 6, 10.0 ** x, 0.1, 1.0) for x in (0.0, 1.0, 2.0, 3.0)]
+    for strategy in STRATEGIES:
+        counts = evaluate_scheme2_block(g, h, cfgs, strategy).counts
+        assert counts["ranked"] == (
+            counts["bound_drops"] + counts["t_r_drops"] + counts["lanes"]
+        )
+        assert counts["rounds"] >= 1 and counts["iterations"] >= 33
 
 
 def test_scheme2_solves_a_set_tied_with_the_incumbent(monkeypatch):
     # beams 0 and 2 are twins, so {0, 1} and {1, 2} are the same program and
-    # tie exactly; the one visited second still gets a full solve, and the
-    # tie goes to the lexicographically smaller set, as in the exhaustive
-    # search
+    # tie exactly. Visited one set per round, {1, 2} comes after the {0, 1}
+    # incumbent and still gets a full solve (2 lanes; the t_R test drops
+    # {0, 1, 2}, and the bound of {0, 2} ends the visit), and the tie goes to
+    # the lexicographically smaller set, as in the exhaustive search; in
+    # one round of every set the incumbent update breaks the same tie.
     chan = _chan([1.0, 1.0, 1.0], [0.5, 1.0, 0.5])
     cfg = SystemConfig(3, 3, 30.0, 1.0, 1.0)
-    solved = {}
-    solve = beam_aggregation.solve_problem4
-
-    def recording(candidate):
-        sol = solve(candidate)
-        solved[tuple(sorted(candidate.beams))] = sol.objective_rate
-        return sol
-
-    monkeypatch.setattr(beam_aggregation, "solve_problem4", recording)
+    table = _table(chan, cfg)
+    rates = {
+        table.beams(i, 0): solve_problem4(table.candidate(i, 0)).objective_rate
+        for i in range(len(table.slots))
+    }
+    assert rates[(1, 0)] == rates[(1, 2)]
+    reference = exhaustive_scheme2(chan, cfg, "all_subsets")
     out = evaluate_scheme2(chan, cfg, "all_subsets")
-    assert solved[(0, 1)] == solved[(1, 2)] == out.secondary_rate_raw
     assert out.chosen_set == (0, 1)
-    assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+    assert out.secondary_rate_raw == rates[(1, 0)]
+    assert same_scheme2_choice(out, reference)
+    monkeypatch.setattr(beam_aggregation, "_ROUND", 1)
+    counts = _counts(chan, cfg)
+    assert counts == dict(
+        ranked=4, bound_drops=1, t_r_drops=1, lanes=2, rounds=4, iterations=66
+    )
+    assert same_scheme2_choice(evaluate_scheme2(chan, cfg, "all_subsets"), reference)
 
 
-def test_scheme2_rounded_rate_tie_goes_to_the_smaller_set():
+def test_scheme2_rounded_rate_tie_goes_to_the_smaller_set(monkeypatch):
     # At rho = 1e-9 the SNRs s = t*^2 / tau_d are near 3e-9, and 1 + s rounds
     # SNRs up to about 7e-8 apart (relative) onto one rate. Here {0, 1, 2}
     # has an SNR 4.4e-9 above that of {0, 1}, more than the 1e-9 pruning
     # margin, yet the same rate, so the smaller set {0, 1} wins. Pruning on
-    # the SNR alone would drop {0, 1} behind the {0, 1, 2} incumbent.
+    # the SNR alone would drop {0, 1} behind a {0, 1, 2} incumbent. The
+    # winner must not depend on how many sets a round takes.
     chan = _chan([1.0, 1.0, 1.0], [1.0, 0.7, 0.06931477635546292])
     cfg = SystemConfig(3, 3, 1e-9, 1e-10, 1.0)
     sols = {
@@ -469,41 +521,30 @@ def test_scheme2_rounded_rate_tie_goes_to_the_smaller_set():
     snr2 = s2.t_star * s2.t_star / c2.tau_d
     snr3 = s3.t_star * s3.t_star / c3.tau_d
     assert snr3 > snr2 * (1.0 + 1e-9)
-    out = evaluate_scheme2(chan, cfg, "all_subsets")
-    assert out.chosen_set == (0, 1)
-    assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+    reference = exhaustive_scheme2(chan, cfg, "all_subsets")
+    for width in (8, 1):
+        monkeypatch.setattr(beam_aggregation, "_ROUND", width)
+        out = evaluate_scheme2(chan, cfg, "all_subsets")
+        assert out.chosen_set == (0, 1)
+        assert same_scheme2_choice(out, reference)
 
 
-def test_scheme2_weak_beam_edge_drops_sets_before_they_are_built(monkeypatch):
+def test_scheme2_weak_beam_edge_drops_sets_before_they_are_built():
     # eps_p = 1 and tau_d = 0.1 for the full set. A solution must keep the
     # last decode (beam 2, h = 0.25) within h: t*^2 <= 0.25 - tau_d. That
-    # is below 0 for {2} and {1, 2}, which fit no alpha_p, and it caps
-    # {0, 2} and {0, 1, 2} at rates 0.32 and 1.32. {0, 1} ranks first (its
-    # edge bounds its SNR by 0.875 / 0.125 = 7) and solves at rate 2.80,
-    # above every other set's bound, so it is the only candidate built and
-    # every sweep is one of its solve. Ranked by B^2 / tau_d alone,
-    # {0, 1, 2} (38 against 21) went first, and {0}, {0, 1, 2} and {0, 2}
-    # were built and swept as well.
+    # is below 0 for {2} and {1, 2}, which fit no alpha_p and are not
+    # ranked, and it caps {0, 2} and {0, 1, 2} at rates 0.32 and 1.32.
+    # {0, 1} ranks first (its edge bounds its SNR by 0.875 / 0.125 = 7);
+    # the next bound, 1.32, is below the best singleton's rate (2.30), so
+    # {0, 1} is the only set solved. Ranked by B^2 / tau_d alone,
+    # {0, 1, 2} (38 against 21) went first.
     chan = _chan([1.0, 1.0, 1.0], [2.0, 1.0, 0.25])
     cfg = SystemConfig(3, 3, 10.0, 1.0, 1.0)
-    built, swept = [], []
-    build, sweep = _BeamSets.candidate, beam_aggregation.min_primary_power
-
-    def recording_build(sets, mask):
-        cand = build(sets, mask)
-        built.append(cand.beams)
-        return cand
-
-    def recording_sweep(candidate, t):
-        swept.append(candidate.beams)
-        return sweep(candidate, t)
-
-    monkeypatch.setattr(_BeamSets, "candidate", recording_build)
-    monkeypatch.setattr(beam_aggregation, "min_primary_power", recording_sweep)
+    counts = _counts(chan, cfg)
+    assert counts == dict(
+        ranked=3, bound_drops=2, t_r_drops=0, lanes=1, rounds=1, iterations=33
+    )
     out = evaluate_scheme2(chan, cfg, "all_subsets")
-    assert built == [(0, 1)]
-    assert swept == [(0, 1)] * 14
-    monkeypatch.undo()
     assert out.chosen_set == (0, 1)
     assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
 
@@ -537,26 +578,27 @@ def test_scheme2_edge_bound_holds_at_the_edge():
     # In both draws the set of every beam ends on its weakest beam's edge:
     # t*^2 equals h/eps_p - tau_d (edge binding, the winner) or exceeds the
     # float difference h/eps_p - tau_d = 0 by the rounding of t^2 + tau_d
-    # (zero edge). Every set that solves must still be visited, under a
+    # (zero edge). Every set that solves must still be ranked, under a
     # bound at least its solved SNR, and the search must pick the
     # exhaustive winner.
     for chan, cfg in (_edge_instance(), _zero_edge_instance()):
         m = cfg.m_beams
-        sets = _BeamSets(chan, cfg, "all_subsets")
-        bounds = {mask: snr for snr, mask in sets.visits}
-        for mask in sets.masks:
-            cand = sets.candidate(mask)
+        table = _table(chan, cfg)
+        bounds = table.snr[:, 0].tolist()
+        for i in range(len(table.slots)):
+            cand = table.candidate(i, 0)
             sol = solve_problem4(cand)
             if sol.status == "optimal":
-                assert sol.t_star * sol.t_star / cand.tau_d <= bounds[mask]
-        full = sets.candidate((1 << m) - 1)
+                assert sol.t_star * sol.t_star / cand.tau_d <= bounds[i]
+        full = table.candidate(len(table.slots) - 1, 0)
+        assert len(full.beams) == m
         sol = solve_problem4(full)
         u, edge = sol.t_star * sol.t_star, full.h[-1] / cfg.eps_p - full.tau_d
         assert sol.alpha_p[-1] == 1.0
         out = evaluate_scheme2(chan, cfg, "all_subsets")
         assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
         if m == 2:
-            assert u == edge < sets.bound[3] ** 2
+            assert u == edge < table.power_bound()[-1, 0] ** 2
             assert out.chosen_set == (0, 1)
         else:
             assert edge == 0.0 < u < 1e-15

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from beamshare import channel_model, montecarlo
-from beamshare.beam_aggregation import evaluate_scheme1, evaluate_scheme2
+from beamshare.beam_aggregation import STRATEGIES, evaluate_scheme1, evaluate_scheme2
 from beamshare.beam_selection import evaluate_selection
 from beamshare.channel_model import SystemConfig, TrialSeed, realize
 from beamshare.montecarlo import (
@@ -172,42 +172,46 @@ def test_estimate_draws_each_channel_once(monkeypatch):
     assert stacks == [(7, 2, 2)]
 
 
-def test_every_scheme2_cell_goes_through_run_trial_with_the_shared_draw(monkeypatch):
-    cells = []
+def test_every_scheme_scores_a_block_in_one_pass(monkeypatch):
+    # a sweep calls no run_trial: each scheme scores all of a block's
+    # (SNR point, trial) cells in one call, scheme 2 with the spec's strategy
+    calls = []
+    block_pass = montecarlo.evaluate_scheme2_block
 
-    def recording(cfg, seed, schemes, strategy, chan=None):
-        cells.append((cfg.rho, seed.trial_index, schemes, chan))
-        return run_trial(cfg, seed, schemes, strategy, chan)
+    def recording(g_gain, h_gain, cfgs, strategy):
+        calls.append((g_gain.shape, len(cfgs), strategy))
+        return block_pass(g_gain, h_gain, cfgs, strategy)
 
-    spec = _spec(trials=5, schemes=SCHEMES)
+    def refused(*args):
+        raise AssertionError("run_trial called by a sweep")
+
+    spec = _spec(trials=5, schemes=SCHEMES, candidate_strategy="all_subsets")
     expected = estimate(spec)
-    monkeypatch.setattr(montecarlo, "run_trial", recording)
+    monkeypatch.setattr(montecarlo, "evaluate_scheme2_block", recording)
+    monkeypatch.setattr(montecarlo, "run_trial", refused)
     assert estimate(spec) == expected
-    # selection and scheme 1 are scored as arrays, scheme 2 cell by cell
-    assert len(cells) == 5 * 2 == len({(rho, t) for rho, t, _, _ in cells})
-    assert {schemes for _, _, schemes, _ in cells} == {("scheme2",)}
-    # both SNR points of a trial are evaluated on one draw object
-    draws = {}
-    for _, t, _, chan in cells:
-        assert chan is draws.setdefault(t, chan) is not None
+    assert calls == [((2, 5), 2, "all_subsets")]
 
 
 @pytest.mark.parametrize("m_beams", range(1, 9))
 def test_array_cells_equal_run_trial_records(m_beams):
     # every metric of every (SNR point, scheme, trial) cell of a block, bit
-    # for bit, against run_trial on its own draw; r_p = 1 fails SIC often
+    # for bit, against run_trial on its own draw; r_p = 1 fails SIC often,
+    # and scheme 2 cycles through the strategies
+    strategy = STRATEGIES[m_beams % 3]
     spec = _spec(
         n_antennas=m_beams + m_beams % 3,
         m_beams=m_beams,
         r_p=(0.1, 1.0)[m_beams % 2],
         snr_grid_db=(-30.0, -15.0, 0.0, 10.0, 20.0, 35.0, 60.0),
-        schemes=("selection", "scheme1"),
+        schemes=SCHEMES,
         trials=12,
         seed=40 + m_beams,
+        candidate_strategy=strategy,
     )
     records = [
         [
-            run_trial(cfg, TrialSeed(spec.seed, t), spec.schemes, "prefixes")
+            run_trial(cfg, TrialSeed(spec.seed, t), spec.schemes, strategy)
             for t in range(spec.trials)
         ]
         for cfg in map(spec.config_at, spec.snr_grid_db)

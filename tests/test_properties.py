@@ -4,7 +4,7 @@ keep on any channel draw."""
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beamshare import (
     SystemConfig,
@@ -18,20 +18,24 @@ from beamshare.beam_aggregation import (
     STRATEGIES,
     certify_solution,
     enumerate_candidates,
+    evaluate_scheme1_block,
+    evaluate_scheme2_block,
     min_primary_power,
     solve_problem4,
 )
-from beamshare.beam_aggregation import evaluate_scheme1_block
 from beamshare.beam_selection import evaluate_selection_block
+from beamshare.channel_model import ChannelRealization
 from beamshare.montecarlo import METRICS, SCHEMES, SweepSpec, _run_block
 from beamshare.validation import (
-    bisection_reference,
     exhaustive_scheme2,
+    lane_solutions,
     same_scheme2_choice,
 )
 
 # (r_p, r_s): the paper's operating point, vanishing targets, extreme targets
 TARGETS = [(0.1, 1.0), (1e-9, 0.0), (8.0, 8.0)]
+
+_GAIN = st.floats(min_value=1e-3, max_value=30.0)
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
@@ -103,21 +107,75 @@ def test_pruned_set_search_picks_the_exhaustive_winner(log10_rho, r_p, m_beams, 
     m_beams=st.integers(min_value=2, max_value=8),
     trial=st.integers(min_value=0, max_value=2 ** 32 - 1),
 )
-def test_root_replay_matches_the_plain_bisection(log10_rho, r_p, m_beams, trial):
-    # Every feasible prefix of 2..m_beams beams. At r_p = 1 (eps_p = 1) no
-    # alpha_p fits at t = sum sqrt(h) (the last beam would need
-    # h alpha_p >= (sum sqrt(h))^2 > h), so half the examples have the
+def test_lanes_match_the_scalar_bisection(log10_rho, r_p, m_beams, trial):
+    # Every feasible prefix of 2..m_beams beams, solved as lanes of one
+    # lockstep bisection, against solve_problem4 bit for bit. At r_p = 1
+    # (eps_p = 1) no alpha_p fits at t = sum sqrt(h) (the last beam would
+    # need h alpha_p >= (sum sqrt(h))^2 > h), so half the examples have the
     # infeasible region inside the bisection's interval.
     cfg = SystemConfig(m_beams, m_beams, 10.0 ** log10_rho, r_p, 1.0)
     chan = realize(cfg, TrialSeed(2029, trial))
-    for cand in enumerate_candidates(chan, cfg, "prefixes")[1:]:
-        if not cand.feasible or min_primary_power(cand, 0.0) is None:
+    g_gain, h_gain = chan.g_gain[:, None], chan.h_gain[:, None]
+    for cand, got in lane_solutions(g_gain, h_gain, cfg, "prefixes")[0]:
+        if min_primary_power(cand, 0.0) is None:
+            assert got.status == "infeasible"
             continue
         if r_p == 1.0:
             assert min_primary_power(cand, sum(math.sqrt(v) for v in cand.h)) is None
-        got, want = solve_problem4(cand), bisection_reference(cand)
+        want = solve_problem4(cand)
         assert want.status == "optimal"
         assert repr(got) == repr(want), (cand, got, want)
+
+
+def _gains(g, h):
+    m = len(g)
+    return ChannelRealization(
+        G=np.eye(m, dtype=complex),
+        h=np.zeros(m, dtype=complex),
+        F=np.eye(m, dtype=complex),
+        g_gain=np.array(g, dtype=float),
+        h_gain=np.array(h, dtype=float),
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    m_beams=st.integers(min_value=1, max_value=5),
+    trials=st.integers(min_value=1, max_value=4),
+    snr_db=st.lists(
+        st.floats(min_value=-30.0, max_value=60.0), min_size=1, max_size=4
+    ),
+    r_p=st.sampled_from([1e-17, 1e-9, 0.1, 1.0, 8.0]),
+    data=st.data(),
+)
+@example(  # r_p = 1e-17 rounds eps_p to 0: no decode constraint binds
+    m_beams=4, trials=1, snr_db=[20.0], r_p=1e-17, data=None
+)
+@example(  # at rho = 1e-9, 1 + s rounds {0, 1} and {0, 1, 2} onto one rate
+    m_beams=3, trials=1, snr_db=[-90.0], r_p=1e-10, data=None
+)
+def test_block_cells_equal_the_exhaustive_search(m_beams, trials, snr_db, r_p, data):
+    # every (SNR point, trial) cell of a block, under every strategy,
+    # against solving every feasible set of that cell alone
+    if data is None:
+        g = [[1.0] * m_beams]
+        h = [[1.0, 0.7, 0.06931477635546292, 0.5][:m_beams]]
+    else:
+        gains = st.lists(_GAIN, min_size=m_beams, max_size=m_beams)
+        g = [data.draw(gains) for _ in range(trials)]
+        h = [data.draw(gains) for _ in range(trials)]
+    g_gain, h_gain = np.array(g).T, np.array(h).T
+    cfgs = [
+        SystemConfig(m_beams, m_beams, 10.0 ** (x / 10.0), r_p, 1.0) for x in snr_db
+    ]
+    for strategy in STRATEGIES:
+        block = evaluate_scheme2_block(g_gain, h_gain, cfgs, strategy)
+        for s, cfg in enumerate(cfgs):
+            for t in range(len(g)):
+                want = exhaustive_scheme2(_gains(g[t], h[t]), cfg, strategy)
+                got = block.cell("scheme2", s, t)
+                assert same_scheme2_choice(got, want), (strategy, cfg, t)
+                assert got.outage == want.outage
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -210,9 +268,6 @@ def _scalar_scheme1(g, h, rho, r_p, r_s):
         g_m * a_p / (g_m * (1.0 - a_p) + 1.0 / rho) for g_m, a_p in zip(g, alpha_p)
     ]
     return rate < r_s, rate, rate, min(math.log2(1.0 + x) for x in primary)
-
-
-_GAIN = st.floats(min_value=1e-3, max_value=30.0)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
