@@ -11,18 +11,28 @@ which gives g_m^H f_i = 0 for m != i and ||f_m||^2 = 1/M for every beam.
 The scalar quantities the power-allocation layer consumes are the effective
 gains g_m = |g_m^H f_m|^2 and h_m = |h^H f_m|^2.
 
-A block of trials is drawn one trial at a time, each from its own seed, and
-zero-forced as one stack; realize is the block of one.  The stacked linear
-algebra does per matrix what the single call does, so every trial's values
-are bit for bit the same whatever block it is drawn in.
+Each trial's random stream is the PCG64 generator that
+default_rng((experiment_seed, trial_index, attempt)) returns.  Its first
+2NM + 2N standard normals are, in order, the real parts of G, the
+imaginary parts of G (both row-major), and the real and imaginary parts of
+h.  A block of trials is drawn at once: numpy's SeedSequence hash runs as
+uint32 array arithmetic over the block's trials, the PCG64 seeding is done
+in Python integers, and each trial's normals come from one standard_normal
+call on a reused generator whose state is set to that trial's.  One call
+of 2NM + 2N normals equals four calls in sequence, because each call only
+continues the stream.  The block is zero-forced as one stack; realize is
+the block of one.  The stacked linear algebra does per matrix what the
+single call does, so every trial's values are bit for bit the same
+whatever block it is drawn in.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Sequence
+from functools import cache, cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +40,7 @@ __all__ = [
     "SystemConfig",
     "TrialSeed",
     "ChannelRealization",
+    "ChannelBlock",
     "SingularChannel",
     "sample_channels",
     "zf_beams",
@@ -43,6 +54,23 @@ __all__ = [
 COND_LIMIT = 1e12
 
 _MAX_RESAMPLES = 64
+
+# numpy's SeedSequence (bit_generator.pyx): pool size, hash constants and
+# the right shift of its hashmix and mix steps
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+# PCG64's 128-bit LCG multiplier (pcg_setseq_128_step_r)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+# the lock keeps another thread from resetting the shared generator between
+# a trial's state and its draw
+_GENERATOR_LOCK = threading.Lock()
 
 
 class SingularChannel(Exception):
@@ -118,10 +146,11 @@ class TrialSeed:
     def __post_init__(self) -> None:
         if not 0 <= self.experiment_seed < 2 ** 64:
             raise ValueError("experiment_seed must fit in 64 bits")
-        if self.trial_index < 0 or self.attempt < 0:
-            raise ValueError("trial_index and attempt must be >= 0")
+        if not (0 <= self.trial_index < 2 ** 64 and 0 <= self.attempt < 2 ** 64):
+            raise ValueError("trial_index and attempt must be in [0, 2**64)")
 
     def rng(self) -> np.random.Generator:
+        """The trial's stream, the mapping sample_channels reproduces."""
         return np.random.default_rng(
             (self.experiment_seed, self.trial_index, self.attempt)
         )
@@ -139,20 +168,110 @@ class ChannelRealization:
     resamples: int = 0   # singular-channel redraws consumed by this trial
 
 
+def _schedule(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constants of `calls` hashmix steps, init * mult**k mod
+    2**32 for k <= calls, as a column; they do not depend on the data."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """hashmix of value with each of len(consts) - 1 successive constants."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+# an entropy of at most 6 words (three parts below 2**64) takes 4 hashmix
+# calls per word, and generate_state one per output word
+_CONSTS_A = _schedule(_INIT_A, _MULT_A, 6 * _POOL)
+_CONSTS_B = _schedule(_INIT_B, _MULT_B, 2 * _POOL)
+# the pool words each source word is mixed into, in order; the pool words
+# generate_state cycles through
+_OTHERS = [np.array([d for d in range(_POOL) if d != src]) for src in range(_POOL)]
+_CYCLE = np.arange(2 * _POOL) % _POOL
+
+
+def _seed_states(seeds: Sequence[TrialSeed]) -> list[list[int]]:
+    """SeedSequence((experiment_seed, trial_index, attempt))
+    .generate_state(4, uint64) of every seed, hashed for all seeds at once.
+
+    The entropy is each part's little-endian uint32 words: the low word,
+    then the high word unless it is 0.  SeedSequence hashes a missing pool
+    word as 0, so seeds of at most _POOL words need no more than zero
+    padding; longer ones mix their extra words in.  Seeds whose parts have
+    the same high words present share one pass.
+    """
+    parts = [(s.experiment_seed, s.trial_index, s.attempt) for s in seeds]
+    words = np.fromiter(parts, np.dtype(("<u8", 3)), len(parts)).view("<u4").T
+    layout = np.array([1, 2, 4]) @ (words[1::2] != 0)  # which high words are present
+    state = np.empty((len(parts), 2 * _POOL), dtype="<u4")
+    for code in set(layout.tolist()):
+        cols = layout == code
+        used = [k for k in range(6) if k % 2 == 0 or code >> k // 2 & 1]
+        count = max(len(used), _POOL)
+        # an absent high word is 0: it pads a short entropy with zeros
+        entropy = words[used + [k for k in range(6) if k not in used]][:count, cols]
+        pool = _hashmix(entropy[:_POOL], _CONSTS_A[: _POOL + 1])
+        k = _POOL
+        for src, dst in enumerate(_OTHERS):  # mix every pool word into the others
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], _CONSTS_A[k : k + _POOL]))
+            k += _POOL - 1
+        for word in entropy[_POOL:]:  # then each word beyond the pool
+            pool = _mix(pool, _hashmix(word, _CONSTS_A[k : k + _POOL + 1]))
+            k += _POOL
+        state[cols] = _hashmix(pool[_CYCLE], _CONSTS_B).T
+    return state.view("<u8").tolist()
+
+
+@cache
+def _generator() -> np.random.Generator:
+    """One PCG64 generator, its state set to each trial's in turn; made on
+    first use, so that importing the package does not import numpy.random."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
 def sample_channels(
-    cfg: SystemConfig, seed: TrialSeed
+    cfg: SystemConfig, seeds: Sequence[TrialSeed]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (G, h) with i.i.d. CN(0, 1) entries, deterministically from seed.
+    """Draw G[T, N, M] and h[T, N] with i.i.d. CN(0, 1) entries, row t
+    deterministically from seeds[t].
 
     Real and imaginary parts are each N(0, 1/2) so every entry has unit
-    variance.  G is drawn before h, in a fixed order, to keep the stream
-    layout stable.
+    variance.  Row t's 2NM + 2N normals are the first of seeds[t].rng()'s
+    stream, in the layout of the module docstring: that generator's PCG64
+    state and increment are derived from the seed's SeedSequence words as
+    pcg_setseq_128_srandom_r does, and set on one reused generator, which
+    fills the row with one standard_normal call.
     """
-    rng = seed.rng()
     n, m = cfg.n_antennas, cfg.m_beams
+    normals = np.empty((len(seeds), 2 * n * m + 2 * n))
+    states = _seed_states(seeds)
+    with _GENERATOR_LOCK:
+        generator = _generator()
+        bit_generator = generator.bit_generator
+        for row, (s_hi, s_lo, i_hi, i_lo) in zip(normals, states):
+            # pcg_setseq_128_srandom_r: inc = 2 seq + 1, then two LCG steps
+            # from state 0 with the seed added in between
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            generator.standard_normal(out=row)
     scale = math.sqrt(0.5)
-    G = scale * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
-    h = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    re, im, h_re, h_im = np.split(normals, np.cumsum([n * m, n * m, n]), axis=1)
+    G = scale * (re.reshape(-1, n, m) + 1j * im.reshape(-1, n, m))
+    h = scale * (h_re + 1j * h_im)
     return G, h
 
 
@@ -196,6 +315,29 @@ def effective_gains(h: np.ndarray, F: np.ndarray) -> np.ndarray:
     return np.abs((h.conj()[..., None, :] @ F)[..., 0, :]) ** 2
 
 
+class ChannelBlock(NamedTuple):
+    """A block of draws, zero-forced as one stack, trial t in row t of G,
+    h and F and in column t of the beam-major gain arrays."""
+
+    G: np.ndarray          # T x N x M primary channel matrices
+    h: np.ndarray          # T x N secondary channels
+    F: np.ndarray          # T x N x M beam matrices
+    g_gain: np.ndarray     # M x T, g_m = |g_m^H f_m|^2
+    h_gain: np.ndarray     # M x T, h_m = |h^H f_m|^2
+    resamples: list[int]   # singular-channel redraws consumed per trial
+
+    def draw(self, t: int) -> ChannelRealization:
+        """Trial t as a ChannelRealization."""
+        return ChannelRealization(
+            G=self.G[t],
+            h=self.h[t],
+            F=self.F[t],
+            g_gain=self.g_gain[:, t],
+            h_gain=self.h_gain[:, t],
+            resamples=self.resamples[t],
+        )
+
+
 def realize(cfg: SystemConfig, seed: TrialSeed) -> ChannelRealization:
     """Draw a full channel realization, redrawing on singular channels.
 
@@ -203,43 +345,37 @@ def realize(cfg: SystemConfig, seed: TrialSeed) -> ChannelRealization:
     index, bumped attempt counter), so the result is a pure function of
     (cfg, seed) regardless of how many redraws occur.
     """
-    return realize_block(cfg, [seed])[0]
+    return realize_block(cfg, [seed]).draw(0)
 
 
-def realize_block(
-    cfg: SystemConfig, seeds: Sequence[TrialSeed]
-) -> list[ChannelRealization]:
-    """Draw one realization per seed, zero-forced as one stack.
+def realize_block(cfg: SystemConfig, seeds: Sequence[TrialSeed]) -> ChannelBlock:
+    """Draw one trial per seed with one sample_channels call and zero-force
+    the block as one stack.
 
-    Each trial samples from its own seed, as realize does.  A singular
-    matrix redraws only its own trial, from the next attempt's stream, and
-    the stack is zero-forced again; so each realization equals
-    realize(cfg, seed) bit for bit.
+    A singular matrix redraws only its own trial, from the next attempt's
+    stream, with one more sample_channels call for all such rows, and the
+    stack is zero-forced again; so trial t equals realize(cfg, seeds[t])
+    bit for bit.  The gains are returned beam-major, (M, T) and
+    C-contiguous, as the block passes of the schemes take them.
     """
-    attempts = [seed.attempt for seed in seeds]
-    draws = [sample_channels(cfg, seed) for seed in seeds]
+    G, h = sample_channels(cfg, seeds)
+    resamples = [0] * len(seeds)
     while True:
         try:
-            F, g_gain = zf_beams(np.stack([G for G, _ in draws]))
+            F, g_gain = zf_beams(G)
             break
         except SingularChannel as exc:
-            for i in range(len(seeds)) if exc.rows is None else exc.rows:
-                attempts[i] += 1
-                if attempts[i] - seeds[i].attempt >= _MAX_RESAMPLES:
+            rows = range(len(seeds)) if exc.rows is None else exc.rows
+            for i in rows:
+                resamples[i] += 1
+                if resamples[i] >= _MAX_RESAMPLES:
                     raise SingularChannel(
                         f"{_MAX_RESAMPLES} consecutive singular draws for {seeds[i]}"
                     ) from None
-                draws[i] = sample_channels(cfg, replace(seeds[i], attempt=attempts[i]))
-    h = np.stack([h for _, h in draws])
+            redraws = [
+                replace(seeds[i], attempt=seeds[i].attempt + resamples[i]) for i in rows
+            ]
+            G[rows], h[rows] = sample_channels(cfg, redraws)
     h_gain = effective_gains(h, F)
-    return [
-        ChannelRealization(
-            G=G,
-            h=h[i],
-            F=F[i],
-            g_gain=g_gain[i],
-            h_gain=h_gain[i],
-            resamples=attempts[i] - seed.attempt,
-        )
-        for i, ((G, _), seed) in enumerate(zip(draws, seeds))
-    ]
+    g_gain, h_gain = np.ascontiguousarray(g_gain.T), np.ascontiguousarray(h_gain.T)
+    return ChannelBlock(G, h, F, g_gain, h_gain, resamples)

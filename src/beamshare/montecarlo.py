@@ -4,11 +4,12 @@ A trial is one channel draw, a pure function of (experiment seed, trial
 index).  A draw does not depend on the SNR, so each trial is drawn once and
 every (SNR point, scheme) cell of the sweep is evaluated on it: the schemes
 and the SNR points are compared on the same draws.  Trials are drawn in
-blocks of at most _BLOCK, zero-forced as one stack, and a block is the unit
-of work handed to a worker.  Each scheme scores all of a block's (SNR
-point, trial) cells in one array pass (scheme 2 solves its beam sets as
-lanes of one lockstep bisection), and each cell's floats are those of
-run_trial, the one-cell replay, on that cell, bit for bit.  Results are
+blocks of at most _BLOCK, sampled with one seed hash over the block and
+zero-forced as one stack, and a block is the unit of work handed to a
+worker.  Each scheme scores all of a block's (SNR point, trial) cells in
+one array pass over the block's (M, T) gain arrays (scheme 2 solves its
+beam sets as lanes of one lockstep bisection), and each cell's floats are
+those of run_trial, the one-cell replay, on that cell, bit for bit.  Results are
 reduced in trial-index order regardless of scheduling, which makes
 estimates bit-identical across worker counts and block sizes.  SNR is
 expressed in dB at the interface and converted to the linear scale
@@ -257,13 +258,6 @@ def run_trial(
 _BLOCK_PASS = {"selection": evaluate_selection_block, "scheme1": evaluate_scheme1_block}
 
 
-def stacked_gains(chans: Sequence[ChannelRealization]) -> tuple[np.ndarray, np.ndarray]:
-    """The draws' g_gain and h_gain as (M, T) arrays, beam-major."""
-    g_gain = np.stack([chan.g_gain for chan in chans], axis=1)
-    h_gain = np.stack([chan.h_gain for chan in chans], axis=1)
-    return g_gain, h_gain
-
-
 def _run_block(args) -> tuple[np.ndarray, int]:
     """Draw a block of trials once and score every (SNR point, scheme)
     cell on it, each scheme with one array pass over all the block's
@@ -271,17 +265,16 @@ def _run_block(args) -> tuple[np.ndarray, int]:
     scheme, trial) array, and the block's redraw count."""
     spec, trials = args
     cfgs = [spec.config_at(snr_db) for snr_db in spec.snr_grid_db]
-    seeds = [TrialSeed(spec.seed, t) for t in trials]
-    chans = realize_block(cfgs[0], seeds)
-    g_gain, h_gain = stacked_gains(chans)
-    values = np.empty((len(cfgs), len(spec.schemes), len(seeds)))
+    block = realize_block(cfgs[0], [TrialSeed(spec.seed, t) for t in trials])
+    g_gain, h_gain = block.g_gain, block.h_gain
+    values = np.empty((len(cfgs), len(spec.schemes), len(trials)))
     for k, scheme in enumerate(spec.schemes):
         if scheme == "scheme2":
             cells = evaluate_scheme2_block(g_gain, h_gain, cfgs, spec.candidate_strategy)
         else:
             cells = _BLOCK_PASS[scheme](g_gain, h_gain, cfgs)
         values[:, k] = _VALUE[spec.metric](cells)
-    return values, sum(chan.resamples for chan in chans)
+    return values, sum(block.resamples)
 
 
 def _reduce(values: Sequence, resamples: int, metric: str) -> MetricEstimate:

@@ -30,13 +30,15 @@ from .beam_aggregation import (
 )
 from .beam_selection import evaluate_selection_block
 from .channel_model import (
+    ChannelBlock,
     ChannelRealization,
     SystemConfig,
     TrialSeed,
     realize,
     realize_block,
+    sample_channels,
 )
-from .montecarlo import _BLOCK, SweepSpec, estimate, snr_db_to_linear, stacked_gains
+from .montecarlo import SweepSpec, estimate, snr_db_to_linear
 from .power_allocation import (
     SchemeOutcome,
     alpha_s_cap,
@@ -66,11 +68,9 @@ LEVEL_3SE = math.erfc(3.0 / math.sqrt(2.0))
 Z_95 = 1.645
 
 
-def _draws(cfg: SystemConfig, seed: int, count: int):
-    """realize(cfg, TrialSeed(seed, t)) for t < count, drawn in blocks."""
-    for start in range(0, count, _BLOCK):
-        stop = min(start + _BLOCK, count)
-        yield from realize_block(cfg, [TrialSeed(seed, t) for t in range(start, stop)])
+def _draws(cfg: SystemConfig, seed: int, count: int) -> ChannelBlock:
+    """realize(cfg, TrialSeed(seed, t)) for t < count, as one block."""
+    return realize_block(cfg, [TrialSeed(seed, t) for t in range(count)])
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,56 @@ class CheckResult:
     detail: str
 
 
+def reference_channels(
+    cfg: SystemConfig, seed: TrialSeed
+) -> tuple[np.ndarray, np.ndarray]:
+    """(G, h) from four standard_normal draws of seed.rng(): the real and
+    imaginary parts of G, then of h, each scaled by sqrt(1/2).  The
+    documented stream that sample_channels reproduces in one draw."""
+    rng = seed.rng()
+    n, m = cfg.n_antennas, cfg.m_beams
+    scale = math.sqrt(0.5)
+    G = scale * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+    h = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return G, h
+
+
+def stream_check(seed: int, draws: int = 256) -> CheckResult:
+    """sample_channels against reference_channels, bit for bit, on one
+    block whose seeds mix entropy lengths: trial indices below and above
+    2**32, attempts 0, 1 and 2**32 + 1."""
+    cfg = SystemConfig(4, 2, 10.0, 1.0, 1.0)
+    seeds = [
+        TrialSeed(seed, t + (t % 2 << 32), (0, 1, 2 ** 32 + 1)[t % 3])
+        for t in range(draws)
+    ]
+    G, h = sample_channels(cfg, seeds)
+    mismatches = 0
+    for G_t, h_t, trial_seed in zip(G, h, seeds):
+        G_ref, h_ref = reference_channels(cfg, trial_seed)
+        mismatches += (G_t.tobytes(), h_t.tobytes()) != (G_ref.tobytes(), h_ref.tobytes())
+    return CheckResult(
+        "zf.stream_exact",
+        mismatches == 0,
+        f"{mismatches} of {draws} block draws differ from the seed's own "
+        "generator (G and h bit for bit)",
+    )
+
+
 def zf_checks(
     seed: int, realizations: int = 1000, sizes: tuple[int, ...] = (2, 3, 4)
 ) -> list[CheckResult]:
     """Zero-forcing identities on random draws: orthogonality, unit total
-    beam power, and the Gram-inverse form of the effective gains."""
+    beam power, and the Gram-inverse form of the effective gains; and the
+    block sampler against each trial's own generator."""
     results = []
     for size in sizes:
         cfg = SystemConfig(size, size, 10.0, 1.0, 1.0)
         worst_cross = 0.0
         worst_norm = 0.0
         worst_gain = 0.0
-        for chan in _draws(cfg, seed, realizations):
+        block = _draws(cfg, seed, realizations)
+        for chan in map(block.draw, range(realizations)):
             cross = chan.G.conj().T @ chan.F
             off = np.abs(cross - np.diag(np.diag(cross)))
             worst_cross = max(worst_cross, float(off.max()))
@@ -125,6 +163,7 @@ def zf_checks(
                 f"max relative gain error = {worst_gain:.2e} (limit 1e-9)",
             )
         )
+    results.append(stream_check(seed))
     return results
 
 
@@ -154,7 +193,7 @@ def distribution_checks(
     threshold = KS_FACTOR_1PCT / math.sqrt(samples)
     for n, m in configs:
         cfg = SystemConfig(n, m, 10.0, 1.0, 1.0)
-        gains = np.array([chan.g_gain[0] for chan in _draws(cfg, seed, samples)])
+        gains = _draws(cfg, seed, samples).g_gain[0]
         stat = ks_statistic(m * gains, lambda x: gain_cdf(x, n, m))
         results.append(
             CheckResult(
@@ -247,8 +286,9 @@ def solver_checks(
     cfg = SystemConfig(4, 4, 10.0, 1.0, 1.0)
     worst = 0.0
     certifier_fail = 0
+    block = _draws(cfg, seed + 1, reduction_draws)
     for t in range(reduction_draws):
-        chan = realize(cfg, TrialSeed(seed + 1, t))
+        chan = block.draw(t)
         h_gain = chan.h_gain.tolist()
         g_gain = chan.g_gain.tolist()
         base_ap = mode_i_alpha_p(g_gain, cfg.rho, cfg.eps_p)
@@ -362,15 +402,18 @@ def same_scheme2_choice(a: SchemeOutcome, b: SchemeOutcome) -> bool:
 def _set_search_draws(seed: int, draws: int):
     """`draws` draws at each N = M in {2, 4, 6, 8}, draw t at 10 (t % 5) dB
     and r_p 0.1 or 1, alternating every 5 draws; yields each operating
-    point's cfg with its draws."""
+    point's cfg with the point's trials and the block of all the draws of
+    its geometry (a draw depends on N and M only)."""
     for m in (2, 4, 6, 8):
         points: dict[SystemConfig, list] = {}
         for t in range(draws):
             rho = snr_db_to_linear(10.0 * (t % 5))
             cfg = SystemConfig(m, m, rho, (0.1, 1.0)[t // 5 % 2], 1.0)
-            chan = realize(cfg, TrialSeed(seed, m * draws + t))
-            points.setdefault(cfg, []).append(chan)
-        yield from points.items()
+            points.setdefault(cfg, []).append(t)
+        seeds = [TrialSeed(seed, m * draws + t) for t in range(draws)]
+        block = realize_block(cfg, seeds)
+        for cfg, trials in points.items():
+            yield cfg, trials, block
 
 
 def set_search_check(seed: int, draws: int = 60) -> CheckResult:
@@ -379,15 +422,15 @@ def set_search_check(seed: int, draws: int = 60) -> CheckResult:
     point's draws scored as one block; with the mean multi-beam sets
     ranked and solved as lanes per search."""
     mismatches = count = ranked = lanes = 0
-    for cfg, chans in _set_search_draws(seed, draws):
-        g_gain, h_gain = stacked_gains(chans)
+    for cfg, trials, block in _set_search_draws(seed, draws):
+        g_gain, h_gain = block.g_gain[:, trials], block.h_gain[:, trials]
         for strategy in STRATEGIES:
-            block = evaluate_scheme2_block(g_gain, h_gain, [cfg], strategy)
-            ranked += block.counts["ranked"]
-            lanes += block.counts["lanes"]
-            for t, chan in enumerate(chans):
-                want = exhaustive_scheme2(chan, cfg, strategy)
-                mismatches += not same_scheme2_choice(block.cell("scheme2", 0, t), want)
+            cells = evaluate_scheme2_block(g_gain, h_gain, [cfg], strategy)
+            ranked += cells.counts["ranked"]
+            lanes += cells.counts["lanes"]
+            for c, t in enumerate(trials):
+                want = exhaustive_scheme2(block.draw(t), cfg, strategy)
+                mismatches += not same_scheme2_choice(cells.cell("scheme2", 0, c), want)
                 count += 1
     return CheckResult(
         "solver.set_search_exact",
@@ -439,8 +482,10 @@ def lanes_check(seed: int, draws: int = 60) -> CheckResult:
     on every feasible set of two or more beams (all subsets) of the
     _set_search_draws, each operating point's draws solved as one pass."""
     mismatches = count = solves = steps = 0
-    for cfg, chans in _set_search_draws(seed, draws):
-        pairs, iterations = lane_solutions(*stacked_gains(chans), cfg, "all_subsets")
+    for cfg, trials, block in _set_search_draws(seed, draws):
+        pairs, iterations = lane_solutions(
+            block.g_gain[:, trials], block.h_gain[:, trials], cfg, "all_subsets"
+        )
         steps += iterations
         for cand, got in pairs:
             # repr spells every float exactly, so equal reprs are equal bits
@@ -461,8 +506,8 @@ def dominance_checks(seed: int, draws: int = 2000) -> list[CheckResult]:
     and beats it on average, at 10, 20 and 30 dB.  Both schemes score all
     the draws at the three SNR points as one block, as a sweep does."""
     results = []
-    chans = list(_draws(SystemConfig(4, 4, 1.0, 0.1, 1.0), seed, draws))
-    g_gain, h_gain = stacked_gains(chans)
+    block = _draws(SystemConfig(4, 4, 1.0, 0.1, 1.0), seed, draws)
+    g_gain, h_gain = block.g_gain, block.h_gain
     snrs_db = (10.0, 20.0, 30.0)
     cfgs = [SystemConfig(4, 4, snr_db_to_linear(x), 0.1, 1.0) for x in snrs_db]
     selection = evaluate_selection_block(g_gain, h_gain, cfgs).secondary_rate

@@ -19,9 +19,9 @@ from beamshare.beam_aggregation import (
     solve_problem4,
 )
 from beamshare.beam_selection import evaluate_selection_block
-from beamshare.channel_model import SystemConfig, TrialSeed, realize, realize_block
+from beamshare.channel_model import SystemConfig, TrialSeed, realize_block
 from beamshare.cli import main
-from beamshare.montecarlo import SweepSpec, estimate, stacked_gains
+from beamshare.montecarlo import SweepSpec, estimate
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
 from beamshare.validation import (
     Z_95,
@@ -136,8 +136,9 @@ def test_criterion_06_solver_correctness():
     cfg = SystemConfig(4, 4, 10.0, 1.0, 1.0)
     worst = 0.0
     certified = 0
+    block = realize_block(cfg, [TrialSeed(SEED + 6, t) for t in range(10_000)])
     for t in range(10_000):
-        chan = realize(cfg, TrialSeed(SEED + 6, t))
+        chan = block.draw(t)
         h = chan.h_gain.tolist()
         g = chan.g_gain.tolist()
         base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
@@ -205,7 +206,8 @@ def test_criterion_07_scheme2_always_beats_selection():
 
 def _block_draws(cfg, seed, trials):
     """realize(cfg, TrialSeed(seed, t)) for t < trials, as (M, T) gains."""
-    return stacked_gains(realize_block(cfg, [TrialSeed(seed, t) for t in range(trials)]))
+    block = realize_block(cfg, [TrialSeed(seed, t) for t in range(trials)])
+    return block.g_gain, block.h_gain
 
 
 def test_criterion_08_scheme1_gains_at_low_snr():

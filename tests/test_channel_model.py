@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -40,39 +42,54 @@ def test_trial_seed_validation():
         TrialSeed(2 ** 64, 0)
     with pytest.raises(ValueError):
         TrialSeed(1, -1)
+    for trial, attempt in ((2 ** 64, 0), (0, 2 ** 64)):
+        with pytest.raises(ValueError):
+            TrialSeed(1, trial, attempt)
 
 
 def test_entry_variance():
     # CN(0,1) entries: mean |entry|^2 of 1e5 draws must sit within 0.02 of 1
     cfg = SystemConfig(4, 4, 10.0, 1.0, 1.0)
-    acc = 0.0
-    count = 0
-    for t in range(5000):
-        G, h = sample_channels(cfg, TrialSeed(11, t))
-        acc += float(np.sum(np.abs(G) ** 2)) + float(np.sum(np.abs(h) ** 2))
-        count += G.size + h.size
+    G, h = sample_channels(cfg, [TrialSeed(11, t) for t in range(5000)])
+    acc = float(np.sum(np.abs(G) ** 2)) + float(np.sum(np.abs(h) ** 2))
+    count = G.size + h.size
     assert count >= 100_000
     assert abs(acc / count - 1.0) < 0.02
 
 
 def test_sampling_deterministic_bitwise():
+    # a row depends on its own seed alone, not on the block around it
     cfg = SystemConfig(4, 3, 10.0, 1.0, 1.0)
-    G1, h1 = sample_channels(cfg, TrialSeed(5, 17))
-    G2, h2 = sample_channels(cfg, TrialSeed(5, 17))
-    assert G1.tobytes() == G2.tobytes()
-    assert h1.tobytes() == h2.tobytes()
-    G3, _ = sample_channels(cfg, TrialSeed(5, 18))
-    assert G1.tobytes() != G3.tobytes()
+    G1, h1 = sample_channels(cfg, [TrialSeed(5, 17)])
+    G2, h2 = sample_channels(cfg, [TrialSeed(5, 16), TrialSeed(5, 17)])
+    assert G1[0].tobytes() == G2[1].tobytes()
+    assert h1[0].tobytes() == h2[1].tobytes()
+    assert G1[0].tobytes() != G2[0].tobytes()
+
+
+def test_threads_sampling_at_once_get_their_own_streams():
+    # every block shares one generator; switching threads as often as the
+    # interpreter allows must not mix one block's state into another's draw
+    cfg = SystemConfig(8, 8, 10.0, 1.0, 1.0)
+    blocks = [[TrialSeed(61, 64 * b + t) for t in range(64)] for b in range(16)]
+    alone = [sample_channels(cfg, seeds) for seeds in blocks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            shared = list(pool.map(lambda seeds: sample_channels(cfg, seeds), blocks))
+    finally:
+        sys.setswitchinterval(interval)
+    for (G, h), (G_ref, h_ref) in zip(shared, alone):
+        assert G.tobytes() == G_ref.tobytes() and h.tobytes() == h_ref.tobytes()
 
 
 def test_column_independence():
     # E|g_1^H g_2|^2 = N for independent CN(0, I_N) columns; the normalized
     # statistic over 1e4 draws must be 1 within 3 standard errors
     cfg = SystemConfig(4, 2, 10.0, 1.0, 1.0)
-    vals = np.empty(10_000)
-    for t in range(len(vals)):
-        G, _ = sample_channels(cfg, TrialSeed(13, t))
-        vals[t] = abs(np.vdot(G[:, 0], G[:, 1])) ** 2 / cfg.n_antennas
+    G, _ = sample_channels(cfg, [TrialSeed(13, t) for t in range(10_000)])
+    vals = np.abs(np.sum(G[:, :, 0].conj() * G[:, :, 1], axis=1)) ** 2 / cfg.n_antennas
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(np.mean(vals) - 1.0) < 3 * se
 
@@ -184,10 +201,12 @@ def test_block_draws_equal_scalar_realize_bitwise():
             cfg = SystemConfig(n, m, 10.0, 0.1, 1.0)
             seeds = [TrialSeed(29, t) for t in range(12)]
             for size in (1, 5, 12):
-                block = []
+                chans = []
                 for start in range(0, len(seeds), size):
-                    block += realize_block(cfg, seeds[start : start + size])
-                for chan, seed in zip(block, seeds):
+                    part = seeds[start : start + size]
+                    block = realize_block(cfg, part)
+                    chans += map(block.draw, range(len(part)))
+                for chan, seed in zip(chans, seeds):
                     _same_draw(chan, realize(cfg, seed))
 
 
@@ -196,26 +215,28 @@ def test_block_redraws_only_the_singular_row(monkeypatch):
     seeds = [TrialSeed(41, t) for t in range(6)]
     clean = realize_block(cfg, seeds)
     real_sample = channel_model.sample_channels
-    draws = []
+    calls = []
 
-    def singular_once(cfg, seed):
-        draws.append((seed.trial_index, seed.attempt))
-        G, h = real_sample(cfg, seed)
-        if seed.trial_index == 3 and seed.attempt == 0:
-            G = np.ones_like(G)  # identical columns
+    def singular_once(cfg, seeds):
+        calls.append([(seed.trial_index, seed.attempt) for seed in seeds])
+        G, h = real_sample(cfg, seeds)
+        for row, seed in enumerate(seeds):
+            if seed.trial_index == 3 and seed.attempt == 0:
+                G[row] = 1.0  # identical columns
         return G, h
 
     monkeypatch.setattr(channel_model, "sample_channels", singular_once)
     block = realize_block(cfg, seeds)
-    assert draws == [(t, 0) for t in range(6)] + [(3, 1)]
-    assert [chan.resamples for chan in block] == [0, 0, 0, 1, 0, 0]
+    # one draw of the block, one more of the rows to redraw
+    assert calls == [[(t, 0) for t in range(6)], [(3, 1)]]
+    assert block.resamples == [0, 0, 0, 1, 0, 0]
     monkeypatch.setattr(channel_model, "sample_channels", real_sample)
     for t in (0, 1, 2, 4, 5):
-        _same_draw(block[t], clean[t])
+        _same_draw(block.draw(t), clean.draw(t))
     # the redraw is trial 3's attempt-1 stream, reproducible in isolation
     redraw = realize(cfg, TrialSeed(41, 3, attempt=1))
     for name in ("G", "h", "F", "g_gain", "h_gain"):
-        assert getattr(block[3], name).tobytes() == getattr(redraw, name).tobytes()
+        assert getattr(block.draw(3), name).tobytes() == getattr(redraw, name).tobytes()
 
 
 def test_zf_names_the_singular_matrices_of_a_stack():

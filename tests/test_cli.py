@@ -331,6 +331,7 @@ def test_validate_zf_passes(capsys):
     assert main(["validate", "zf", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+    assert "[PASS] zf.stream_exact" in out
 
 
 def test_validate_deterministic_report(capsys):

@@ -155,9 +155,9 @@ def test_estimate_draws_each_channel_once(monkeypatch):
     draws, stacks = [], []
     sample, zf = channel_model.sample_channels, channel_model.zf_beams
 
-    def counted_sample(cfg, seed):
-        draws.append((seed.trial_index, seed.attempt))
-        return sample(cfg, seed)
+    def counted_sample(cfg, seeds):
+        draws.extend((seed.trial_index, seed.attempt) for seed in seeds)
+        return sample(cfg, seeds)
 
     def counted_zf(G):
         stacks.append(G.shape)

@@ -24,11 +24,12 @@ from beamshare.beam_aggregation import (
     solve_problem4,
 )
 from beamshare.beam_selection import evaluate_selection_block
-from beamshare.channel_model import ChannelRealization
+from beamshare.channel_model import ChannelRealization, sample_channels
 from beamshare.montecarlo import METRICS, SCHEMES, SweepSpec, _run_block
 from beamshare.validation import (
     exhaustive_scheme2,
     lane_solutions,
+    reference_channels,
     same_scheme2_choice,
 )
 
@@ -36,6 +37,49 @@ from beamshare.validation import (
 TARGETS = [(0.1, 1.0), (1e-9, 0.0), (8.0, 8.0)]
 
 _GAIN = st.floats(min_value=1e-3, max_value=30.0)
+
+
+# (experiment seed, trial index, attempt): each part one or two entropy words
+_SEED_PARTS = st.tuples(
+    st.integers(min_value=0, max_value=2 ** 64 - 1),
+    st.one_of(
+        st.integers(min_value=0, max_value=2 ** 32 - 1),
+        st.integers(min_value=2 ** 32, max_value=2 ** 64 - 1),
+    ),
+    st.one_of(st.just(0), st.integers(min_value=1, max_value=2 ** 64 - 1)),
+)
+
+
+def _mixed_lengths(seed):
+    # one block of 3 to 6 entropy words at experiment seed `seed`
+    return [
+        (seed, 0, 0),
+        (seed, 2 ** 32 + 7, 0),
+        (seed, 3, 2 ** 32),
+        (seed, 2 ** 64 - 1, 1),
+    ]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    parts=st.lists(_SEED_PARTS, min_size=1, max_size=12),
+    m_beams=st.integers(min_value=1, max_value=4),
+    extra_antennas=st.integers(min_value=0, max_value=2),
+)
+@example(parts=_mixed_lengths(0), m_beams=2, extra_antennas=1)
+@example(parts=_mixed_lengths(2 ** 32 - 1), m_beams=3, extra_antennas=0)
+@example(parts=_mixed_lengths(2 ** 32), m_beams=1, extra_antennas=2)
+@example(parts=_mixed_lengths(2 ** 64 - 1), m_beams=4, extra_antennas=1)
+def test_block_rows_equal_each_seeds_own_stream(parts, m_beams, extra_antennas):
+    # every row of one block, bit for bit, against the four standard_normal
+    # draws of its own TrialSeed.rng()
+    cfg = SystemConfig(m_beams + extra_antennas, m_beams, 10.0, 1.0, 1.0)
+    seeds = [TrialSeed(*part) for part in parts]
+    G, h = sample_channels(cfg, seeds)
+    for G_t, h_t, seed in zip(G, h, seeds):
+        G_ref, h_ref = reference_channels(cfg, seed)
+        assert G_t.tobytes() == G_ref.tobytes(), seed
+        assert h_t.tobytes() == h_ref.tobytes(), seed
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
