@@ -54,7 +54,7 @@ __all__ = [
     "evaluate_scheme2_block",
 ]
 
-STRATEGIES = ("prefixes", "prefixes_plus_singletons", "all_subsets")
+STRATEGIES = ("prefixes_plus_singletons", "all_subsets")
 
 _BISECT_MAX_ITER = 200
 # relative margin of scheme 2's set pruning bounds (see evaluate_scheme2_block)
@@ -108,7 +108,10 @@ class Problem4Solution:
 def _layout(strategy: str, m_beams: int) -> tuple[np.ndarray, np.ndarray]:
     """The strategy's beam sets in enumeration order, as (set, rank)
     membership, rank r being the r-th strongest beam, and as their ranks,
-    ascending and right-aligned in m_beams slots, -1 in the slots before."""
+    ascending and right-aligned in m_beams slots, -1 in the slots before.
+    prefixes_plus_singletons lists the m_beams prefixes, then the singletons
+    not among them; all_subsets lists the subsets by size, then
+    lexicographically."""
     if strategy == "all_subsets":
         sets = [
             ranks
@@ -116,9 +119,8 @@ def _layout(strategy: str, m_beams: int) -> tuple[np.ndarray, np.ndarray]:
             for ranks in itertools.combinations(range(m_beams), size)
         ]
     else:
-        sets = [tuple(range(k)) for k in range(1, m_beams + 1)]
-        if strategy == "prefixes_plus_singletons":
-            sets = list(dict.fromkeys(sets + [(r,) for r in range(m_beams)]))
+        prefixes = [tuple(range(k)) for k in range(1, m_beams + 1)]
+        sets = list(dict.fromkeys(prefixes + [(r,) for r in range(m_beams)]))
     members = np.zeros((len(sets), m_beams), dtype=bool)
     slots = np.full(members.shape, -1)
     for i, ranks in enumerate(sets):
@@ -310,8 +312,8 @@ def enumerate_candidates(
 ) -> list[AggregationCandidate]:
     """List candidate beam sets for the given search strategy.
 
-    prefixes                 {strongest k beams} for k = 1..M
-    prefixes_plus_singletons prefixes plus every single beam
+    prefixes_plus_singletons {strongest k beams} for k = 1..M, then every
+                             single beam not among them
     all_subsets              every nonempty subset (M <= 8)
 
     Every set is ordered by descending h_gain (ties by index); infeasible

@@ -34,7 +34,6 @@ CSV_HEADER = "snr_db,n,m,scheme,metric,value,std_err,trials,seed,resamples"
 SUITE_NAMES = ("zf", "distribution", "solver", "dominance", "lemma1")
 
 _STRATEGY_FLAGS = {
-    "prefixes": "prefixes",
     "prefixes+singletons": "prefixes_plus_singletons",
     "all-subsets": "all_subsets",
 }

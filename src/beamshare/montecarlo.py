@@ -8,12 +8,13 @@ blocks of at most _BLOCK, sampled with one seed hash over the block and
 zero-forced as one stack, and a block is the unit of work handed to a
 worker.  Each scheme scores all of a block's (SNR point, trial) cells in
 one array pass over the block's (M, T) gain arrays (scheme 2 solves its
-beam sets as lanes of one lockstep bisection), and each cell's floats are
-those of run_trial, the one-cell replay, on that cell, bit for bit.  Results are
-reduced in trial-index order regardless of scheduling, which makes
-estimates bit-identical across worker counts and block sizes.  SNR is
-expressed in dB at the interface and converted to the linear scale
-internally.
+beam sets as lanes of one lockstep bisection).  Each cell's floats are
+those of run_trial, bit for bit: the one-cell replay, which draws the cell
+with realize and scores it with the one-cell scheme functions; no sweep
+calls it.  Results are reduced in trial-index order regardless of
+scheduling, which makes estimates bit-identical across worker counts and
+block sizes.  SNR is expressed in dB at the interface and converted to the
+linear scale internally.
 """
 
 from __future__ import annotations
@@ -39,14 +40,7 @@ from .beam_aggregation import (
     evaluate_scheme2_block,
 )
 from .beam_selection import evaluate_selection, evaluate_selection_block
-from .channel_model import (
-    ChannelRealization,
-    SystemConfig,
-    TrialSeed,
-    realize,
-    realize_block,
-)
-from .power_allocation import SchemeOutcome
+from .channel_model import SystemConfig, TrialSeed, realize, realize_block
 
 __all__ = [
     "SCHEMES",
@@ -188,7 +182,7 @@ class SweepResult:
 
 
 # each metric's value from one cell's SchemeOutcome, or cell by cell from a
-# block's CellOutcomes; METRICS follow the order of a record's fields
+# block's CellOutcomes; METRICS follow the order of run_trial's record fields
 _VALUE = {
     "outage": lambda outcome: outcome.outage,
     "ergodic_rate": lambda outcome: outcome.secondary_rate,
@@ -197,50 +191,15 @@ _VALUE = {
 }
 
 
-class _TrialRecord(Sequence):
-    """One scheme's record of one cell, equal to the tuple (outage, rate,
-    raw rate, min primary rate, resamples).  A field is computed when read,
-    so a sweep pays only for its metric's: the primary rates cost more than
-    the rest of a closed-form outcome."""
-
-    def __init__(self, outcome: SchemeOutcome, resamples: int):
-        self._outcome, self._resamples = outcome, resamples
-
-    def __len__(self) -> int:
-        return 5
-
-    def __getitem__(self, i: int):
-        i = range(5)[i]
-        if i == 4:
-            return self._resamples
-        value = _VALUE[METRICS[i]](self._outcome)
-        return bool(value) if i == 0 else float(value)
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, _TrialRecord)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 def run_trial(
-    cfg: SystemConfig,
-    seed: TrialSeed,
-    schemes: tuple[str, ...],
-    strategy: str,
-    chan: ChannelRealization | None = None,
-) -> list[_TrialRecord]:
-    """Evaluate each scheme, in order, on the channel draw owned by this
-    trial seed and return one record per scheme.
-
-    The draw is chan when given (the same draw serves every SNR point),
-    else realize(cfg, seed).  Singular draws are redrawn there; each record
-    carries the redraw count.
+    cfg: SystemConfig, seed: TrialSeed, schemes: tuple[str, ...], strategy: str
+) -> list[tuple[bool, float, float, float, int]]:
+    """Replay one cell: evaluate each scheme, in order, on the channel draw
+    realize(cfg, seed) and return one record per scheme, the tuple
+    (outage, rate, raw rate, min primary rate, resamples).  Singular draws
+    are redrawn there; resamples is the redraw count.
     """
-    if chan is None:
-        chan = realize(cfg, seed)
+    chan = realize(cfg, seed)
     records = []
     for scheme in schemes:
         if scheme == "selection":
@@ -251,7 +210,8 @@ def run_trial(
             outcome = evaluate_scheme2(chan, cfg, strategy)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        records.append(_TrialRecord(outcome, chan.resamples))
+        outage, *rates = (_VALUE[metric](outcome) for metric in METRICS)
+        records.append((bool(outage), *map(float, rates), chan.resamples))
     return records
 
 

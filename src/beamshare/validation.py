@@ -232,14 +232,16 @@ def distribution_checks(
 def random_feasible_instance(
     rng: np.random.Generator, set_size: int
 ) -> AggregationCandidate:
-    """Draw a channel until the size-`set_size` prefix candidate solves."""
+    """Draw a channel until the size-`set_size` prefix candidate, the
+    strongest `set_size` beams, solves.  The first M candidates of
+    prefixes_plus_singletons are the prefixes, in order of size."""
     while True:
         n = int(rng.integers(set_size, 7))
         rho = float(10.0 ** rng.uniform(0.0, 3.0))
         r_p = float(rng.uniform(0.3, 2.0))
         cfg = SystemConfig(n, n, rho, r_p, 1.0)
         chan = realize(cfg, TrialSeed(int(rng.integers(2 ** 32)), 0))
-        cand = enumerate_candidates(chan, cfg, "prefixes")[set_size - 1]
+        cand = enumerate_candidates(chan, cfg, "prefixes_plus_singletons")[set_size - 1]
         if not cand.feasible:
             continue
         sol = solve_problem4(cand)

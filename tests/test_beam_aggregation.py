@@ -55,9 +55,8 @@ def _chan(g_gain, h_gain):
 def test_enumerate_counts_and_order():
     cfg = SystemConfig(3, 3, 10.0, 1.0, 1.0)
     chan = _chan([1.0, 1.0, 1.0], [0.5, 2.0, 1.0])
-    prefixes = enumerate_candidates(chan, cfg, "prefixes")
-    assert [c.beams for c in prefixes] == [(1,), (1, 2), (1, 2, 0)]
     plus = enumerate_candidates(chan, cfg, "prefixes_plus_singletons")
+    # the first M candidates are the prefixes, strongest k beams for k = 1..M
     assert [c.beams for c in plus] == [(1,), (1, 2), (1, 2, 0), (2,), (0,)]
     everything = enumerate_candidates(chan, cfg, "all_subsets")
     assert len(everything) == 7
@@ -84,8 +83,9 @@ def test_enumerate_flags_infeasible():
 def test_enumerate_rejects_unknown_strategy_and_large_subsets():
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
     chan = _chan([1.0, 1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        enumerate_candidates(chan, cfg, "everything")
+    for strategy in ("everything", "prefixes"):
+        with pytest.raises(ValueError):
+            enumerate_candidates(chan, cfg, strategy)
     big = SystemConfig(9, 9, 10.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         enumerate_candidates(
@@ -102,9 +102,7 @@ def _listed_candidates(chan, cfg, strategy):
     if strategy == "all_subsets":
         sets = [c for k in range(1, m + 1) for c in itertools.combinations(order, k)]
     else:
-        sets = [tuple(order[:k]) for k in range(1, m + 1)]
-        if strategy == "prefixes_plus_singletons":
-            sets += [(i,) for i in order]
+        sets = [tuple(order[:k]) for k in range(1, m + 1)] + [(i,) for i in order]
     base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p).tolist()
     etas = [eta(x, cfg.rho, cfg.eps_p) for x in g]
     return [
@@ -408,7 +406,7 @@ def test_scheme1_blocked_channel():
 def test_scheme2_worked_instance_beats_selection():
     chan = _chan([1.0, 1.0], [2.0, 1.0])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme2(chan, cfg, "prefixes")
+    out = evaluate_scheme2(chan, cfg, "prefixes_plus_singletons")
     assert out.chosen_set == (0, 1)
     assert out.secondary_rate == pytest.approx(math.log2(1.0 + U_REF / 0.1), abs=1e-8)
     sel = evaluate_selection(chan, cfg)

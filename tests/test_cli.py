@@ -146,6 +146,12 @@ def test_snr_grid_has_no_float_drift():
             "all_subsets",
             id="all-subsets-9-beams",
         ),
+        pytest.param(
+            {"candidate_strategy": "prefixes"},
+            [],
+            "candidate_strategy",
+            id="strategy-removed",
+        ),
     ],
 )
 def test_bad_input_exits_2_with_one_line(
@@ -154,7 +160,7 @@ def test_bad_input_exits_2_with_one_line(
     def no_trials(*args):
         raise AssertionError("a trial ran before the input was rejected")
 
-    monkeypatch.setattr(montecarlo, "realize", no_trials)
+    monkeypatch.setattr(montecarlo, "realize_block", no_trials)
     cfg = _write_config(tmp_path / "cfg.json", **config)
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", cfg, *flags, "--out", str(out)]) == 2
@@ -163,6 +169,18 @@ def test_bad_input_exits_2_with_one_line(
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert culprit in lines[0]
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_removed_strategy_flag_exits_2(tmp_path, capsys):
+    # prefixes is no longer a strategy: argparse rejects the choice
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out.csv"
+    args = ["sweep", "--config", cfg, "--strategy", "prefixes", "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'prefixes'" in captured.err
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 

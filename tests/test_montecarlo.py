@@ -52,8 +52,9 @@ def test_spec_validation():
         _spec(schemes=("bogus",))
     with pytest.raises(ValueError):
         _spec(metric="bogus")
-    with pytest.raises(ValueError):
-        _spec(candidate_strategy="bogus")
+    for strategy in ("bogus", "prefixes"):
+        with pytest.raises(ValueError):
+            _spec(candidate_strategy=strategy)
     with pytest.raises(ValueError):
         _spec(n_antennas=1, m_beams=2)
     # all_subsets stops at 8 beams, but only scheme 2 enumerates subsets
@@ -82,6 +83,9 @@ def test_run_trial_deterministic():
     ]
     reverse = run_trial(cfg, seed, SCHEMES[::-1], "prefixes_plus_singletons")
     assert reverse == records[::-1]
+    for record in records:
+        assert type(record) is tuple
+        assert [type(v) for v in record] == [bool, float, float, float, int]
 
 
 def test_run_trial_dominance_same_seed():
@@ -96,7 +100,9 @@ def test_run_trial_dominance_same_seed():
 def test_run_trial_rejects_unknown_scheme():
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        run_trial(cfg, TrialSeed(1, 0), ("selection", "bogus"), "prefixes")
+        run_trial(
+            cfg, TrialSeed(1, 0), ("selection", "bogus"), "prefixes_plus_singletons"
+        )
 
 
 def test_reduce_outage_degenerate():
@@ -134,8 +140,9 @@ def test_estimate_matches_manual_reduction():
 def test_stream_prefix_property():
     # growing the trial count leaves earlier trials untouched
     cfg = _spec().config_at(10.0)
-    first = [run_trial(cfg, TrialSeed(3, t), SCHEMES, "prefixes") for t in range(30)]
-    longer = [run_trial(cfg, TrialSeed(3, t), SCHEMES, "prefixes") for t in range(60)]
+    strategy = "prefixes_plus_singletons"
+    first = [run_trial(cfg, TrialSeed(3, t), SCHEMES, strategy) for t in range(30)]
+    longer = [run_trial(cfg, TrialSeed(3, t), SCHEMES, strategy) for t in range(60)]
     assert first == longer[:30]
 
 
@@ -198,7 +205,7 @@ def test_array_cells_equal_run_trial_records(m_beams):
     # every metric of every (SNR point, scheme, trial) cell of a block, bit
     # for bit, against run_trial on its own draw; r_p = 1 fails SIC often,
     # and scheme 2 cycles through the strategies
-    strategy = STRATEGIES[m_beams % 3]
+    strategy = STRATEGIES[m_beams % len(STRATEGIES)]
     spec = _spec(
         n_antennas=m_beams + m_beams % 3,
         m_beams=m_beams,

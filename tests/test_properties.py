@@ -160,7 +160,9 @@ def test_lanes_match_the_scalar_bisection(log10_rho, r_p, m_beams, trial):
     cfg = SystemConfig(m_beams, m_beams, 10.0 ** log10_rho, r_p, 1.0)
     chan = realize(cfg, TrialSeed(2029, trial))
     g_gain, h_gain = chan.g_gain[:, None], chan.h_gain[:, None]
-    for cand, got in lane_solutions(g_gain, h_gain, cfg, "prefixes")[0]:
+    # the strategy's sets of two or more beams are the prefixes
+    pairs, _ = lane_solutions(g_gain, h_gain, cfg, "prefixes_plus_singletons")
+    for cand, got in pairs:
         if min_primary_power(cand, 0.0) is None:
             assert got.status == "infeasible"
             continue
