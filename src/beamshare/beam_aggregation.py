@@ -36,6 +36,7 @@ from .power_allocation import (
     eta,
     log2_each,
     mode_i_alpha_p,
+    snr_points,
     tau,
 )
 
@@ -156,10 +157,11 @@ class _SetTable:
             raise ValueError(
                 f"all_subsets enumeration is limited to {ALL_SUBSETS_MAX_BEAMS} beams"
             )
-        eps_p = self.eps_p = cfgs[0].eps_p
+        self.cfg, self.rho = snr_points(g_gain, cfgs)
+        eps_p = self.eps_p = self.cfg.eps_p
         self.members, self.slots = _layout(strategy, m_beams)
         self.trial = np.tile(np.arange(trials), len(cfgs))
-        rho = np.repeat([c.rho for c in cfgs], trials)
+        rho = np.repeat(self.rho, trials)
         self.order = np.argsort(-h_gain, axis=0, kind="stable")
         by_rank = self.order[:, self.trial]
         g = g_gain[:, self.trial]
@@ -562,16 +564,15 @@ def evaluate_scheme1_block(
     (SNR point, trial) cell of a block.
 
     g_gain and h_gain are (M, T), beam-major; cfgs are the SNR points, one
-    per row of the cells, and share their targets.  Each beam gives the
-    secondary user everything the legacy QoS can spare, alpha_p =
-    min(1, eta_m) and alpha_s = 1 - alpha_p.  The secondary user combines
-    its shares coherently and decodes directly, treating every primary
-    signal (including those on its own beams) as noise.  There is no SIC
-    precondition: the achieved rate is always decodable, so outage is
-    simply rate < r_s.
+    per row of the cells, and differ in rho alone (see snr_points).  Each
+    beam gives the secondary user everything the legacy QoS can spare,
+    alpha_p = min(1, eta_m) and alpha_s = 1 - alpha_p.  The secondary user
+    combines its shares coherently and decodes directly, treating every
+    primary signal (including those on its own beams) as noise.  There is
+    no SIC precondition: the achieved rate is always decodable, so outage
+    is simply rate < r_s.
     """
-    cfg = cfgs[0]
-    rho = np.array([c.rho for c in cfgs])[:, None]
+    cfg, rho = snr_points(g_gain, cfgs)
     g, h = g_gain[:, None, :], h_gain[:, None, :]
     alpha_p = np.minimum(1.0, eta(g, rho, cfg.eps_p))
     alpha_s = 1.0 - alpha_p
@@ -599,12 +600,6 @@ def evaluate_scheme1(chan: ChannelRealization, cfg: SystemConfig) -> SchemeOutco
     return block.cell("scheme1")
 
 
-def _key(rate: float, beams: tuple[int, ...]) -> tuple:
-    """Scheme 2's ranking, least first: largest rate, then smaller set, then
-    lexicographic beam indices.  Distinct sets never tie on it."""
-    return (-rate, len(beams), tuple(sorted(beams)))
-
-
 def _rate_bound(snr: np.ndarray) -> np.ndarray:
     """log2(1 + snr) with snr raised by the pruning margin, which covers the
     rounding between a bound and the solver's own t*^2 / tau_d."""
@@ -612,8 +607,9 @@ def _rate_bound(snr: np.ndarray) -> np.ndarray:
 
 
 class _Incumbents:
-    """Each cell's best set so far under _key: its rate (-inf for none),
-    t* and set (-1 for none)."""
+    """Each cell's best set so far under scheme 2's ranking (largest rate,
+    then smaller set, then lexicographic beam indices): its rate (-inf for
+    none), t* and set (-1 for none)."""
 
     def __init__(self, table: _SetTable):
         self.table = table
@@ -625,8 +621,8 @@ class _Incumbents:
         """Whether set i at this rate ranks below cell c's incumbent."""
         if rate != self.rate[c]:
             return rate < self.rate[c]
-        beams = self.table.beams
-        return _key(rate, beams(i, c)) > _key(rate, beams(self.set[c], c))
+        mine, theirs = self.table.beams(i, c), self.table.beams(self.set[c], c)
+        return (len(mine), sorted(mine)) > (len(theirs), sorted(theirs))
 
     def offer(self, rate: np.ndarray, t: np.ndarray, sets: np.ndarray):
         """Make set sets[p, c], at rate[p, c] and t*[p, c], cell c's
@@ -654,11 +650,12 @@ def evaluate_scheme2_block(
     on every (SNR point, trial) cell of a block.
 
     g_gain and h_gain are (M, T), beam-major; cfgs are the SNR points, one
-    per row of the cells, and share their targets.  A cell's winner has
-    the largest secondary rate over its feasible candidates (ties: smaller
-    set, then lexicographic beam indices).  The decode constraints are part
-    of the program, so SIC always succeeds at the returned point; with
-    singletons enumerated the result never falls below selection.
+    per row of the cells, and differ in rho alone (see snr_points).  A
+    cell's winner has the largest secondary rate over its feasible
+    candidates (ties: smaller set, then lexicographic beam indices).  The
+    decode constraints are part of the program, so SIC always succeeds at
+    the returned point; with singletons enumerated the result never falls
+    below selection.
 
     Each cell's winner, rate and power split are bit for bit those of
     solving every set, though most sets are not solved.  Two bounds on t*
@@ -685,7 +682,6 @@ def evaluate_scheme2_block(
     ranked, dropped by their bound and by the t_R test, lanes solved,
     rounds, and lockstep bisection iterations.
     """
-    cfg = cfgs[0]
     m_beams, trials = h_gain.shape
     table = _SetTable(g_gain, h_gain, cfgs, strategy)
     inc = _Incumbents(table)
@@ -713,12 +709,12 @@ def evaluate_scheme2_block(
     return CellOutcomes(
         secondary_rate_raw=rate,
         sic_ok=np.ones(rate.shape, dtype=bool),
-        outage=(inc.set < 0).reshape(rate.shape) | (rate < cfg.r_s),
+        outage=(inc.set < 0).reshape(rate.shape) | (rate < table.cfg.r_s),
         chosen=chosen.reshape(shape),
         alpha_p=out_ap.reshape(shape),
         alpha_s=out_as.reshape(shape),
         g_gain=g_gain[:, None, :],
-        rho=np.array([c.rho for c in cfgs])[:, None],
+        rho=table.rho,
         counts=counts,
     )
 

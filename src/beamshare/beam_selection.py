@@ -29,6 +29,7 @@ from .power_allocation import (
     eta,
     log2_each,
     mode_i_alpha_p,
+    snr_points,
     tau,
 )
 
@@ -41,13 +42,12 @@ def evaluate_selection_block(
     """Evaluate beam selection on every (SNR point, trial) cell of a block.
 
     g_gain and h_gain are (M, T), beam-major; cfgs are the SNR points, one
-    per row of the cells, and share their targets.  The candidate with the
-    largest secondary SINR gamma_m wins (argmax of gamma equals argmax of
-    the rate since log2 is monotone).
+    per row of the cells, and differ in rho alone (see snr_points).  The
+    candidate with the largest secondary SINR gamma_m wins (argmax of gamma
+    equals argmax of the rate since log2 is monotone).
     """
-    cfg = cfgs[0]
+    cfg, rho = snr_points(g_gain, cfgs)
     eps_p = cfg.eps_p
-    rho = np.array([c.rho for c in cfgs])[:, None]
     g, h = g_gain[:, None, :], h_gain[:, None, :]
     base_ap = mode_i_alpha_p(g, rho, eps_p)
     taus = np.empty(base_ap.shape)

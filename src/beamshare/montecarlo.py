@@ -215,9 +215,6 @@ def run_trial(
     return records
 
 
-_BLOCK_PASS = {"selection": evaluate_selection_block, "scheme1": evaluate_scheme1_block}
-
-
 def _run_block(args) -> tuple[np.ndarray, int]:
     """Draw a block of trials once and score every (SNR point, scheme)
     cell on it, each scheme with one array pass over all the block's
@@ -229,10 +226,12 @@ def _run_block(args) -> tuple[np.ndarray, int]:
     g_gain, h_gain = block.g_gain, block.h_gain
     values = np.empty((len(cfgs), len(spec.schemes), len(trials)))
     for k, scheme in enumerate(spec.schemes):
-        if scheme == "scheme2":
-            cells = evaluate_scheme2_block(g_gain, h_gain, cfgs, spec.candidate_strategy)
+        if scheme == "selection":
+            cells = evaluate_selection_block(g_gain, h_gain, cfgs)
+        elif scheme == "scheme1":
+            cells = evaluate_scheme1_block(g_gain, h_gain, cfgs)
         else:
-            cells = _BLOCK_PASS[scheme](g_gain, h_gain, cfgs)
+            cells = evaluate_scheme2_block(g_gain, h_gain, cfgs, spec.candidate_strategy)
         values[:, k] = _VALUE[spec.metric](cells)
     return values, sum(block.resamples)
 

@@ -3,8 +3,11 @@ weak-beam closed form, solver cross-checks, dominance, and the
 no-outage-floor trend.
 
 Each suite returns a list of CheckResult rows so the CLI can render a
-pass/fail table; sizes are parameters so callers can trade runtime for
-statistical power.  All randomness flows from the seed argument.
+pass/fail table.  The zf, distribution and dominance suites take their
+sizes as parameters, so callers can trade runtime for statistical power;
+the others draw the fixed sizes below.  Each suite scores the blocks it
+draws as arrays and loops per draw only over a reference solve.  All
+randomness flows from the seed argument.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .beam_aggregation import (
     STRATEGIES,
     AggregationCandidate,
     Problem4Solution,
-    _key,
     _Lanes,
     _SetTable,
     certify_solution,
@@ -67,6 +69,16 @@ LEVEL_3SE = math.erfc(3.0 / math.sqrt(2.0))
 # one-sided 95% normal quantile, used by the statistical trend checks
 Z_95 = 1.645
 
+# sizes of the suites without size parameters: seeds of the stream check,
+# draws of the singleton reduction, (set size, grid resolution, instances)
+# of the grid-oracle check, draws per N = M of the set search and lanes
+# checks, and trials per SNR point of the no-outage-floor sweep
+STREAM_DRAWS = 256
+REDUCTION_DRAWS = 2000
+ORACLE_PLAN = ((2, 1e-3, 30), (3, 2e-3, 6))
+SET_SEARCH_DRAWS = 60
+LEMMA1_TRIALS = 60_000
+
 
 def _draws(cfg: SystemConfig, seed: int, count: int) -> ChannelBlock:
     """realize(cfg, TrialSeed(seed, t)) for t < count, as one block."""
@@ -94,14 +106,14 @@ def reference_channels(
     return G, h
 
 
-def stream_check(seed: int, draws: int = 256) -> CheckResult:
+def stream_check(seed: int) -> CheckResult:
     """sample_channels against reference_channels, bit for bit, on one
     block whose seeds mix entropy lengths: trial indices below and above
     2**32, attempts 0, 1 and 2**32 + 1."""
     cfg = SystemConfig(4, 2, 10.0, 1.0, 1.0)
     seeds = [
         TrialSeed(seed, t + (t % 2 << 32), (0, 1, 2 ** 32 + 1)[t % 3])
-        for t in range(draws)
+        for t in range(STREAM_DRAWS)
     ]
     G, h = sample_channels(cfg, seeds)
     mismatches = 0
@@ -111,7 +123,7 @@ def stream_check(seed: int, draws: int = 256) -> CheckResult:
     return CheckResult(
         "zf.stream_exact",
         mismatches == 0,
-        f"{mismatches} of {draws} block draws differ from the seed's own "
+        f"{mismatches} of {STREAM_DRAWS} block draws differ from the seed's own "
         "generator (G and h bit for bit)",
     )
 
@@ -124,45 +136,33 @@ def zf_checks(
     block sampler against each trial's own generator."""
     results = []
     for size in sizes:
-        cfg = SystemConfig(size, size, 10.0, 1.0, 1.0)
-        worst_cross = 0.0
-        worst_norm = 0.0
-        worst_gain = 0.0
-        block = _draws(cfg, seed, realizations)
-        for chan in map(block.draw, range(realizations)):
-            cross = chan.G.conj().T @ chan.F
-            off = np.abs(cross - np.diag(np.diag(cross)))
-            worst_cross = max(worst_cross, float(off.max()))
-            total = float(np.sum(np.abs(chan.F) ** 2))
-            worst_norm = max(worst_norm, abs(total - 1.0))
-            gram_inv_diag = np.real(
-                np.diag(np.linalg.inv(chan.G.conj().T @ chan.G))
-            )
-            ref = 1.0 / (size * gram_inv_diag)
-            worst_gain = max(
-                worst_gain, float(np.max(np.abs(chan.g_gain - ref) / ref))
-            )
-        results.append(
+        block = _draws(SystemConfig(size, size, 10.0, 1.0, 1.0), seed, realizations)
+        G_H = block.G.conj().transpose(0, 2, 1)
+        off = np.abs(G_H @ block.F)
+        off[:, range(size), range(size)] = 0.0
+        worst_cross = float(off.max())
+        total = np.sum(np.abs(block.F) ** 2, axis=(1, 2))
+        worst_norm = float(np.abs(total - 1.0).max())
+        gram_inv_diag = np.real(np.linalg.inv(G_H @ block.G).diagonal(axis1=1, axis2=2))
+        ref = 1.0 / (size * gram_inv_diag.T)
+        worst_gain = float(np.max(np.abs(block.g_gain - ref) / ref))
+        results += [
             CheckResult(
                 f"zf.orthogonality[N=M={size}]",
                 worst_cross < 1e-9,
                 f"max |g_m^H f_i| = {worst_cross:.2e} (limit 1e-9)",
-            )
-        )
-        results.append(
+            ),
             CheckResult(
                 f"zf.total_power[N=M={size}]",
                 worst_norm < 1e-9,
                 f"max |sum ||f||^2 - 1| = {worst_norm:.2e} (limit 1e-9)",
-            )
-        )
-        results.append(
+            ),
             CheckResult(
                 f"zf.gain_identity[N=M={size}]",
                 worst_gain < 1e-9,
                 f"max relative gain error = {worst_gain:.2e} (limit 1e-9)",
-            )
-        )
+            ),
+        ]
     results.append(stream_check(seed))
     return results
 
@@ -249,17 +249,11 @@ def random_feasible_instance(
             return cand
 
 
-def solver_checks(
-    seed: int,
-    reduction_draws: int = 2000,
-    oracle_plan: tuple[tuple[int, float, int], ...] = ((2, 1e-3, 30), (3, 2e-3, 6)),
-) -> list[CheckResult]:
+def solver_checks(seed: int) -> list[CheckResult]:
     """Solver cross-checks: the closed-form two-beam instance, singleton
     reduction to the single-beam cap, grid-oracle agreement, the
     independent constraint certifier, the pruned set search against an
     exhaustive one, and the lockstep lanes against the scalar bisection."""
-    results = []
-
     # two-beam instance with h=(2,1), g=(1,1), rho=10, eps_p=1, whose
     # optimum has the closed form t*^2 = 0.9 (3 + 2 sqrt2) / (4 + 2 sqrt2)
     cand = AggregationCandidate(
@@ -270,65 +264,55 @@ def solver_checks(
     sol = solve_problem4(cand)
     err_u = abs(sol.t_star ** 2 - u_ref)
     err_rate = abs(sol.objective_rate - rate_ref)
-    results.append(
+    results = [
         CheckResult(
             "solver.worked_instance",
             sol.status == "optimal" and err_u < 1e-9 and err_rate < 1e-9,
             f"|t*^2 - ref| = {err_u:.2e}, |rate - ref| = {err_rate:.2e}",
-        )
-    )
-    results.append(
+        ),
         CheckResult(
             "solver.worked_instance_certified",
             not certify_solution(cand, sol),
             "constraints re-checked at 1e-8",
-        )
-    )
+        ),
+    ]
 
+    # every beam's single-beam cap, as (M, T) arrays; draw t solves beam t % M
     cfg = SystemConfig(4, 4, 10.0, 1.0, 1.0)
+    rho, eps_p = cfg.rho, cfg.eps_p
+    block = _draws(cfg, seed + 1, REDUCTION_DRAWS)
+    g, h = block.g_gain, block.h_gain
+    base_ap = mode_i_alpha_p(g, rho, eps_p)
+    caps = [
+        alpha_s_cap(h[m], eta(g[m], rho, eps_p), tau((m,), h, base_ap, rho), eps_p)
+        for m in range(cfg.m_beams)
+    ]
     worst = 0.0
     certifier_fail = 0
-    block = _draws(cfg, seed + 1, reduction_draws)
-    for t in range(reduction_draws):
-        chan = block.draw(t)
-        h_gain = chan.h_gain.tolist()
-        g_gain = chan.g_gain.tolist()
-        base_ap = mode_i_alpha_p(g_gain, cfg.rho, cfg.eps_p)
+    for t in range(REDUCTION_DRAWS):
         m = t % cfg.m_beams
-        expected = alpha_s_cap(
-            h_gain[m],
-            eta(g_gain[m], cfg.rho, cfg.eps_p),
-            tau((m,), h_gain, base_ap, cfg.rho),
-            cfg.eps_p,
-        )
-        for cand_m in enumerate_candidates(chan, cfg, "prefixes_plus_singletons"):
-            if cand_m.beams != (m,):
-                continue
-            sol_m = solve_problem4(cand_m)
-            if sol_m.status == "optimal":
-                got = sol_m.x[0] ** 2
-                if certify_solution(cand_m, sol_m):
-                    certifier_fail += 1
-            else:
-                got = 0.0
-            worst = max(worst, abs(got - expected))
+        cands = enumerate_candidates(block.draw(t), cfg, "prefixes_plus_singletons")
+        cand_m = next(c for c in cands if c.beams == (m,))
+        sol_m = solve_problem4(cand_m)
+        got = sol_m.x[0] ** 2 if sol_m.status == "optimal" else 0.0
+        certifier_fail += bool(certify_solution(cand_m, sol_m))
+        worst = max(worst, abs(got - caps[m][t]))
     results.append(
         CheckResult(
             "solver.singleton_reduction",
             worst <= 1e-9,
-            f"max |alpha_s difference| = {worst:.2e} over {reduction_draws} draws",
+            f"max |alpha_s difference| = {worst:.2e} over {REDUCTION_DRAWS} draws",
         )
     )
 
     rng = np.random.default_rng(seed + 2)
     worst_ratio = 0.0
     count = 0
-    for set_size, resolution, instances in oracle_plan:
+    for set_size, resolution, instances in ORACLE_PLAN:
         for _ in range(instances):
             cand_i = random_feasible_instance(rng, set_size)
             sol_i = solve_problem4(cand_i)
-            if certify_solution(cand_i, sol_i):
-                certifier_fail += 1
+            certifier_fail += bool(certify_solution(cand_i, sol_i))
             oracle = oracle_grid_solver(cand_i, resolution)
             sum_sqrt_h = sum(math.sqrt(h_k) for h_k in cand_i.h)
             gap = abs(sol_i.t_star - oracle.t_star)
@@ -354,12 +338,18 @@ def solver_checks(
     return results
 
 
+def _key(rate: float, beams: tuple[int, ...]) -> tuple:
+    """Scheme 2's ranking, least first: largest rate, then smaller set, then
+    lexicographic beam indices.  Distinct sets never tie on it."""
+    return (-rate, len(beams), tuple(sorted(beams)))
+
+
 def exhaustive_scheme2(
     chan: ChannelRealization, cfg: SystemConfig, strategy: str
 ) -> SchemeOutcome:
     """Reference for evaluate_scheme2_block's pruned set search: solve
     every feasible candidate with solve_problem4 and keep the one of least
-    ranking key; beams outside the set keep the inactive split."""
+    ranking key, _key; beams outside the set keep the inactive split."""
     best, best_key = None, None
     for cand in enumerate_candidates(chan, cfg, strategy):
         if not cand.feasible:
@@ -418,13 +408,13 @@ def _set_search_draws(seed: int, draws: int):
             yield cfg, trials, block
 
 
-def set_search_check(seed: int, draws: int = 60) -> CheckResult:
+def set_search_check(seed: int) -> CheckResult:
     """evaluate_scheme2_block against the exhaustive reference under every
     strategy, cell by cell, on the _set_search_draws, each operating
     point's draws scored as one block; with the mean multi-beam sets
     ranked and solved as lanes per search."""
     mismatches = count = ranked = lanes = 0
-    for cfg, trials, block in _set_search_draws(seed, draws):
+    for cfg, trials, block in _set_search_draws(seed, SET_SEARCH_DRAWS):
         g_gain, h_gain = block.g_gain[:, trials], block.h_gain[:, trials]
         for strategy in STRATEGIES:
             cells = evaluate_scheme2_block(g_gain, h_gain, [cfg], strategy)
@@ -451,20 +441,17 @@ def lane_solutions(
     the lanes of one lockstep bisection, as (candidate, solution) pairs,
     with the lockstep iterations."""
     table = _SetTable(g_gain, h_gain, [cfg], strategy)
-    pairs = [
-        (i, c)
-        for c in range(g_gain.shape[1])
-        for i, size in enumerate(table.members.sum(axis=1))
-        if size > 1 and table.candidate(i, c).feasible
-    ]
-    sets, cells = np.array(pairs, dtype=int).reshape(-1, 2).T
+    # (set, cell) pairs whose set has two or more beams, all of eta <= 1,
+    # cell by cell
+    fits = ~(table.members[:, :, None] & (table.etas > 1.0)).any(axis=1)
+    cells, sets = np.nonzero((fits & (table.members.sum(axis=1) > 1)[:, None]).T)
     lanes = _Lanes(table, sets, cells)
     t_star, steps = lanes.solve()
     solved = ~np.isnan(t_star)
     alpha_p, x = lanes.split(np.where(solved, t_star, 0.0))
     rate = log2_each(1.0 + np.where(solved, t_star * t_star, 0.0) / lanes.tau_d)
     out = []
-    for lane, (i, c) in enumerate(pairs):
+    for lane, (i, c) in enumerate(zip(sets.tolist(), cells.tolist())):
         cand, k = table.candidate(i, c), -len(table.beams(i, c))
         sol = Problem4Solution((), (), 0.0, 0.0, "infeasible")
         if solved[lane]:
@@ -479,12 +466,12 @@ def lane_solutions(
     return out, steps
 
 
-def lanes_check(seed: int, draws: int = 60) -> CheckResult:
+def lanes_check(seed: int) -> CheckResult:
     """The lockstep lanes against the scalar solve_problem4, bit for bit,
     on every feasible set of two or more beams (all subsets) of the
     _set_search_draws, each operating point's draws solved as one pass."""
     mismatches = count = solves = steps = 0
-    for cfg, trials, block in _set_search_draws(seed, draws):
+    for cfg, trials, block in _set_search_draws(seed, SET_SEARCH_DRAWS):
         pairs, iterations = lane_solutions(
             block.g_gain[:, trials], block.h_gain[:, trials], cfg, "all_subsets"
         )
@@ -516,31 +503,25 @@ def dominance_checks(seed: int, draws: int = 2000) -> list[CheckResult]:
     scheme2 = evaluate_scheme2_block(
         g_gain, h_gain, cfgs, "prefixes_plus_singletons"
     ).secondary_rate
-    for snr_db, sel_rates, agg_rates in zip(snrs_db, selection, scheme2):
-        violations = 0
-        gap_sum = 0.0
-        for sel_rate, agg_rate in zip(sel_rates.tolist(), agg_rates.tolist()):
-            if agg_rate < sel_rate:
-                violations += 1
-            gap_sum += agg_rate - sel_rate
-        results.append(
+    violations = np.count_nonzero(scheme2 < selection, axis=1).tolist()
+    mean_gaps = np.mean(scheme2 - selection, axis=1).tolist()
+    for snr_db, below, mean_gap in zip(snrs_db, violations, mean_gaps):
+        results += [
             CheckResult(
                 f"dominance.pointwise[{snr_db:g}dB]",
-                violations == 0,
-                f"{violations} of {draws} draws below selection",
-            )
-        )
-        results.append(
+                below == 0,
+                f"{below} of {draws} draws below selection",
+            ),
             CheckResult(
                 f"dominance.mean_gap[{snr_db:g}dB]",
-                gap_sum > 0.0,
-                f"mean rate gain {gap_sum / draws:.4f} BPCU",
-            )
-        )
+                mean_gap > 0.0,
+                f"mean rate gain {mean_gap:.4f} BPCU",
+            ),
+        ]
     return results
 
 
-def lemma1_checks(seed: int, trials: int = 60_000) -> list[CheckResult]:
+def lemma1_checks(seed: int) -> list[CheckResult]:
     """Selection outage keeps falling with SNR (no error floor)."""
     spec = SweepSpec(
         n_antennas=2,
@@ -550,7 +531,7 @@ def lemma1_checks(seed: int, trials: int = 60_000) -> list[CheckResult]:
         snr_grid_db=(10.0, 20.0, 30.0, 40.0),
         schemes=("selection",),
         metric="outage",
-        trials=trials,
+        trials=LEMMA1_TRIALS,
         seed=seed,
     )
     rows = estimate(spec).rows

@@ -509,6 +509,25 @@ def test_scheme2_solves_a_set_tied_with_the_incumbent(monkeypatch):
     assert same_scheme2_choice(evaluate_scheme2(chan, cfg, "all_subsets"), reference)
 
 
+def test_scheme2_breaks_ties_cell_by_cell_in_one_block(monkeypatch):
+    # The twin-beam instance above (beams 0 and 2 twins) and a copy with
+    # beams 1 and 2 twins, at several SNR points in one block: from rho = 30
+    # up two two-beam sets tie exactly on every cell, and the search picks
+    # the exhaustive winner (0, 1) cell by cell, whatever a round's width
+    chans = [_chan([1.0, 1.0, 1.0], [0.5, 1.0, 0.5]), _chan([1.0, 1.0, 1.0], [1.0, 0.5, 0.5])]
+    g = np.stack([chan.g_gain for chan in chans], axis=1)
+    h = np.stack([chan.h_gain for chan in chans], axis=1)
+    cfgs = [SystemConfig(3, 3, rho, 1.0, 1.0) for rho in (10.0, 30.0, 100.0, 1000.0)]
+    for width in (8, 1):
+        monkeypatch.setattr(beam_aggregation, "_ROUND", width)
+        cells = evaluate_scheme2_block(g, h, cfgs, "all_subsets")
+        for s, cfg in enumerate(cfgs):
+            for t, chan in enumerate(chans):
+                out = cells.cell("scheme2", s, t)
+                assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+                assert (out.chosen_set == (0, 1)) == (cfg.rho >= 30.0)
+
+
 def test_scheme2_rounded_rate_tie_goes_to_the_smaller_set(monkeypatch):
     # At rho = 1e-9 the SNRs s = t*^2 / tau_d are near 3e-9, and 1 + s rounds
     # SNRs up to about 7e-8 apart (relative) onto one rate. Here {0, 1, 2}

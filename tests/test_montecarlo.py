@@ -181,23 +181,55 @@ def test_estimate_draws_each_channel_once(monkeypatch):
 
 def test_every_scheme_scores_a_block_in_one_pass(monkeypatch):
     # a sweep calls no run_trial: each scheme scores all of a block's
-    # (SNR point, trial) cells in one call, scheme 2 with the spec's strategy
+    # (SNR point, trial) cells in one call, looked up by name in montecarlo
+    # at call time, scheme 2 with the spec's strategy
     calls = []
-    block_pass = montecarlo.evaluate_scheme2_block
 
-    def recording(g_gain, h_gain, cfgs, strategy):
-        calls.append((g_gain.shape, len(cfgs), strategy))
-        return block_pass(g_gain, h_gain, cfgs, strategy)
+    def recording(name):
+        block_pass = getattr(montecarlo, name)
+
+        def wrapper(g_gain, h_gain, cfgs, *strategy):
+            calls.append((name, g_gain.shape, len(cfgs), *strategy))
+            return block_pass(g_gain, h_gain, cfgs, *strategy)
+
+        return wrapper
 
     def refused(*args):
         raise AssertionError("run_trial called by a sweep")
 
     spec = _spec(trials=5, schemes=SCHEMES, candidate_strategy="all_subsets")
     expected = estimate(spec)
-    monkeypatch.setattr(montecarlo, "evaluate_scheme2_block", recording)
+    names = ("evaluate_selection_block", "evaluate_scheme1_block", "evaluate_scheme2_block")
+    for name in names:
+        monkeypatch.setattr(montecarlo, name, recording(name))
     monkeypatch.setattr(montecarlo, "run_trial", refused)
     assert estimate(spec) == expected
-    assert calls == [((2, 5), 2, "all_subsets")]
+    assert calls == [
+        (names[0], (2, 5), 2),
+        (names[1], (2, 5), 2),
+        (names[2], (2, 5), 2, "all_subsets"),
+    ]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_block_pass_rejects_snr_points_that_differ_beyond_rho(scheme):
+    # a block pass applies cfgs[0]'s targets to every row, so configs that
+    # differ in anything but rho, or a beam count unlike the block's, raise
+    block_pass = getattr(montecarlo, f"evaluate_{scheme}_block")
+    cfg = SystemConfig(3, 2, 10.0, 0.1, 1.0)
+    block = channel_model.realize_block(cfg, [TrialSeed(5, t) for t in range(4)])
+    g, h = block.g_gain, block.h_gain
+    rows = block_pass(g, h, [cfg, dataclasses.replace(cfg, rho=100.0)])
+    assert rows.secondary_rate_raw.shape == (2, 4)
+    for other in (
+        dataclasses.replace(cfg, r_p=0.5),
+        dataclasses.replace(cfg, r_s=2.0),
+        dataclasses.replace(cfg, n_antennas=4),
+    ):
+        with pytest.raises(ValueError, match="differ in rho alone"):
+            block_pass(g, h, [cfg, other])
+    with pytest.raises(ValueError, match="one beam per row"):
+        block_pass(g, h, [SystemConfig(3, 3, 10.0, 0.1, 1.0)])
 
 
 @pytest.mark.parametrize("m_beams", range(1, 9))
