@@ -219,65 +219,57 @@ _quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 class _Lanes:
-    """Scheme 2 programs as arrays, one lane per (set, cell) pair.
+    """Scheme 2 programs as arrays, one lane per (set, cell) pair, in the
+    caller's order.
 
     Slot k of a lane holds a beam of its set, in candidate order and
-    right-aligned: a set of s beams fills slots M - s to M - 1.  The lanes
-    are kept by descending size, so those with a beam in slot k are a
-    prefix, of length n[k], and each step over slot k runs on that prefix
-    alone.  So each lane's floats are those of min_primary_power, _cap
-    and solve_problem4 on its candidate, in their order, every sum
-    starting from 0.0.  Arguments and results are in the caller's lane
-    order.
+    right-aligned: a set of s beams fills slots M - s to M - 1.  A slot
+    without a beam has h = inf and eta = 0 in the sweep, which floors its
+    alpha_p at 0 and tests nothing there, and h = 0 in the cap, which adds
+    sqrt(0) = 0.0; the backward sweep reaches those slots only after every
+    beam of the lane.  So each lane's floats are those of
+    min_primary_power, _cap and solve_problem4 on its candidate, in their
+    order, every sum starting from 0.0.
     """
 
     def __init__(self, table: _SetTable, sets: np.ndarray, cells: np.ndarray):
         """The lanes of the (sets[l], cells[l]) pairs of the table."""
-        sizes = table.members.sum(axis=1)[sets]
-        self.perm = np.argsort(-sizes, kind="stable")
-        self.back = np.argsort(self.perm)  # sorted lanes back to the caller's
-        sets, cells = sets[self.perm], cells[self.perm]
         ranks = table.slots[sets].T
-        self.h, self.etas = table.h[ranks, cells], table.etas[ranks, cells]
-        self.tau, self.eps_p = table.tau_d[sets, cells], table.eps_p
-        self.tau_d = self.tau[self.back]
-        m_beams = len(ranks)
-        self.n = [int(np.count_nonzero(sizes >= m_beams - k)) for k in range(m_beams)]
+        empty = ranks < 0
+        self.hc = np.where(empty, 0.0, table.h[ranks, cells])
+        self.h = np.where(empty, np.inf, self.hc)
+        self.etas = np.where(empty, 0.0, table.etas[ranks, cells])
+        self.tau_d, self.eps_p = table.tau_d[sets, cells], table.eps_p
 
     def _sweep(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """min_primary_power at each lane's t: alpha_p, and where it fits."""
         u = t * t
         acc = np.zeros(t.shape)
-        fails = np.zeros(t.shape, dtype=bool)
-        alpha_p = np.empty(self.h.shape)
+        required, alpha_p = np.empty(self.h.shape), np.empty(self.h.shape)
         for k in range(len(self.h) - 1, -1, -1):
-            n, h_k = self.n[k], self.h[k, : self.n[k]]
-            required = acc[:n] + u[:n]
-            required += self.tau[:n]
-            required *= self.eps_p
-            a = np.divide(required, h_k, out=alpha_p[k, :n])
-            np.maximum(self.etas[k, :n], a, out=a)
-            fails[:n] |= required > h_k
-            fails[:n] |= a > 1.0
-            acc[:n] += h_k * a
+            r = np.add(acc, u, out=required[k])
+            r += self.tau_d
+            r *= self.eps_p
+            a = np.divide(r, self.h[k], out=alpha_p[k])
+            np.fmax(self.etas[k], a, out=a)
+            acc += self.h[k] * a
+        fails = (required > self.h).any(axis=0) | (alpha_p > 1.0).any(axis=0)
         return alpha_p, ~fails
 
     def _cap(self, alpha_p: np.ndarray) -> np.ndarray:
-        acc = np.zeros(self.tau.shape)
-        for k, n in enumerate(self.n):
-            acc[:n] += np.sqrt(self.h[k, :n] * (1.0 - alpha_p[k, :n]))
+        roots = np.sqrt(self.hc * (1.0 - alpha_p))
+        acc = np.zeros(self.tau_d.shape)
+        for root in roots:
+            acc += root
         return acc
-
-    def _holds(self, t: np.ndarray) -> np.ndarray:
-        """The bisection's test: some alpha_p fits at t and cap(t) >= t."""
-        alpha_p, fits = self._sweep(t)
-        return fits & (self._cap(alpha_p) >= t)
 
     # a lane that stops fitting goes on with values nothing reads, so the
     # steps below silence numpy's warnings about them
     @_quiet
     def holds(self, t: np.ndarray) -> np.ndarray:
-        return self._holds(t[self.perm])[self.back]
+        """The bisection's test: some alpha_p fits at t and cap(t) >= t."""
+        alpha_p, fits = self._sweep(t)
+        return fits & (self._cap(alpha_p) >= t)
 
     @_quiet
     def solve(self) -> tuple[np.ndarray, int]:
@@ -293,20 +285,19 @@ class _Lanes:
         while steps < _BISECT_MAX_ITER and (open_ := ~(hi - lo <= tol)).any():
             steps += 1
             mid = 0.5 * (lo + hi)
-            up = self._holds(mid)
+            up = self.holds(mid)
             lo, hi = np.where(open_ & up, mid, lo), np.where(open_ & ~up, mid, hi)
-        return np.where(feasible, lo, np.nan)[self.back], steps
+        return np.where(feasible, lo, np.nan), steps
 
     @_quiet
     def split(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """alpha_p and x at each lane's t*, as _solution has them; slots
         without a beam hold values nothing reads."""
-        t = t[self.perm]
         alpha_p, _ = self._sweep(t)
         cap = self._cap(alpha_p)
         scale = np.where(cap > 0.0, t / np.where(cap > 0.0, cap, 1.0), 0.0)
         x = np.sqrt(1.0 - alpha_p) * scale
-        return alpha_p[:, self.back], x[:, self.back]
+        return alpha_p, x
 
 
 def enumerate_candidates(

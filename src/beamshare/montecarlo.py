@@ -4,17 +4,17 @@ A trial is one channel draw, a pure function of (experiment seed, trial
 index).  A draw does not depend on the SNR, so each trial is drawn once and
 every (SNR point, scheme) cell of the sweep is evaluated on it: the schemes
 and the SNR points are compared on the same draws.  Trials are drawn in
-blocks of at most _BLOCK, sampled with one seed hash over the block and
-zero-forced as one stack, and a block is the unit of work handed to a
-worker.  Each scheme scores all of a block's (SNR point, trial) cells in
-one array pass over the block's (M, T) gain arrays (scheme 2 solves its
-beam sets as lanes of one lockstep bisection).  Each cell's floats are
-those of run_trial, bit for bit: the one-cell replay, which draws the cell
-with realize and scores it with the one-cell scheme functions; no sweep
-calls it.  Results are reduced in trial-index order regardless of
-scheduling, which makes estimates bit-identical across worker counts and
-block sizes.  SNR is expressed in dB at the interface and converted to the
-linear scale internally.
+blocks sized by work (see _BUDGET): a spec of a few hundred trials is one
+block.  A block is sampled with one seed hash, zero-forced as one
+stack, and is the unit of work handed to a worker.  Each scheme scores all
+of a block's (SNR point, trial) cells in one array pass over the block's
+(M, T) gain arrays (scheme 2 solves its beam sets as lanes of one lockstep
+bisection).  Each cell's floats are those of run_trial, bit for bit: the
+one-cell replay, which draws the cell with realize and scores it with the
+one-cell scheme functions; no sweep calls it.  Results are reduced in
+trial-index order regardless of scheduling, which makes estimates
+bit-identical across worker counts and block sizes.  SNR is expressed in
+dB at the interface and converted to the linear scale internally.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 from multiprocessing import get_context
 
 import numpy as np
@@ -62,8 +62,11 @@ METRICS = (
     "primary_min_rate",
 )
 
-# trials drawn and zero-forced as one stack; also bounds a work unit's memory
-_BLOCK = 64
+# (set, SNR point, trial) triples a block may score, the sets being scheme
+# 2's when it runs and the M beams otherwise: a block takes as many trials
+# as fit, at least one; this bounds a work unit's memory, about 1 MiB of
+# scheme 2 tables
+_BUDGET = 2 ** 15
 
 
 def snr_db_to_linear(snr_db: float) -> float:
@@ -236,15 +239,17 @@ def _run_block(args) -> tuple[np.ndarray, int]:
     return values, sum(block.resamples)
 
 
-def _reduce(values: Sequence, resamples: int, metric: str) -> MetricEstimate:
-    """One cell's estimate from its records' metric field, in trial order."""
-    n = len(values)
-    mean = float(np.mean(values))
+def _reduce(values: np.ndarray, resamples: int, metric: str) -> list[MetricEstimate]:
+    """Each cell's estimate from its metric values along the last axis, in
+    trial order; cells in C order.  A rate's std_err is 0 for one trial."""
+    n = values.shape[-1]
+    mean = values.mean(axis=-1)
     if metric == "outage":
-        se = math.sqrt(mean * (1.0 - mean) / n)
+        se = np.sqrt(mean * (1.0 - mean) / n)
     else:
-        se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MetricEstimate(mean, se, n, resamples)
+        se = values.std(axis=-1, ddof=min(1, n - 1)) / math.sqrt(n)
+    cells = zip(mean.ravel().tolist(), se.ravel().tolist())
+    return [MetricEstimate(m, e, n, resamples) for m, e in cells]
 
 
 def estimate(
@@ -254,7 +259,7 @@ def estimate(
 
     A single spec is the batch of one: it returns its SweepResult, and a
     sequence of specs returns a list of them.  Each spec's trials are split
-    into blocks of at most _BLOCK; with workers > 1 every block of every
+    into blocks sized by _BUDGET; with workers > 1 every block of every
     spec goes through one process pool, in blocks small enough to give each
     worker about four, and pool.map hands them back in submission order.
     workers is capped at the CPUs this process may use: the pool starts a
@@ -270,7 +275,10 @@ def estimate(
         workers = min(workers, os.cpu_count() or 1)
     blocks = []
     for spec in specs:
-        size = _BLOCK
+        sets = m = spec.m_beams
+        if "scheme2" in spec.schemes:
+            sets = 2 ** m - 1 if spec.candidate_strategy == "all_subsets" else 2 * m - 1
+        size = max(1, _BUDGET // (len(spec.snr_grid_db) * sets))
         if workers > 1:
             size = min(size, math.ceil(spec.trials / (4 * workers)))
         blocks.append(
@@ -290,10 +298,8 @@ def estimate(
             done = list(islice(results, len(own)))
             values = np.concatenate([v for v, _ in done], axis=-1)
             resamples = sum(r for _, r in done)
-            rows = [
-                SweepRow(snr_db, scheme, _reduce(values[i, k], resamples, spec.metric))
-                for i, snr_db in enumerate(spec.snr_grid_db)
-                for k, scheme in enumerate(spec.schemes)
-            ]
-            out.append(SweepResult(spec=spec, rows=tuple(rows)))
+            estimates = _reduce(values, resamples, spec.metric)
+            cells = product(spec.snr_grid_db, spec.schemes)
+            rows = tuple(SweepRow(*cell, e) for cell, e in zip(cells, estimates))
+            out.append(SweepResult(spec=spec, rows=rows))
     return out[0] if single else out

@@ -287,12 +287,14 @@ def solver_checks(seed: int) -> list[CheckResult]:
         alpha_s_cap(h[m], eta(g[m], rho, eps_p), tau((m,), h, base_ap, rho), eps_p)
         for m in range(cfg.m_beams)
     ]
+    # the draws' singleton candidates, read off one set table of the block
+    table = _SetTable(g, h, [cfg], "prefixes_plus_singletons")
+    ones = np.flatnonzero(table.members.sum(axis=1) == 1).tolist()
     worst = 0.0
     certifier_fail = 0
     for t in range(REDUCTION_DRAWS):
         m = t % cfg.m_beams
-        cands = enumerate_candidates(block.draw(t), cfg, "prefixes_plus_singletons")
-        cand_m = next(c for c in cands if c.beams == (m,))
+        cand_m = table.candidate(next(i for i in ones if table.beams(i, t) == (m,)), t)
         sol_m = solve_problem4(cand_m)
         got = sol_m.x[0] ** 2 if sol_m.status == "optimal" else 0.0
         certifier_fail += bool(certify_solution(cand_m, sol_m))

@@ -8,6 +8,7 @@ from beamshare import beam_aggregation
 from beamshare.beam_aggregation import (
     STRATEGIES,
     AggregationCandidate,
+    _Lanes,
     _SetTable,
     certify_solution,
     enumerate_candidates,
@@ -160,6 +161,46 @@ def test_subset_lattice_matches_the_per_set_sums():
                     bound += math.sqrt(h_k * (1.0 - e_k))
                 assert repr(bounds[i]) == repr(bound)
     assert infeasible_sets > 0
+
+
+def _lane_results(table, sets, cells):
+    """t* and the split, in slots, of each (sets[l], cells[l]) lane of one
+    _Lanes."""
+    lanes = _Lanes(table, sets, cells)
+    t_star, _ = lanes.solve()
+    alpha_p, x = lanes.split(np.where(np.isnan(t_star), 0.0, t_star))
+    return t_star, alpha_p, x
+
+
+def test_flat_lanes_mix_set_sizes_in_the_callers_order():
+    # At M = 8, every set of 2..8 beams of three draws at two SNR points
+    # shares one _Lanes, shuffled so sizes interleave; each 7- and 8-beam
+    # set is also solved as a lane alone, where numpy would sum the cap's
+    # 8 slots pairwise, not in order. Each lane's t* and split must be
+    # solve_problem4's bit for bit.
+    cfgs = [SystemConfig(8, 8, rho, 0.1, 1.0) for rho in (1e2, 1e4)]
+    block = realize_block(cfgs[0], [TrialSeed(41, t) for t in range(3)])
+    table = _SetTable(block.g_gain, block.h_gain, cfgs, "all_subsets")
+    sizes = table.members.sum(axis=1)
+    sets, cells = np.nonzero(np.broadcast_to(sizes[:, None] > 1, table.tau_d.shape))
+    order = np.random.default_rng(3).permutation(len(sets))
+    sets, cells = sets[order], cells[order]
+    mixed = _lane_results(table, sets, cells)
+    optimal = np.zeros(9, dtype=int)
+    for l, (i, c) in enumerate(zip(sets.tolist(), cells.tolist())):
+        want = solve_problem4(table.candidate(i, c))
+        runs = [(mixed, l)]
+        if sizes[i] >= 7:
+            runs.append((_lane_results(table, sets[l : l + 1], cells[l : l + 1]), 0))
+        for (t_star, alpha_p, x), j in runs:
+            if want.status == "infeasible":
+                assert np.isnan(t_star[j])
+                continue
+            k = -int(sizes[i])
+            got = (t_star[j].item(), alpha_p[k:, j].tolist(), x[k:, j].tolist())
+            assert repr(got) == repr((want.t_star, list(want.alpha_p), list(want.x)))
+        optimal[sizes[i]] += want.status == "optimal"
+    assert (optimal[2:] > 0).all(), optimal
 
 
 def test_min_primary_power_worked_recursion():

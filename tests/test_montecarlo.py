@@ -106,12 +106,15 @@ def test_run_trial_rejects_unknown_scheme():
 
 
 def test_reduce_outage_degenerate():
-    est = _reduce([True], 0, "outage")
-    assert est == MetricEstimate(1.0, 0.0, 1, 0)
+    assert _reduce(np.ones(1), 0, "outage") == [MetricEstimate(1.0, 0.0, 1, 0)]
+    # a rate's standard error is 0 for one trial too
+    assert _reduce(np.array([[1.5], [2.5]]), 2, "ergodic_rate") == [
+        MetricEstimate(1.5, 0.0, 1, 2), MetricEstimate(2.5, 0.0, 1, 2)
+    ]
 
 
 def test_reduce_rate_two_trials():
-    est = _reduce([0.0, 2.0], 1, "ergodic_rate")
+    [est] = _reduce(np.array([0.0, 2.0]), 1, "ergodic_rate")
     assert est.value == pytest.approx(1.0)
     assert est.std_err == pytest.approx(1.0)  # std([0,2], ddof=1)/sqrt(2)
     assert est.trials == 2
@@ -119,9 +122,30 @@ def test_reduce_rate_two_trials():
 
 
 def test_reduce_binomial_se():
-    est = _reduce([t < 3 for t in range(10)], 0, "outage")
+    [est] = _reduce(1.0 * (np.arange(10) < 3), 0, "outage")
     assert est.value == pytest.approx(0.3)
     assert est.std_err == pytest.approx(math.sqrt(0.3 * 0.7 / 10))
+
+
+def test_reduce_equals_the_per_row_floats():
+    # one reduction over a spec's (SNR point, scheme, trial) values gives
+    # each row's floats as np.mean and np.std over that row alone
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        shape = (*rng.integers(1, 5, size=2), int(rng.integers(1, 300)))
+        n = shape[-1]
+        rates = rng.gamma(1.0, size=shape)
+        for metric, values in (("ergodic_rate", rates), ("outage", 1.0 * (rates < 1.0))):
+            rows = values.reshape(-1, n)
+            want = []
+            for row in rows:
+                mean = float(np.mean(row))
+                if metric == "outage":
+                    se = math.sqrt(mean * (1.0 - mean) / n)
+                else:
+                    se = float(np.std(row, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+                want.append(MetricEstimate(mean, se, n, 7))
+            assert _reduce(values, 7, metric) == want
 
 
 def test_estimate_matches_manual_reduction():
@@ -303,7 +327,6 @@ def test_estimate_starts_one_pool(monkeypatch):
 
 
 def test_estimate_blocks_are_capped(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_BLOCK", 4)
     stacks = []
     zf = channel_model.zf_beams
 
@@ -311,12 +334,38 @@ def test_estimate_blocks_are_capped(monkeypatch):
         stacks.append(len(G))
         return zf(G)
 
-    spec = _spec(trials=11, metric="ergodic_rate", schemes=SCHEMES)
+    def blocks(spec, budget):
+        stacks.clear()
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_BUDGET", budget)
+            result = estimate(spec)
+        return result, list(stacks)
+
     monkeypatch.setattr(channel_model, "zf_beams", counted_zf)
-    capped = estimate(spec)
-    assert stacks == [4, 4, 3]
-    monkeypatch.undo()
-    assert capped == estimate(spec)
+    # scheme 2 at M = 2 ranks 3 sets, so a trial is 2 SNR points x 3 sets
+    spec = _spec(trials=11, metric="ergodic_rate", schemes=SCHEMES)
+    whole, sizes = blocks(spec, 6 * 11)
+    assert sizes == [11]
+    assert blocks(spec, 6 * 4 + 5) == (whole, [4, 4, 3])
+    assert blocks(spec, 1) == (whole, [1] * 11)
+    # without scheme 2 a trial is 2 SNR points x 2 beams
+    spec = _spec(trials=11, schemes=("selection", "scheme1"))
+    whole, sizes = blocks(spec, 4 * 11)
+    assert sizes == [11]
+    assert blocks(spec, 4 * 5) == (whole, [5, 5, 1])
+    # at the default budget, the fig2b sweeps at 100 trials are one block each
+    for m in (2, 4):
+        spec = _spec(
+            n_antennas=m,
+            m_beams=m,
+            snr_grid_db=tuple(range(0, 45, 5)),
+            schemes=("selection", "scheme2"),
+            metric="ergodic_rate",
+            trials=100,
+        )
+        stacks.clear()
+        estimate(spec)
+        assert stacks == [100]
 
 
 def test_pool_capped_at_usable_cpus(monkeypatch):
