@@ -34,6 +34,7 @@ import numpy as np
 from .beam_aggregation import (
     ALL_SUBSETS_MAX_BEAMS,
     STRATEGIES,
+    _layout,
     evaluate_scheme1,
     evaluate_scheme1_block,
     evaluate_scheme2,
@@ -62,11 +63,12 @@ METRICS = (
     "primary_min_rate",
 )
 
-# (set, SNR point, trial) triples a block may score, the sets being scheme
-# 2's when it runs and the M beams otherwise: a block takes as many trials
-# as fit, at least one; this bounds a work unit's memory, about 1 MiB of
-# scheme 2 tables
+# a block takes as many trials as keep both its (set, SNR point, trial)
+# triples (the sets: scheme 2's when it runs, else the M beams) and its
+# N x M channel entries within _BUDGET, a few MiB of tables or of draws,
+# but at least _MIN_TRIALS, since a smaller block only adds numpy calls
 _BUDGET = 2 ** 15
+_MIN_TRIALS = 64
 
 
 def snr_db_to_linear(snr_db: float) -> float:
@@ -275,10 +277,11 @@ def estimate(
         workers = min(workers, os.cpu_count() or 1)
     blocks = []
     for spec in specs:
-        sets = m = spec.m_beams
+        sets = spec.m_beams
         if "scheme2" in spec.schemes:
-            sets = 2 ** m - 1 if spec.candidate_strategy == "all_subsets" else 2 * m - 1
-        size = max(1, _BUDGET // (len(spec.snr_grid_db) * sets))
+            sets = len(_layout(spec.candidate_strategy, spec.m_beams)[0])
+        work = max(len(spec.snr_grid_db) * sets, spec.n_antennas * spec.m_beams)
+        size = max(_MIN_TRIALS, _BUDGET // work)
         if workers > 1:
             size = min(size, math.ceil(spec.trials / (4 * workers)))
         blocks.append(

@@ -334,25 +334,34 @@ def test_estimate_blocks_are_capped(monkeypatch):
         stacks.append(len(G))
         return zf(G)
 
-    def blocks(spec, budget):
+    def blocks(spec, budget, least):
         stacks.clear()
         with monkeypatch.context() as m:
             m.setattr(montecarlo, "_BUDGET", budget)
+            m.setattr(montecarlo, "_MIN_TRIALS", least)
             result = estimate(spec)
         return result, list(stacks)
 
     monkeypatch.setattr(channel_model, "zf_beams", counted_zf)
     # scheme 2 at M = 2 ranks 3 sets, so a trial is 2 SNR points x 3 sets
     spec = _spec(trials=11, metric="ergodic_rate", schemes=SCHEMES)
-    whole, sizes = blocks(spec, 6 * 11)
+    whole, sizes = blocks(spec, 6 * 11, 1)
     assert sizes == [11]
-    assert blocks(spec, 6 * 4 + 5) == (whole, [4, 4, 3])
-    assert blocks(spec, 1) == (whole, [1] * 11)
+    assert blocks(spec, 6 * 4 + 5, 1) == (whole, [4, 4, 3])
+    assert blocks(spec, 1, 1) == (whole, [1] * 11)
+    # a block never takes fewer than _MIN_TRIALS trials
+    assert blocks(spec, 1, 5) == (whole, [5, 5, 1])
     # without scheme 2 a trial is 2 SNR points x 2 beams
     spec = _spec(trials=11, schemes=("selection", "scheme1"))
-    whole, sizes = blocks(spec, 4 * 11)
+    whole, sizes = blocks(spec, 4 * 11, 1)
     assert sizes == [11]
-    assert blocks(spec, 4 * 5) == (whole, [5, 5, 1])
+    assert blocks(spec, 4 * 5, 1) == (whole, [5, 5, 1])
+    # a trial's N x M channel entries count when they outnumber its work:
+    # here 16 x 2 entries against 1 SNR point x 2 beams
+    spec = _spec(n_antennas=16, trials=11, snr_grid_db=(10.0,))
+    whole, sizes = blocks(spec, 32 * 11, 1)
+    assert sizes == [11]
+    assert blocks(spec, 32 * 5, 1) == (whole, [5, 5, 1])
     # at the default budget, the fig2b sweeps at 100 trials are one block each
     for m in (2, 4):
         spec = _spec(
@@ -366,6 +375,23 @@ def test_estimate_blocks_are_capped(monkeypatch):
         stacks.clear()
         estimate(spec)
         assert stacks == [100]
+    # a large array draws 2^15 / (N x M) trials per block: 512 at N = 64
+    stacks.clear()
+    estimate(_spec(n_antennas=64, m_beams=1, snr_grid_db=(10.0,), trials=600))
+    assert stacks == [512, 88]
+    # all_subsets at M = 8 over 9 SNR points would fit 14 trials; it takes 64
+    stacks.clear()
+    estimate(
+        _spec(
+            n_antennas=8,
+            m_beams=8,
+            snr_grid_db=tuple(range(0, 45, 5)),
+            schemes=("scheme2",),
+            candidate_strategy="all_subsets",
+            trials=100,
+        )
+    )
+    assert stacks == [64, 36]
 
 
 def test_pool_capped_at_usable_cpus(monkeypatch):
