@@ -13,24 +13,26 @@ gains g_m = |g_m^H f_m|^2 and h_m = |h^H f_m|^2.
 
 Each trial's random stream is the PCG64 generator that
 default_rng((experiment_seed, trial_index, attempt)) returns.  Its first
-2NM + 2N standard normals are, in order, the real parts of G, the
-imaginary parts of G (both row-major), and the real and imaginary parts of
-h.  A block of trials is drawn at once: numpy's SeedSequence hash runs as
-uint32 array arithmetic over the block's trials, the PCG64 seeding is done
-in Python integers, and each trial's normals come from one standard_normal
-call on a reused generator whose state is set to that trial's.  One call
-of 2NM + 2N normals equals four calls in sequence, because each call only
-continues the stream.  The block is zero-forced as one stack; realize is
-the block of one.  The stacked linear algebra does per matrix what the
-single call does, so every trial's values are bit for bit the same
-whatever block it is drawn in.
+2NM + 2N standard normals are, in order, the real and imaginary parts of G
+(both row-major), and the real and imaginary parts of h, so an (N, M) draw
+is a prefix of a larger geometry's: a block of trials is drawn once, as far
+as its largest geometry needs.  Seeds are (experiment_seed, trial_index,
+attempt) rows of a uint64 array.  numpy's SeedSequence hash runs as uint32
+array arithmetic over them, the PCG64 seeding in Python integers, and each
+trial's normals come from one standard_normal call on a reused generator
+whose state is set to that trial's (one call equals the reference's four,
+as each call only continues the stream).  Each geometry's block is
+zero-forced as one stack; realize is the block of one.  The stacked linear
+algebra does per matrix what the single call does, so every trial's values
+are bit for bit the same whatever block it is drawn in.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from contextlib import suppress
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
@@ -50,8 +52,10 @@ __all__ = [
 ]
 
 # Draws with condition number at or above this are treated as numerically
-# singular and redrawn (measure-zero event for continuous fading).
+# singular and redrawn (measure-zero event for continuous fading); a Gram
+# matrix A with ||A||_F ||A^-1||_F below _CERTIFIED needs no SVD (zf_beams)
 COND_LIMIT = 1e12
+_CERTIFIED = 1e8
 
 _MAX_RESAMPLES = 64
 
@@ -74,7 +78,8 @@ _GENERATOR_LOCK = threading.Lock()
 
 
 class SingularChannel(Exception):
-    """Raised when G^H G is numerically singular (condition number >= 1e12).
+    """Raised when G^H G is numerically singular (condition number >= 1e12)
+    or cannot be inverted.
 
     ``rows`` holds the indices of the singular matrices of a stack; None
     means every matrix.
@@ -198,9 +203,10 @@ _OTHERS = [np.array([d for d in range(_POOL) if d != src]) for src in range(_POO
 _CYCLE = np.arange(2 * _POOL) % _POOL
 
 
-def _seed_states(seeds: Sequence[TrialSeed]) -> list[list[int]]:
+def _seed_states(seeds: np.ndarray) -> list[list[int]]:
     """SeedSequence((experiment_seed, trial_index, attempt))
-    .generate_state(4, uint64) of every seed, hashed for all seeds at once.
+    .generate_state(4, uint64) of every row of the (T, 3) uint64 array
+    seeds, hashed for all rows at once.
 
     The entropy is each part's little-endian uint32 words: the low word,
     then the high word unless it is 0.  SeedSequence hashes a missing pool
@@ -208,10 +214,9 @@ def _seed_states(seeds: Sequence[TrialSeed]) -> list[list[int]]:
     padding; longer ones mix their extra words in.  Seeds whose parts have
     the same high words present share one pass.
     """
-    parts = [(s.experiment_seed, s.trial_index, s.attempt) for s in seeds]
-    words = np.fromiter(parts, np.dtype(("<u8", 3)), len(parts)).view("<u4").T
+    words = np.ascontiguousarray(seeds, dtype="<u8").view("<u4").T
     layout = np.array([1, 2, 4]) @ (words[1::2] != 0)  # which high words are present
-    state = np.empty((len(parts), 2 * _POOL), dtype="<u4")
+    state = np.empty((len(seeds), 2 * _POOL), dtype="<u4")
     for code in set(layout.tolist()):
         cols = layout == code
         used = [k for k in range(6) if k % 2 == 0 or code >> k // 2 & 1]
@@ -238,20 +243,22 @@ def _generator() -> np.random.Generator:
 
 
 def sample_channels(
-    cfg: SystemConfig, seeds: Sequence[TrialSeed]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw G[T, N, M] and h[T, N] with i.i.d. CN(0, 1) entries, row t
-    deterministically from seeds[t].
+    cfgs: Sequence[SystemConfig], seeds: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Draw G[T, N, M] and h[T, N] with i.i.d. CN(0, 1) entries for the
+    geometry of each of cfgs, row t deterministically from seeds[t], an
+    (experiment_seed, trial_index, attempt) row of a uint64 array.
 
     Real and imaginary parts are each N(0, 1/2) so every entry has unit
-    variance.  Row t's 2NM + 2N normals are the first of seeds[t].rng()'s
-    stream, in the layout of the module docstring: that generator's PCG64
-    state and increment are derived from the seed's SeedSequence words as
-    pcg_setseq_128_srandom_r does, and set on one reused generator, which
-    fills the row with one standard_normal call.
+    variance.  Row t's normals are the first of TrialSeed(*seeds[t]).rng()'s
+    stream, drawn once for the largest geometry, in the layout of the
+    module docstring: that generator's PCG64 state and increment are
+    derived from the seed's SeedSequence words as pcg_setseq_128_srandom_r
+    does, and set on one reused generator, which fills the row with one
+    standard_normal call.
     """
-    n, m = cfg.n_antennas, cfg.m_beams
-    normals = np.empty((len(seeds), 2 * n * m + 2 * n))
+    sizes = [(cfg.n_antennas, cfg.m_beams) for cfg in cfgs]
+    normals = np.empty((len(seeds), max(2 * n * m + 2 * n for n, m in sizes)))
     states = _seed_states(seeds)
     with _GENERATOR_LOCK:
         generator = _generator()
@@ -269,10 +276,12 @@ def sample_channels(
             }
             generator.standard_normal(out=row)
     scale = math.sqrt(0.5)
-    re, im, h_re, h_im = np.split(normals, np.cumsum([n * m, n * m, n]), axis=1)
-    G = scale * (re.reshape(-1, n, m) + 1j * im.reshape(-1, n, m))
-    h = scale * (h_re + 1j * h_im)
-    return G, h
+    draws = []
+    for n, m in sizes:
+        re, im, h_re, h_im, _ = np.split(normals, np.cumsum([n * m, n * m, n, n]), axis=1)
+        G = scale * (re.reshape(-1, n, m) + 1j * im.reshape(-1, n, m))
+        draws.append((G, scale * (h_re + 1j * h_im)))
+    return draws
 
 
 def zf_beams(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,16 +290,43 @@ def zf_beams(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (F, g_gain) with F = G (G^H G)^-1 D and g_gain[m] = |g_m^H f_m|^2.
     Raises SingularChannel, naming the stack's offending matrices, when any
-    is rank deficient at working precision.
+    is rank deficient at working precision: cond(G) >= COND_LIMIT, or
+    A = G^H G cannot be inverted.
+
+    Only the matrices that A's inverse does not certify take an SVD.  As
+    ||A||_F ||A^-1||_F >= kappa_2(A) = cond(G)^2, a product below
+    _CERTIFIED = 1e8 puts cond(G) under 1e4, 8 orders of magnitude below
+    COND_LIMIT, where the inverse (about 1e-8 relative) and the SVD's ratio
+    (about 1e-12) are far too accurate to cross it.  Matrices whose product
+    is not finite or too large, or the whole stack when inv fails, take the
+    SVD test, so the raised rows, F and g_gain are those of an SVD of all.
     """
     n, m = G.shape[-2:]
     if n < m:
         raise ValueError("G must have at least as many rows as columns")
-    sv = np.linalg.svd(G, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = sv[..., 0] / sv[..., -1]  # inf or nan when rank deficient
-    _raise_if_any(~(cond < COND_LIMIT), f"condition number >= {COND_LIMIT:.0e}")
-    gram_inv = np.linalg.inv(G.conj().swapaxes(-1, -2) @ G)
+    gram = G.conj().swapaxes(-1, -2) @ G
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            gram_inv = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            gram_inv, unsure = None, np.ones(G.shape[:-2], dtype=bool)
+        else:
+            parts = [np.asarray(a, complex).view(float) for a in (gram, gram_inv)]
+            sq = [np.einsum("...ij,...ij", a, a) for a in parts]  # squared norms
+            unsure = np.asarray(~(sq[0] * sq[1] < _CERTIFIED ** 2))
+        if unsure.any():
+            sv = np.linalg.svd(G[unsure], compute_uv=False)
+            cond = sv[..., 0] / sv[..., -1]  # inf or nan when rank deficient
+            unsure[unsure] = ~(cond < COND_LIMIT)
+            _raise_if_any(unsure, f"condition number >= {COND_LIMIT:.0e}")
+    if gram_inv is None:  # rare: find the matrices inv fails on one at a time
+        failed = np.ones(unsure.size, dtype=bool)
+        for i, a in enumerate(gram.reshape(-1, m, m)):
+            with suppress(np.linalg.LinAlgError):
+                np.linalg.inv(a)
+                failed[i] = False
+        _raise_if_any(failed, "Gram matrix is not invertible")
+        gram_inv = np.linalg.inv(gram)
     diag = np.real(np.diagonal(gram_inv, axis1=-2, axis2=-1))
     ok = np.all((diag > 0.0) & np.isfinite(diag), axis=-1)
     _raise_if_any(~ok, "Gram inverse has a non-positive diagonal")
@@ -345,37 +381,45 @@ def realize(cfg: SystemConfig, seed: TrialSeed) -> ChannelRealization:
     index, bumped attempt counter), so the result is a pure function of
     (cfg, seed) regardless of how many redraws occur.
     """
-    return realize_block(cfg, [seed]).draw(0)
+    row = (seed.experiment_seed, seed.trial_index, seed.attempt)
+    return realize_block([cfg], [row])[0].draw(0)
 
 
-def realize_block(cfg: SystemConfig, seeds: Sequence[TrialSeed]) -> ChannelBlock:
-    """Draw one trial per seed with one sample_channels call and zero-force
-    the block as one stack.
+def realize_block(
+    cfgs: Sequence[SystemConfig], seeds: np.ndarray
+) -> list[ChannelBlock]:
+    """Draw one trial per row of seeds with one sample_channels call for
+    every geometry of cfgs, and zero-force each geometry's block as one
+    stack.
 
-    A singular matrix redraws only its own trial, from the next attempt's
-    stream, with one more sample_channels call for all such rows, and the
-    stack is zero-forced again; so trial t equals realize(cfg, seeds[t])
-    bit for bit.  The gains are returned beam-major, (M, T) and
-    C-contiguous, as the block passes of the schemes take them.
+    A singular matrix redraws only its own trial in its own geometry, from
+    the next attempt's stream, with one more sample_channels call for all
+    such rows, and the stack is zero-forced again; so trial t of each block
+    equals realize(cfg, TrialSeed(*seeds[t])) bit for bit.  The gains are
+    beam-major, (M, T) and C-contiguous, as the schemes' block passes take
+    them.
     """
-    G, h = sample_channels(cfg, seeds)
-    resamples = [0] * len(seeds)
-    while True:
-        try:
-            F, g_gain = zf_beams(G)
-            break
-        except SingularChannel as exc:
-            rows = range(len(seeds)) if exc.rows is None else exc.rows
-            for i in rows:
-                resamples[i] += 1
-                if resamples[i] >= _MAX_RESAMPLES:
-                    raise SingularChannel(
-                        f"{_MAX_RESAMPLES} consecutive singular draws for {seeds[i]}"
-                    ) from None
-            redraws = [
-                replace(seeds[i], attempt=seeds[i].attempt + resamples[i]) for i in rows
-            ]
-            G[rows], h[rows] = sample_channels(cfg, redraws)
-    h_gain = effective_gains(h, F)
-    g_gain, h_gain = np.ascontiguousarray(g_gain.T), np.ascontiguousarray(h_gain.T)
-    return ChannelBlock(G, h, F, g_gain, h_gain, resamples)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    blocks = []
+    for cfg, (G, h) in zip(cfgs, sample_channels(cfgs, seeds)):
+        resamples = [0] * len(seeds)
+        while True:
+            try:
+                F, g_gain = zf_beams(G)
+                break
+            except SingularChannel as exc:
+                rows = range(len(seeds)) if exc.rows is None else exc.rows
+                redraws = seeds[rows].tolist()
+                for i, redraw in zip(rows, redraws):
+                    resamples[i] += 1
+                    if resamples[i] >= _MAX_RESAMPLES:
+                        seed = TrialSeed(*seeds[i].tolist())
+                        raise SingularChannel(
+                            f"{_MAX_RESAMPLES} consecutive singular draws for {seed}"
+                        ) from None
+                    redraw[2] += resamples[i]
+                (G[rows], h[rows]), = sample_channels([cfg], redraws)
+        h_gain = effective_gains(h, F)
+        g_gain, h_gain = np.ascontiguousarray(g_gain.T), np.ascontiguousarray(h_gain.T)
+        blocks.append(ChannelBlock(G, h, F, g_gain, h_gain, resamples))
+    return blocks

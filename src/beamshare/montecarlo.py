@@ -3,10 +3,12 @@
 A trial is one channel draw, a pure function of (experiment seed, trial
 index).  A draw does not depend on the SNR, so each trial is drawn once and
 every (SNR point, scheme) cell of the sweep is evaluated on it: the schemes
-and the SNR points are compared on the same draws.  Trials are drawn in
-blocks sized by work (see _BUDGET): a spec of a few hundred trials is one
-block.  A block is sampled with one seed hash, zero-forced as one
-stack, and is the unit of work handed to a worker.  Each scheme scores all
+and the SNR points are compared on the same draws.  A geometry's draw is
+a prefix of a larger one's (see channel_model), so the specs of a run that
+share a seed draw each trial once, in units of work sized by their blocks
+(see _BUDGET): a spec of a few hundred trials is one block.  A unit is
+sampled with one seed hash, zero-forced as one stack per geometry, and
+handed to a worker whole.  Each scheme scores all
 of a block's (SNR point, trial) cells in one array pass over the block's
 (M, T) gain arrays (scheme 2 solves its beam sets as lanes of one lockstep
 bisection).  Each cell's floats are those of run_trial, bit for bit: the
@@ -26,7 +28,7 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from multiprocessing import get_context
 
 import numpy as np
@@ -127,8 +129,8 @@ class SweepSpec:
         store("schemes", tuple(self.schemes))
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be in [0, 2**64)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 1 <= self.trials <= 2 ** 64:  # trial indices are 64-bit
+            raise ValueError("trials must be in [1, 2**64]")
         if len(self.snr_grid_db) == 0:
             raise ValueError("snr_grid_db must be nonempty")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
@@ -220,25 +222,32 @@ def run_trial(
     return records
 
 
-def _run_block(args) -> tuple[np.ndarray, int]:
-    """Draw a block of trials once and score every (SNR point, scheme)
-    cell on it, each scheme with one array pass over all the block's
-    cells.  Returns the metric's value of each cell as an (SNR point,
-    scheme, trial) array, and the block's redraw count."""
-    spec, trials = args
-    cfgs = [spec.config_at(snr_db) for snr_db in spec.snr_grid_db]
-    block = realize_block(cfgs[0], [TrialSeed(spec.seed, t) for t in trials])
-    g_gain, h_gain = block.g_gain, block.h_gain
-    values = np.empty((len(cfgs), len(spec.schemes), len(trials)))
-    for k, scheme in enumerate(spec.schemes):
-        if scheme == "selection":
-            cells = evaluate_selection_block(g_gain, h_gain, cfgs)
-        elif scheme == "scheme1":
-            cells = evaluate_scheme1_block(g_gain, h_gain, cfgs)
-        else:
-            cells = evaluate_scheme2_block(g_gain, h_gain, cfgs, spec.candidate_strategy)
-        values[:, k] = _VALUE[spec.metric](cells)
-    return values, sum(block.resamples)
+def _run_block(args) -> list[tuple[np.ndarray, int]]:
+    """Draw a block of trials once for specs of one seed and score every
+    (SNR point, scheme) cell of each spec, each scheme with one array pass
+    over all the spec's cells.  Returns per spec the metric's value of each
+    cell as an (SNR point, scheme, trial) array, and its redraw count."""
+    specs, trials = args
+    seeds = np.zeros((len(trials), 3), dtype=np.uint64)
+    seeds[:, 0], seeds[:, 1] = specs[0].seed, trials
+    grids = [[spec.config_at(snr_db) for snr_db in spec.snr_grid_db] for spec in specs]
+    blocks = realize_block([cfgs[0] for cfgs in grids], seeds)
+    out = []
+    for spec, cfgs, block in zip(specs, grids, blocks):
+        g_gain, h_gain = block.g_gain, block.h_gain
+        values = np.empty((len(cfgs), len(spec.schemes), len(trials)))
+        for k, scheme in enumerate(spec.schemes):
+            if scheme == "selection":
+                cells = evaluate_selection_block(g_gain, h_gain, cfgs)
+            elif scheme == "scheme1":
+                cells = evaluate_scheme1_block(g_gain, h_gain, cfgs)
+            else:
+                cells = evaluate_scheme2_block(
+                    g_gain, h_gain, cfgs, spec.candidate_strategy
+                )
+            values[:, k] = _VALUE[spec.metric](cells)
+        out.append((values, sum(block.resamples)))
+    return out
 
 
 def _reduce(values: np.ndarray, resamples: int, metric: str) -> list[MetricEstimate]:
@@ -260,13 +269,15 @@ def estimate(
     """Run the sweeps and return one estimate per (SNR point, scheme) each.
 
     A single spec is the batch of one: it returns its SweepResult, and a
-    sequence of specs returns a list of them.  Each spec's trials are split
-    into blocks sized by _BUDGET; with workers > 1 every block of every
-    spec goes through one process pool, in blocks small enough to give each
-    worker about four, and pool.map hands them back in submission order.
-    workers is capped at the CPUs this process may use: the pool starts a
-    process per block while none is idle, and more processes than CPUs only
-    add start-up cost.  The output does not depend on workers.
+    sequence of specs returns a list of them.  Specs that share a seed draw
+    their trials once (see channel_model), in units of the shortest block
+    any of them takes under _BUDGET, cut where a spec's trials end.  With
+    workers > 1 every unit goes through one process pool, in units small
+    enough to give each worker about four per seed, and pool.map hands them
+    back in submission order.  workers is capped at the CPUs this process
+    may use: the pool starts a process per unit while none is idle, and
+    more processes than CPUs only add start-up cost.  The output does not
+    depend on workers or on the other specs of the run.
     """
     single = isinstance(specs, SweepSpec)
     if single:
@@ -275,34 +286,44 @@ def estimate(
         workers = min(workers, len(os.sched_getaffinity(0)))
     else:
         workers = min(workers, os.cpu_count() or 1)
-    blocks = []
-    for spec in specs:
-        sets = spec.m_beams
-        if "scheme2" in spec.schemes:
-            sets = len(_layout(spec.candidate_strategy, spec.m_beams)[0])
-        work = max(len(spec.snr_grid_db) * sets, spec.n_antennas * spec.m_beams)
-        size = max(_MIN_TRIALS, _BUDGET // work)
+    units = []
+    for seed in dict.fromkeys(spec.seed for spec in specs):
+        group = [i for i, spec in enumerate(specs) if spec.seed == seed]
+        size = min(_block_size(specs[i]) for i in group)
+        total = max(specs[i].trials for i in group)
         if workers > 1:
-            size = min(size, math.ceil(spec.trials / (4 * workers)))
-        blocks.append(
-            [range(spec.trials)[t : t + size] for t in range(0, spec.trials, size)]
-        )
-    units = [(spec, trials) for spec, own in zip(specs, blocks) for trials in own]
-    out = []
+            size = min(size, math.ceil(total / (4 * workers)))
+        cuts = sorted({*range(0, total, size), *(specs[i].trials for i in group)})
+        for start, stop in zip(cuts, cuts[1:]):
+            own = [i for i in group if specs[i].trials > start]
+            units.append((own, range(start, stop)))
+    work = [([specs[i] for i in own], trials) for own, trials in units]
+    parts = [[] for _ in specs]
     with ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
             )
-            results = pool.map(_run_block, units)
+            results = pool.map(_run_block, work)
         else:
-            results = map(_run_block, units)
-        for spec, own in zip(specs, blocks):
-            done = list(islice(results, len(own)))
-            values = np.concatenate([v for v, _ in done], axis=-1)
-            resamples = sum(r for _, r in done)
-            estimates = _reduce(values, resamples, spec.metric)
-            cells = product(spec.snr_grid_db, spec.schemes)
-            rows = tuple(SweepRow(*cell, e) for cell, e in zip(cells, estimates))
-            out.append(SweepResult(spec=spec, rows=rows))
+            results = map(_run_block, work)
+        for (own, _), done in zip(units, results):
+            for i, part in zip(own, done):
+                parts[i].append(part)
+    out = []
+    for spec, done in zip(specs, parts):
+        values = np.concatenate([v for v, _ in done], axis=-1)
+        estimates = _reduce(values, sum(r for _, r in done), spec.metric)
+        cells = product(spec.snr_grid_db, spec.schemes)
+        rows = tuple(SweepRow(*cell, e) for cell, e in zip(cells, estimates))
+        out.append(SweepResult(spec=spec, rows=rows))
     return out[0] if single else out
+
+
+def _block_size(spec: SweepSpec) -> int:
+    """The trials of spec's blocks alone (see _BUDGET)."""
+    sets = spec.m_beams
+    if "scheme2" in spec.schemes:
+        sets = len(_layout(spec.candidate_strategy, spec.m_beams)[0])
+    work = max(len(spec.snr_grid_db) * sets, spec.n_antennas * spec.m_beams)
+    return max(_MIN_TRIALS, _BUDGET // work)

@@ -82,7 +82,7 @@ LEMMA1_TRIALS = 60_000
 
 def _draws(cfg: SystemConfig, seed: int, count: int) -> ChannelBlock:
     """realize(cfg, TrialSeed(seed, t)) for t < count, as one block."""
-    return realize_block(cfg, [TrialSeed(seed, t) for t in range(count)])
+    return realize_block([cfg], [(seed, t, 0) for t in range(count)])[0]
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,12 @@ def stream_check(seed: int) -> CheckResult:
     2**32, attempts 0, 1 and 2**32 + 1."""
     cfg = SystemConfig(4, 2, 10.0, 1.0, 1.0)
     seeds = [
-        TrialSeed(seed, t + (t % 2 << 32), (0, 1, 2 ** 32 + 1)[t % 3])
-        for t in range(STREAM_DRAWS)
+        (seed, t + (t % 2 << 32), (0, 1, 2 ** 32 + 1)[t % 3]) for t in range(STREAM_DRAWS)
     ]
-    G, h = sample_channels(cfg, seeds)
+    (G, h), = sample_channels([cfg], seeds)
     mismatches = 0
-    for G_t, h_t, trial_seed in zip(G, h, seeds):
-        G_ref, h_ref = reference_channels(cfg, trial_seed)
+    for G_t, h_t, row in zip(G, h, seeds):
+        G_ref, h_ref = reference_channels(cfg, TrialSeed(*row))
         mismatches += (G_t.tobytes(), h_t.tobytes()) != (G_ref.tobytes(), h_ref.tobytes())
     return CheckResult(
         "zf.stream_exact",
@@ -404,8 +403,7 @@ def _set_search_draws(seed: int, draws: int):
             rho = snr_db_to_linear(10.0 * (t % 5))
             cfg = SystemConfig(m, m, rho, (0.1, 1.0)[t // 5 % 2], 1.0)
             points.setdefault(cfg, []).append(t)
-        seeds = [TrialSeed(seed, m * draws + t) for t in range(draws)]
-        block = realize_block(cfg, seeds)
+        block, = realize_block([cfg], [(seed, m * draws + t, 0) for t in range(draws)])
         for cfg, trials in points.items():
             yield cfg, trials, block
 

@@ -11,15 +11,15 @@ import pytest
 from beamshare.analysis import q1_exact
 from beamshare.beam_aggregation import (
     AggregationCandidate,
+    _SetTable,
     certify_solution,
-    enumerate_candidates,
     evaluate_scheme1_block,
     evaluate_scheme2_block,
     oracle_grid_solver,
     solve_problem4,
 )
 from beamshare.beam_selection import evaluate_selection_block
-from beamshare.channel_model import SystemConfig, TrialSeed, realize_block
+from beamshare.channel_model import SystemConfig, realize_block
 from beamshare.cli import main
 from beamshare.montecarlo import SweepSpec, estimate
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
@@ -136,7 +136,10 @@ def test_criterion_06_solver_correctness():
     cfg = SystemConfig(4, 4, 10.0, 1.0, 1.0)
     worst = 0.0
     certified = 0
-    block = realize_block(cfg, [TrialSeed(SEED + 6, t) for t in range(10_000)])
+    block, = realize_block([cfg], [(SEED + 6, t, 0) for t in range(10_000)])
+    # the draws' singleton candidates, read off one set table of the block
+    table = _SetTable(block.g_gain, block.h_gain, [cfg], "prefixes_plus_singletons")
+    ones = np.flatnonzero(table.members.sum(axis=1) == 1).tolist()
     for t in range(10_000):
         chan = block.draw(t)
         h = chan.h_gain.tolist()
@@ -146,11 +149,7 @@ def test_criterion_06_solver_correctness():
         expected = alpha_s_cap(
             h[m], eta(g[m], cfg.rho, cfg.eps_p), tau((m,), h, base, cfg.rho), cfg.eps_p
         )
-        cand = next(
-            c
-            for c in enumerate_candidates(chan, cfg, "prefixes_plus_singletons")
-            if c.beams == (m,)
-        )
+        cand = table.candidate(next(i for i in ones if table.beams(i, t) == (m,)), t)
         sol = solve_problem4(cand)
         got = sol.x[0] ** 2 if sol.status == "optimal" else 0.0
         worst = max(worst, abs(got - expected))
@@ -206,7 +205,7 @@ def test_criterion_07_scheme2_always_beats_selection():
 
 def _block_draws(cfg, seed, trials):
     """realize(cfg, TrialSeed(seed, t)) for t < trials, as (M, T) gains."""
-    block = realize_block(cfg, [TrialSeed(seed, t) for t in range(trials)])
+    block, = realize_block([cfg], [(seed, t, 0) for t in range(trials)])
     return block.g_gain, block.h_gain
 
 

@@ -179,7 +179,7 @@ def test_flat_lanes_mix_set_sizes_in_the_callers_order():
     # 8 slots pairwise, not in order. Each lane's t* and split must be
     # solve_problem4's bit for bit.
     cfgs = [SystemConfig(8, 8, rho, 0.1, 1.0) for rho in (1e2, 1e4)]
-    block = realize_block(cfgs[0], [TrialSeed(41, t) for t in range(3)])
+    block, = realize_block(cfgs[:1], [(41, t, 0) for t in range(3)])
     table = _SetTable(block.g_gain, block.h_gain, cfgs, "all_subsets")
     sizes = table.members.sum(axis=1)
     sets, cells = np.nonzero(np.broadcast_to(sizes[:, None] > 1, table.tau_d.shape))
@@ -468,7 +468,7 @@ def test_scheme2_blocked_channel():
 def test_scheme2_dominates_selection_pointwise():
     # 1,000 draws, scored by each scheme as one block
     cfg = SystemConfig(4, 4, 100.0, 0.1, 1.0)
-    block = realize_block(cfg, [TrialSeed(97, t) for t in range(1000)])
+    block, = realize_block([cfg], [(97, t, 0) for t in range(1000)])
     sel = evaluate_selection_block(block.g_gain, block.h_gain, [cfg]).secondary_rate[0]
     agg = evaluate_scheme2_block(
         block.g_gain, block.h_gain, [cfg], "prefixes_plus_singletons"

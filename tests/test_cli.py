@@ -152,6 +152,8 @@ def test_snr_grid_has_no_float_drift():
             "candidate_strategy",
             id="strategy-removed",
         ),
+        # trial indices are 64-bit; such a run used to hang building blocks
+        pytest.param({}, ["--trials", "99999999999999999999"], "trials", id="trials-64-bit"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(
@@ -203,8 +205,26 @@ def test_preset_failure_writes_nothing(tmp_path, capsys, target):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("target", ["F.csv", "-"])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, target):
+    # numpy's _ArrayMemoryError is a MemoryError; nothing real is allocated
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli_mod, "estimate", too_large)
+    out = target if target == "-" else str(tmp_path / target)
+    args = ["preset", "fig2a", "--trials", "5", "--m-beams", "100000", "--out", out]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "memory" in lines[0]
+    assert os.listdir(tmp_path) == []
+
+
 def test_interrupted_run_leaves_no_file(tmp_path, monkeypatch):
-    # a run that dies after its first block removes its temporary file
+    # a run that dies after its first unit of work removes its temporary
+    # file; units of one trial make the curves' 3 trials 3 units
     real = montecarlo._run_block
     calls = []
 
@@ -216,6 +236,8 @@ def test_interrupted_run_leaves_no_file(tmp_path, monkeypatch):
         return real(unit)
 
     monkeypatch.setattr(montecarlo, "_run_block", flaky)
+    monkeypatch.setattr(montecarlo, "_BUDGET", 1)
+    monkeypatch.setattr(montecarlo, "_MIN_TRIALS", 1)
     out = tmp_path / "F.csv"
     with pytest.raises(KeyboardInterrupt):
         main(["preset", "fig1a", "--trials", "3", "--snr-db", "10", "--out", str(out)])

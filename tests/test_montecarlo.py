@@ -44,6 +44,10 @@ def test_snr_conversion():
 def test_spec_validation():
     with pytest.raises(ValueError):
         _spec(trials=0)
+    # trial indices are 64-bit: 2**64 trials is the most a spec can hold
+    with pytest.raises(ValueError, match="trials"):
+        _spec(trials=2 ** 64 + 1)
+    assert _spec(trials=2 ** 64).trials == 2 ** 64
     with pytest.raises(ValueError):
         _spec(snr_grid_db=())
     with pytest.raises(ValueError):
@@ -181,14 +185,16 @@ def test_worker_count_invariance():
 
 
 def test_estimate_draws_each_channel_once(monkeypatch):
-    # a draw does not depend on the SNR: one sampling per trial for the
-    # whole grid, and the trials of a block are zero-forced as one stack
-    draws, stacks = [], []
+    # a draw does not depend on the SNR or on the geometry: one sampling per
+    # (seed, trial) for the whole run, as wide as the largest geometry, and
+    # each geometry's trials of a block are zero-forced as one stack
+    draws, widths, stacks = [], [], []
     sample, zf = channel_model.sample_channels, channel_model.zf_beams
 
-    def counted_sample(cfg, seeds):
-        draws.extend((seed.trial_index, seed.attempt) for seed in seeds)
-        return sample(cfg, seeds)
+    def counted_sample(cfgs, seeds):
+        draws.extend(map(tuple, np.asarray(seeds).tolist()))
+        widths.append([(cfg.n_antennas, cfg.m_beams) for cfg in cfgs])
+        return sample(cfgs, seeds)
 
     def counted_zf(G):
         stacks.append(G.shape)
@@ -196,11 +202,16 @@ def test_estimate_draws_each_channel_once(monkeypatch):
 
     monkeypatch.setattr(channel_model, "sample_channels", counted_sample)
     monkeypatch.setattr(channel_model, "zf_beams", counted_zf)
-    spec = _spec(trials=7, schemes=("selection", "scheme2"))
-    result = estimate(spec)
-    assert len(result.rows) == 4  # 2 SNR points x 2 schemes
-    assert sorted(draws) == [(t, 0) for t in range(7)]
-    assert stacks == [(7, 2, 2)]
+    specs = [
+        _spec(trials=7, schemes=("selection", "scheme2")),
+        _spec(n_antennas=4, m_beams=3, trials=7),
+        _spec(trials=3, seed=8),
+    ]
+    results = estimate(specs)
+    assert [len(result.rows) for result in results] == [4, 2, 2]
+    assert sorted(draws) == [(3, t, 0) for t in range(7)] + [(8, t, 0) for t in range(3)]
+    assert widths == [[(2, 2), (4, 3)], [(2, 2)]]
+    assert stacks == [(7, 2, 2), (7, 4, 3), (3, 2, 2)]
 
 
 def test_every_scheme_scores_a_block_in_one_pass(monkeypatch):
@@ -241,7 +252,7 @@ def test_block_pass_rejects_snr_points_that_differ_beyond_rho(scheme):
     # differ in anything but rho, or a beam count unlike the block's, raise
     block_pass = getattr(montecarlo, f"evaluate_{scheme}_block")
     cfg = SystemConfig(3, 2, 10.0, 0.1, 1.0)
-    block = channel_model.realize_block(cfg, [TrialSeed(5, t) for t in range(4)])
+    block, = channel_model.realize_block([cfg], [(5, t, 0) for t in range(4)])
     g, h = block.g_gain, block.h_gain
     rows = block_pass(g, h, [cfg, dataclasses.replace(cfg, rho=100.0)])
     assert rows.secondary_rate_raw.shape == (2, 4)
@@ -280,8 +291,8 @@ def test_array_cells_equal_run_trial_records(m_beams):
         for cfg in map(spec.config_at, spec.snr_grid_db)
     ]
     for field, metric in enumerate(montecarlo.METRICS):
-        values, resamples = montecarlo._run_block(
-            (dataclasses.replace(spec, metric=metric), range(spec.trials))
+        ((values, resamples),) = montecarlo._run_block(
+            ([dataclasses.replace(spec, metric=metric)], range(spec.trials))
         )
         want = [
             [[cell[k][field] for cell in row] for k in range(len(spec.schemes))]
@@ -302,7 +313,7 @@ def test_scheme2_dominates_selection_on_every_block_cell(m_beams):
         trials=64,
         seed=11,
     )
-    values, _ = montecarlo._run_block((spec, range(spec.trials)))
+    ((values, _),) = montecarlo._run_block(([spec], range(spec.trials)))
     selection, scheme2 = values[:, 0], values[:, 1]
     assert np.all(scheme2 >= selection)
     assert np.any(scheme2 > selection)
@@ -392,6 +403,39 @@ def test_estimate_blocks_are_capped(monkeypatch):
         )
     )
     assert stacks == [64, 36]
+    # specs sharing a seed are drawn in units of their smallest block,
+    # cut where a spec's trials end: a trial of the first is 2 SNR points
+    # x 2 beams, of the second 2 x 3 sets, so budget 24 gives 6 and 4
+    specs = [_spec(trials=11, schemes=("selection", "scheme1")), _spec(trials=5, schemes=SCHEMES)]
+    alone = [blocks(spec, 24, 1)[0] for spec in specs]
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_BUDGET", 24)
+        m.setattr(montecarlo, "_MIN_TRIALS", 1)
+        stacks.clear()
+        assert estimate(specs) == alone
+    assert stacks == [4, 4, 1, 1, 3, 3]
+
+
+def test_specs_drawn_together_equal_each_spec_alone(monkeypatch):
+    # a run's shared draws change no row: M in {2, 4, 8}, two seeds, 7 and
+    # 130 trials, at the default units, at units of 16 and over a pool
+    specs = [
+        _spec(n_antennas=m, m_beams=m, trials=trials, seed=seed, schemes=schemes, metric=metric)
+        for m, trials, seed, schemes, metric in (
+            (2, 130, 3, ("selection", "scheme2"), "ergodic_rate"),
+            (4, 7, 3, SCHEMES, "outage"),
+            (8, 130, 3, ("selection", "scheme1"), "primary_min_rate"),
+            (4, 130, 9, ("selection",), "ergodic_rate"),
+            (2, 7, 9, ("scheme1",), "outage"),
+            (8, 7, 9, ("scheme2",), "ergodic_rate_unconditioned"),
+        )
+    ]
+    alone = [estimate(spec) for spec in specs]
+    assert estimate(specs) == alone
+    assert estimate(specs, workers=2) == alone
+    monkeypatch.setattr(montecarlo, "_MIN_TRIALS", 16)
+    monkeypatch.setattr(montecarlo, "_BUDGET", 1)
+    assert estimate(specs) == alone
 
 
 def test_pool_capped_at_usable_cpus(monkeypatch):

@@ -74,9 +74,9 @@ def test_block_rows_equal_each_seeds_own_stream(parts, m_beams, extra_antennas):
     # every row of one block, bit for bit, against the four standard_normal
     # draws of its own TrialSeed.rng()
     cfg = SystemConfig(m_beams + extra_antennas, m_beams, 10.0, 1.0, 1.0)
-    seeds = [TrialSeed(*part) for part in parts]
-    G, h = sample_channels(cfg, seeds)
-    for G_t, h_t, seed in zip(G, h, seeds):
+    (G, h), = sample_channels([cfg], parts)
+    for G_t, h_t, part in zip(G, h, parts):
+        seed = TrialSeed(*part)
         G_ref, h_ref = reference_channels(cfg, seed)
         assert G_t.tobytes() == G_ref.tobytes(), seed
         assert h_t.tobytes() == h_ref.tobytes(), seed
@@ -249,9 +249,9 @@ def test_records_do_not_depend_on_the_block_split(
         trials=24,
         seed=seed,
     )
-    whole, resamples = _run_block((spec, range(24)))
+    ((whole, resamples),) = _run_block(([spec], range(24)))
     edges = [0, *sorted(set(cuts)), 24]
-    parts = [_run_block((spec, range(a, b))) for a, b in zip(edges, edges[1:])]
+    parts = [_run_block(([spec], range(a, b)))[0] for a, b in zip(edges, edges[1:])]
     split = np.concatenate([values for values, _ in parts], axis=-1)
     assert whole.shape == (3, 3, 24)
     assert split.tobytes() == whole.tobytes()
