@@ -28,10 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel_model import ChannelRealization, SystemConfig
+from .channel_model import ChannelBlock, SystemConfig
 from .power_allocation import (
     CellOutcomes,
-    SchemeOutcome,
     alpha_s_cap,
     eta,
     log2_each,
@@ -301,7 +300,7 @@ class _Lanes:
 
 
 def enumerate_candidates(
-    chan: ChannelRealization, cfg: SystemConfig, strategy: str
+    chan: ChannelBlock, cfg: SystemConfig, strategy: str
 ) -> list[AggregationCandidate]:
     """List candidate beam sets for the given search strategy.
 
@@ -312,7 +311,7 @@ def enumerate_candidates(
     Every set is ordered by descending h_gain (ties by index); infeasible
     candidates are still listed.
     """
-    table = _SetTable(chan.g_gain[:, None], chan.h_gain[:, None], [cfg], strategy)
+    table = _SetTable(chan.g_gain, chan.h_gain, [cfg], strategy)
     return [table.candidate(i, 0) for i in range(len(table.slots))]
 
 
@@ -584,11 +583,10 @@ def evaluate_scheme1_block(
     )
 
 
-def evaluate_scheme1(chan: ChannelRealization, cfg: SystemConfig) -> SchemeOutcome:
-    """Evaluate direct-decoding aggregation on one realization: the block
-    of one cell."""
-    block = evaluate_scheme1_block(chan.g_gain[:, None], chan.h_gain[:, None], [cfg])
-    return block.cell("scheme1")
+def evaluate_scheme1(chan: ChannelBlock, cfg: SystemConfig) -> CellOutcomes:
+    """Evaluate direct-decoding aggregation on the draws of chan at cfg's
+    SNR point."""
+    return evaluate_scheme1_block(chan.g_gain, chan.h_gain, [cfg])
 
 
 def _rate_bound(snr: np.ndarray) -> np.ndarray:
@@ -802,13 +800,8 @@ def _solve_round(
 
 
 def evaluate_scheme2(
-    chan: ChannelRealization,
-    cfg: SystemConfig,
-    strategy: str = "prefixes_plus_singletons",
-) -> SchemeOutcome:
-    """Evaluate SIC-chain aggregation on one realization: the block of one
-    cell (see evaluate_scheme2_block)."""
-    block = evaluate_scheme2_block(
-        chan.g_gain[:, None], chan.h_gain[:, None], [cfg], strategy
-    )
-    return block.cell("scheme2")
+    chan: ChannelBlock, cfg: SystemConfig, strategy: str = "prefixes_plus_singletons"
+) -> CellOutcomes:
+    """Evaluate SIC-chain aggregation on the draws of chan at cfg's SNR
+    point (see evaluate_scheme2_block)."""
+    return evaluate_scheme2_block(chan.g_gain, chan.h_gain, [cfg], strategy)

@@ -11,7 +11,8 @@ what the outcome stores.
 
 evaluate_selection_block scores every (SNR point, trial) cell of a block as
 numpy arrays, beam by beam, with each cell's floats computed in the order
-of a scalar evaluation of that cell; evaluate_selection is its block of one.
+of a scalar evaluation of that cell; evaluate_selection scores the block of
+one, a one-trial ChannelBlock at one SNR point.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel_model import ChannelRealization, SystemConfig
+from .channel_model import ChannelBlock, SystemConfig
 from .power_allocation import (
     SIC_SLACK,
     CellOutcomes,
-    SchemeOutcome,
     alpha_s_cap,
     eta,
     log2_each,
@@ -77,9 +77,6 @@ def evaluate_selection_block(
     )
 
 
-def evaluate_selection(
-    chan: ChannelRealization, cfg: SystemConfig
-) -> SchemeOutcome:
-    """Evaluate beam selection on one realization: the block of one cell."""
-    block = evaluate_selection_block(chan.g_gain[:, None], chan.h_gain[:, None], [cfg])
-    return block.cell("selection")
+def evaluate_selection(chan: ChannelBlock, cfg: SystemConfig) -> CellOutcomes:
+    """Evaluate beam selection on the draws of chan at cfg's SNR point."""
+    return evaluate_selection_block(chan.g_gain, chan.h_gain, [cfg])

@@ -41,7 +41,6 @@ import numpy as np
 __all__ = [
     "SystemConfig",
     "TrialSeed",
-    "ChannelRealization",
     "ChannelBlock",
     "SingularChannel",
     "sample_channels",
@@ -159,18 +158,6 @@ class TrialSeed:
         return np.random.default_rng(
             (self.experiment_seed, self.trial_index, self.attempt)
         )
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One Monte Carlo draw with its zero-forcing beams and scalar gains."""
-
-    G: np.ndarray        # N x M primary channel matrix, columns g_m
-    h: np.ndarray        # length-N secondary channel
-    F: np.ndarray        # N x M beam matrix, columns f_m
-    g_gain: np.ndarray   # g_m = |g_m^H f_m|^2
-    h_gain: np.ndarray   # h_m = |h^H f_m|^2
-    resamples: int = 0   # singular-channel redraws consumed by this trial
 
 
 def _schedule(init: int, mult: int, calls: int) -> np.ndarray:
@@ -362,27 +349,17 @@ class ChannelBlock(NamedTuple):
     h_gain: np.ndarray     # M x T, h_m = |h^H f_m|^2
     resamples: list[int]   # singular-channel redraws consumed per trial
 
-    def draw(self, t: int) -> ChannelRealization:
-        """Trial t as a ChannelRealization."""
-        return ChannelRealization(
-            G=self.G[t],
-            h=self.h[t],
-            F=self.F[t],
-            g_gain=self.g_gain[:, t],
-            h_gain=self.h_gain[:, t],
-            resamples=self.resamples[t],
-        )
 
-
-def realize(cfg: SystemConfig, seed: TrialSeed) -> ChannelRealization:
-    """Draw a full channel realization, redrawing on singular channels.
+def realize(cfg: SystemConfig, seed: TrialSeed) -> ChannelBlock:
+    """Draw one trial, redrawing on singular channels: the block of one,
+    with (M, 1) gains and resamples [redraws].
 
     Each redraw derives a fresh sub-seed (same experiment seed and trial
     index, bumped attempt counter), so the result is a pure function of
     (cfg, seed) regardless of how many redraws occur.
     """
     row = (seed.experiment_seed, seed.trial_index, seed.attempt)
-    return realize_block([cfg], [row])[0].draw(0)
+    return realize_block([cfg], [row])[0]
 
 
 def realize_block(

@@ -295,9 +295,10 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    # the solver suite draws from seed + 1, which must still fit in 64 bits
-    if not 0 <= args.seed < 2 ** 64 - 1:
-        raise ConfigError("--seed must be in [0, 2**64 - 1)")
+    # the solver suite draws from seeds up to seed + 3, which must still
+    # fit in 64 bits
+    if not 0 <= args.seed < 2 ** 64 - 3:
+        raise ConfigError("--seed must be in [0, 2**64 - 3)")
     # imported here: the suites and the analysis module serve this command only
     from .validation import SUITES
 

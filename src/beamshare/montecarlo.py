@@ -12,8 +12,9 @@ handed to a worker whole.  Each scheme scores all
 of a block's (SNR point, trial) cells in one array pass over the block's
 (M, T) gain arrays (scheme 2 solves its beam sets as lanes of one lockstep
 bisection).  Each cell's floats are those of run_trial, bit for bit: the
-one-cell replay, which draws the cell with realize and scores it with the
-one-cell scheme functions; no sweep calls it.  Results are reduced in
+one-cell replay, which draws the cell with realize, a block of one trial,
+and scores it with the scheme functions, each a block pass over one cell;
+no sweep calls it.  Results are reduced in
 trial-index order regardless of scheduling, which makes estimates
 bit-identical across worker counts and block sizes.  SNR is expressed in
 dB at the interface and converted to the linear scale internally.
@@ -136,8 +137,10 @@ class SweepSpec:
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("snr_grid_db must be strictly increasing")
         unknown = set(self.schemes) - set(SCHEMES)
-        if unknown or not self.schemes:
-            raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
+        if unknown or not self.schemes or len(set(self.schemes)) < len(self.schemes):
+            raise ValueError(
+                f"schemes must be a nonempty subset of {SCHEMES}, each named once"
+            )
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
         if self.candidate_strategy not in STRATEGIES:
@@ -188,8 +191,9 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-# each metric's value from one cell's SchemeOutcome, or cell by cell from a
-# block's CellOutcomes; METRICS follow the order of run_trial's record fields
+# each metric's value, cell by cell, from a block's CellOutcomes (a replayed
+# cell's is the block of one); METRICS follow the order of run_trial's
+# record fields
 _VALUE = {
     "outage": lambda outcome: outcome.outage,
     "ergodic_rate": lambda outcome: outcome.secondary_rate,
@@ -217,8 +221,8 @@ def run_trial(
             outcome = evaluate_scheme2(chan, cfg, strategy)
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
-        outage, *rates = (_VALUE[metric](outcome) for metric in METRICS)
-        records.append((bool(outage), *map(float, rates), chan.resamples))
+        outage, *rates = (_VALUE[metric](outcome).item() for metric in METRICS)
+        records.append((outage, *rates, chan.resamples[0]))
     return records
 
 

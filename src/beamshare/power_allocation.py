@@ -11,8 +11,8 @@ here:
   interference-plus-noise from the beams outside the secondary user's set;
 * the single-beam alpha_s cap, the smaller of the QoS and SIC caps, which
   selection and scheme 2's singleton sets share;
-* the legacy users' rates, the SchemeOutcome record every scheme returns
-  for one cell, and the CellOutcomes arrays of a block of cells.
+* the legacy users' rates, and the CellOutcomes arrays every scheme returns
+  for a block of cells, a single cell being the block of one.
 
 Each scheme module builds its own split from these rules.  Every rule is
 elementwise: a gain, share or rho may be a float or an array over cells, and
@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "SIC_SLACK",
-    "SchemeOutcome",
     "CellOutcomes",
     "snr_points",
     "eta",
@@ -50,38 +48,12 @@ SIC_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class SchemeOutcome:
-    """Result of evaluating one scheme on one channel realization."""
-
-    scheme_tag: str                    # selection | scheme1 | scheme2
-    chosen_set: tuple[int, ...]        # beams carrying secondary power
-    secondary_rate_raw: float          # BPCU, ignoring the SIC precondition
-    sic_ok: bool                       # SIC precondition holds on chosen_set
-    outage: bool
-    alpha_p: np.ndarray                # primary share, per beam
-    alpha_s: np.ndarray                # secondary share, per beam
-    g_gain: np.ndarray                 # legacy users' gains, per beam
-    rho: float
-
-    @property
-    def secondary_rate(self) -> float:
-        """Rate the secondary user earns: 0 when SIC fails."""
-        return self.secondary_rate_raw if self.sic_ok else 0.0
-
-    @cached_property
-    def primary_rates(self) -> np.ndarray:
-        """Legacy users' rates, per beam; computed when first read."""
-        chosen = np.zeros(len(self.g_gain), dtype=bool)
-        chosen[list(self.chosen_set)] = True
-        return primary_rates(self.g_gain, self.alpha_p, self.alpha_s, chosen, self.rho)
-
-
-@dataclass(frozen=True)
 class CellOutcomes:
     """One scheme's outcomes on every (SNR point, trial) cell of a block.
 
     Cell values have shape (S, T); per-beam values are beam-major, (M, S, T),
-    with g_gain (M, 1, T) and rho (S, 1) broadcasting to them.
+    with g_gain (M, 1, T) and rho (S, 1) broadcasting to them.  One cell
+    is the block of one, S = T = 1.
     """
 
     secondary_rate_raw: np.ndarray
@@ -102,20 +74,6 @@ class CellOutcomes:
     def primary_rates(self) -> np.ndarray:
         return primary_rates(
             self.g_gain, self.alpha_p, self.alpha_s, self.chosen, self.rho
-        )
-
-    def cell(self, scheme_tag: str, s: int = 0, t: int = 0) -> SchemeOutcome:
-        """The SchemeOutcome of cell (s, t): SNR point s, trial t."""
-        return SchemeOutcome(
-            scheme_tag=scheme_tag,
-            chosen_set=tuple(np.flatnonzero(self.chosen[:, s, t]).tolist()),
-            secondary_rate_raw=self.secondary_rate_raw[s, t].item(),
-            sic_ok=bool(self.sic_ok[s, t]),
-            outage=bool(self.outage[s, t]),
-            alpha_p=self.alpha_p[:, s, t],
-            alpha_s=self.alpha_s[:, s, t],
-            g_gain=self.g_gain[:, 0, t],
-            rho=self.rho[s, 0].item(),
         )
 
 

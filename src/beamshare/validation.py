@@ -33,7 +33,6 @@ from .beam_aggregation import (
 from .beam_selection import evaluate_selection_block
 from .channel_model import (
     ChannelBlock,
-    ChannelRealization,
     SystemConfig,
     TrialSeed,
     realize,
@@ -42,7 +41,6 @@ from .channel_model import (
 )
 from .montecarlo import SweepSpec, estimate, snr_db_to_linear
 from .power_allocation import (
-    SchemeOutcome,
     alpha_s_cap,
     eta,
     log2_each,
@@ -346,11 +344,13 @@ def _key(rate: float, beams: tuple[int, ...]) -> tuple:
 
 
 def exhaustive_scheme2(
-    chan: ChannelRealization, cfg: SystemConfig, strategy: str
-) -> SchemeOutcome:
-    """Reference for evaluate_scheme2_block's pruned set search: solve
-    every feasible candidate with solve_problem4 and keep the one of least
-    ranking key, _key; beams outside the set keep the inactive split."""
+    chan: ChannelBlock, cfg: SystemConfig, strategy: str
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Reference for evaluate_scheme2_block's pruned set search on a block
+    of one trial: solve every feasible candidate with solve_problem4 and
+    keep the one of least ranking key, _key.  Returns the chosen beams'
+    mask, the rate (0.0 when no set solves) and the split alpha_p, alpha_s,
+    each per beam; beams outside the set keep the inactive split."""
     best, best_key = None, None
     for cand in enumerate_candidates(chan, cfg, strategy):
         if not cand.feasible:
@@ -361,35 +361,15 @@ def exhaustive_scheme2(
         key = _key(sol.objective_rate, cand.beams)
         if best is None or key < best_key:
             best, best_key = (cand, sol), key
-    alpha_p = mode_i_alpha_p(chan.g_gain, cfg.rho, cfg.eps_p)
+    alpha_p = mode_i_alpha_p(chan.g_gain[:, 0], cfg.rho, cfg.eps_p)
     alpha_s = np.zeros(cfg.m_beams)
-    chosen, rate = (), 0.0
+    chosen, rate = np.zeros(cfg.m_beams, dtype=bool), 0.0
     if best is not None:
         cand, sol = best
         for k, b in enumerate(cand.beams):
             alpha_p[b], alpha_s[b] = sol.alpha_p[k], sol.x[k] * sol.x[k]
-        chosen, rate = tuple(sorted(cand.beams)), sol.objective_rate
-    return SchemeOutcome(
-        scheme_tag="scheme2",
-        chosen_set=chosen,
-        secondary_rate_raw=rate,
-        sic_ok=True,
-        outage=(best is None) or rate < cfg.r_s,
-        alpha_p=alpha_p,
-        alpha_s=alpha_s,
-        g_gain=chan.g_gain,
-        rho=cfg.rho,
-    )
-
-
-def same_scheme2_choice(a: SchemeOutcome, b: SchemeOutcome) -> bool:
-    """Equal chosen set, and rate and power split equal bit for bit."""
-    return (
-        a.chosen_set == b.chosen_set
-        and a.secondary_rate_raw.hex() == b.secondary_rate_raw.hex()
-        and a.alpha_p.tobytes() == b.alpha_p.tobytes()
-        and a.alpha_s.tobytes() == b.alpha_s.tobytes()
-    )
+        chosen[list(cand.beams)], rate = True, sol.objective_rate
+    return chosen, rate, alpha_p, alpha_s
 
 
 def _set_search_draws(seed: int, draws: int):
@@ -421,8 +401,16 @@ def set_search_check(seed: int) -> CheckResult:
             ranked += cells.counts["ranked"]
             lanes += cells.counts["lanes"]
             for c, t in enumerate(trials):
-                want = exhaustive_scheme2(block.draw(t), cfg, strategy)
-                mismatches += not same_scheme2_choice(cells.cell("scheme2", 0, c), want)
+                chan = block._replace(
+                    g_gain=block.g_gain[:, [t]], h_gain=block.h_gain[:, [t]]
+                )
+                chosen, rate, alpha_p, alpha_s = exhaustive_scheme2(chan, cfg, strategy)
+                mismatches += not (
+                    np.array_equal(cells.chosen[:, 0, c], chosen)
+                    and cells.secondary_rate_raw[0, c].item().hex() == rate.hex()
+                    and cells.alpha_p[:, 0, c].tobytes() == alpha_p.tobytes()
+                    and cells.alpha_s[:, 0, c].tobytes() == alpha_s.tobytes()
+                )
                 count += 1
     return CheckResult(
         "solver.set_search_exact",

@@ -141,9 +141,8 @@ def test_criterion_06_solver_correctness():
     table = _SetTable(block.g_gain, block.h_gain, [cfg], "prefixes_plus_singletons")
     ones = np.flatnonzero(table.members.sum(axis=1) == 1).tolist()
     for t in range(10_000):
-        chan = block.draw(t)
-        h = chan.h_gain.tolist()
-        g = chan.g_gain.tolist()
+        h = block.h_gain[:, t].tolist()
+        g = block.g_gain[:, t].tolist()
         base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
         m = t % cfg.m_beams
         expected = alpha_s_cap(

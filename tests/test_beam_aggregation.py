@@ -12,27 +12,23 @@ from beamshare.beam_aggregation import (
     _SetTable,
     certify_solution,
     enumerate_candidates,
-    evaluate_scheme1,
+    evaluate_scheme1_block,
     evaluate_scheme2,
     evaluate_scheme2_block,
     min_primary_power,
     oracle_grid_solver,
     solve_problem4,
 )
-from beamshare.beam_selection import evaluate_selection, evaluate_selection_block
+from beamshare.beam_selection import evaluate_selection_block
 from beamshare.channel_model import (
-    ChannelRealization,
+    ChannelBlock,
     SystemConfig,
     TrialSeed,
     realize,
     realize_block,
 )
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
-from beamshare.validation import (
-    exhaustive_scheme2,
-    random_feasible_instance,
-    same_scheme2_choice,
-)
+from beamshare.validation import exhaustive_scheme2, random_feasible_instance
 
 # closed-form optimum of the two-beam instance h=(2,1), g=(1,1), rho=10,
 # eps_p=1 (both decode constraints tight at the fixed point)
@@ -42,14 +38,30 @@ WORKED = AggregationCandidate(
 )
 
 
+def _col(values):
+    # hand-picked gains of one trial, as the (M, 1) array a block pass takes
+    return np.array(values, dtype=float)[:, None]
+
+
 def _chan(g_gain, h_gain):
-    m = len(g_gain)
-    return ChannelRealization(
-        G=np.eye(m, dtype=complex),
-        h=np.zeros(m, dtype=complex),
-        F=np.eye(m, dtype=complex),
-        g_gain=np.array(g_gain, dtype=float),
-        h_gain=np.array(h_gain, dtype=float),
+    # a block of one trial with hand-picked gains; the schemes and the set
+    # enumeration read only the gains, so the matrices are left out
+    return ChannelBlock(None, None, None, _col(g_gain), _col(h_gain), [0])
+
+
+def _chosen(cells, s=0, t=0):
+    return tuple(np.flatnonzero(cells.chosen[:, s, t]).tolist())
+
+
+def _same_choice(cells, want, s=0, t=0):
+    # cell (s, t) against exhaustive_scheme2's (chosen, rate, alpha_p,
+    # alpha_s): the same set, and rate and split equal bit for bit
+    chosen, rate, alpha_p, alpha_s = want
+    return (
+        np.array_equal(cells.chosen[:, s, t], chosen)
+        and cells.secondary_rate_raw[s, t].item().hex() == rate.hex()
+        and cells.alpha_p[:, s, t].tobytes() == alpha_p.tobytes()
+        and cells.alpha_s[:, s, t].tobytes() == alpha_s.tobytes()
     )
 
 
@@ -62,7 +74,7 @@ def test_enumerate_counts_and_order():
     everything = enumerate_candidates(chan, cfg, "all_subsets")
     assert len(everything) == 7
     for cand in everything:
-        assert cand.h == tuple(chan.h_gain[b] for b in cand.beams)
+        assert cand.h == tuple(chan.h_gain[b, 0] for b in cand.beams)
         assert list(cand.h) == sorted(cand.h, reverse=True)
         assert cand.etas == tuple(eta(1.0, cfg.rho, cfg.eps_p) for _ in cand.beams)
         assert cand.eps_p == cfg.eps_p
@@ -98,7 +110,7 @@ def _listed_candidates(chan, cfg, strategy):
     # enumerate_candidates written set by set: combinations of the
     # descending-h order, tau() of each set, deduplicated in listing order
     m = cfg.m_beams
-    h, g = chan.h_gain.tolist(), chan.g_gain.tolist()
+    h, g = chan.h_gain[:, 0].tolist(), chan.g_gain[:, 0].tolist()
     order = sorted(range(m), key=lambda i: (-h[i], i))
     if strategy == "all_subsets":
         sets = [c for k in range(1, m + 1) for c in itertools.combinations(order, k)]
@@ -119,14 +131,11 @@ def _listed_candidates(chan, cfg, strategy):
 
 
 def _table(chan, cfg, strategy="all_subsets"):
-    return _SetTable(chan.g_gain[:, None], chan.h_gain[:, None], [cfg], strategy)
+    return _SetTable(chan.g_gain, chan.h_gain, [cfg], strategy)
 
 
 def _counts(chan, cfg, strategy="all_subsets"):
-    block = evaluate_scheme2_block(
-        chan.g_gain[:, None], chan.h_gain[:, None], [cfg], strategy
-    )
-    return block.counts
+    return evaluate_scheme2_block(chan.g_gain, chan.h_gain, [cfg], strategy).counts
 
 
 def test_subset_lattice_matches_the_per_set_sums():
@@ -143,7 +152,7 @@ def test_subset_lattice_matches_the_per_set_sums():
                 assert [repr(c) for c in got] == [
                     repr(c) for c in _listed_candidates(chan, cfg, strategy)
                 ]
-            h, g = chan.h_gain.tolist(), chan.g_gain.tolist()
+            h, g = chan.h_gain[:, 0].tolist(), chan.g_gain[:, 0].tolist()
             base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p).tolist()
             table = _table(chan, cfg)
             bounds = table.power_bound()[:, 0].tolist()
@@ -264,8 +273,8 @@ def test_solve_singleton_matches_selection_cap_exactly():
     cfg = SystemConfig(4, 4, 10.0, 1.0, 1.0)
     for t in range(300):
         chan = realize(cfg, TrialSeed(91, t))
-        h = chan.h_gain.tolist()
-        g = chan.g_gain.tolist()
+        h = chan.h_gain[:, 0].tolist()
+        g = chan.g_gain[:, 0].tolist()
         base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
         for cand in enumerate_candidates(chan, cfg, "prefixes_plus_singletons"):
             if len(cand.beams) != 1:
@@ -421,47 +430,47 @@ def test_oracle_random_agreement():
 
 def test_scheme1_worked_values():
     # one beam: alpha = (0.55, 0.45), signal 2*0.45 over 2*0.55 + 1/rho
-    one = evaluate_scheme1(_chan([1.0], [2.0]), SystemConfig(1, 1, 10.0, 1.0, 1.0))
-    assert one.secondary_rate == pytest.approx(math.log2(1.0 + 0.9 / 1.2), abs=1e-12)
-    assert one.chosen_set == (0,)
-    chan = _chan([1.0, 1.0], [2.0, 1.0])
+    one_cfg = SystemConfig(1, 1, 10.0, 1.0, 1.0)
+    one = evaluate_scheme1_block(_col([1.0]), _col([2.0]), [one_cfg])
+    rate = one.secondary_rate.item()
+    assert rate == pytest.approx(math.log2(1.0 + 0.9 / 1.2), abs=1e-12)
+    assert _chosen(one) == (0,)
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    both = evaluate_scheme1(chan, cfg)
+    both = evaluate_scheme1_block(_col([1.0, 1.0]), _col([2.0, 1.0]), [cfg])
     coherent = (math.sqrt(0.9) + math.sqrt(0.45)) ** 2
-    assert both.secondary_rate == pytest.approx(
+    assert both.secondary_rate.item() == pytest.approx(
         math.log2(1.0 + coherent / 1.75), abs=1e-12
     )
-    assert both.chosen_set == (0, 1)
-    assert not both.outage  # 1.32 BPCU > r_s = 1
+    assert _chosen(both) == (0, 1)
+    assert not both.outage.item()  # 1.32 BPCU > r_s = 1
 
 
 def test_scheme1_blocked_channel():
-    chan = _chan([0.05, 0.05], [2.0, 1.0])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme1(chan, cfg)
-    assert out.secondary_rate == 0.0
-    assert out.outage
+    out = evaluate_scheme1_block(_col([0.05, 0.05]), _col([2.0, 1.0]), [cfg])
+    assert out.secondary_rate.item() == 0.0
+    assert out.outage.item()
     assert np.all(out.alpha_s == 0.0)
 
 
 def test_scheme2_worked_instance_beats_selection():
-    chan = _chan([1.0, 1.0], [2.0, 1.0])
+    g, h = _col([1.0, 1.0]), _col([2.0, 1.0])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme2(chan, cfg, "prefixes_plus_singletons")
-    assert out.chosen_set == (0, 1)
-    assert out.secondary_rate == pytest.approx(math.log2(1.0 + U_REF / 0.1), abs=1e-8)
-    sel = evaluate_selection(chan, cfg)
-    assert out.secondary_rate > sel.secondary_rate
-    assert not out.outage
+    out = evaluate_scheme2_block(g, h, [cfg], "prefixes_plus_singletons")
+    assert _chosen(out) == (0, 1)
+    rate = out.secondary_rate.item()
+    assert rate == pytest.approx(math.log2(1.0 + U_REF / 0.1), abs=1e-8)
+    sel = evaluate_selection_block(g, h, [cfg])
+    assert rate > sel.secondary_rate.item()
+    assert not out.outage.item()
 
 
 def test_scheme2_blocked_channel():
-    chan = _chan([0.05, 0.05], [2.0, 1.0])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme2(chan, cfg)
-    assert out.chosen_set == ()
-    assert out.secondary_rate == 0.0
-    assert out.outage
+    out = evaluate_scheme2_block(_col([0.05, 0.05]), _col([2.0, 1.0]), [cfg])
+    assert _chosen(out) == ()
+    assert out.secondary_rate.item() == 0.0
+    assert out.outage.item()
     assert np.all(out.alpha_s == 0.0)
 
 
@@ -484,8 +493,8 @@ def test_scheme2_deterministic():
     chan = realize(cfg, TrialSeed(101, 3))
     a = evaluate_scheme2(chan, cfg)
     b = evaluate_scheme2(chan, cfg)
-    assert a.secondary_rate == b.secondary_rate
-    assert a.chosen_set == b.chosen_set
+    assert a.secondary_rate.item() == b.secondary_rate.item()
+    assert _chosen(a) == _chosen(b)
 
 
 def test_scheme2_set_search_makes_a_fifth_of_the_exhaustive_calls():
@@ -503,7 +512,7 @@ def test_scheme2_set_search_makes_a_fifth_of_the_exhaustive_calls():
     )
     assert counts["lanes"] <= 255 / 5
     out = evaluate_scheme2(chan, cfg, "all_subsets")
-    assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+    assert _same_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
 
 
 def test_scheme2_search_counts_add_up():
@@ -511,8 +520,8 @@ def test_scheme2_search_counts_add_up():
     # t_R test or solved as a lane, on every cell of a block
     cfg = SystemConfig(6, 6, 10.0, 0.1, 1.0)
     chans = [realize(cfg, TrialSeed(3, t)) for t in range(20)]
-    g = np.stack([c.g_gain for c in chans], axis=1)
-    h = np.stack([c.h_gain for c in chans], axis=1)
+    g = np.concatenate([c.g_gain for c in chans], axis=1)
+    h = np.concatenate([c.h_gain for c in chans], axis=1)
     cfgs = [SystemConfig(6, 6, 10.0 ** x, 0.1, 1.0) for x in (0.0, 1.0, 2.0, 3.0)]
     for strategy in STRATEGIES:
         counts = evaluate_scheme2_block(g, h, cfgs, strategy).counts
@@ -539,15 +548,15 @@ def test_scheme2_solves_a_set_tied_with_the_incumbent(monkeypatch):
     assert rates[(1, 0)] == rates[(1, 2)]
     reference = exhaustive_scheme2(chan, cfg, "all_subsets")
     out = evaluate_scheme2(chan, cfg, "all_subsets")
-    assert out.chosen_set == (0, 1)
-    assert out.secondary_rate_raw == rates[(1, 0)]
-    assert same_scheme2_choice(out, reference)
+    assert _chosen(out) == (0, 1)
+    assert out.secondary_rate_raw.item() == rates[(1, 0)]
+    assert _same_choice(out, reference)
     monkeypatch.setattr(beam_aggregation, "_ROUND", 1)
     counts = _counts(chan, cfg)
     assert counts == dict(
         ranked=4, bound_drops=1, t_r_drops=1, lanes=2, rounds=4, iterations=66
     )
-    assert same_scheme2_choice(evaluate_scheme2(chan, cfg, "all_subsets"), reference)
+    assert _same_choice(evaluate_scheme2(chan, cfg, "all_subsets"), reference)
 
 
 def test_scheme2_breaks_ties_cell_by_cell_in_one_block(monkeypatch):
@@ -556,17 +565,17 @@ def test_scheme2_breaks_ties_cell_by_cell_in_one_block(monkeypatch):
     # up two two-beam sets tie exactly on every cell, and the search picks
     # the exhaustive winner (0, 1) cell by cell, whatever a round's width
     chans = [_chan([1.0, 1.0, 1.0], [0.5, 1.0, 0.5]), _chan([1.0, 1.0, 1.0], [1.0, 0.5, 0.5])]
-    g = np.stack([chan.g_gain for chan in chans], axis=1)
-    h = np.stack([chan.h_gain for chan in chans], axis=1)
+    g = np.concatenate([chan.g_gain for chan in chans], axis=1)
+    h = np.concatenate([chan.h_gain for chan in chans], axis=1)
     cfgs = [SystemConfig(3, 3, rho, 1.0, 1.0) for rho in (10.0, 30.0, 100.0, 1000.0)]
     for width in (8, 1):
         monkeypatch.setattr(beam_aggregation, "_ROUND", width)
         cells = evaluate_scheme2_block(g, h, cfgs, "all_subsets")
         for s, cfg in enumerate(cfgs):
             for t, chan in enumerate(chans):
-                out = cells.cell("scheme2", s, t)
-                assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
-                assert (out.chosen_set == (0, 1)) == (cfg.rho >= 30.0)
+                want = exhaustive_scheme2(chan, cfg, "all_subsets")
+                assert _same_choice(cells, want, s, t)
+                assert (_chosen(cells, s, t) == (0, 1)) == (cfg.rho >= 30.0)
 
 
 def test_scheme2_rounded_rate_tie_goes_to_the_smaller_set(monkeypatch):
@@ -591,8 +600,8 @@ def test_scheme2_rounded_rate_tie_goes_to_the_smaller_set(monkeypatch):
     for width in (8, 1):
         monkeypatch.setattr(beam_aggregation, "_ROUND", width)
         out = evaluate_scheme2(chan, cfg, "all_subsets")
-        assert out.chosen_set == (0, 1)
-        assert same_scheme2_choice(out, reference)
+        assert _chosen(out) == (0, 1)
+        assert _same_choice(out, reference)
 
 
 def test_scheme2_weak_beam_edge_drops_sets_before_they_are_built():
@@ -611,8 +620,8 @@ def test_scheme2_weak_beam_edge_drops_sets_before_they_are_built():
         ranked=3, bound_drops=2, t_r_drops=0, lanes=1, rounds=1, iterations=33
     )
     out = evaluate_scheme2(chan, cfg, "all_subsets")
-    assert out.chosen_set == (0, 1)
-    assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+    assert _chosen(out) == (0, 1)
+    assert _same_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
 
 
 def _edge_instance():
@@ -662,13 +671,13 @@ def test_scheme2_edge_bound_holds_at_the_edge():
         u, edge = sol.t_star * sol.t_star, full.h[-1] / cfg.eps_p - full.tau_d
         assert sol.alpha_p[-1] == 1.0
         out = evaluate_scheme2(chan, cfg, "all_subsets")
-        assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+        assert _same_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
         if m == 2:
             assert u == edge < table.power_bound()[-1, 0] ** 2
-            assert out.chosen_set == (0, 1)
+            assert _chosen(out) == (0, 1)
         else:
             assert edge == 0.0 < u < 1e-15
-            assert out.chosen_set == (0,)
+            assert _chosen(out) == (0,)
 
 
 def test_scheme2_without_a_primary_threshold():
@@ -680,5 +689,5 @@ def test_scheme2_without_a_primary_threshold():
     chan = realize(cfg, TrialSeed(0, 0))
     for strategy in STRATEGIES:
         out = evaluate_scheme2(chan, cfg, strategy)
-        assert out.chosen_set == (0, 1, 2, 3)
-        assert same_scheme2_choice(out, exhaustive_scheme2(chan, cfg, strategy))
+        assert _chosen(out) == (0, 1, 2, 3)
+        assert _same_choice(out, exhaustive_scheme2(chan, cfg, strategy))

@@ -4,75 +4,68 @@ import numpy as np
 import pytest
 
 from beamshare import beam_selection, power_allocation
-from beamshare.beam_selection import evaluate_selection
-from beamshare.channel_model import ChannelRealization, SystemConfig, TrialSeed, realize
+from beamshare.beam_selection import evaluate_selection, evaluate_selection_block
+from beamshare.channel_model import SystemConfig, TrialSeed, realize
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
 
 
-def _chan(g_gain, h_gain):
-    # scheme evaluation only consumes the scalar gains; the matrices are
-    # placeholders for hand-built instances
-    m = len(g_gain)
-    return ChannelRealization(
-        G=np.eye(m, dtype=complex),
-        h=np.zeros(m, dtype=complex),
-        F=np.eye(m, dtype=complex),
-        g_gain=np.array(g_gain, dtype=float),
-        h_gain=np.array(h_gain, dtype=float),
-    )
+def _col(values):
+    # hand-picked gains of one trial, as the (M, 1) array a block pass takes
+    return np.array(values, dtype=float)[:, None]
+
+
+def _chosen(out):
+    return tuple(np.flatnonzero(out.chosen[:, 0, 0]).tolist())
 
 
 def test_worked_two_beam_chain():
-    chan = _chan([1.0, 1.0], [2.0, 1.0])
+    g, h = _col([1.0, 1.0]), _col([2.0, 1.0])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 2.0)
-    out = evaluate_selection(chan, cfg)
-    assert out.chosen_set == (0,)
-    assert out.alpha_s[0] == pytest.approx(0.45, abs=1e-12)
-    assert out.alpha_p.tolist() == pytest.approx([0.55, 0.1])
-    assert out.primary_rates.tolist() == pytest.approx([1.0, 1.0])
-    assert out.secondary_rate == pytest.approx(math.log2(5.5), abs=1e-12)
-    assert not out.outage  # r_s = 2 < 2.459
-    assert out.scheme_tag == "selection"
+    out = evaluate_selection_block(g, h, [cfg])
+    assert _chosen(out) == (0,)
+    assert out.alpha_s[0, 0, 0] == pytest.approx(0.45, abs=1e-12)
+    assert out.alpha_p[:, 0, 0].tolist() == pytest.approx([0.55, 0.1])
+    assert out.primary_rates[:, 0, 0].tolist() == pytest.approx([1.0, 1.0])
+    assert out.secondary_rate.item() == pytest.approx(math.log2(5.5), abs=1e-12)
+    assert not out.outage.item()  # r_s = 2 < 2.459
+    assert out.chosen.shape == (2, 1, 1)  # one cell: the block of one
 
     tight = SystemConfig(2, 2, 10.0, 1.0, 2.5)
-    out2 = evaluate_selection(chan, tight)
-    assert out2.outage  # r_s = 2.5 > 2.459
+    out2 = evaluate_selection_block(g, h, [tight])
+    assert out2.outage.item()  # r_s = 2.5 > 2.459
     # SIC held, so the rate is still earned
-    assert out2.secondary_rate == pytest.approx(math.log2(5.5), abs=1e-12)
+    assert out2.secondary_rate.item() == pytest.approx(math.log2(5.5), abs=1e-12)
 
 
 def test_all_beams_blocked():
     # every beam below the legacy threshold: no secondary power anywhere
-    chan = _chan([0.05, 0.08], [2.0, 1.0])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_selection(chan, cfg)
+    out = evaluate_selection_block(_col([0.05, 0.08]), _col([2.0, 1.0]), [cfg])
     assert np.all(out.alpha_s == 0.0)
-    assert out.secondary_rate == 0.0
-    assert out.outage
+    assert out.secondary_rate.item() == 0.0
+    assert out.outage.item()
 
 
 def test_zero_target_boundary():
     # r_s = 0 and a positive SINR with SIC intact cannot be an outage
-    chan = _chan([1.0, 1.0], [2.0, 1.0])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 0.0)
-    out = evaluate_selection(chan, cfg)
-    assert out.secondary_rate > 0.0
-    assert not out.outage
+    out = evaluate_selection_block(_col([1.0, 1.0]), _col([2.0, 1.0]), [cfg])
+    assert out.secondary_rate.item() > 0.0
+    assert not out.outage.item()
 
 
 def test_tie_breaks_to_lowest_index():
-    chan = _chan([1.0, 1.0], [1.5, 1.5])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_selection(chan, cfg)
-    assert out.chosen_set == (0,)
+    out = evaluate_selection_block(_col([1.0, 1.0]), _col([1.5, 1.5]), [cfg])
+    assert _chosen(out) == (0,)
 
 
 def test_argmax_gamma_equals_argmax_rate():
     cfg = SystemConfig(4, 4, 31.6, 0.5, 1.0)
     for t in range(200):
         chan = realize(cfg, TrialSeed(71, t))
-        h = chan.h_gain.tolist()
-        g = chan.g_gain.tolist()
+        h = chan.h_gain[:, 0].tolist()
+        g = chan.g_gain[:, 0].tolist()
         base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
         gammas = []
         for m in range(4):
@@ -84,7 +77,7 @@ def test_argmax_gamma_equals_argmax_rate():
         by_rate = max(range(4), key=lambda m: (rates[m], -m))
         assert by_gamma == by_rate
         out = evaluate_selection(chan, cfg)
-        assert out.chosen_set == (by_gamma,)
+        assert _chosen(out) == (by_gamma,)
 
 
 def test_outage_event_formulation():
@@ -95,35 +88,36 @@ def test_outage_event_formulation():
     for t in range(300):
         chan = realize(cfg, TrialSeed(73, t))
         out = evaluate_selection(chan, cfg)
-        gamma = 2.0 ** out.secondary_rate_raw - 1.0
+        gamma = 2.0 ** out.secondary_rate_raw.item() - 1.0
         if abs(gamma - eps_s) < 1e-9:
             continue
-        expected = (gamma < eps_s) or (not out.sic_ok)
-        assert out.outage == expected
+        expected = (gamma < eps_s) or (not out.sic_ok.item())
+        assert out.outage.item() == expected
 
 
 def test_sic_flag_follows_decode_rate():
     # worked chain: decoding the primary signal on beam 0 runs at
     # log2(1 + 2*0.55 / (2*0.45 + 0.2)) = 1 = r_p, met with equality
     cfg = SystemConfig(2, 2, 10.0, 1.0, 2.0)
-    out = evaluate_selection(_chan([1.0, 1.0], [2.0, 1.0]), cfg)
-    assert out.sic_ok
+    out = evaluate_selection_block(_col([1.0, 1.0]), _col([2.0, 1.0]), [cfg])
+    assert out.sic_ok.item()
     # both beams too weak to carry secondary power: beam 0 decodes at
     # log2(1 + 0.05 / (0.05*0.1 + 0.1)) = 0.56 < r_p
-    weak = evaluate_selection(_chan([1.0, 1.0], [0.05, 0.05]), cfg)
-    assert weak.chosen_set == (0,) and not weak.sic_ok and weak.outage
+    weak = evaluate_selection_block(_col([1.0, 1.0]), _col([0.05, 0.05]), [cfg])
+    assert _chosen(weak) == (0,) and not weak.sic_ok.item() and weak.outage.item()
     # on random draws the flag is log2(1 + h a_p / (h a_s + tau)) >= r_p
     # evaluated on the outcome's own shares
     cfg = SystemConfig(4, 4, 10.0, 1.0, 1.0)
     for t in range(300):
         chan = realize(cfg, TrialSeed(79, t))
         out = evaluate_selection(chan, cfg)
-        (b,) = out.chosen_set
-        h = chan.h_gain.tolist()
-        tau_b = tau((b,), h, out.alpha_p, cfg.rho)
-        sinr = h[b] * out.alpha_p[b] / (h[b] * out.alpha_s[b] + tau_b)
+        (b,) = _chosen(out)
+        h = chan.h_gain[:, 0].tolist()
+        alpha_p, alpha_s = out.alpha_p[:, 0, 0], out.alpha_s[:, 0, 0]
+        tau_b = tau((b,), h, alpha_p, cfg.rho)
+        sinr = h[b] * alpha_p[b] / (h[b] * alpha_s[b] + tau_b)
         decode = math.log2(1.0 + sinr)
-        assert out.sic_ok == (decode >= cfg.r_p - power_allocation.SIC_SLACK)
+        assert out.sic_ok.item() == (decode >= cfg.r_p - power_allocation.SIC_SLACK)
 
 
 def test_tau_computed_once_per_beam(monkeypatch):
@@ -146,11 +140,11 @@ def test_rate_earned_only_with_sic():
     for t in range(500):
         chan = realize(cfg, TrialSeed(79, t))
         out = evaluate_selection(chan, cfg)
-        if out.sic_ok:
-            assert out.secondary_rate == out.secondary_rate_raw
+        if out.sic_ok.item():
+            assert out.secondary_rate.item() == out.secondary_rate_raw.item()
         else:
             seen_fail = True
-            assert out.secondary_rate == 0.0
+            assert out.secondary_rate.item() == 0.0
     assert seen_fail  # the convention is actually exercised at this SNR
 
 
@@ -158,6 +152,6 @@ def test_deterministic_outcome():
     cfg = SystemConfig(3, 3, 100.0, 1.0, 1.0)
     a = evaluate_selection(realize(cfg, TrialSeed(83, 5)), cfg)
     b = evaluate_selection(realize(cfg, TrialSeed(83, 5)), cfg)
-    assert a.secondary_rate == b.secondary_rate
-    assert a.chosen_set == b.chosen_set
+    assert a.secondary_rate.item() == b.secondary_rate.item()
+    assert _chosen(a) == _chosen(b)
     assert np.array_equal(a.primary_rates, b.primary_rates)

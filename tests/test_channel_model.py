@@ -138,13 +138,14 @@ def test_zf_bulk_invariants():
         cfg = SystemConfig(size, size, 10.0, 1.0, 1.0)
         for t in range(200):
             chan = realize(cfg, TrialSeed(21, t))
-            cross = chan.G.conj().T @ chan.F
+            G, F = chan.G[0], chan.F[0]
+            cross = G.conj().T @ F
             off = np.abs(cross - np.diag(np.diag(cross)))
             assert off.max() < 1e-9
-            assert abs(np.sum(np.abs(chan.F) ** 2) - 1.0) < 1e-9
-            inv_diag = np.real(np.diag(np.linalg.inv(chan.G.conj().T @ chan.G)))
+            assert abs(np.sum(np.abs(F) ** 2) - 1.0) < 1e-9
+            inv_diag = np.real(np.diag(np.linalg.inv(G.conj().T @ G)))
             ref = 1.0 / (size * inv_diag)
-            assert np.max(np.abs(chan.g_gain - ref) / ref) < 1e-9
+            assert np.max(np.abs(chan.g_gain[:, 0] - ref) / ref) < 1e-9
 
 
 def test_zf_rejects_singular():
@@ -184,7 +185,7 @@ def test_realize_resamples_with_derived_subseed(monkeypatch):
 
     monkeypatch.setattr(channel_model, "zf_beams", flaky)
     chan = realize(cfg, TrialSeed(41, 7))
-    assert chan.resamples == 1
+    assert chan.resamples == [1]
     monkeypatch.setattr(channel_model, "zf_beams", real_zf)
     # the redraw is the attempt-1 stream, reproducible in isolation
     ref = realize(cfg, TrialSeed(41, 7, attempt=1))
@@ -192,10 +193,17 @@ def test_realize_resamples_with_derived_subseed(monkeypatch):
     assert chan.h.tobytes() == ref.h.tobytes()
 
 
-def _same_draw(a, b):
-    for name in ("G", "h", "F", "g_gain", "h_gain"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    assert a.resamples == b.resamples
+def _bytes(block, t):
+    # trial t of a block: its rows of G, h and F and its columns of the gains
+    rows = {name: getattr(block, name)[t].tobytes() for name in ("G", "h", "F")}
+    cols = {name: getattr(block, name)[:, t].tobytes() for name in ("g_gain", "h_gain")}
+    return rows | cols
+
+
+def _same_draw(a, t, b, u):
+    # trial t of block a and trial u of block b, bit for bit
+    assert _bytes(a, t) == _bytes(b, u)
+    assert a.resamples[t] == b.resamples[u]
 
 
 def test_block_draws_equal_scalar_realize_bitwise():
@@ -206,13 +214,11 @@ def test_block_draws_equal_scalar_realize_bitwise():
             cfg = SystemConfig(n, m, 10.0, 0.1, 1.0)
             seeds = [(29, t, 0) for t in range(12)]
             for size in (1, 5, 12):
-                chans = []
                 for start in range(0, len(seeds), size):
                     part = seeds[start : start + size]
                     block, = realize_block([cfg], part)
-                    chans += map(block.draw, range(len(part)))
-                for chan, seed in zip(chans, seeds):
-                    _same_draw(chan, realize(cfg, TrialSeed(*seed)))
+                    for t, seed in enumerate(part):
+                        _same_draw(block, t, realize(cfg, TrialSeed(*seed)), 0)
 
 
 def test_block_redraws_only_the_singular_row(monkeypatch):
@@ -238,11 +244,10 @@ def test_block_redraws_only_the_singular_row(monkeypatch):
     assert block.resamples == [0, 0, 0, 1, 0, 0]
     monkeypatch.setattr(channel_model, "sample_channels", real_sample)
     for t in (0, 1, 2, 4, 5):
-        _same_draw(block.draw(t), clean.draw(t))
+        _same_draw(block, t, clean, t)
     # the redraw is trial 3's attempt-1 stream, reproducible in isolation
     redraw = realize(cfg, TrialSeed(41, 3, attempt=1))
-    for name in ("G", "h", "F", "g_gain", "h_gain"):
-        assert getattr(block.draw(3), name).tobytes() == getattr(redraw, name).tobytes()
+    assert _bytes(block, 3) == _bytes(redraw, 0)
 
 
 def test_zf_names_the_singular_matrices_of_a_stack():
@@ -360,7 +365,7 @@ def test_geometries_share_one_draw_and_redraw_alone(monkeypatch):
     alone = [realize_block([cfg], seeds)[0] for cfg in cfgs]
     for shared, block in zip(realize_block(cfgs, seeds), alone):
         for t in range(6):
-            _same_draw(shared.draw(t), block.draw(t))
+            _same_draw(shared, t, block, t)
     real_sample = channel_model.sample_channels
 
     def singular_once(cfgs, seeds):
@@ -377,8 +382,7 @@ def test_geometries_share_one_draw_and_redraw_alone(monkeypatch):
     for shared, block in zip(blocks, alone):
         for t in range(6):
             if shared is not blocks[1] or t != 3:
-                _same_draw(shared.draw(t), block.draw(t))
+                _same_draw(shared, t, block, t)
     # the redraw is trial 3's attempt-1 stream in its own geometry
     redraw = realize(cfgs[1], TrialSeed(41, 3, attempt=1))
-    for name in ("G", "h", "F", "g_gain", "h_gain"):
-        assert getattr(blocks[1].draw(3), name).tobytes() == getattr(redraw, name).tobytes()
+    assert _bytes(blocks[1], 3) == _bytes(redraw, 0)

@@ -139,6 +139,9 @@ def test_snr_grid_has_no_float_drift():
         pytest.param(
             {"schemes": "selection"}, [], "schemes must be a list", id="schemes-string"
         ),
+        pytest.param(
+            {"schemes": ["selection"] * 2}, [], "schemes", id="schemes-repeated"
+        ),
         pytest.param({"r_p_bpcu": 1024}, [], "r_p", id="rate-overflow"),
         pytest.param(
             {"n_antennas": 9, "m_beams": 9, "schemes": ["selection", "scheme2"]},
@@ -360,7 +363,8 @@ def test_validate_failure_exit_code(capsys, monkeypatch):
     assert "[FAIL] zf.forced" in out
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2 ** 64 - 1)])
+# the solver suite draws from seed + 3, so its largest seed is 2**64 - 4
+@pytest.mark.parametrize("seed", ["-1", *(str(2 ** 64 - k) for k in (3, 2, 1))])
 def test_validate_rejects_bad_seed(capsys, seed):
     assert main(["validate", "solver", "--seed", seed]) == 2
     captured = capsys.readouterr()

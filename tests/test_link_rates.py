@@ -5,11 +5,11 @@ import pytest
 
 from beamshare.beam_aggregation import (
     enumerate_candidates,
-    evaluate_scheme1,
+    evaluate_scheme1_block,
     solve_problem4,
 )
-from beamshare.beam_selection import evaluate_selection
-from beamshare.channel_model import ChannelRealization, SystemConfig, TrialSeed, realize
+from beamshare.beam_selection import evaluate_selection_block
+from beamshare.channel_model import SystemConfig, TrialSeed, realize
 from beamshare.power_allocation import (
     SIC_SLACK,
     alpha_s_cap,
@@ -20,59 +20,55 @@ from beamshare.power_allocation import (
 )
 
 
-def _chan(g_gain, h_gain):
-    m = len(g_gain)
-    return ChannelRealization(
-        G=np.eye(m, dtype=complex),
-        h=np.zeros(m, dtype=complex),
-        F=np.eye(m, dtype=complex),
-        g_gain=np.array(g_gain, dtype=float),
-        h_gain=np.array(h_gain, dtype=float),
-    )
+def _col(values):
+    # hand-picked gains of one trial, as the (M, 1) array a block pass takes
+    return np.array(values, dtype=float)[:, None]
 
 
 def _decode_rate(out, h_gain, rho):
     # rate at which the secondary user decodes the primary signal on the
-    # beam selection chose, from the outcome's own shares
-    (b,) = out.chosen_set
-    tau_b = tau((b,), h_gain, out.alpha_p, rho)
+    # beam selection chose, from the one cell's own shares
+    (b,) = np.flatnonzero(out.chosen[:, 0, 0]).tolist()
+    alpha_p, alpha_s = out.alpha_p[:, 0, 0], out.alpha_s[:, 0, 0]
+    tau_b = tau((b,), h_gain, alpha_p, rho)
     h_b = h_gain[b]
-    return math.log2(1.0 + h_b * out.alpha_p[b] / (h_b * out.alpha_s[b] + tau_b))
+    return math.log2(1.0 + h_b * alpha_p[b] / (h_b * alpha_s[b] + tau_b))
 
 
 def _signal_power(out, h_gain, rho):
     # scheme 1's coherent signal power: SINR times interference-plus-noise
-    noise = sum(h * a for h, a in zip(h_gain, out.alpha_p)) + 1.0 / rho
-    return (2.0 ** out.secondary_rate - 1.0) * noise
+    noise = sum(h * a for h, a in zip(h_gain, out.alpha_p[:, 0, 0])) + 1.0 / rho
+    return (2.0 ** out.secondary_rate.item() - 1.0) * noise
 
 
 def test_rate_sel_decode_primary_hand_value():
     # h = (2, 1), beam 0 splits 0.55/0.45, beam 1 inactive at 0.1, rho = 10:
     # numerator 2*0.55 = 1.1; denominator 2*0.45 + tau = 0.9 + (1*0.1 + 0.1)
     h = [2.0, 1.0]
-    out = evaluate_selection(_chan([1.0, 1.0], h), SystemConfig(2, 2, 10.0, 1.0, 1.0))
-    assert out.alpha_p.tolist() == pytest.approx([0.55, 0.1])
-    assert out.alpha_s.tolist() == pytest.approx([0.45, 0.0])
-    assert tau((0,), h, out.alpha_p, 10.0) == pytest.approx(0.2)
+    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
+    out = evaluate_selection_block(_col([1.0, 1.0]), _col(h), [cfg])
+    assert out.alpha_p[:, 0, 0].tolist() == pytest.approx([0.55, 0.1])
+    assert out.alpha_s[:, 0, 0].tolist() == pytest.approx([0.45, 0.0])
+    assert tau((0,), h, out.alpha_p[:, 0, 0], 10.0) == pytest.approx(0.2)
     assert _decode_rate(out, h, 10.0) == pytest.approx(1.0)
-    assert out.sic_ok
+    assert out.sic_ok.item()
 
 
 def test_rate_sel_decode_primary_zero_and_limit():
     # a beam the secondary user cannot hear leaves nothing to decode
     blind = [0.0, 0.0]
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_selection(_chan([1.0, 1.0], blind), cfg)
+    out = evaluate_selection_block(_col([1.0, 1.0]), _col(blind), [cfg])
     assert _decode_rate(out, blind, cfg.rho) == 0.0
-    assert not out.sic_ok and out.secondary_rate == 0.0
+    assert not out.sic_ok.item() and out.secondary_rate.item() == 0.0
     # growing the budget pushes the decode rate down onto r_p, never below:
     # both caps tend to 1/(1 + eps_p) and tau to 0
     h = [2.0, 1.0]
     gaps = []
     for rho in (1e1, 1e3, 1e5):
         cfg = SystemConfig(2, 2, rho, 1.0, 1.0)
-        out = evaluate_selection(_chan([0.5, 2.0], h), cfg)
-        assert out.chosen_set == (0,)
+        out = evaluate_selection_block(_col([0.5, 2.0]), _col(h), [cfg])
+        assert np.flatnonzero(out.chosen[:, 0, 0]).tolist() == [0]
         gaps.append(_decode_rate(out, h, rho) - cfg.r_p)
     assert -SIC_SLACK <= gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] < 1e-4
@@ -82,26 +78,29 @@ def test_rate_scheme1_secondary_hand_value():
     # beam 1 is below the legacy threshold, so only beam 0 carries secondary
     # power: 2*0.45 over 2*0.55 + 1*1.0 + 0.1
     h = [2.0, 1.0]
-    out = evaluate_scheme1(_chan([1.0, 0.05], h), SystemConfig(2, 2, 10.0, 1.0, 1.0))
-    assert out.alpha_s.tolist() == pytest.approx([0.45, 0.0])
-    assert out.alpha_p[1] == 1.0
-    assert out.secondary_rate == pytest.approx(math.log2(1.0 + 0.9 / 2.2), abs=1e-12)
+    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
+    out = evaluate_scheme1_block(_col([1.0, 0.05]), _col(h), [cfg])
+    assert out.alpha_s[:, 0, 0].tolist() == pytest.approx([0.45, 0.0])
+    assert out.alpha_p[1, 0, 0] == 1.0
+    rate = out.secondary_rate.item()
+    assert rate == pytest.approx(math.log2(1.0 + 0.9 / 2.2), abs=1e-12)
 
 
 def test_rate_scheme1_secondary_zero_and_coherence():
     # no beam can spare anything for the secondary user
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme1(_chan([0.05, 0.05], [2.0, 1.0]), cfg)
-    assert out.secondary_rate == 0.0
+    out = evaluate_scheme1_block(_col([0.05, 0.05]), _col([2.0, 1.0]), [cfg])
+    assert out.secondary_rate.item() == 0.0
     # two equal beams combine coherently: 4x the single-beam signal power,
     # (2 sqrt(0.45))^2 = 1.8 over 2*0.55 + 0.1, an SINR of exactly 1.5
     rho = 10.0
-    one = evaluate_scheme1(_chan([1.0], [1.0]), SystemConfig(1, 1, rho, 1.0, 1.0))
-    two = evaluate_scheme1(_chan([1.0, 1.0], [1.0, 1.0]), cfg)
+    one_cfg = SystemConfig(1, 1, rho, 1.0, 1.0)
+    one = evaluate_scheme1_block(_col([1.0]), _col([1.0]), [one_cfg])
+    two = evaluate_scheme1_block(_col([1.0, 1.0]), _col([1.0, 1.0]), [cfg])
     s1 = _signal_power(one, [1.0], rho)
     s2 = _signal_power(two, [1.0, 1.0], rho)
     assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
-    assert 2.0 ** two.secondary_rate - 1.0 == pytest.approx(1.5, rel=1e-12)
+    assert 2.0 ** two.secondary_rate.item() - 1.0 == pytest.approx(1.5, rel=1e-12)
 
 
 def test_rate_primary_values():
@@ -133,8 +132,8 @@ def test_aggregation_reduces_to_selection_on_singletons():
     solved = 0
     for t in range(100):
         chan = realize(cfg, TrialSeed(61, t))
-        h = chan.h_gain.tolist()
-        g = chan.g_gain.tolist()
+        h = chan.h_gain[:, 0].tolist()
+        g = chan.g_gain[:, 0].tolist()
         base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
         for cand in enumerate_candidates(chan, cfg, "prefixes_plus_singletons"):
             if len(cand.beams) != 1:
@@ -163,9 +162,11 @@ def test_rate_monotonicity_random():
         r_p = float(rng.uniform(0.2, 2.0))
         stronger = list(g)
         stronger[0] *= 1.5
-        for evaluate in (evaluate_selection, evaluate_scheme1):
-            base = evaluate(_chan(g, h), SystemConfig(3, 3, rho, r_p, 1.0))
-            richer = evaluate(_chan(g, h), SystemConfig(3, 3, 1.5 * rho, r_p, 1.0))
-            clearer = evaluate(_chan(stronger, h), SystemConfig(3, 3, rho, r_p, 1.0))
-            assert richer.secondary_rate >= base.secondary_rate
-            assert clearer.secondary_rate >= base.secondary_rate
+        cfg = SystemConfig(3, 3, rho, r_p, 1.0)
+        rich = SystemConfig(3, 3, 1.5 * rho, r_p, 1.0)
+        for evaluate in (evaluate_selection_block, evaluate_scheme1_block):
+            base = evaluate(_col(g), _col(h), [cfg])
+            richer = evaluate(_col(g), _col(h), [rich])
+            clearer = evaluate(_col(stronger), _col(h), [cfg])
+            assert richer.secondary_rate.item() >= base.secondary_rate.item()
+            assert clearer.secondary_rate.item() >= base.secondary_rate.item()

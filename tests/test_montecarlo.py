@@ -54,6 +54,9 @@ def test_spec_validation():
         _spec(snr_grid_db=(10.0, 10.0))
     with pytest.raises(ValueError):
         _spec(schemes=("bogus",))
+    # a repeated scheme would write each of its CSV rows twice
+    with pytest.raises(ValueError, match="schemes"):
+        _spec(schemes=("selection", "selection"))
     with pytest.raises(ValueError):
         _spec(metric="bogus")
     for strategy in ("bogus", "prefixes"):
@@ -82,7 +85,13 @@ def test_run_trial_deterministic():
         evaluate_scheme2(chan, cfg, "prefixes_plus_singletons"),
     )
     assert records == [
-        (o.outage, o.secondary_rate, o.secondary_rate_raw, min(o.primary_rates), 0)
+        (
+            o.outage.item(),
+            o.secondary_rate.item(),
+            o.secondary_rate_raw.item(),
+            o.primary_rates.min().item(),
+            0,
+        )
         for o in outcomes
     ]
     reverse = run_trial(cfg, seed, SCHEMES[::-1], "prefixes_plus_singletons")

@@ -3,21 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from beamshare.beam_aggregation import evaluate_scheme1, evaluate_scheme2
+from beamshare.beam_aggregation import (
+    evaluate_scheme1,
+    evaluate_scheme1_block,
+    evaluate_scheme2,
+)
 from beamshare.beam_selection import evaluate_selection
-from beamshare.channel_model import ChannelRealization, SystemConfig, TrialSeed, realize
+from beamshare.channel_model import SystemConfig, TrialSeed, realize
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
 
 
-def _chan(g_gain, h_gain):
-    m = len(g_gain)
-    return ChannelRealization(
-        G=np.eye(m, dtype=complex),
-        h=np.zeros(m, dtype=complex),
-        F=np.eye(m, dtype=complex),
-        g_gain=np.array(g_gain, dtype=float),
-        h_gain=np.array(h_gain, dtype=float),
-    )
+def _col(values):
+    # hand-picked gains of one trial, as the (M, 1) array a block pass takes
+    return np.array(values, dtype=float)[:, None]
 
 
 def test_alpha_p_inactive_values():
@@ -78,19 +76,19 @@ def test_tau_values():
 def test_scheme1_coefficients_hand_values():
     # eta = eps (g + 1/rho) / (g (1 + eps)): 1.1/2 at g = 1, 2.1/4 at g = 2
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme1(_chan([1.0, 2.0], [1.0, 1.0]), cfg)
-    assert out.chosen_set == (0, 1)
-    assert out.alpha_p.tolist() == pytest.approx([0.55, 0.525])
-    assert out.alpha_s.tolist() == pytest.approx([0.45, 0.475])
-    assert out.alpha_p[0] + out.alpha_s[0] == 1.0  # exactly
+    out = evaluate_scheme1_block(_col([1.0, 2.0]), _col([1.0, 1.0]), [cfg])
+    assert np.flatnonzero(out.chosen[:, 0, 0]).tolist() == [0, 1]
+    assert out.alpha_p[:, 0, 0].tolist() == pytest.approx([0.55, 0.525])
+    assert out.alpha_s[:, 0, 0].tolist() == pytest.approx([0.45, 0.475])
+    assert out.alpha_p[0, 0, 0] + out.alpha_s[0, 0, 0] == 1.0  # exactly
 
 
 def test_scheme1_coefficients_clamp():
     # a beam below the legacy threshold keeps everything for its user
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme1(_chan([0.05, 1.0], [1.0, 1.0]), cfg)
-    assert out.alpha_p[0] == 1.0
-    assert out.alpha_s[0] == 0.0
+    out = evaluate_scheme1_block(_col([0.05, 1.0]), _col([1.0, 1.0]), [cfg])
+    assert out.alpha_p[0, 0, 0] == 1.0
+    assert out.alpha_s[0, 0, 0] == 0.0
 
 
 def test_selection_cap_equals_one_minus_eta_exactly():
@@ -125,14 +123,15 @@ def test_qos_preserved_under_any_mode():
         eps = float(2.0 ** rng.uniform(0.1, 2.0) - 1.0)
         cfg = SystemConfig(3, 3, rho, math.log2(1 + eps), 1.0)
         chan = realize(cfg, TrialSeed(17, t))
-        g, h = chan.g_gain.tolist(), chan.h_gain.tolist()
+        g, h = chan.g_gain[:, 0].tolist(), chan.h_gain[:, 0].tolist()
         out = evaluate_scheme1(chan, cfg)
+        alpha_p, alpha_s = out.alpha_p[:, 0, 0], out.alpha_s[:, 0, 0]
         for m in range(3):
             if g[m] >= eps / rho:
-                sinr = g[m] * out.alpha_p[m] / (g[m] * out.alpha_s[m] + 1 / rho)
+                sinr = g[m] * alpha_p[m] / (g[m] * alpha_s[m] + 1 / rho)
                 assert sinr >= eps - 1e-9
             else:
-                assert out.alpha_s[m] == 0.0
+                assert alpha_s[m] == 0.0
         for m in range(3):
             a_s = _selection_cap(m, h, g, rho, eps)
             if g[m] >= eps / rho:
@@ -155,6 +154,5 @@ def test_coefficient_ranges_random():
             assert np.all(out.alpha_s >= 0.0) and np.all(out.alpha_s <= 1.0)
             assert np.all(out.alpha_p + out.alpha_s <= 1.0 + 1e-12)
             # secondary power sits on the chosen beams only
-            off = [m for m in range(4) if m not in out.chosen_set]
-            assert np.all(out.alpha_s[off] == 0.0)
-        assert evaluate_scheme1(chan, cfg).chosen_set == (0, 1, 2, 3)
+            assert np.all(out.alpha_s[~out.chosen] == 0.0)
+        assert evaluate_scheme1(chan, cfg).chosen.all()
