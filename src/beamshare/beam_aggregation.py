@@ -32,6 +32,7 @@ from .channel_model import ChannelBlock, SystemConfig
 from .power_allocation import (
     CellOutcomes,
     alpha_s_cap,
+    beam_sum,
     eta,
     log2_each,
     mode_i_alpha_p,
@@ -136,14 +137,13 @@ class _SetTable:
 
     Cell c is trial c % T at SNR point c // T; h and etas are rank-major
     (M, C), rank r being the cell's r-th strongest beam (descending h, ties
-    by index).  tau_d sums the beams outside the set in ascending index
-    order, plus 1/rho, as tau() does; B = sum sqrt(h_k (1 - eta_k)) sums
-    the set's ranks in ascending order, as a sequential sum in candidate
-    order does, and is nan for a set with a beam of eta > 1.  Both are
-    built over all sets at once, a beam outside a sum left out as adding
-    0.0 would, so every float is the scalar sum's.  snr = min(B^2, edge) /
-    tau_d (see evaluate_scheme2_block) is below 0 or nan for a set that
-    fits no alpha_p.
+    by index).  tau_d is tau() of the beams outside the set, in ascending
+    index order; B = sum sqrt(h_k (1 - eta_k)) sums the set's ranks in
+    ascending order, as a sequential sum in candidate order does, and is nan
+    for a set with a beam of eta > 1.  Both are beam_sums over all sets at
+    once, each beam's mask built as the sum reaches it, so every float is
+    the scalar sum's.  snr = min(B^2, edge) / tau_d (see
+    evaluate_scheme2_block) is below 0 or nan for a set that fits no alpha_p.
     """
 
     def __init__(self, g_gain, h_gain, cfgs: Sequence[SystemConfig], strategy: str):
@@ -167,13 +167,9 @@ class _SetTable:
         self.base_ap = mode_i_alpha_p(g, rho, eps_p)
         self.h = np.take_along_axis(h_gain[:, self.trial], by_rank, 0)
         self.etas = np.take_along_axis(eta(g, rho, eps_p), by_rank, 0)
-        weights = h_gain[:, self.trial] * self.base_ap
         rank_of = np.argsort(by_rank, axis=0)
-        self.tau_d = np.zeros((len(self.slots), len(rho)))
-        for j in range(m_beams):
-            outside = ~self.members[:, rank_of[j]]
-            np.add(self.tau_d, weights[j], out=self.tau_d, where=outside)
-        self.tau_d += 1.0 / rho
+        outside = (~self.members[:, rank] for rank in rank_of)
+        self.tau_d = tau(h_gain[:, self.trial], self.base_ap, rho, outside)
         snr = self.power_bound()
         snr *= snr
         # edge + tau_d per rank, the slack relative to h_last / eps_p; a
@@ -193,10 +189,7 @@ class _SetTable:
         with np.errstate(invalid="ignore"):
             terms = np.sqrt(self.h * (1.0 - self.etas))
         terms[self.etas > 1.0] = np.nan
-        bound = np.zeros(self.tau_d.shape)
-        for r, term in enumerate(terms):
-            np.add(bound, term, out=bound, where=self.members[:, r, None])
-        return bound
+        return beam_sum(terms, self.members.T[:, :, None])
 
     def beams(self, i: int, c: int) -> tuple[int, ...]:
         """Set i's beam indices at cell c, in candidate order."""
@@ -256,11 +249,7 @@ class _Lanes:
         return alpha_p, ~fails
 
     def _cap(self, alpha_p: np.ndarray) -> np.ndarray:
-        roots = np.sqrt(self.hc * (1.0 - alpha_p))
-        acc = np.zeros(self.tau_d.shape)
-        for root in roots:
-            acc += root
-        return acc
+        return beam_sum(np.sqrt(self.hc * (1.0 - alpha_p)))
 
     # a lane that stops fitting goes on with values nothing reads, so the
     # steps below silence numpy's warnings about them
@@ -404,9 +393,7 @@ def solve_problem4(candidate: AggregationCandidate) -> Problem4Solution:
     alpha_p = min_primary_power(candidate, 0.0)
     if alpha_p is None:
         return _infeasible()
-    hi = 0.0
-    for h_k in h:
-        hi += math.sqrt(h_k)
+    hi = _cap([0.0] * len(h), h)  # sum sqrt(h_m)
     lo = 0.0
     tol = 1e-10 * (1.0 + hi)
     for _ in range(_BISECT_MAX_ITER):
@@ -566,11 +553,8 @@ def evaluate_scheme1_block(
     g, h = g_gain[:, None, :], h_gain[:, None, :]
     alpha_p = np.minimum(1.0, eta(g, rho, cfg.eps_p))
     alpha_s = 1.0 - alpha_p
-    # summed beam by beam: np.sum would add pairwise
-    t = 0.0
-    for m in range(len(g)):
-        t += np.sqrt(h[m] * alpha_s[m])
-    rate = log2_each(1.0 + t * t / tau((), h, alpha_p, rho))
+    t = beam_sum(np.sqrt(h * alpha_s))
+    rate = log2_each(1.0 + t * t / tau(h, alpha_p, rho))
     return CellOutcomes(
         secondary_rate_raw=rate,
         sic_ok=np.ones(rate.shape, dtype=bool),

@@ -50,9 +50,8 @@ def evaluate_selection_block(
     eps_p = cfg.eps_p
     g, h = g_gain[:, None, :], h_gain[:, None, :]
     base_ap = mode_i_alpha_p(g, rho, eps_p)
-    taus = np.empty(base_ap.shape)
-    for m in range(len(g)):
-        taus[m] = tau((m,), h, base_ap, rho)
+    # beam m's tau sums every beam but m: row m of the mask
+    taus = tau(h, base_ap, rho, ~np.eye(len(g), dtype=bool)[:, :, None, None])
     caps = alpha_s_cap(h, eta(g, rho, eps_p), taus, eps_p)
     gammas = h * caps / taus
     best = np.argmax(gammas, axis=0)  # ties to the lowest index

@@ -136,7 +136,8 @@ def _parse_snr_grid(text: str) -> tuple[float, ...]:
             f"bad --snr-db {text!r}: expected a single value or "
             "start:stop:step with step >= 1e-9"
         ) from None
-    span = (stop - start + 1e-9) / step
+    # a millionth of a step covers the rounding at up to _MAX_SNR_POINTS
+    span = (stop - start) / step + 1e-6
     if not span < _MAX_SNR_POINTS:
         raise ConfigError(
             f"bad --snr-db {text!r}: more than {_MAX_SNR_POINTS} grid points"
@@ -268,6 +269,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_preset(args: argparse.Namespace) -> int:
     preset = _PRESETS[args.name]
     m_list = tuple(args.m_beams) if args.m_beams else _PRESET_M
+    if len(set(m_list)) < len(m_list):
+        raise ConfigError(f"--m-beams names a curve twice: {list(m_list)}")
     fields = dict(
         r_p=_PRESET_R_P if args.r_p_bpcu is None else args.r_p_bpcu,
         r_s=_PRESET_R_S if args.r_s_bpcu is None else args.r_s_bpcu,
@@ -327,7 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--trials", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--snr-db", default=None, help="grid as start:stop:step")
+    snr_help = "grid as start:stop:step; a negative start needs --snr-db=-10:0:5"
+    common.add_argument("--snr-db", default=None, help=snr_help)
     common.add_argument("--metric", choices=METRICS, default=None)
     common.add_argument(
         "--strategy", choices=sorted(_STRATEGY_FLAGS), default=None

@@ -9,6 +9,8 @@ here:
   is the cheapest allocation meeting the legacy target on a clean beam;
 * eta_m, the minimum primary share preserving QoS under NOMA, and tau, the
   interference-plus-noise from the beams outside the secondary user's set;
+* beam_sum, the one sum over beams: one beam at a time in ascending order,
+  because np.sum adds pairwise and would round differently;
 * the single-beam alpha_s cap, the smaller of the QoS and SIC caps, which
   selection and scheme 2's singleton sets share;
 * the legacy users' rates, and the CellOutcomes arrays every scheme returns
@@ -34,6 +36,7 @@ __all__ = [
     "CellOutcomes",
     "snr_points",
     "eta",
+    "beam_sum",
     "tau",
     "mode_i_alpha_p",
     "alpha_s_cap",
@@ -103,24 +106,26 @@ def eta(g_m: float, rho: float, eps_p: float) -> float:
     return eps_p * (g_m + 1.0 / rho) / (g_m * (1.0 + eps_p))
 
 
-def tau(
-    active_set: Sequence[int],
-    h_gain: Sequence,
-    alpha_p: Sequence,
-    rho,
-):
-    """Residual interference-plus-noise from beams outside the active set.
-
-    tau = sum over complement of h_j alpha_p_j, plus 1/rho, summed in
-    ascending beam order.  Beams outside the active set are expected to
-    carry their inactive-mode alpha_p.
-    """
-    active = set(active_set)
+def beam_sum(terms, where=None):
+    """terms[k] summed over the leading beam axis in ascending k from 0.0,
+    each added only where its mask where[k] holds.  A term left out adds
+    0.0, which leaves a sum from 0.0 unchanged bit for bit, so every cell is
+    the scalar sum over its kept beams.  where may be any iterable of masks,
+    so a caller can build them one beam at a time."""
+    if where is not None:
+        terms = (np.where(keep, term, 0.0) for term, keep in zip(terms, where))
     acc = 0.0
-    for j in range(len(h_gain)):
-        if j not in active:
-            acc += h_gain[j] * alpha_p[j]
-    return acc + 1.0 / rho
+    for term in terms:
+        acc = acc + term
+    return acc
+
+
+def tau(h_gain, alpha_p, rho, outside=None):
+    """Residual interference-plus-noise from the beams outside the active
+    set: beam_sum of h_j alpha_p_j where outside[j] holds (every beam when
+    outside is None), plus 1/rho; those beams carry their inactive-mode
+    alpha_p."""
+    return beam_sum(np.multiply(h_gain, alpha_p), outside) + 1.0 / rho
 
 
 def mode_i_alpha_p(g_gain: Sequence, rho, eps_p: float) -> np.ndarray:

@@ -274,16 +274,14 @@ def solver_checks(seed: int) -> list[CheckResult]:
         ),
     ]
 
-    # every beam's single-beam cap, as (M, T) arrays; draw t solves beam t % M
+    # every beam's single-beam cap, as an (M, T) array; draw t solves beam t % M
     cfg = SystemConfig(4, 4, 10.0, 1.0, 1.0)
     rho, eps_p = cfg.rho, cfg.eps_p
     block = _draws(cfg, seed + 1, REDUCTION_DRAWS)
     g, h = block.g_gain, block.h_gain
     base_ap = mode_i_alpha_p(g, rho, eps_p)
-    caps = [
-        alpha_s_cap(h[m], eta(g[m], rho, eps_p), tau((m,), h, base_ap, rho), eps_p)
-        for m in range(cfg.m_beams)
-    ]
+    others = ~np.eye(cfg.m_beams, dtype=bool)[:, :, None]
+    caps = alpha_s_cap(h, eta(g, rho, eps_p), tau(h, base_ap, rho, others), eps_p)
     # the draws' singleton candidates, read off one set table of the block
     table = _SetTable(g, h, [cfg], "prefixes_plus_singletons")
     ones = np.flatnonzero(table.members.sum(axis=1) == 1).tolist()
@@ -295,7 +293,7 @@ def solver_checks(seed: int) -> list[CheckResult]:
         sol_m = solve_problem4(cand_m)
         got = sol_m.x[0] ** 2 if sol_m.status == "optimal" else 0.0
         certifier_fail += bool(certify_solution(cand_m, sol_m))
-        worst = max(worst, abs(got - caps[m][t]))
+        worst = max(worst, abs(got - caps[m, t]))
     results.append(
         CheckResult(
             "solver.singleton_reduction",

@@ -22,7 +22,7 @@ from beamshare.beam_selection import evaluate_selection_block
 from beamshare.channel_model import SystemConfig, realize_block
 from beamshare.cli import main
 from beamshare.montecarlo import SweepSpec, estimate
-from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
+from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p
 from beamshare.validation import (
     Z_95,
     distribution_checks,
@@ -131,6 +131,15 @@ def test_criterion_05_more_beams_degrade_selection():
     )
 
 
+def _tau(beams, h, alpha_p, rho):
+    # tau written out: the beams outside the set, in ascending order, plus 1/rho
+    acc = 0.0
+    for j in range(len(h)):
+        if j not in beams:
+            acc += float(h[j]) * float(alpha_p[j])
+    return acc + 1.0 / rho
+
+
 def test_criterion_06_solver_correctness():
     # (a) singleton sets reproduce the single-beam closed form
     cfg = SystemConfig(4, 4, 10.0, 1.0, 1.0)
@@ -146,7 +155,7 @@ def test_criterion_06_solver_correctness():
         base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
         m = t % cfg.m_beams
         expected = alpha_s_cap(
-            h[m], eta(g[m], cfg.rho, cfg.eps_p), tau((m,), h, base, cfg.rho), cfg.eps_p
+            h[m], eta(g[m], cfg.rho, cfg.eps_p), _tau((m,), h, base, cfg.rho), cfg.eps_p
         )
         cand = table.candidate(next(i for i in ones if table.beams(i, t) == (m,)), t)
         sol = solve_problem4(cand)

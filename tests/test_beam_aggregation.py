@@ -27,7 +27,7 @@ from beamshare.channel_model import (
     realize,
     realize_block,
 )
-from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
+from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p
 from beamshare.validation import exhaustive_scheme2, random_feasible_instance
 
 # closed-form optimum of the two-beam instance h=(2,1), g=(1,1), rho=10,
@@ -106,9 +106,18 @@ def test_enumerate_rejects_unknown_strategy_and_large_subsets():
         )
 
 
+def _tau(beams, h, alpha_p, rho):
+    # tau written out: the beams outside the set, in ascending order, plus 1/rho
+    acc = 0.0
+    for j in range(len(h)):
+        if j not in beams:
+            acc += float(h[j]) * float(alpha_p[j])
+    return acc + 1.0 / rho
+
+
 def _listed_candidates(chan, cfg, strategy):
     # enumerate_candidates written set by set: combinations of the
-    # descending-h order, tau() of each set, deduplicated in listing order
+    # descending-h order, _tau() of each set, deduplicated in listing order
     m = cfg.m_beams
     h, g = chan.h_gain[:, 0].tolist(), chan.g_gain[:, 0].tolist()
     order = sorted(range(m), key=lambda i: (-h[i], i))
@@ -123,7 +132,7 @@ def _listed_candidates(chan, cfg, strategy):
             beams=b,
             h=tuple(h[i] for i in b),
             etas=tuple(etas[i] for i in b),
-            tau_d=tau(b, h, base, cfg.rho),
+            tau_d=_tau(b, h, base, cfg.rho),
             eps_p=cfg.eps_p,
         )
         for b in dict.fromkeys(sets)
@@ -140,7 +149,7 @@ def _counts(chan, cfg, strategy="all_subsets"):
 
 def test_subset_lattice_matches_the_per_set_sums():
     # The set sums, built as arrays over all sets at once, must be the
-    # per-set sums bit for bit: tau_d as tau() adds it, and the bound as a
+    # per-set sums bit for bit: tau_d as _tau() adds it, and the bound as a
     # sequential sum in candidate order. repr spells every float exactly.
     infeasible_sets = 0
     for m in range(1, 9):
@@ -159,7 +168,7 @@ def test_subset_lattice_matches_the_per_set_sums():
             assert len(table.slots) == 2 ** m - 1
             for i in range(len(table.slots)):
                 cand = table.candidate(i, 0)
-                want = tau(cand.beams, h, base, cfg.rho)
+                want = _tau(cand.beams, h, base, cfg.rho)
                 assert repr(table.tau_d[i, 0].item()) == repr(want)
                 if not cand.feasible:
                     assert math.isnan(bounds[i])
@@ -281,7 +290,7 @@ def test_solve_singleton_matches_selection_cap_exactly():
                 continue
             m = cand.beams[0]
             expected = alpha_s_cap(
-                h[m], eta(g[m], cfg.rho, cfg.eps_p), tau((m,), h, base, cfg.rho), cfg.eps_p
+                h[m], eta(g[m], cfg.rho, cfg.eps_p), _tau((m,), h, base, cfg.rho), cfg.eps_p
             )
             sol = solve_problem4(cand)
             got = sol.x[0] ** 2 if sol.status == "optimal" else 0.0

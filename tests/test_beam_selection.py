@@ -18,6 +18,15 @@ def _chosen(out):
     return tuple(np.flatnonzero(out.chosen[:, 0, 0]).tolist())
 
 
+def _tau(beams, h, alpha_p, rho):
+    # tau written out: the beams outside the set, in ascending order, plus 1/rho
+    acc = 0.0
+    for j in range(len(h)):
+        if j not in beams:
+            acc += float(h[j]) * float(alpha_p[j])
+    return acc + 1.0 / rho
+
+
 def test_worked_two_beam_chain():
     g, h = _col([1.0, 1.0]), _col([2.0, 1.0])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 2.0)
@@ -69,7 +78,7 @@ def test_argmax_gamma_equals_argmax_rate():
         base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
         gammas = []
         for m in range(4):
-            tau_m = tau((m,), h, base, cfg.rho)
+            tau_m = _tau((m,), h, base, cfg.rho)
             a = alpha_s_cap(h[m], eta(g[m], cfg.rho, cfg.eps_p), tau_m, cfg.eps_p)
             gammas.append(h[m] * a / tau_m)
         rates = [math.log2(1.0 + g) for g in gammas]
@@ -114,24 +123,27 @@ def test_sic_flag_follows_decode_rate():
         (b,) = _chosen(out)
         h = chan.h_gain[:, 0].tolist()
         alpha_p, alpha_s = out.alpha_p[:, 0, 0], out.alpha_s[:, 0, 0]
-        tau_b = tau((b,), h, alpha_p, cfg.rho)
+        tau_b = _tau((b,), h, alpha_p, cfg.rho)
         sinr = h[b] * alpha_p[b] / (h[b] * alpha_s[b] + tau_b)
         decode = math.log2(1.0 + sinr)
         assert out.sic_ok.item() == (decode >= cfg.r_p - power_allocation.SIC_SLACK)
 
 
-def test_tau_computed_once_per_beam(monkeypatch):
+def test_tau_called_once_per_selection_block_pass(monkeypatch):
+    # every beam's tau, on every cell of the block, comes from one call
     calls = []
 
     def counted(*args):
         calls.append(args)
         return tau(*args)
 
-    for module in (power_allocation, beam_selection):
-        monkeypatch.setattr(module, "tau", counted)
-    cfg = SystemConfig(4, 4, 31.6, 0.5, 1.0)
-    evaluate_selection(realize(cfg, TrialSeed(71, 0)), cfg)
-    assert len(calls) == 4
+    monkeypatch.setattr(beam_selection, "tau", counted)
+    cfgs = [SystemConfig(4, 4, rho, 0.5, 1.0) for rho in (3.16, 31.6)]
+    rng = np.random.default_rng(71)
+    g, h = rng.exponential(size=(4, 5)), rng.exponential(size=(4, 5))
+    out = evaluate_selection_block(g, h, cfgs)
+    assert len(calls) == 1
+    assert out.chosen.shape == (4, 2, 5)
 
 
 def test_rate_earned_only_with_sic():

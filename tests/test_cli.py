@@ -119,6 +119,10 @@ def test_snr_grid_has_no_float_drift():
     grid = _parse_snr_grid("0:1000:0.001")
     assert grid == tuple(round(k * 0.001, 9) for k in range(1_000_001))
     assert _parse_snr_grid("0:40:5") == tuple(float(v) for v in range(0, 41, 5))
+    # the rounding allowance is a fraction of a step, so the smallest
+    # steps do not reach past stop
+    assert _parse_snr_grid("0:1e-9:1e-9") == (0.0, 1e-9)
+    assert _parse_snr_grid("0:3e-9:1e-9") == (0.0, 1e-9, 2e-9, 3e-9)
 
 
 @pytest.mark.parametrize(
@@ -205,6 +209,14 @@ def test_preset_failure_writes_nothing(tmp_path, capsys, target):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "all_subsets" in captured.err
+    assert os.listdir(tmp_path) == []
+    # and a curve named twice, which would write every row twice
+    args = ["preset", "fig2b", "--snr-db", "10", "--trials", "5"]
+    assert main(args + ["--m-beams", "2", "--m-beams", "2", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--m-beams" in captured.err
+    assert len(captured.err.splitlines()) == 1
     assert os.listdir(tmp_path) == []
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamshare.beam_aggregation import (
     evaluate_scheme1,
@@ -10,12 +11,27 @@ from beamshare.beam_aggregation import (
 )
 from beamshare.beam_selection import evaluate_selection
 from beamshare.channel_model import SystemConfig, TrialSeed, realize
-from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
+from beamshare.power_allocation import (
+    alpha_s_cap,
+    beam_sum,
+    eta,
+    mode_i_alpha_p,
+    tau,
+)
 
 
 def _col(values):
     # hand-picked gains of one trial, as the (M, 1) array a block pass takes
     return np.array(values, dtype=float)[:, None]
+
+
+def _tau(beams, h, alpha_p, rho):
+    # tau written out: the beams outside the set, in ascending order, plus 1/rho
+    acc = 0.0
+    for j in range(len(h)):
+        if j not in beams:
+            acc += float(h[j]) * float(alpha_p[j])
+    return acc + 1.0 / rho
 
 
 def test_alpha_p_inactive_values():
@@ -31,13 +47,13 @@ def test_alpha_p_inactive_values():
 def _selection_cap(m, h, g, rho, eps):
     # the share selection gives beam m, all other beams inactive
     base = mode_i_alpha_p(g, rho, eps)
-    return alpha_s_cap(h[m], eta(g[m], rho, eps), tau((m,), h, base, rho), eps)
+    return alpha_s_cap(h[m], eta(g[m], rho, eps), _tau((m,), h, base, rho), eps)
 
 
 def test_alpha_s_selection_hand_value():
     # h=(2,1), g=(1,1), inactive share on beam 2 = 0.1, rho=10, eps=1:
     # QoS cap = (1 - 0.1)/2 = 0.45 and SIC cap = (2 - 0.1 - 0.1)/4 = 0.45
-    assert tau((0,), [2.0, 1.0], [0.1, 0.1], 10.0) == pytest.approx(0.2)
+    assert _tau((0,), [2.0, 1.0], [0.1, 0.1], 10.0) == pytest.approx(0.2)
     got = _selection_cap(0, [2.0, 1.0], [1.0, 1.0], 10.0, 1.0)
     assert got == pytest.approx(0.45, abs=1e-12)
 
@@ -66,11 +82,65 @@ def test_eta_boundary_matches_clamp():
 
 
 def test_tau_values():
-    assert tau((0, 1), [2.0, 1.0], [0.5, 0.5], 10.0) == pytest.approx(0.1)
-    assert tau((0,), [2.0, 1.0], [0.3, 0.1], 10.0) == pytest.approx(0.2)
-    t1 = tau((0,), [2.0, 1.0], [0.3, 0.1], 10.0)
-    t2 = tau((0,), [2.0, 1.0], [0.3, 0.1], 20.0)
+    # outside marks the beams outside the set; None means every beam
+    assert tau([2.0, 1.0], [0.5, 0.5], 10.0, [False, False]) == pytest.approx(0.1)
+    assert tau([2.0, 1.0], [0.3, 0.1], 10.0, [False, True]) == pytest.approx(0.2)
+    assert tau([2.0, 1.0], [0.3, 0.1], 10.0) == pytest.approx(0.8)
+    t1 = tau([2.0, 1.0], [0.3, 0.1], 10.0, [False, True])
+    t2 = tau([2.0, 1.0], [0.3, 0.1], 20.0, [False, True])
     assert t2 < t1
+
+
+# finite terms of any sign and scale, small enough that 8 cannot overflow
+_TERM = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+def _in_order(terms, where):
+    # the sum written out: every cell adds its kept beams one at a time as
+    # Python floats, in ascending beam order, from 0.0
+    shape = np.broadcast_shapes(terms.shape[1:], where.shape[1:])
+    terms = np.broadcast_to(terms, (len(terms), *shape))
+    where = np.broadcast_to(where, terms.shape)
+    out = np.empty(shape)
+    for cell in np.ndindex(shape):
+        acc = 0.0
+        for k in range(len(terms)):
+            if where[k][cell]:
+                acc += float(terms[k][cell])
+        out[cell] = acc
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    beams=st.integers(min_value=1, max_value=8),
+    cells=st.lists(st.integers(min_value=1, max_value=3), max_size=2),
+    data=st.data(),
+)
+def test_beam_sum_adds_in_beam_order(beams, cells, data):
+    # bit for bit the in-order loop, on terms and masks that broadcast
+    # against each other, without a mask, with one, and with the masks
+    # given one beam at a time
+    def operand(elements):
+        shape = [data.draw(st.sampled_from((1, n))) for n in cells]
+        size = beams * math.prod(shape)
+        values = data.draw(st.lists(elements, min_size=size, max_size=size))
+        return np.array(values).reshape(beams, *shape)
+
+    terms, where = operand(_TERM), operand(st.booleans())
+    every = np.ones(terms.shape, dtype=bool)
+    want_all, want = _in_order(terms, every), _in_order(terms, where)
+    assert np.asarray(beam_sum(terms)).tobytes() == want_all.tobytes()
+    assert np.asarray(beam_sum(terms, where)).tobytes() == want.tobytes()
+    assert np.asarray(beam_sum(terms, iter(where))).tobytes() == want.tobytes()
+
+
+def test_beam_sum_is_not_a_pairwise_sum():
+    # np.sum adds the 8 terms pairwise and keeps the small ones, 7e-16 in all
+    terms = np.array([1.0] + [1e-16] * 7)
+    assert beam_sum(terms) == 1.0
+    assert beam_sum(terms, np.ones(8, dtype=bool)) == 1.0
+    assert np.sum(terms) == 1.0000000000000007
 
 
 def test_scheme1_coefficients_hand_values():
