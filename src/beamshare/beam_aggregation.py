@@ -13,13 +13,15 @@ involves only later beams and t), and the headroom cap(t) = sum over the
 set of sqrt(h_m (1 - alpha_p_m(t))) is nonincreasing in t, so the optimum
 is the largest t with cap(t) >= t.  A block's sets are solved as lanes of
 one lockstep bisection whose floats are those of the scalar solve_problem4,
-after a pruned visit that keeps the exhaustive winner bit for bit (see
+after a pruned visit, and a lane leaves the lockstep once its bracket
+proves it loses its cell; both keep the exhaustive winner bit for bit (see
 evaluate_scheme2_block).  A grid oracle and an independent constraint
 certifier cross-check the solver.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -259,23 +261,49 @@ class _Lanes:
         alpha_p, fits = self._sweep(t)
         return fits & (self._cap(alpha_p) >= t)
 
+    def _take(self, keep: np.ndarray) -> "_Lanes":
+        """The lanes where keep holds, each slot's row contiguous."""
+        part = copy.copy(self)
+        for name in ("hc", "h", "etas", "tau_d"):
+            setattr(part, name, getattr(self, name).compress(keep, axis=-1))
+        return part
+
     @_quiet
-    def solve(self) -> tuple[np.ndarray, int]:
-        """Each lane's t*, nan where no alpha_p fits at t = 0, and the
-        lockstep iterations: solve_problem4's bisection on every lane at
-        once, a lane taking no step once hi - lo <= its tolerance."""
+    def solve(self, cell: np.ndarray, floor: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """Each lane's t* (nan where no alpha_p fits at t = 0 or the lane
+        is raced out), the lockstep iterations and the lanes raced out:
+        solve_problem4's bisection on every lane at once, a lane taking no
+        step once hi - lo <= its tolerance.  Lane l runs in cell cell[l],
+        whose incumbent has 1 + SNR = floor[cell[l]].  While two lanes
+        share a cell, each step drops the lanes whose (1 + hi^2 / tau_d)
+        (1 + 1e-9) is below that floor or below 1 + lo^2 / tau_d of a lane
+        of their cell.  lo only rises, t* <= hi, every float step is
+        monotone, and the 1e-9 gap keeps math.log2 strictly ordered, so a
+        dropped lane ranks below its cell's winner, even on a tie-break;
+        each survivor keeps its midpoints bit for bit."""
         hi = self._cap(np.zeros(self.h.shape))  # sum sqrt(h_m)
         feasible = self._sweep(np.zeros(hi.shape))[1]
+        live, lanes = np.flatnonzero(feasible), self._take(feasible)
+        hi, cell, lo = hi[live], cell[live], np.zeros(len(live))
         tol = 1e-10 * (1.0 + hi)
-        lo = np.zeros(hi.shape)
-        hi = np.where(feasible, hi, 0.0)
-        steps = 0
+        steps, racing = 0, np.bincount(cell, minlength=1).max() > 1
         while steps < _BISECT_MAX_ITER and (open_ := ~(hi - lo <= tol)).any():
             steps += 1
             mid = 0.5 * (lo + hi)
-            up = self.holds(mid)
+            up = lanes.holds(mid)
             lo, hi = np.where(open_ & up, mid, lo), np.where(open_ & ~up, mid, hi)
-        return np.where(feasible, lo, np.nan), steps
+            if not racing:
+                continue
+            best = floor.copy()
+            np.maximum.at(best, cell, 1.0 + lo * lo / lanes.tau_d)
+            keep = (1.0 + hi * hi / lanes.tau_d) * (1.0 + _PRUNE_MARGIN) >= best[cell]
+            if not keep.all():
+                live, lo, hi, tol, cell = (a[keep] for a in (live, lo, hi, tol, cell))
+                lanes = lanes._take(keep)
+                racing = np.bincount(cell, minlength=1).max() > 1
+        t_star = np.full(self.tau_d.shape, np.nan)
+        t_star[live] = lo
+        return t_star, steps, int(feasible.sum()) - len(live)
 
     @_quiet
     def split(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -597,6 +625,10 @@ class _Incumbents:
         mine, theirs = self.table.beams(i, c), self.table.beams(self.set[c], c)
         return (len(mine), sorted(mine)) > (len(theirs), sorted(theirs))
 
+    def snr(self, cells: np.ndarray) -> np.ndarray:
+        """t*^2 / tau_d of the incumbents of these cells, 0 for none."""
+        return np.square(self.t[cells]) / self.table.tau_d[self.set[cells], cells]
+
     def offer(self, rate: np.ndarray, t: np.ndarray, sets: np.ndarray):
         """Make set sets[p, c], at rate[p, c] and t*[p, c], cell c's
         incumbent if it ranks first; rate is -inf where nothing is offered."""
@@ -649,16 +681,20 @@ def evaluate_scheme2_block(
     ranking, since 1 + s can round SNRs more than 1e-9 apart onto one rate.
     Every cell's remaining sets are solved as lanes of one lockstep
     bisection (see _Lanes), and each cell's best becomes its incumbent.
-    The ranking is a total order, so the visit cannot change the winner.
+    The lanes race: a lane whose bracket proves it ranks below its cell's
+    incumbent or another lane leaves the lockstep (see _Lanes.solve).  The
+    ranking is a total order, so neither cut can change the winner.
 
     counts holds the block's search counters: multi-beam (set, cell) pairs
-    ranked, dropped by their bound and by the t_R test, lanes solved,
-    rounds, and lockstep bisection iterations.
+    ranked, dropped by their bound and by the t_R test, lanes solved and
+    raced out of the lockstep, rounds, and lockstep bisection iterations.
     """
     m_beams, trials = h_gain.shape
     table = _SetTable(g_gain, h_gain, cfgs, strategy)
     inc = _Incumbents(table)
-    counts = dict(ranked=0, bound_drops=0, t_r_drops=0, lanes=0, rounds=0, iterations=0)
+    counts = dict(
+        ranked=0, bound_drops=0, t_r_drops=0, lanes=0, raced=0, rounds=0, iterations=0
+    )
     single = table.members.sum(axis=1) == 1
     ones = np.flatnonzero(single)
     one_ap, one_x = _singletons(table, inc, ones)
@@ -734,9 +770,11 @@ def _visit(table: _SetTable, inc: _Incumbents, single: np.ndarray, counts: dict)
         left = np.where(ends, 0, left - valid.sum(axis=0))
         pending[:, ends] = -np.inf
         visit = valid & (rows < cut)
-        owner = np.nonzero(visit)[1]
-        visit[visit] = ~_loses_at_t_r(table, inc, sets[visit], owner, counts)
-        _solve_round(table, inc, sets, visit, counts)
+        if visit.any():
+            owner = np.nonzero(visit)[1]
+            visit[visit] = ~_loses_at_t_r(table, inc, sets[visit], owner, counts)
+        if visit.any():
+            _solve_round(table, inc, sets, visit, counts)
 
 
 def _loses_at_t_r(
@@ -749,9 +787,7 @@ def _loses_at_t_r(
     tested = np.flatnonzero(inc.set[cells] >= 0)
     at, by = sets[tested], cells[tested]
     lanes = _Lanes(table, at, by)
-    inc_t = inc.t[by]
-    s_star = inc_t * inc_t / table.tau_d[inc.set[by], by]
-    t_r = np.sqrt(s_star * lanes.tau_d) * (1.0 - _PRUNE_MARGIN)
+    t_r = np.sqrt(inc.snr(by) * lanes.tau_d) * (1.0 - _PRUNE_MARGIN)
     fails = ~lanes.holds(t_r)
     t_r, at, by = t_r[fails], at[fails], by[fails]
     rate = _rate_bound(t_r * t_r / lanes.tau_d[fails])
@@ -768,18 +804,17 @@ def _solve_round(
 ):
     """Solve the round's visited pairs, set sets[p, c] at cell c, as the
     lanes of one lockstep bisection, and offer them to the incumbents."""
-    lanes = _Lanes(table, sets[visit], np.nonzero(visit)[1])
-    t_star, steps = lanes.solve()
+    cells = np.nonzero(visit)[1]
+    lanes = _Lanes(table, sets[visit], cells)
+    t_star, steps, raced = lanes.solve(cells, 1.0 + inc.snr(np.arange(len(inc.t))))
     counts["lanes"] += len(t_star)
     counts["iterations"] += steps
-    solved = ~np.isnan(t_star)
-    t = t_star[solved]
-    lane_rate = np.full(t_star.shape, -np.inf)
-    lane_rate[solved] = log2_each(1.0 + t * t / lanes.tau_d[solved])
-    rate = np.full(sets.shape, -np.inf)
-    rate[visit] = lane_rate
-    t_all = np.zeros(sets.shape)
+    counts["raced"] += raced
+    t_all, rate = np.zeros(sets.shape), np.full(sets.shape, -np.inf)
     t_all[visit] = t_star
+    solved = visit & ~np.isnan(t_all)
+    t, tau_d = t_all[solved], table.tau_d[sets[solved], np.nonzero(solved)[1]]
+    rate[solved] = log2_each(1.0 + t * t / tau_d)
     inc.offer(rate, t_all, sets)
 
 

@@ -432,7 +432,7 @@ def lane_solutions(
     fits = ~(table.members[:, :, None] & (table.etas > 1.0)).any(axis=1)
     cells, sets = np.nonzero((fits & (table.members.sum(axis=1) > 1)[:, None]).T)
     lanes = _Lanes(table, sets, cells)
-    t_star, steps = lanes.solve()
+    t_star, steps, _ = lanes.solve(np.arange(len(sets)), np.full(len(sets), -np.inf))
     solved = ~np.isnan(t_star)
     alpha_p, x = lanes.split(np.where(solved, t_star, 0.0))
     rate = log2_each(1.0 + np.where(solved, t_star * t_star, 0.0) / lanes.tau_d)

@@ -181,13 +181,27 @@ def test_subset_lattice_matches_the_per_set_sums():
     assert infeasible_sets > 0
 
 
-def _lane_results(table, sets, cells):
+def _lane_results(table, sets, cells, floor=None):
     """t* and the split, in slots, of each (sets[l], cells[l]) lane of one
-    _Lanes."""
+    _Lanes, racing within the table's cells above floor; with no floor,
+    each lane is its own cell with no incumbent, and none may be raced."""
     lanes = _Lanes(table, sets, cells)
-    t_star, _ = lanes.solve()
+    if floor is None:
+        t_star, _, raced = lanes.solve(np.arange(len(sets)), np.full(len(sets), -np.inf))
+        assert raced == 0
+    else:
+        t_star, _, raced = lanes.solve(cells, floor)
     alpha_p, x = lanes.split(np.where(np.isnan(t_star), 0.0, t_star))
-    return t_star, alpha_p, x
+    return t_star, alpha_p, x, raced
+
+
+def _same_lane(got, l, want, size):
+    # lane l of _lane_results against solve_problem4, bit for bit
+    t_star, alpha_p, x = got[:3]
+    if want.status == "infeasible":
+        return bool(np.isnan(t_star[l]))
+    lane = (t_star[l].item(), alpha_p[-size:, l].tolist(), x[-size:, l].tolist())
+    return repr(lane) == repr((want.t_star, list(want.alpha_p), list(want.x)))
 
 
 def test_flat_lanes_mix_set_sizes_in_the_callers_order():
@@ -207,18 +221,56 @@ def test_flat_lanes_mix_set_sizes_in_the_callers_order():
     optimal = np.zeros(9, dtype=int)
     for l, (i, c) in enumerate(zip(sets.tolist(), cells.tolist())):
         want = solve_problem4(table.candidate(i, c))
-        runs = [(mixed, l)]
+        assert _same_lane(mixed, l, want, sizes[i])
         if sizes[i] >= 7:
-            runs.append((_lane_results(table, sets[l : l + 1], cells[l : l + 1]), 0))
-        for (t_star, alpha_p, x), j in runs:
-            if want.status == "infeasible":
-                assert np.isnan(t_star[j])
-                continue
-            k = -int(sizes[i])
-            got = (t_star[j].item(), alpha_p[k:, j].tolist(), x[k:, j].tolist())
-            assert repr(got) == repr((want.t_star, list(want.alpha_p), list(want.x)))
+            alone = _lane_results(table, sets[l : l + 1], cells[l : l + 1])
+            assert _same_lane(alone, 0, want, sizes[i])
         optimal[sizes[i]] += want.status == "optimal"
     assert (optimal[2:] > 0).all(), optimal
+
+
+def test_a_lane_alone_in_its_cell_races_nothing():
+    # One multi-beam set per (SNR point, trial) cell of an M = 5 block, each
+    # lane under the table's own cell, with no incumbent (floor 1 + 0): no
+    # lane shares a cell, so none is raced, and every lane is
+    # solve_problem4's bit for bit.
+    cfgs = [SystemConfig(5, 5, rho, 0.1, 1.0) for rho in (1e1, 1e3)]
+    block, = realize_block(cfgs[:1], [(43, t, 0) for t in range(20)])
+    table = _SetTable(block.g_gain, block.h_gain, cfgs, "all_subsets")
+    multi = np.flatnonzero(table.members.sum(axis=1) > 1)
+    cells = np.arange(len(table.trial))
+    sets = np.random.default_rng(5).choice(multi, len(cells))
+    got = _lane_results(table, sets, cells, np.ones(len(cells)))
+    assert got[3] == 0
+    for l, (i, c) in enumerate(zip(sets.tolist(), cells.tolist())):
+        want = solve_problem4(table.candidate(i, c))
+        assert _same_lane(got, l, want, table.members[i].sum())
+
+
+def test_raced_lanes_lose_their_cell():
+    # Every multi-beam set of each cell of an M = 5 block races within its
+    # cell, in shuffled lane order. The race drops lanes; each survivor is
+    # solve_problem4's bit for bit, and each raced lane's own solution
+    # ranks strictly below the best rate in its cell.
+    cfgs = [SystemConfig(5, 5, rho, 0.1, 1.0) for rho in (1e1, 1e3)]
+    block, = realize_block(cfgs[:1], [(47, t, 0) for t in range(4)])
+    table = _SetTable(block.g_gain, block.h_gain, cfgs, "all_subsets")
+    sizes = table.members.sum(axis=1)
+    sets, cells = np.nonzero(np.broadcast_to(sizes[:, None] > 1, table.tau_d.shape))
+    order = np.random.default_rng(7).permutation(len(sets))
+    sets, cells = sets[order], cells[order]
+    got = _lane_results(table, sets, cells, np.ones(len(table.trial)))
+    want = [solve_problem4(table.candidate(i, c)) for i, c in zip(sets, cells)]
+    best = np.zeros(len(table.trial))
+    np.maximum.at(best, cells, [w.objective_rate for w in want])
+    raced = 0
+    for l, (w, c) in enumerate(zip(want, cells)):
+        if w.status == "optimal" and np.isnan(got[0][l]):
+            raced += 1
+            assert w.objective_rate < best[c]
+        else:
+            assert _same_lane(got, l, w, sizes[sets[l]])
+    assert raced == got[3] > 0
 
 
 def test_min_primary_power_worked_recursion():
@@ -510,14 +562,21 @@ def test_scheme2_set_search_makes_a_fifth_of_the_exhaustive_calls():
     # One N = M = 8 all_subsets draw at 20 dB. Solving every candidate
     # solves 247 multi-beam sets; the pruned search must solve at most a
     # fifth of the 255 sets. All 247 are ranked (none fits no alpha_p);
-    # the first round solves the best-bound set, which wins, and the next
-    # round's first bound ends the visit.
+    # the first round takes the 8 best-bound sets as lanes, of which the
+    # race leaves one, the winner, and the next round's first bound ends
+    # the visit.
     cfg = SystemConfig(8, 8, 100.0, 0.1, 1.0)
     chan = realize(cfg, TrialSeed(0, 0))
     assert sum(c.feasible for c in enumerate_candidates(chan, cfg, "all_subsets")) == 255
     counts = _counts(chan, cfg)
     assert counts == dict(
-        ranked=247, bound_drops=239, t_r_drops=0, lanes=8, rounds=2, iterations=33
+        ranked=247,
+        bound_drops=239,
+        t_r_drops=0,
+        lanes=8,
+        raced=7,
+        rounds=2,
+        iterations=33,
     )
     assert counts["lanes"] <= 255 / 5
     out = evaluate_scheme2(chan, cfg, "all_subsets")
@@ -563,7 +622,7 @@ def test_scheme2_solves_a_set_tied_with_the_incumbent(monkeypatch):
     monkeypatch.setattr(beam_aggregation, "_ROUND", 1)
     counts = _counts(chan, cfg)
     assert counts == dict(
-        ranked=4, bound_drops=1, t_r_drops=1, lanes=2, rounds=4, iterations=66
+        ranked=4, bound_drops=1, t_r_drops=1, lanes=2, raced=0, rounds=4, iterations=66
     )
     assert _same_choice(evaluate_scheme2(chan, cfg, "all_subsets"), reference)
 
@@ -626,7 +685,7 @@ def test_scheme2_weak_beam_edge_drops_sets_before_they_are_built():
     cfg = SystemConfig(3, 3, 10.0, 1.0, 1.0)
     counts = _counts(chan, cfg)
     assert counts == dict(
-        ranked=3, bound_drops=2, t_r_drops=0, lanes=1, rounds=1, iterations=33
+        ranked=3, bound_drops=2, t_r_drops=0, lanes=1, raced=0, rounds=1, iterations=33
     )
     out = evaluate_scheme2(chan, cfg, "all_subsets")
     assert _chosen(out) == (0, 1)

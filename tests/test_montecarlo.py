@@ -255,6 +255,33 @@ def test_every_scheme_scores_a_block_in_one_pass(monkeypatch):
     ]
 
 
+def test_scheme2_races_lanes_on_the_dense_m8_block(monkeypatch):
+    # the benchmark's dense_m8 sweep (N = M = 8, all_subsets, 9 SNR points,
+    # 10 trials) at seed 0 is one block, and its lockstep races out lanes
+    counts = []
+
+    def recording(*args):
+        cells = block_pass(*args)
+        counts.append(cells.counts)
+        return cells
+
+    block_pass = montecarlo.evaluate_scheme2_block
+    monkeypatch.setattr(montecarlo, "evaluate_scheme2_block", recording)
+    spec = _spec(
+        n_antennas=8,
+        m_beams=8,
+        snr_grid_db=tuple(range(0, 45, 5)),
+        schemes=("scheme2",),
+        metric="ergodic_rate",
+        trials=10,
+        seed=0,
+        candidate_strategy="all_subsets",
+    )
+    estimate(spec)
+    assert len(counts) == 1
+    assert counts[0]["raced"] > 0
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_block_pass_rejects_snr_points_that_differ_beyond_rho(scheme):
     # a block pass applies cfgs[0]'s targets to every row, so configs that
