@@ -228,7 +228,7 @@ class _Lanes:
 
     def __init__(self, table: _SetTable, sets: np.ndarray, cells: np.ndarray):
         """The lanes of the (sets[l], cells[l]) pairs of the table."""
-        ranks = table.slots[sets].T
+        ranks = np.ascontiguousarray(table.slots[sets].T)  # each slot's row contiguous
         empty = ranks < 0
         self.hc = np.where(empty, 0.0, table.h[ranks, cells])
         self.h = np.where(empty, np.inf, self.hc)

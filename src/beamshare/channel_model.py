@@ -50,11 +50,10 @@ __all__ = [
     "realize_block",
 ]
 
-# Draws with condition number at or above this are treated as numerically
-# singular and redrawn (measure-zero event for continuous fading); a Gram
-# matrix A with ||A||_F ||A^-1||_F below _CERTIFIED needs no SVD (zf_beams)
+# A draw whose Gram matrix A = G^H G has ||A||_F ||A^-1||_F at or above
+# this is treated as numerically singular and redrawn (zf_beams); that puts
+# the limit on cond(G) between 1e6 / sqrt(M) and 1e6
 COND_LIMIT = 1e12
-_CERTIFIED = 1e8
 
 _MAX_RESAMPLES = 64
 
@@ -77,14 +76,15 @@ _GENERATOR_LOCK = threading.Lock()
 
 
 class SingularChannel(Exception):
-    """Raised when G^H G is numerically singular (condition number >= 1e12)
-    or cannot be inverted.
+    """Raised when A = G^H G is numerically singular (||A||_F ||A^-1||_F
+    not below COND_LIMIT) or cannot be inverted, and when a trial stays
+    singular for _MAX_RESAMPLES draws.
 
-    ``rows`` holds the indices of the singular matrices of a stack; None
-    means every matrix.
+    ``rows`` holds the indices of the singular matrices of a stack, or of
+    the trial in its block.
     """
 
-    def __init__(self, message: str, rows: Sequence[int] | None = None):
+    def __init__(self, message: str, rows: Sequence[int]):
         super().__init__(message)
         self.rows = rows
 
@@ -277,43 +277,31 @@ def zf_beams(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (F, g_gain) with F = G (G^H G)^-1 D and g_gain[m] = |g_m^H f_m|^2.
     Raises SingularChannel, naming the stack's offending matrices, when any
-    is rank deficient at working precision: cond(G) >= COND_LIMIT, or
-    A = G^H G cannot be inverted.
-
-    Only the matrices that A's inverse does not certify take an SVD.  As
-    ||A||_F ||A^-1||_F >= kappa_2(A) = cond(G)^2, a product below
-    _CERTIFIED = 1e8 puts cond(G) under 1e4, 8 orders of magnitude below
-    COND_LIMIT, where the inverse (about 1e-8 relative) and the SVD's ratio
-    (about 1e-12) are far too accurate to cross it.  Matrices whose product
-    is not finite or too large, or the whole stack when inv fails, take the
-    SVD test, so the raised rows, F and g_gain are those of an SVD of all.
+    is rank deficient at working precision: A = G^H G cannot be inverted,
+    or ||A||_F ||A^-1||_F is not a finite number below COND_LIMIT.  The
+    product lies between kappa_2(A) = cond(G)^2 and M cond(G)^2, so every
+    accepted matrix has cond(G) < 1e6, and every one with cond(G) <
+    1e6 / sqrt(M) is accepted.
     """
     n, m = G.shape[-2:]
     if n < m:
         raise ValueError("G must have at least as many rows as columns")
     gram = G.conj().swapaxes(-1, -2) @ G
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        try:
-            gram_inv = np.linalg.inv(gram)
-        except np.linalg.LinAlgError:
-            gram_inv, unsure = None, np.ones(G.shape[:-2], dtype=bool)
-        else:
-            parts = [np.asarray(a, complex).view(float) for a in (gram, gram_inv)]
-            sq = [np.einsum("...ij,...ij", a, a) for a in parts]  # squared norms
-            unsure = np.asarray(~(sq[0] * sq[1] < _CERTIFIED ** 2))
-        if unsure.any():
-            sv = np.linalg.svd(G[unsure], compute_uv=False)
-            cond = sv[..., 0] / sv[..., -1]  # inf or nan when rank deficient
-            unsure[unsure] = ~(cond < COND_LIMIT)
-            _raise_if_any(unsure, f"condition number >= {COND_LIMIT:.0e}")
-    if gram_inv is None:  # rare: find the matrices inv fails on one at a time
-        failed = np.ones(unsure.size, dtype=bool)
+    try:
+        gram_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:  # rare: find the matrices inv fails on one at a time
+        failed = np.ones(gram.shape[:-2], dtype=bool)
         for i, a in enumerate(gram.reshape(-1, m, m)):
             with suppress(np.linalg.LinAlgError):
                 np.linalg.inv(a)
-                failed[i] = False
+                failed.flat[i] = False
         _raise_if_any(failed, "Gram matrix is not invertible")
-        gram_inv = np.linalg.inv(gram)
+        raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [np.asarray(a, complex).view(float) for a in (gram, gram_inv)]
+        sq = [np.einsum("...ij,...ij", a, a) for a in parts]  # squared norms
+        ill = ~(sq[0] * sq[1] < COND_LIMIT ** 2)
+    _raise_if_any(ill, f"||A||_F ||A^-1||_F of A = G^H G is not below {COND_LIMIT:.0e}")
     diag = np.real(np.diagonal(gram_inv, axis1=-2, axis2=-1))
     ok = np.all((diag > 0.0) & np.isfinite(diag), axis=-1)
     _raise_if_any(~ok, "Gram inverse has a non-positive diagonal")
@@ -385,14 +373,13 @@ def realize_block(
                 F, g_gain = zf_beams(G)
                 break
             except SingularChannel as exc:
-                rows = range(len(seeds)) if exc.rows is None else exc.rows
-                redraws = seeds[rows].tolist()
+                rows, redraws = exc.rows, seeds[exc.rows].tolist()
                 for i, redraw in zip(rows, redraws):
                     resamples[i] += 1
                     if resamples[i] >= _MAX_RESAMPLES:
                         seed = TrialSeed(*seeds[i].tolist())
                         raise SingularChannel(
-                            f"{_MAX_RESAMPLES} consecutive singular draws for {seed}"
+                            f"{_MAX_RESAMPLES} consecutive singular draws for {seed}", [i]
                         ) from None
                     redraw[2] += resamples[i]
                 (G[rows], h[rows]), = sample_channels([cfg], redraws)

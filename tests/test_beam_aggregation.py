@@ -30,6 +30,8 @@ from beamshare.channel_model import (
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p
 from beamshare.validation import exhaustive_scheme2, random_feasible_instance
 
+from oracles import same_choice, written_tau
+
 # closed-form optimum of the two-beam instance h=(2,1), g=(1,1), rho=10,
 # eps_p=1 (both decode constraints tight at the fixed point)
 U_REF = 0.9 * (3.0 + 2.0 * math.sqrt(2.0)) / (4.0 + 2.0 * math.sqrt(2.0))
@@ -51,18 +53,6 @@ def _chan(g_gain, h_gain):
 
 def _chosen(cells, s=0, t=0):
     return tuple(np.flatnonzero(cells.chosen[:, s, t]).tolist())
-
-
-def _same_choice(cells, want, s=0, t=0):
-    # cell (s, t) against exhaustive_scheme2's (chosen, rate, alpha_p,
-    # alpha_s): the same set, and rate and split equal bit for bit
-    chosen, rate, alpha_p, alpha_s = want
-    return (
-        np.array_equal(cells.chosen[:, s, t], chosen)
-        and cells.secondary_rate_raw[s, t].item().hex() == rate.hex()
-        and cells.alpha_p[:, s, t].tobytes() == alpha_p.tobytes()
-        and cells.alpha_s[:, s, t].tobytes() == alpha_s.tobytes()
-    )
 
 
 def test_enumerate_counts_and_order():
@@ -106,18 +96,9 @@ def test_enumerate_rejects_unknown_strategy_and_large_subsets():
         )
 
 
-def _tau(beams, h, alpha_p, rho):
-    # tau written out: the beams outside the set, in ascending order, plus 1/rho
-    acc = 0.0
-    for j in range(len(h)):
-        if j not in beams:
-            acc += float(h[j]) * float(alpha_p[j])
-    return acc + 1.0 / rho
-
-
 def _listed_candidates(chan, cfg, strategy):
     # enumerate_candidates written set by set: combinations of the
-    # descending-h order, _tau() of each set, deduplicated in listing order
+    # descending-h order, written_tau() of each set, deduplicated in listing order
     m = cfg.m_beams
     h, g = chan.h_gain[:, 0].tolist(), chan.g_gain[:, 0].tolist()
     order = sorted(range(m), key=lambda i: (-h[i], i))
@@ -132,7 +113,7 @@ def _listed_candidates(chan, cfg, strategy):
             beams=b,
             h=tuple(h[i] for i in b),
             etas=tuple(etas[i] for i in b),
-            tau_d=_tau(b, h, base, cfg.rho),
+            tau_d=written_tau(b, h, base, cfg.rho),
             eps_p=cfg.eps_p,
         )
         for b in dict.fromkeys(sets)
@@ -149,7 +130,7 @@ def _counts(chan, cfg, strategy="all_subsets"):
 
 def test_subset_lattice_matches_the_per_set_sums():
     # The set sums, built as arrays over all sets at once, must be the
-    # per-set sums bit for bit: tau_d as _tau() adds it, and the bound as a
+    # per-set sums bit for bit: tau_d as written_tau() adds it, and the bound as a
     # sequential sum in candidate order. repr spells every float exactly.
     infeasible_sets = 0
     for m in range(1, 9):
@@ -168,7 +149,7 @@ def test_subset_lattice_matches_the_per_set_sums():
             assert len(table.slots) == 2 ** m - 1
             for i in range(len(table.slots)):
                 cand = table.candidate(i, 0)
-                want = _tau(cand.beams, h, base, cfg.rho)
+                want = written_tau(cand.beams, h, base, cfg.rho)
                 assert repr(table.tau_d[i, 0].item()) == repr(want)
                 if not cand.feasible:
                     assert math.isnan(bounds[i])
@@ -342,7 +323,7 @@ def test_solve_singleton_matches_selection_cap_exactly():
                 continue
             m = cand.beams[0]
             expected = alpha_s_cap(
-                h[m], eta(g[m], cfg.rho, cfg.eps_p), _tau((m,), h, base, cfg.rho), cfg.eps_p
+                h[m], eta(g[m], cfg.rho, cfg.eps_p), written_tau((m,), h, base, cfg.rho), cfg.eps_p
             )
             sol = solve_problem4(cand)
             got = sol.x[0] ** 2 if sol.status == "optimal" else 0.0
@@ -580,7 +561,7 @@ def test_scheme2_set_search_makes_a_fifth_of_the_exhaustive_calls():
     )
     assert counts["lanes"] <= 255 / 5
     out = evaluate_scheme2(chan, cfg, "all_subsets")
-    assert _same_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+    assert same_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
 
 
 def test_scheme2_search_counts_add_up():
@@ -618,13 +599,13 @@ def test_scheme2_solves_a_set_tied_with_the_incumbent(monkeypatch):
     out = evaluate_scheme2(chan, cfg, "all_subsets")
     assert _chosen(out) == (0, 1)
     assert out.secondary_rate_raw.item() == rates[(1, 0)]
-    assert _same_choice(out, reference)
+    assert same_choice(out, reference)
     monkeypatch.setattr(beam_aggregation, "_ROUND", 1)
     counts = _counts(chan, cfg)
     assert counts == dict(
         ranked=4, bound_drops=1, t_r_drops=1, lanes=2, raced=0, rounds=4, iterations=66
     )
-    assert _same_choice(evaluate_scheme2(chan, cfg, "all_subsets"), reference)
+    assert same_choice(evaluate_scheme2(chan, cfg, "all_subsets"), reference)
 
 
 def test_scheme2_breaks_ties_cell_by_cell_in_one_block(monkeypatch):
@@ -642,7 +623,7 @@ def test_scheme2_breaks_ties_cell_by_cell_in_one_block(monkeypatch):
         for s, cfg in enumerate(cfgs):
             for t, chan in enumerate(chans):
                 want = exhaustive_scheme2(chan, cfg, "all_subsets")
-                assert _same_choice(cells, want, s, t)
+                assert same_choice(cells, want, s, t)
                 assert (_chosen(cells, s, t) == (0, 1)) == (cfg.rho >= 30.0)
 
 
@@ -669,7 +650,7 @@ def test_scheme2_rounded_rate_tie_goes_to_the_smaller_set(monkeypatch):
         monkeypatch.setattr(beam_aggregation, "_ROUND", width)
         out = evaluate_scheme2(chan, cfg, "all_subsets")
         assert _chosen(out) == (0, 1)
-        assert _same_choice(out, reference)
+        assert same_choice(out, reference)
 
 
 def test_scheme2_weak_beam_edge_drops_sets_before_they_are_built():
@@ -689,7 +670,7 @@ def test_scheme2_weak_beam_edge_drops_sets_before_they_are_built():
     )
     out = evaluate_scheme2(chan, cfg, "all_subsets")
     assert _chosen(out) == (0, 1)
-    assert _same_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+    assert same_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
 
 
 def _edge_instance():
@@ -739,7 +720,7 @@ def test_scheme2_edge_bound_holds_at_the_edge():
         u, edge = sol.t_star * sol.t_star, full.h[-1] / cfg.eps_p - full.tau_d
         assert sol.alpha_p[-1] == 1.0
         out = evaluate_scheme2(chan, cfg, "all_subsets")
-        assert _same_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
+        assert same_choice(out, exhaustive_scheme2(chan, cfg, "all_subsets"))
         if m == 2:
             assert u == edge < table.power_bound()[-1, 0] ** 2
             assert _chosen(out) == (0, 1)
@@ -758,4 +739,4 @@ def test_scheme2_without_a_primary_threshold():
     for strategy in STRATEGIES:
         out = evaluate_scheme2(chan, cfg, strategy)
         assert _chosen(out) == (0, 1, 2, 3)
-        assert _same_choice(out, exhaustive_scheme2(chan, cfg, strategy))
+        assert same_choice(out, exhaustive_scheme2(chan, cfg, strategy))

@@ -8,6 +8,8 @@ from beamshare.beam_selection import evaluate_selection, evaluate_selection_bloc
 from beamshare.channel_model import SystemConfig, TrialSeed, realize
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p, tau
 
+from oracles import written_tau
+
 
 def _col(values):
     # hand-picked gains of one trial, as the (M, 1) array a block pass takes
@@ -16,15 +18,6 @@ def _col(values):
 
 def _chosen(out):
     return tuple(np.flatnonzero(out.chosen[:, 0, 0]).tolist())
-
-
-def _tau(beams, h, alpha_p, rho):
-    # tau written out: the beams outside the set, in ascending order, plus 1/rho
-    acc = 0.0
-    for j in range(len(h)):
-        if j not in beams:
-            acc += float(h[j]) * float(alpha_p[j])
-    return acc + 1.0 / rho
 
 
 def test_worked_two_beam_chain():
@@ -78,7 +71,7 @@ def test_argmax_gamma_equals_argmax_rate():
         base = mode_i_alpha_p(g, cfg.rho, cfg.eps_p)
         gammas = []
         for m in range(4):
-            tau_m = _tau((m,), h, base, cfg.rho)
+            tau_m = written_tau((m,), h, base, cfg.rho)
             a = alpha_s_cap(h[m], eta(g[m], cfg.rho, cfg.eps_p), tau_m, cfg.eps_p)
             gammas.append(h[m] * a / tau_m)
         rates = [math.log2(1.0 + g) for g in gammas]
@@ -123,7 +116,7 @@ def test_sic_flag_follows_decode_rate():
         (b,) = _chosen(out)
         h = chan.h_gain[:, 0].tolist()
         alpha_p, alpha_s = out.alpha_p[:, 0, 0], out.alpha_s[:, 0, 0]
-        tau_b = _tau((b,), h, alpha_p, cfg.rho)
+        tau_b = written_tau((b,), h, alpha_p, cfg.rho)
         sinr = h[b] * alpha_p[b] / (h[b] * alpha_s[b] + tau_b)
         decode = math.log2(1.0 + sinr)
         assert out.sic_ok.item() == (decode >= cfg.r_p - power_allocation.SIC_SLACK)

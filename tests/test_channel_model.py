@@ -18,9 +18,24 @@ from beamshare.channel_model import (
 )
 
 
-# cond(G) = 2e11 passes the SVD's COND_LIMIT, but G^H G rounds to the
-# exactly singular [[1, 1], [1, 1]], so inv cannot invert it
+# G^H G rounds to the exactly singular [[1, 1], [1, 1]], so inv cannot
+# invert it
 _NO_GRAM_INVERSE = np.array([[1.0, 1.0], [0.0, 1e-11], [0.0, 0.0]], dtype=complex)
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _conditioned(rng, n, m, s):
+    # G = U diag(s) V^H with random unitary U and V
+    return _unitary(rng, n)[:, :m] * s @ _unitary(rng, m).conj().T
+
+
+# an N = M = 4 draw at cond(G) = 1e8, whose direct ZF beams leak (see
+# test_zf_names_a_draw_that_does_not_zero_force)
+_COND_1E8 = _conditioned(np.random.default_rng(7), 4, 4, np.logspace(0.0, -8.0, 4))
 
 
 def test_config_validation():
@@ -180,7 +195,7 @@ def test_realize_resamples_with_derived_subseed(monkeypatch):
     def flaky(G):
         calls["n"] += 1
         if calls["n"] == 1:
-            raise SingularChannel("injected")
+            raise SingularChannel("injected", [0])
         return real_zf(G)
 
     monkeypatch.setattr(channel_model, "zf_beams", flaky)
@@ -207,7 +222,7 @@ def _same_draw(a, t, b, u):
 
 
 def test_block_draws_equal_scalar_realize_bitwise():
-    # the stacked svd/inv/matmul does per matrix what the single call does,
+    # the stacked inv/matmul does per matrix what the single call does,
     # whatever the block's size and the trial's place in it
     for m in range(1, 9):
         for n in sorted({m, m + 1, m + 3, 8}):
@@ -221,8 +236,8 @@ def test_block_draws_equal_scalar_realize_bitwise():
                         _same_draw(block, t, realize(cfg, TrialSeed(*seed)), 0)
 
 
-def test_block_redraws_only_the_singular_row(monkeypatch):
-    cfg = SystemConfig(3, 2, 10.0, 1.0, 1.0)
+def _redraws_only_trial_3(monkeypatch, cfg, bad):
+    # bad in place of trial 3's attempt-0 matrix in a block of six trials
     seeds = [(41, t, 0) for t in range(6)]
     clean, = realize_block([cfg], seeds)
     real_sample = channel_model.sample_channels
@@ -234,7 +249,7 @@ def test_block_redraws_only_the_singular_row(monkeypatch):
         draws = real_sample(cfgs, seeds)
         for row, (_, trial, attempt) in enumerate(rows):
             if trial == 3 and attempt == 0:
-                draws[0][0][row] = 1.0  # identical columns
+                draws[0][0][row] = bad
         return draws
 
     monkeypatch.setattr(channel_model, "sample_channels", singular_once)
@@ -250,6 +265,15 @@ def test_block_redraws_only_the_singular_row(monkeypatch):
     assert _bytes(block, 3) == _bytes(redraw, 0)
 
 
+def test_block_redraws_only_the_singular_row(monkeypatch):
+    identical_columns = 1.0
+    _redraws_only_trial_3(monkeypatch, SystemConfig(3, 2, 10.0, 1.0, 1.0), identical_columns)
+
+
+def test_block_redraws_a_row_that_does_not_zero_force(monkeypatch):
+    _redraws_only_trial_3(monkeypatch, SystemConfig(4, 4, 10.0, 1.0, 1.0), _COND_1E8)
+
+
 def test_zf_names_the_singular_matrices_of_a_stack():
     G = np.stack([np.eye(3, 2, dtype=complex), np.ones((3, 2), dtype=complex)] * 2)
     with pytest.raises(SingularChannel) as exc:
@@ -258,10 +282,10 @@ def test_zf_names_the_singular_matrices_of_a_stack():
 
 
 def test_zf_names_the_matrices_whose_gram_cannot_be_inverted():
-    sv = np.linalg.svd(_NO_GRAM_INVERSE, compute_uv=False)
-    assert sv[0] / sv[-1] < channel_model.COND_LIMIT
+    gram = _NO_GRAM_INVERSE.conj().T @ _NO_GRAM_INVERSE
+    assert gram.tobytes() == np.ones((2, 2), dtype=complex).tobytes()
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(_NO_GRAM_INVERSE.conj().T @ _NO_GRAM_INVERSE)
+        np.linalg.inv(gram)
     with pytest.raises(SingularChannel, match="not invertible") as exc:
         zf_beams(_NO_GRAM_INVERSE)
     assert exc.value.rows == [0]
@@ -272,25 +296,26 @@ def test_zf_names_the_matrices_whose_gram_cannot_be_inverted():
     assert exc.value.rows == [1, 3]
 
 
-def _zf_svd_first(G):
-    """zf_beams' rule with an SVD of every matrix first: (rows it raises
-    on, or "inv" where inv fails on the stack, or None; (F, g_gain))."""
+def _direct_zf(G):
+    # F and g_gain by the formula zf_beams documents, with no test
     m = G.shape[-1]
+    gram_inv = np.linalg.inv(G.conj().swapaxes(-1, -2) @ G)
+    diag = np.real(np.diagonal(gram_inv, axis1=-2, axis2=-1))
+    F = (G @ gram_inv) * (1.0 / np.sqrt(m * diag))[..., None, :]
+    return F, np.abs(np.einsum("...nm,...nm->...m", G.conj(), F)) ** 2
+
+
+def _leakage(G, F):
+    # worst |g_m^H f_i| / |g_m^H f_m| over i != m, per matrix
+    cross = np.abs(G.conj().swapaxes(-1, -2) @ F)
+    own = np.diagonal(cross, axis1=-2, axis2=-1)[..., :, None]
+    return np.max(cross * (1.0 - np.eye(cross.shape[-1])) / own, axis=(-2, -1))
+
+
+def _cond(G):
     sv = np.linalg.svd(G, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = sv[..., 0] / sv[..., -1]
-    if not np.all(cond < channel_model.COND_LIMIT):
-        return np.flatnonzero(~(cond < channel_model.COND_LIMIT)).tolist(), None
-    try:
-        gram_inv = np.linalg.inv(G.conj().swapaxes(-1, -2) @ G)
-    except np.linalg.LinAlgError:
-        return "inv", None
-    diag = np.real(np.diagonal(gram_inv, axis1=-2, axis2=-1))
-    ok = np.all((diag > 0.0) & np.isfinite(diag), axis=-1)
-    if not ok.all():
-        return np.flatnonzero(~ok).tolist(), None
-    F = (G @ gram_inv) * (1.0 / np.sqrt(m * diag))[..., None, :]
-    return None, (F, np.abs(np.einsum("...nm,...nm->...m", G.conj(), F)) ** 2)
+        return sv[..., 0] / sv[..., -1]
 
 
 def _invertible(a):
@@ -301,19 +326,16 @@ def _invertible(a):
     return True
 
 
-def _unitary(rng, n):
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q
-
-
-def test_certified_conditioning_matches_the_svd_rule():
+def test_zf_accepts_only_draws_that_zero_force():
     # stacks G = U diag(s) V^H with cond 10^0 .. 10^15 and exactly singular
-    # matrices, in shuffled order: zf_beams raises on the rows the SVD rule
-    # raises on, and where that rule passes the stack, F and g_gain are its
-    # bytes; rows inv cannot invert (the SVD rule crashed on them) are
-    # named as singular.  The raised rows are removed and the rest retried.
+    # matrices, in shuffled order.  ||A||_F ||A^-1||_F of A = G^H G lies
+    # between cond(G)^2 and M cond(G)^2, so a raised row has cond(G) >=
+    # 1e6 / sqrt(M) or a Gram matrix inv cannot invert, and a row with
+    # cond(G) <= 1e5 passes.  The raised rows are removed and the rest
+    # retried; the passing stack zero-forces, none of its rows has cond(G)
+    # >= 1e7, and F and g_gain are the direct formula's bytes.
     rng = np.random.default_rng(2024)
-    outcomes = set()
+    reasons = set()
     for m in range(1, 9):
         for n in range(m, m + 3):
             mats = []
@@ -321,40 +343,50 @@ def test_certified_conditioning_matches_the_svd_rule():
                 s = np.logspace(0.0, -(k or 0), m) if m > 1 else np.ones(1)
                 if k is None:
                     s[-1] = 0.0
-                mats.append(_unitary(rng, n)[:, :m] * s @ _unitary(rng, m).conj().T)
+                mats.append(_conditioned(rng, n, m, s))
             G = np.stack([mats[i] for i in rng.permutation(len(mats))])
-            while len(G):
-                rows, want = _zf_svd_first(G)
-                outcomes.add("inv" if rows == "inv" else "pass" if rows is None else "raise")
-                if rows == "inv":
-                    rows = [i for i, g in enumerate(G) if not _invertible(g.conj().T @ g)]
-                    assert rows
-                if rows is None:
+            while True:
+                try:
                     F, g_gain = zf_beams(G)
-                    assert F.tobytes() == want[0].tobytes()
-                    assert g_gain.tobytes() == want[1].tobytes()
                     break
-                with pytest.raises(SingularChannel) as exc:
-                    zf_beams(G)
-                assert exc.value.rows == rows, (m, n)
+                except SingularChannel as exc:
+                    rows = exc.rows
+                    reasons.add(str(exc).partition(": ")[2])
+                cond = _cond(G[rows])
+                invertible = [_invertible(g.conj().T @ g) for g in G[rows]]
+                assert np.all((cond >= 1e6 / math.sqrt(m)) | ~np.array(invertible)), (m, n)
+                assert not np.any(cond <= 1e5), (m, n)
                 G = np.delete(G, rows, axis=0)
-    assert outcomes == {"raise", "pass", "inv"}
+            assert np.all(_cond(G) < 1e7), (m, n)
+            assert np.all(_leakage(G, F) < 1e-4), (m, n)
+            want = _direct_zf(G)
+            assert F.tobytes() == want[0].tobytes()
+            assert g_gain.tobytes() == want[1].tobytes()
+    assert reasons == {
+        "||A||_F ||A^-1||_F of A = G^H G is not below 1e+12",
+        "Gram matrix is not invertible",
+    }
 
 
-def test_clean_rayleigh_blocks_skip_the_svd(monkeypatch):
-    # benchmark-size blocks: every Gram matrix is certified by its inverse
-    svd, calls = np.linalg.svd, []
+def test_zf_names_a_draw_that_does_not_zero_force():
+    # at cond(G) = 1e8 the direct beams leak; zf_beams names the row instead
+    assert _cond(_COND_1E8) == pytest.approx(1e8, rel=1e-3)
+    assert _leakage(_COND_1E8, _direct_zf(_COND_1E8)[0]) > 0.1
+    with pytest.raises(SingularChannel) as exc:
+        zf_beams(_COND_1E8)
+    assert exc.value.rows == [0]
+    regular = np.eye(4, dtype=complex)
+    with pytest.raises(SingularChannel) as exc:
+        zf_beams(np.stack([regular, _COND_1E8, regular]))
+    assert exc.value.rows == [1]
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+def test_clean_rayleigh_blocks_redraw_no_row():
+    # benchmark-size blocks: every draw passes, so no row's stream moves
     cfgs = [SystemConfig(m, m, 10.0, 0.1, 1.0) for m in (2, 4, 8)]
     for seed in range(16):
         blocks = realize_block(cfgs, [(seed, t, 0) for t in range(100)])
         assert [block.resamples for block in blocks] == [[0] * 100] * 3
-    assert calls == []
 
 
 def test_geometries_share_one_draw_and_redraw_alone(monkeypatch):

@@ -18,19 +18,12 @@ from beamshare.power_allocation import (
     primary_rates,
 )
 
+from oracles import written_tau
+
 
 def _col(values):
     # hand-picked gains of one trial, as the (M, 1) array a block pass takes
     return np.array(values, dtype=float)[:, None]
-
-
-def _tau(beams, h, alpha_p, rho):
-    # tau written out: the beams outside the set, in ascending order, plus 1/rho
-    acc = 0.0
-    for j in range(len(h)):
-        if j not in beams:
-            acc += float(h[j]) * float(alpha_p[j])
-    return acc + 1.0 / rho
 
 
 def _decode_rate(out, h_gain, rho):
@@ -38,7 +31,7 @@ def _decode_rate(out, h_gain, rho):
     # beam selection chose, from the one cell's own shares
     (b,) = np.flatnonzero(out.chosen[:, 0, 0]).tolist()
     alpha_p, alpha_s = out.alpha_p[:, 0, 0], out.alpha_s[:, 0, 0]
-    tau_b = _tau((b,), h_gain, alpha_p, rho)
+    tau_b = written_tau((b,), h_gain, alpha_p, rho)
     h_b = h_gain[b]
     return math.log2(1.0 + h_b * alpha_p[b] / (h_b * alpha_s[b] + tau_b))
 
@@ -57,7 +50,7 @@ def test_rate_sel_decode_primary_hand_value():
     out = evaluate_selection_block(_col([1.0, 1.0]), _col(h), [cfg])
     assert out.alpha_p[:, 0, 0].tolist() == pytest.approx([0.55, 0.1])
     assert out.alpha_s[:, 0, 0].tolist() == pytest.approx([0.45, 0.0])
-    assert _tau((0,), h, out.alpha_p[:, 0, 0], 10.0) == pytest.approx(0.2)
+    assert written_tau((0,), h, out.alpha_p[:, 0, 0], 10.0) == pytest.approx(0.2)
     assert _decode_rate(out, h, 10.0) == pytest.approx(1.0)
     assert out.sic_ok.item()
 
@@ -151,7 +144,7 @@ def test_aggregation_reduces_to_selection_on_singletons():
             if sol.status != "optimal":
                 continue
             solved += 1
-            tau_m = _tau((m,), h, base, cfg.rho)
+            tau_m = written_tau((m,), h, base, cfg.rho)
             a_s = alpha_s_cap(h[m], eta(g[m], cfg.rho, cfg.eps_p), tau_m, cfg.eps_p)
             gamma = h[m] * a_s / tau_m
             assert sol.objective_rate == pytest.approx(math.log2(1.0 + gamma), abs=1e-12)

@@ -19,19 +19,12 @@ from beamshare.power_allocation import (
     tau,
 )
 
+from oracles import written_tau
+
 
 def _col(values):
     # hand-picked gains of one trial, as the (M, 1) array a block pass takes
     return np.array(values, dtype=float)[:, None]
-
-
-def _tau(beams, h, alpha_p, rho):
-    # tau written out: the beams outside the set, in ascending order, plus 1/rho
-    acc = 0.0
-    for j in range(len(h)):
-        if j not in beams:
-            acc += float(h[j]) * float(alpha_p[j])
-    return acc + 1.0 / rho
 
 
 def test_alpha_p_inactive_values():
@@ -47,13 +40,13 @@ def test_alpha_p_inactive_values():
 def _selection_cap(m, h, g, rho, eps):
     # the share selection gives beam m, all other beams inactive
     base = mode_i_alpha_p(g, rho, eps)
-    return alpha_s_cap(h[m], eta(g[m], rho, eps), _tau((m,), h, base, rho), eps)
+    return alpha_s_cap(h[m], eta(g[m], rho, eps), written_tau((m,), h, base, rho), eps)
 
 
 def test_alpha_s_selection_hand_value():
     # h=(2,1), g=(1,1), inactive share on beam 2 = 0.1, rho=10, eps=1:
     # QoS cap = (1 - 0.1)/2 = 0.45 and SIC cap = (2 - 0.1 - 0.1)/4 = 0.45
-    assert _tau((0,), [2.0, 1.0], [0.1, 0.1], 10.0) == pytest.approx(0.2)
+    assert written_tau((0,), [2.0, 1.0], [0.1, 0.1], 10.0) == pytest.approx(0.2)
     got = _selection_cap(0, [2.0, 1.0], [1.0, 1.0], 10.0, 1.0)
     assert got == pytest.approx(0.45, abs=1e-12)
 

@@ -28,6 +28,8 @@ from beamshare.channel_model import ChannelBlock, sample_channels
 from beamshare.montecarlo import METRICS, SCHEMES, SweepSpec, _run_block
 from beamshare.validation import exhaustive_scheme2, lane_solutions, reference_channels
 
+from oracles import same_choice
+
 # (r_p, r_s): the paper's operating point, vanishing targets, extreme targets
 TARGETS = [(0.1, 1.0), (1e-9, 0.0), (8.0, 8.0)]
 
@@ -138,7 +140,7 @@ def test_pruned_set_search_picks_the_exhaustive_winner(log10_rho, r_p, m_beams, 
     for strategy in STRATEGIES:
         got = evaluate_scheme2(chan, cfg, strategy)
         want = exhaustive_scheme2(chan, cfg, strategy)
-        assert _same_choice(got, want), (strategy, got, want)
+        assert same_choice(got, want), (strategy, got, want)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -176,18 +178,6 @@ def _gains(g, h):
     return ChannelBlock(None, None, None, g_gain, h_gain, [0])
 
 
-def _same_choice(cells, want, s=0, t=0):
-    # cell (s, t) against exhaustive_scheme2's (chosen, rate, alpha_p,
-    # alpha_s): the same set, and rate and split equal bit for bit
-    chosen, rate, alpha_p, alpha_s = want
-    return (
-        np.array_equal(cells.chosen[:, s, t], chosen)
-        and cells.secondary_rate_raw[s, t].item().hex() == rate.hex()
-        and cells.alpha_p[:, s, t].tobytes() == alpha_p.tobytes()
-        and cells.alpha_s[:, s, t].tobytes() == alpha_s.tobytes()
-    )
-
-
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
     m_beams=st.integers(min_value=1, max_value=5),
@@ -223,7 +213,7 @@ def test_block_cells_equal_the_exhaustive_search(m_beams, trials, snr_db, r_p, d
         for s, cfg in enumerate(cfgs):
             for t in range(len(g)):
                 want = exhaustive_scheme2(_gains(g[t], h[t]), cfg, strategy)
-                assert _same_choice(block, want, s, t), (strategy, cfg, t)
+                assert same_choice(block, want, s, t), (strategy, cfg, t)
                 # the reference's outage: no set solves, or the rate is short
                 chosen, rate = want[:2]
                 assert block.outage[s, t] == (not chosen.any() or rate < cfg.r_s)
