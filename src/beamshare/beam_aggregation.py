@@ -673,17 +673,19 @@ def evaluate_scheme2_block(
     descending s_bound = min(B^2, edge) / tau_d (ties in enumeration
     order), _ROUND sets a round, and stops at the first whose bound rate
     log2(1 + s_bound) is below its incumbent's rate.  The other sets of the
-    round get one sweep at t_R = sqrt(s* tau_d) (1 - 1e-9), s* being the
-    incumbent's SNR: if no alpha_p fits there or cap(t_R) < t_R, t* < t_R
-    (cap is nonincreasing), and the set is dropped when its rate bound at
-    t_R ranks below the incumbent.  Rate bounds are raised by the relative
+    round, over all cells, form one lane table (see _Lanes), whose first
+    sweep is at t_R = sqrt(s* tau_d) (1 - 1e-9), s* being the incumbent's
+    SNR: if no alpha_p fits there or cap(t_R) < t_R, t* < t_R (cap is
+    nonincreasing), and the set is dropped when its rate bound at t_R ranks
+    below the incumbent.  A cell with no incumbent has s* = 0 and rate
+    -inf, so it drops nothing.  Rate bounds are raised by the relative
     margin 1e-9, far above rounding, and compared as rates under the full
     ranking, since 1 + s can round SNRs more than 1e-9 apart onto one rate.
-    Every cell's remaining sets are solved as lanes of one lockstep
-    bisection (see _Lanes), and each cell's best becomes its incumbent.
-    The lanes race: a lane whose bracket proves it ranks below its cell's
-    incumbent or another lane leaves the lockstep (see _Lanes.solve).  The
-    ranking is a total order, so neither cut can change the winner.
+    The table's remaining lanes are solved by one lockstep bisection, and
+    each cell's best becomes its incumbent.  The lanes race: a lane whose
+    bracket proves it ranks below its cell's incumbent or another lane
+    leaves the lockstep (see _Lanes.solve).  The ranking is a total order,
+    so neither cut can change the winner.
 
     counts holds the block's search counters: multi-beam (set, cell) pairs
     ranked, dropped by their bound and by the t_R test, lanes solved and
@@ -745,8 +747,9 @@ def _singletons(table: _SetTable, inc: _Incumbents, ones: np.ndarray):
 def _visit(table: _SetTable, inc: _Incumbents, single: np.ndarray, counts: dict):
     """Visit every cell's sets of two or more beams in rounds, in
     descending bound SNR, ties in enumeration order, until a bound rate is
-    below the incumbent's.  table.snr becomes the pending sets' bounds: a
-    set leaves it, as -inf, when visited or dropped."""
+    below the incumbent's; each round's visited pairs are solved on one
+    lane table (see _solve_round).  table.snr becomes the pending sets'
+    bounds: a set leaves it, as -inf, when visited or dropped."""
     pending = table.snr
     pending[single[:, None] | ~(pending >= 0.0)] = -np.inf  # or fit no alpha_p
     left = (pending > -np.inf).sum(axis=0)
@@ -771,50 +774,43 @@ def _visit(table: _SetTable, inc: _Incumbents, single: np.ndarray, counts: dict)
         pending[:, ends] = -np.inf
         visit = valid & (rows < cut)
         if visit.any():
-            owner = np.nonzero(visit)[1]
-            visit[visit] = ~_loses_at_t_r(table, inc, sets[visit], owner, counts)
-        if visit.any():
             _solve_round(table, inc, sets, visit, counts)
-
-
-def _loses_at_t_r(
-    table: _SetTable, inc: _Incumbents, sets: np.ndarray, cells: np.ndarray, counts: dict
-) -> np.ndarray:
-    """Where set sets[l] provably ranks below cell cells[l]'s incumbent, by
-    one sweep at t_R, just under the amplitude at which it would match the
-    incumbent's SNR."""
-    loses = np.zeros(sets.shape, dtype=bool)
-    tested = np.flatnonzero(inc.set[cells] >= 0)
-    at, by = sets[tested], cells[tested]
-    lanes = _Lanes(table, at, by)
-    t_r = np.sqrt(inc.snr(by) * lanes.tau_d) * (1.0 - _PRUNE_MARGIN)
-    fails = ~lanes.holds(t_r)
-    t_r, at, by = t_r[fails], at[fails], by[fails]
-    rate = _rate_bound(t_r * t_r / lanes.tau_d[fails])
-    out = rate < inc.rate[by]
-    for l in np.flatnonzero(rate == inc.rate[by]).tolist():
-        out[l] = inc.below(rate[l], at[l], by[l])
-    loses[tested[fails]] = out
-    counts["t_r_drops"] += int(out.sum())
-    return loses
 
 
 def _solve_round(
     table: _SetTable, inc: _Incumbents, sets: np.ndarray, visit: np.ndarray, counts: dict
 ):
-    """Solve the round's visited pairs, set sets[p, c] at cell c, as the
-    lanes of one lockstep bisection, and offer them to the incumbents."""
-    cells = np.nonzero(visit)[1]
-    lanes = _Lanes(table, sets[visit], cells)
+    """Solve the round's visited pairs, set sets[p, c] at cell c, on one
+    lane table, and offer them to the incumbents.  The table's first sweep,
+    at t_R (see evaluate_scheme2_block), drops the sets that provably rank
+    below their cell's incumbent; a cell with no incumbent has s* = 0, so
+    t_R = 0 and a rate bound of 0, above its rate -inf.  The rest are the
+    lanes of one lockstep bisection."""
+    at, cells = sets[visit], np.nonzero(visit)[1]
+    lanes = _Lanes(table, at, cells)
+    t_r = np.sqrt(inc.snr(cells) * lanes.tau_d) * (1.0 - _PRUNE_MARGIN)
+    fails = np.flatnonzero(~lanes.holds(t_r))
+    t_r, at, by = t_r[fails], at[fails], cells[fails]
+    rate = _rate_bound(t_r * t_r / lanes.tau_d[fails])
+    loses = rate < inc.rate[by]
+    for l in np.flatnonzero(rate == inc.rate[by]).tolist():
+        loses[l] = inc.below(rate[l], at[l], by[l])
+    counts["t_r_drops"] += int(loses.sum())
+    keep = np.ones(len(cells), dtype=bool)
+    keep[fails[loses]] = False
+    if not keep.any():
+        return
+    visit[visit] = keep
+    lanes, cells = lanes._take(keep), cells[keep]
     t_star, steps, raced = lanes.solve(cells, 1.0 + inc.snr(np.arange(len(inc.t))))
     counts["lanes"] += len(t_star)
     counts["iterations"] += steps
     counts["raced"] += raced
     t_all, rate = np.zeros(sets.shape), np.full(sets.shape, -np.inf)
     t_all[visit] = t_star
-    solved = visit & ~np.isnan(t_all)
-    t, tau_d = t_all[solved], table.tau_d[sets[solved], np.nonzero(solved)[1]]
-    rate[solved] = log2_each(1.0 + t * t / tau_d)
+    solved = ~np.isnan(t_star)
+    t = t_star[solved]
+    rate[visit & ~np.isnan(t_all)] = log2_each(1.0 + t * t / lanes.tau_d[solved])
     inc.offer(rate, t_all, sets)
 
 

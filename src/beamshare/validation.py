@@ -239,8 +239,6 @@ def random_feasible_instance(
         cfg = SystemConfig(n, n, rho, r_p, 1.0)
         chan = realize(cfg, TrialSeed(int(rng.integers(2 ** 32)), 0))
         cand = enumerate_candidates(chan, cfg, "prefixes_plus_singletons")[set_size - 1]
-        if not cand.feasible:
-            continue
         sol = solve_problem4(cand)
         if sol.status == "optimal" and sol.t_star > 1e-6:
             return cand
@@ -345,14 +343,12 @@ def exhaustive_scheme2(
     chan: ChannelBlock, cfg: SystemConfig, strategy: str
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Reference for evaluate_scheme2_block's pruned set search on a block
-    of one trial: solve every feasible candidate with solve_problem4 and
-    keep the one of least ranking key, _key.  Returns the chosen beams'
+    of one trial: solve every candidate with solve_problem4 and keep the
+    optimal one of least ranking key, _key.  Returns the chosen beams'
     mask, the rate (0.0 when no set solves) and the split alpha_p, alpha_s,
     each per beam; beams outside the set keep the inactive split."""
     best, best_key = None, None
     for cand in enumerate_candidates(chan, cfg, strategy):
-        if not cand.feasible:
-            continue
         sol = solve_problem4(cand)
         if sol.status != "optimal":
             continue

@@ -27,6 +27,7 @@ from beamshare.channel_model import (
     realize,
     realize_block,
 )
+from beamshare.montecarlo import snr_db_to_linear
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p
 from beamshare.validation import exhaustive_scheme2, random_feasible_instance
 
@@ -578,6 +579,75 @@ def test_scheme2_search_counts_add_up():
             counts["bound_drops"] + counts["t_r_drops"] + counts["lanes"]
         )
         assert counts["rounds"] >= 1 and counts["iterations"] >= 33
+
+
+def _tables_built(monkeypatch, g_gain, h_gain, cfgs):
+    # the counts of an all_subsets block pass and the _Lanes tables it builds
+    built = []
+    init = _Lanes.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_Lanes, "__init__", counting)
+    counts = evaluate_scheme2_block(g_gain, h_gain, cfgs, "all_subsets").counts
+    return counts, len(built)
+
+
+def test_scheme2_builds_one_lane_table_per_round(monkeypatch):
+    # A round with visited pairs sweeps them at t_R and solves the survivors
+    # on one _Lanes table, and the winners' split builds one more. The
+    # N = M = 8 draw above visits one round: 2 tables. The benchmark's
+    # dense_m8 block (seed 0, trials 0-9, 0:40:5 dB) visits pairs in 7 of
+    # its 8 rounds and solves lanes in 2 of them: 8 tables, where a table
+    # for the t_R test and another for the solve made 10. The counts are
+    # those of the two-table rounds.
+    cfg = SystemConfig(8, 8, 100.0, 0.1, 1.0)
+    chan = realize(cfg, TrialSeed(0, 0))
+    assert _tables_built(monkeypatch, chan.g_gain, chan.h_gain, [cfg]) == (
+        dict(
+            ranked=247, bound_drops=239, t_r_drops=0, lanes=8, raced=7, rounds=2, iterations=33
+        ),
+        2,
+    )
+    cfgs = [SystemConfig(8, 8, snr_db_to_linear(x), 0.1, 1.0) for x in range(0, 45, 5)]
+    block, = realize_block(cfgs[:1], [(0, t, 0) for t in range(10)])
+    assert _tables_built(monkeypatch, block.g_gain, block.h_gain, cfgs) == (
+        dict(
+            ranked=17879,
+            bound_drops=16813,
+            t_r_drops=407,
+            lanes=659,
+            raced=567,
+            rounds=8,
+            iterations=66,
+        ),
+        8,
+    )
+
+
+def test_taken_lanes_are_the_lanes_built_from_the_kept_pairs():
+    # A round solves the lanes that survive its t_R sweep on the same table,
+    # compressed by _take: that must hold the arrays a table built from the
+    # kept pairs alone holds, byte for byte, each slot's row contiguous.
+    cfgs = [SystemConfig(4, 4, rho, 0.1, 1.0) for rho in (1e1, 1e3)]
+    block, = realize_block(cfgs[:1], [(53, t, 0) for t in range(6)])
+    table = _SetTable(block.g_gain, block.h_gain, cfgs, "all_subsets")
+    sets, cells = np.nonzero(np.ones(table.tau_d.shape, dtype=bool))
+    rng = np.random.default_rng(11)
+    order = rng.permutation(len(sets))
+    sets, cells = sets[order], cells[order]
+    keep = rng.random(len(sets)) < 0.5
+    assert 0 < keep.sum() < len(keep)
+    taken = _Lanes(table, sets, cells)._take(keep)
+    built = _Lanes(table, sets[keep], cells[keep])
+    for name in ("hc", "h", "etas", "tau_d"):
+        got, want = getattr(taken, name), getattr(built, name)
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    assert taken.eps_p == built.eps_p
 
 
 def test_scheme2_solves_a_set_tied_with_the_incumbent(monkeypatch):
