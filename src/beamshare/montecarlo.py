@@ -26,11 +26,9 @@ import math
 import numbers
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import product
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -267,6 +265,31 @@ def _reduce(values: np.ndarray, resamples: int, metric: str) -> list[MetricEstim
     return [MetricEstimate(m, e, n, resamples) for m, e in cells]
 
 
+# a class, not a lazy module attribute, so that the name is bound from
+# import on: the benchmark's tracer subclasses and replaces it
+class ProcessPoolExecutor:
+    """concurrent.futures.ProcessPoolExecutor, imported only when one is
+    built (see estimate).  Takes the real pool's arguments; map and
+    shutdown go to it, and leaving a with-statement shuts it down."""
+
+    def __init__(self, *args, **kwargs):
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._pool = ProcessPoolExecutor(*args, **kwargs)
+
+    def map(self, fn, *iterables, **kwargs):
+        return self._pool.map(fn, *iterables, **kwargs)
+
+    def shutdown(self, *args, **kwargs):
+        self._pool.shutdown(*args, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown(wait=True)
+
+
 def estimate(
     specs: SweepSpec | Sequence[SweepSpec], workers: int = 1
 ) -> SweepResult | list[SweepResult]:
@@ -278,9 +301,12 @@ def estimate(
     any of them takes under _BUDGET, cut where a spec's trials end.  With
     workers > 1 every unit goes through one process pool, in units small
     enough to give each worker about four per seed, and pool.map hands them
-    back in submission order.  workers is capped at the CPUs this process
-    may use: the pool starts a process per unit while none is idle, and
-    more processes than CPUs only add start-up cost.  The output does not
+    back in submission order.  The pool is this module's
+    ProcessPoolExecutor, which loads concurrent.futures and multiprocessing
+    only when built, so a workers-1 run never loads either.  workers is
+    capped at the CPUs this process may use: the pool starts a process per
+    unit while none is idle, and more processes than CPUs only add start-up
+    cost.  The output does not
     depend on workers or on the other specs of the run.
     """
     single = isinstance(specs, SweepSpec)
@@ -305,6 +331,8 @@ def estimate(
     parts = [[] for _ in specs]
     with ExitStack() as stack:
         if workers > 1:
+            from multiprocessing import get_context
+
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
             )
