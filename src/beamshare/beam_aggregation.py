@@ -36,6 +36,7 @@ from .power_allocation import (
     alpha_s_cap,
     beam_sum,
     eta,
+    log2_at_least,
     log2_each,
     mode_i_alpha_p,
     snr_points,
@@ -582,11 +583,11 @@ def evaluate_scheme1_block(
     alpha_p = np.minimum(1.0, eta(g, rho, cfg.eps_p))
     alpha_s = 1.0 - alpha_p
     t = beam_sum(np.sqrt(h * alpha_s))
-    rate = log2_each(1.0 + t * t / tau(h, alpha_p, rho))
+    sinr = t * t / tau(h, alpha_p, rho)
     return CellOutcomes(
-        secondary_rate_raw=rate,
-        sic_ok=np.ones(rate.shape, dtype=bool),
-        outage=rate < cfg.r_s,
+        sinr=sinr,
+        sic_ok=np.ones(sinr.shape, dtype=bool),
+        outage=~(log2_at_least(1.0 + sinr, cfg.r_s) | np.isnan(sinr)),  # as rate < r_s
         chosen=np.ones(alpha_p.shape, dtype=bool),
         alpha_p=alpha_p,
         alpha_s=alpha_s,
@@ -609,12 +610,13 @@ def _rate_bound(snr: np.ndarray) -> np.ndarray:
 
 class _Incumbents:
     """Each cell's best set so far under scheme 2's ranking (largest rate,
-    then smaller set, then lexicographic beam indices): its rate (-inf for
-    none), t* and set (-1 for none)."""
+    then smaller set, then lexicographic beam indices): its rate
+    log2(1 + sinr) (-inf for none), sinr (0 for none), t* and set (-1 for none)."""
 
     def __init__(self, table: _SetTable):
         self.table = table
         self.rate = np.full(len(table.trial), -np.inf)
+        self.sinr = np.zeros(self.rate.shape)
         self.t = np.zeros(self.rate.shape)
         self.set = np.full(self.rate.shape, -1)
 
@@ -629,20 +631,21 @@ class _Incumbents:
         """t*^2 / tau_d of the incumbents of these cells, 0 for none."""
         return np.square(self.t[cells]) / self.table.tau_d[self.set[cells], cells]
 
-    def offer(self, rate: np.ndarray, t: np.ndarray, sets: np.ndarray):
-        """Make set sets[p, c], at rate[p, c] and t*[p, c], cell c's
-        incumbent if it ranks first; rate is -inf where nothing is offered."""
+    def offer(self, rate: np.ndarray, sinr: np.ndarray, t: np.ndarray, sets):
+        """Make set sets[p, c], at rate[p, c] = log2(1 + sinr[p, c]) and t*[p, c],
+        cell c's incumbent if it ranks first; rate is -inf where nothing is offered."""
         best = rate.argmax(axis=0)
         cells = np.arange(rate.shape[1])
         top = rate[best, cells]
         tied = ((rate == top).sum(axis=0) > 1) | (top == self.rate)
         win = (top > self.rate) & ~tied
-        self.rate[win], self.t[win] = top[win], t[best, cells][win]
-        self.set[win] = sets[best, cells][win]
+        self.rate[win], self.sinr[win] = top[win], sinr[best, cells][win]
+        self.t[win], self.set[win] = t[best, cells][win], sets[best, cells][win]
         for c in np.flatnonzero(tied & (top > -np.inf)).tolist():
             for p in np.flatnonzero(rate[:, c] == top[c]).tolist():
                 if not self.below(top[c], sets[p, c], c):
-                    self.rate[c], self.t[c], self.set[c] = top[c], t[p, c], sets[p, c]
+                    self.rate[c], self.sinr[c] = top[c], sinr[p, c]
+                    self.t[c], self.set[c] = t[p, c], sets[p, c]
 
 
 def evaluate_scheme2_block(
@@ -716,11 +719,11 @@ def evaluate_scheme2_block(
     out_ap[at], out_as[at] = alpha_p[slot, lane], x[slot, lane] * x[slot, lane]
     chosen[at] = True
     shape = (m_beams, len(cfgs), trials)
-    rate = np.where(inc.set >= 0, inc.rate, 0.0).reshape(shape[1:])
     return CellOutcomes(
-        secondary_rate_raw=rate,
-        sic_ok=np.ones(rate.shape, dtype=bool),
-        outage=(inc.set < 0).reshape(rate.shape) | (rate < table.cfg.r_s),
+        sinr=inc.sinr.reshape(shape[1:]),
+        sic_ok=np.ones(shape[1:], dtype=bool),
+        # a cell with no winner has rate -inf
+        outage=(inc.rate < table.cfg.r_s).reshape(shape[1:]),
         chosen=chosen.reshape(shape),
         alpha_p=out_ap.reshape(shape),
         alpha_s=out_as.reshape(shape),
@@ -738,9 +741,9 @@ def _singletons(table: _SetTable, inc: _Incumbents, ones: np.ndarray):
         table.h[ranks], table.etas[ranks], tau_d, table.eps_p
     )
     fits &= table.snr[ones] >= 0.0
-    rate = np.full(u.shape, -np.inf)
-    rate[fits] = log2_each(1.0 + u[fits] / tau_d[fits])
-    inc.offer(rate, np.sqrt(u), np.broadcast_to(ones[:, None], u.shape))
+    rate, sinr = np.full(u.shape, -np.inf), u / tau_d
+    rate[fits] = log2_each(1.0 + sinr[fits])
+    inc.offer(rate, sinr, np.sqrt(u), np.broadcast_to(ones[:, None], u.shape))
     return alpha_p, np.sqrt(alpha_s)
 
 
@@ -806,12 +809,11 @@ def _solve_round(
     counts["lanes"] += len(t_star)
     counts["iterations"] += steps
     counts["raced"] += raced
-    t_all, rate = np.zeros(sets.shape), np.full(sets.shape, -np.inf)
-    t_all[visit] = t_star
-    solved = ~np.isnan(t_star)
-    t = t_star[solved]
-    rate[visit & ~np.isnan(t_all)] = log2_each(1.0 + t * t / lanes.tau_d[solved])
-    inc.offer(rate, t_all, sets)
+    t_all, sinr = np.zeros(sets.shape), np.full(sets.shape, np.nan)
+    t_all[visit], sinr[visit] = t_star, t_star * t_star / lanes.tau_d  # NaN: unsolved
+    rate, solved = np.full(sets.shape, -np.inf), ~np.isnan(sinr)
+    rate[solved] = log2_each(1.0 + sinr[solved])
+    inc.offer(rate, sinr, t_all, sets)
 
 
 def evaluate_scheme2(

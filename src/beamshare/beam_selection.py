@@ -6,8 +6,8 @@ secondary SINR gamma and the rate at which the secondary user decodes the
 primary signal on that beam.  The beam with the best gamma wins (ties to the
 lowest index).  The rate is credited only when the SIC precondition holds on
 the chosen beam -- the secondary user cannot decode anything if it fails to
-strip the primary signal first; the unconditioned value log2(1 + gamma) is
-what the outcome stores.
+strip the primary signal first; the outcome stores the unconditioned gamma,
+whose rate log2(1 + gamma) is taken when read.
 
 evaluate_selection_block scores every (SNR point, trial) cell of a block as
 numpy arrays, beam by beam, with each cell's floats computed in the order
@@ -27,7 +27,7 @@ from .power_allocation import (
     CellOutcomes,
     alpha_s_cap,
     eta,
-    log2_each,
+    log2_at_least,
     mode_i_alpha_p,
     snr_points,
     tau,
@@ -59,15 +59,16 @@ def evaluate_selection_block(
     rows, cols = np.indices(best.shape, sparse=True)
     pick = (best, rows, cols)  # each cell's chosen beam
     h_b, a_s = h_gain[best, cols], caps[pick]
-    # rate of decoding the primary signal on the chosen beam, the other
-    # beams' inactive power and the noise making up tau
-    decode = log2_each(1.0 + h_b * (1.0 - a_s) / (h_b * a_s + taus[pick]))
-    sic_ok = decode >= cfg.r_p - SIC_SLACK
-    rate = log2_each(1.0 + gammas[pick])
+    # whether the primary signal on the chosen beam decodes at r_p, the
+    # other beams' inactive power and the noise making up tau
+    sic_ok = log2_at_least(
+        1.0 + h_b * (1.0 - a_s) / (h_b * a_s + taus[pick]), cfg.r_p - SIC_SLACK
+    )
+    sinr = gammas[pick]
     return CellOutcomes(
-        secondary_rate_raw=rate,
+        sinr=sinr,
         sic_ok=sic_ok,
-        outage=~(sic_ok & (rate >= cfg.r_s)),
+        outage=~(sic_ok & log2_at_least(1.0 + sinr, cfg.r_s)),
         chosen=chosen,
         alpha_p=np.where(chosen, 1.0 - caps, base_ap),
         alpha_s=np.where(chosen, caps, 0.0),

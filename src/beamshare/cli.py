@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -193,7 +194,7 @@ def _output(path: str) -> Iterator[TextIO]:
     except FileNotFoundError:
         mode = None
     except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     if path.endswith(os.sep) or (mode is not None and stat.S_ISDIR(mode)):
         raise OSError(f"cannot write {path}: is a directory")
     directory, name = os.path.split(real)
@@ -222,7 +223,8 @@ def _open(path: str, target: str, mode: str) -> TextIO:
     try:
         return open(target, mode, encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+        # strerror alone, since exc names the temporary file
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -319,6 +321,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+# built on first use, not at import, and once per process (about 0.5 ms)
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beamshare",

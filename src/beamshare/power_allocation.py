@@ -13,8 +13,9 @@ here:
   because np.sum adds pairwise and would round differently;
 * the single-beam alpha_s cap, the smaller of the QoS and SIC caps, which
   selection and scheme 2's singleton sets share;
-* the legacy users' rates, and the CellOutcomes arrays every scheme returns
-  for a block of cells, a single cell being the block of one.
+* the legacy users' rates, a rate's test against a target, and the
+  CellOutcomes arrays every scheme returns for a block of cells, a single
+  cell being the block of one.
 
 Each scheme module builds its own split from these rules.  Every rule is
 elementwise: a gain, share or rho may be a float or an array over cells, and
@@ -42,6 +43,7 @@ __all__ = [
     "alpha_s_cap",
     "primary_rates",
     "log2_each",
+    "log2_at_least",
 ]
 
 # Numerical slack on the SIC precondition r_tilde >= r_p: the constructed
@@ -56,10 +58,11 @@ class CellOutcomes:
 
     Cell values have shape (S, T); per-beam values are beam-major, (M, S, T),
     with g_gain (M, 1, T) and rho (S, 1) broadcasting to them.  One cell
-    is the block of one, S = T = 1.
+    is the block of one, S = T = 1.  sinr is each cell's secondary SINR,
+    and its rate log2(1 + sinr) is taken only when read.
     """
 
-    secondary_rate_raw: np.ndarray
+    sinr: np.ndarray
     sic_ok: np.ndarray
     outage: np.ndarray
     chosen: np.ndarray                 # mask of the beams carrying secondary power
@@ -68,6 +71,10 @@ class CellOutcomes:
     g_gain: np.ndarray
     rho: np.ndarray
     counts: dict = field(default_factory=dict)  # the scheme's search counters
+
+    @property
+    def secondary_rate_raw(self) -> np.ndarray:
+        return log2_each(1.0 + self.sinr)
 
     @property
     def secondary_rate(self) -> np.ndarray:
@@ -177,3 +184,16 @@ def log2_each(x: np.ndarray) -> np.ndarray:
     about 1 value in 4,000, and the rates are defined by math.log2."""
     values = map(math.log2, x.ravel().tolist())
     return np.fromiter(values, float, x.size).reshape(x.shape)
+
+
+def log2_at_least(x: np.ndarray, level: float) -> np.ndarray:
+    """log2_each(x) >= level, taking math.log2 only within 1e-9 relative of
+    2**level (level above -1022).  Outside that band x >= 2**level gives the
+    same answer: log2 moves by more than 1.4e-9 across it, and math.log2 and
+    2**level are each within an ulp."""
+    edge = 2.0 ** level if level < 1024.0 else math.inf  # 2.0 ** 1024 raises
+    out = x >= edge
+    near = (x >= edge * (1.0 - 1e-9)) & (x <= edge * (1.0 + 1e-9))
+    if near.any():
+        out[near] = log2_each(x[near]) >= level
+    return out

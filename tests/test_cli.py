@@ -1,6 +1,10 @@
+import argparse
+import errno
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -84,6 +88,16 @@ def test_sweep_unwritable_output(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(target)]) == 3
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_unwritable_output_error_names_only_the_users_path(tmp_path, capsys):
+    # the temporary file beside the target is ours, and its name carries a pid
+    cfg = _write_config(tmp_path / "cfg.json")
+    target = tmp_path / "missing-dir" / "out.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(target)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: cannot write {target}: {os.strerror(errno.ENOENT)}"]
+    assert ".tmp" not in err
 
 
 def test_sweep_overrides_and_stdout(tmp_path, capsys):
@@ -416,3 +430,53 @@ def test_preset_hands_every_curve_to_one_estimate(tmp_path, monkeypatch):
     assert main(args + ["--m-beams", "2", "--m-beams", "3"]) == 0
     assert calls == [[(2, 2), (3, 3)]]
     assert [r.split(",")[2] for r in _rows(out.read_text())] == ["2", "3"]
+
+
+def test_one_parser_serves_every_run_of_a_process(capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli_mod._build_parser.cache_clear()
+    argv = ["preset", "fig2b", "--trials", "3", "--snr-db", "0:10:10"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert _rows(first)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert main(["preset", "fig2b", "--trials"]) == 2  # a usage error
+    assert "expected one argument" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert main(["preset", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: beamshare preset")
+    assert built.count("beamshare") == 1
+
+
+_IMPORT_CLI = """
+import argparse, sys
+sys.path.insert(0, sys.argv[1])
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import beamshare.cli
+print(len(built), end=" ")
+beamshare.cli._build_parser()
+print(built.count("beamshare"))
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    # a fresh interpreter, since this session has long since built one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CLI, src], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 1\n"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,16 @@ from beamshare.beam_aggregation import (
     evaluate_scheme1_block,
     evaluate_scheme2,
 )
-from beamshare.beam_selection import evaluate_selection
-from beamshare.channel_model import SystemConfig, TrialSeed, realize
+from beamshare import power_allocation
+from beamshare.beam_selection import evaluate_selection, evaluate_selection_block
+from beamshare.channel_model import SystemConfig, TrialSeed, realize, realize_block
 from beamshare.power_allocation import (
+    SIC_SLACK,
     alpha_s_cap,
     beam_sum,
     eta,
+    log2_at_least,
+    log2_each,
     mode_i_alpha_p,
     tau,
 )
@@ -219,3 +224,111 @@ def test_coefficient_ranges_random():
             # secondary power sits on the chosen beams only
             assert np.all(out.alpha_s[~out.chosen] == 0.0)
         assert evaluate_scheme1(chan, cfg).chosen.all()
+
+
+def _steps(x, k):
+    # the float k steps above x (below for k < 0)
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return float(x)
+
+
+_BAND = 1e-9  # log2_at_least's band, relative to 2**level
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    level=st.one_of(st.sampled_from([0.0, 1.0, 0.1 - SIC_SLACK]), st.floats(0.0, 20.0)),
+    data=st.data(),
+)
+def test_log2_at_least_is_the_log2_comparison(level, data):
+    # element by element log2_each(x) >= level, on x around 2**level, on
+    # and beside the band's edges, across the band, and at 1, inf and NaN
+    edge = 2.0 ** level
+    lo, hi = edge * (1.0 - _BAND), edge * (1.0 + _BAND)
+    near = [_steps(edge, k) for k in data.draw(st.lists(st.integers(-4, 4), max_size=9))]
+    rims = [_steps(x, k) for x in (lo, hi) for k in (-2, -1, 0, 1, 2)]
+    offsets = data.draw(st.lists(st.floats(-3 * _BAND, 3 * _BAND), max_size=6))
+    across = [edge * (1.0 + d) for d in offsets]
+    wide = data.draw(st.lists(st.floats(1.0, 2.0 ** 21), max_size=4))
+    x = np.array(near + rims + across + wide + [1.0, math.inf, math.nan])
+    x = x[data.draw(st.permutations(range(len(x))))]
+    want = log2_each(x) >= level
+    assert log2_at_least(x, level).tolist() == want.tolist()
+    assert log2_at_least(x[:, None], level).tolist() == want[:, None].tolist()
+
+
+def test_log2_at_least_takes_log2_only_inside_its_band(monkeypatch):
+    taken = []
+
+    def counted(x):
+        taken.extend(x.tolist())
+        return log2_each(x)
+
+    monkeypatch.setattr(power_allocation, "log2_each", counted)
+    outside = [1.0, 1.999999, 2.000001, 3.0, math.inf, math.nan]
+    inside = [2.0, _steps(2.0, -1), _steps(2.0, 1), 2.0 * (1.0 + 0.9 * _BAND)]
+    got = log2_at_least(np.array(outside + inside), 1.0)
+    assert got.tolist() == [False, False, True, True, True, False, True, False, True, True]
+    assert taken == inside
+    # a level past the float range: only inf reaches it, and nothing raises
+    taken.clear()
+    assert log2_at_least(np.array([3.0, 1e308, math.inf]), 2000.0).tolist() == [
+        False, False, True
+    ]
+    assert taken == [math.inf]
+
+
+def _selection_decode_rates(out, h_gain, rhos):
+    # selection's rate of decoding the primary signal on each cell's chosen
+    # beam, written out from the outcome's own shares
+    rates = np.empty(out.sic_ok.shape)
+    for s, t in np.ndindex(*rates.shape):
+        (b,) = np.flatnonzero(out.chosen[:, s, t])
+        h = h_gain[:, t].tolist()
+        alpha_p, alpha_s = out.alpha_p[:, s, t], out.alpha_s[:, s, t]
+        tau_b = written_tau((b,), h, alpha_p, rhos[s])
+        rates[s, t] = math.log2(1.0 + h[b] * alpha_p[b] / (h[b] * alpha_s[b] + tau_b))
+    return rates
+
+
+def test_outage_inside_the_band_is_the_log2_comparison():
+    # r_s is one cell's own rate, or a float beside it, so that this cell's
+    # outage is decided inside log2_at_least's band; selection's decode
+    # rates land in its band by themselves wherever the SIC cap binds
+    cfg = SystemConfig(4, 4, 1.0, 0.1, 1.0)
+    block, = realize_block([cfg], [(67, t, 0) for t in range(50)])
+    g, h = block.g_gain, block.h_gain
+    rhos = [10.0 ** (db / 10.0) for db in (0.0, 10.0, 20.0, 30.0)]
+    cell = (2, 7)
+    for block_pass in (evaluate_selection_block, evaluate_scheme1_block):
+        probe = block_pass(g, h, [replace(cfg, rho=rho) for rho in rhos])
+        rate = math.log2(1.0 + probe.sinr[cell])
+        for k in (-1, 0, 1):
+            r_s = _steps(rate, k)
+            out = block_pass(g, h, [replace(cfg, rho=rho, r_s=r_s) for rho in rhos])
+            assert abs(1.0 + out.sinr[cell] - 2.0 ** r_s) <= _BAND * 2.0 ** r_s
+            assert out.outage[cell] == (k == 1)
+            if block_pass is evaluate_scheme1_block:
+                assert np.array_equal(out.outage, out.secondary_rate_raw < r_s)
+                continue
+            decode = _selection_decode_rates(out, h, rhos)
+            level = cfg.r_p - SIC_SLACK
+            assert (abs(2.0 ** decode - 2.0 ** level) <= _BAND * 2.0 ** level).sum() >= 10
+            assert np.array_equal(out.sic_ok, decode >= level)
+            met = out.secondary_rate_raw >= r_s
+            assert np.array_equal(out.outage, ~(out.sic_ok & met))
+
+
+def test_a_nan_rate_keeps_the_comparison_it_replaced():
+    # a NaN SINR is an outage for selection (its rate is not >= r_s, and
+    # its SIC test fails) and none for scheme 1 (its rate is not < r_s)
+    cfg = SystemConfig(2, 2, 10.0, 0.1, 1.0)
+    g, h = _col([1.0, 1.0]), _col([math.nan, 1.0])
+    sel = evaluate_selection_block(g, h, [cfg])
+    s1 = evaluate_scheme1_block(g, h, [cfg])
+    assert np.isnan(sel.sinr).all() and np.isnan(s1.sinr).all()
+    rate = sel.secondary_rate_raw.item()
+    assert not sel.sic_ok.item() and not rate >= cfg.r_s and sel.outage.item()
+    rate = s1.secondary_rate_raw.item()
+    assert not rate < cfg.r_s and not s1.outage.item()
