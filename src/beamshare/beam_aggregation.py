@@ -149,7 +149,7 @@ class _SetTable:
     evaluate_scheme2_block) is below 0 or nan for a set that fits no alpha_p.
     """
 
-    def __init__(self, g_gain, h_gain, cfgs: Sequence[SystemConfig], strategy: str):
+    def __init__(self, g_gain, h_gain, cfg: SystemConfig, strategy: str):
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
@@ -159,10 +159,10 @@ class _SetTable:
             raise ValueError(
                 f"all_subsets enumeration is limited to {ALL_SUBSETS_MAX_BEAMS} beams"
             )
-        self.cfg, self.rho = snr_points(g_gain, cfgs)
-        eps_p = self.eps_p = self.cfg.eps_p
+        self.rho = snr_points(g_gain, cfg)
+        eps_p = self.eps_p = cfg.eps_p
         self.members, self.slots = _layout(strategy, m_beams)
-        self.trial = np.tile(np.arange(trials), len(cfgs))
+        self.trial = np.tile(np.arange(trials), len(self.rho))
         rho = np.repeat(self.rho, trials)
         self.order = np.argsort(-h_gain, axis=0, kind="stable")
         by_rank = self.order[:, self.trial]
@@ -329,7 +329,7 @@ def enumerate_candidates(
     Every set is ordered by descending h_gain (ties by index); infeasible
     candidates are still listed.
     """
-    table = _SetTable(chan.g_gain, chan.h_gain, [cfg], strategy)
+    table = _SetTable(chan.g_gain, chan.h_gain, cfg, strategy)
     return [table.candidate(i, 0) for i in range(len(table.slots))]
 
 
@@ -564,21 +564,21 @@ def oracle_grid_solver(
 
 
 def evaluate_scheme1_block(
-    g_gain: np.ndarray, h_gain: np.ndarray, cfgs: Sequence[SystemConfig]
+    g_gain: np.ndarray, h_gain: np.ndarray, cfg: SystemConfig
 ) -> CellOutcomes:
     """Evaluate direct-decoding aggregation over every beam, on every
     (SNR point, trial) cell of a block.
 
-    g_gain and h_gain are (M, T), beam-major; cfgs are the SNR points, one
-    per row of the cells, and differ in rho alone (see snr_points).  Each
-    beam gives the secondary user everything the legacy QoS can spare,
-    alpha_p = min(1, eta_m) and alpha_s = 1 - alpha_p.  The secondary user
+    g_gain and h_gain are (M, T), beam-major; cfg.rho holds the SNR points,
+    one per row of the cells (see snr_points).  Each beam gives the
+    secondary user everything the legacy QoS can spare, alpha_p =
+    min(1, eta_m) and alpha_s = 1 - alpha_p.  The secondary user
     combines its shares coherently and decodes directly, treating every
     primary signal (including those on its own beams) as noise.  There is
     no SIC precondition: the achieved rate is always decodable, so outage
     is simply rate < r_s.
     """
-    cfg, rho = snr_points(g_gain, cfgs)
+    rho = snr_points(g_gain, cfg)
     g, h = g_gain[:, None, :], h_gain[:, None, :]
     alpha_p = np.minimum(1.0, eta(g, rho, cfg.eps_p))
     alpha_s = 1.0 - alpha_p
@@ -599,7 +599,7 @@ def evaluate_scheme1_block(
 def evaluate_scheme1(chan: ChannelBlock, cfg: SystemConfig) -> CellOutcomes:
     """Evaluate direct-decoding aggregation on the draws of chan at cfg's
     SNR point."""
-    return evaluate_scheme1_block(chan.g_gain, chan.h_gain, [cfg])
+    return evaluate_scheme1_block(chan.g_gain, chan.h_gain, cfg)
 
 
 def _rate_bound(snr: np.ndarray) -> np.ndarray:
@@ -651,19 +651,18 @@ class _Incumbents:
 def evaluate_scheme2_block(
     g_gain: np.ndarray,
     h_gain: np.ndarray,
-    cfgs: Sequence[SystemConfig],
+    cfg: SystemConfig,
     strategy: str = "prefixes_plus_singletons",
 ) -> CellOutcomes:
     """Evaluate SIC-chain aggregation, with the set chosen by enumeration,
     on every (SNR point, trial) cell of a block.
 
-    g_gain and h_gain are (M, T), beam-major; cfgs are the SNR points, one
-    per row of the cells, and differ in rho alone (see snr_points).  A
-    cell's winner has the largest secondary rate over its feasible
-    candidates (ties: smaller set, then lexicographic beam indices).  The
-    decode constraints are part of the program, so SIC always succeeds at
-    the returned point; with singletons enumerated the result never falls
-    below selection.
+    g_gain and h_gain are (M, T), beam-major; cfg.rho holds the SNR points,
+    one per row of the cells (see snr_points).  A cell's winner has the
+    largest secondary rate over its feasible candidates (ties: smaller set,
+    then lexicographic beam indices).  The decode constraints are part of
+    the program, so SIC always succeeds at the returned point; with
+    singletons enumerated the result never falls below selection.
 
     Each cell's winner, rate and power split are bit for bit those of
     solving every set, though most sets are not solved.  Two bounds on t*
@@ -695,7 +694,7 @@ def evaluate_scheme2_block(
     raced out of the lockstep, rounds, and lockstep bisection iterations.
     """
     m_beams, trials = h_gain.shape
-    table = _SetTable(g_gain, h_gain, cfgs, strategy)
+    table = _SetTable(g_gain, h_gain, cfg, strategy)
     inc = _Incumbents(table)
     counts = dict(
         ranked=0, bound_drops=0, t_r_drops=0, lanes=0, raced=0, rounds=0, iterations=0
@@ -718,12 +717,12 @@ def evaluate_scheme2_block(
     chosen = np.zeros(out_ap.shape, dtype=bool)
     out_ap[at], out_as[at] = alpha_p[slot, lane], x[slot, lane] * x[slot, lane]
     chosen[at] = True
-    shape = (m_beams, len(cfgs), trials)
+    shape = (m_beams, len(table.rho), trials)
     return CellOutcomes(
         sinr=inc.sinr.reshape(shape[1:]),
         sic_ok=np.ones(shape[1:], dtype=bool),
         # a cell with no winner has rate -inf
-        outage=(inc.rate < table.cfg.r_s).reshape(shape[1:]),
+        outage=(inc.rate < cfg.r_s).reshape(shape[1:]),
         chosen=chosen.reshape(shape),
         alpha_p=out_ap.reshape(shape),
         alpha_s=out_as.reshape(shape),
@@ -821,4 +820,4 @@ def evaluate_scheme2(
 ) -> CellOutcomes:
     """Evaluate SIC-chain aggregation on the draws of chan at cfg's SNR
     point (see evaluate_scheme2_block)."""
-    return evaluate_scheme2_block(chan.g_gain, chan.h_gain, [cfg], strategy)
+    return evaluate_scheme2_block(chan.g_gain, chan.h_gain, cfg, strategy)

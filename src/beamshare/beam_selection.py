@@ -17,8 +17,6 @@ one, a one-trial ChannelBlock at one SNR point.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .channel_model import ChannelBlock, SystemConfig
@@ -37,16 +35,16 @@ __all__ = ["evaluate_selection", "evaluate_selection_block"]
 
 
 def evaluate_selection_block(
-    g_gain: np.ndarray, h_gain: np.ndarray, cfgs: Sequence[SystemConfig]
+    g_gain: np.ndarray, h_gain: np.ndarray, cfg: SystemConfig
 ) -> CellOutcomes:
     """Evaluate beam selection on every (SNR point, trial) cell of a block.
 
-    g_gain and h_gain are (M, T), beam-major; cfgs are the SNR points, one
-    per row of the cells, and differ in rho alone (see snr_points).  The
-    candidate with the largest secondary SINR gamma_m wins (argmax of gamma
-    equals argmax of the rate since log2 is monotone).
+    g_gain and h_gain are (M, T), beam-major; cfg.rho holds the SNR points,
+    one per row of the cells (see snr_points).  The candidate with the
+    largest secondary SINR gamma_m wins (argmax of gamma equals argmax of
+    the rate since log2 is monotone).
     """
-    cfg, rho = snr_points(g_gain, cfgs)
+    rho = snr_points(g_gain, cfg)
     eps_p = cfg.eps_p
     g, h = g_gain[:, None, :], h_gain[:, None, :]
     base_ap = mode_i_alpha_p(g, rho, eps_p)
@@ -79,4 +77,4 @@ def evaluate_selection_block(
 
 def evaluate_selection(chan: ChannelBlock, cfg: SystemConfig) -> CellOutcomes:
     """Evaluate beam selection on the draws of chan at cfg's SNR point."""
-    return evaluate_selection_block(chan.g_gain, chan.h_gain, [cfg])
+    return evaluate_selection_block(chan.g_gain, chan.h_gain, cfg)

@@ -91,18 +91,20 @@ class SingularChannel(Exception):
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Experiment parameters for one operating point.
+    """Experiment parameters for one operating point, or for a block of SNR
+    points that share everything but rho.
 
     n_antennas : base-station antenna count N
     m_beams    : number of preconfigured beams / primary users M
-    rho        : transmit SNR, linear scale (noise power is normalized to 1)
+    rho        : transmit SNR, linear scale (noise power is normalized to 1),
+                 or a nonempty tuple of them, one per SNR point of a block
     r_p        : per-primary-user target rate, bits per channel use
     r_s        : secondary-user target rate, bits per channel use
     """
 
     n_antennas: int
     m_beams: int
-    rho: float
+    rho: float | tuple[float, ...]
     r_p: float
     r_s: float
 
@@ -114,7 +116,8 @@ class SystemConfig:
                 "n_antennas must be >= m_beams (zero-forcing needs at least "
                 "as many antennas as beams)"
             )
-        if not (self.rho > 0.0) or not math.isfinite(self.rho):
+        rhos = self.rho if isinstance(self.rho, tuple) else (self.rho,)
+        if not rhos or not all(rho > 0.0 and math.isfinite(rho) for rho in rhos):
             raise ValueError("rho must be a positive finite linear SNR")
         if not (self.r_p > 0.0):
             raise ValueError("r_p must be > 0 BPCU")

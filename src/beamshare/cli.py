@@ -21,7 +21,6 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import replace
 from typing import Iterator, Optional, Sequence, TextIO
 
 from .montecarlo import METRICS, SweepResult, SweepSpec, estimate
@@ -59,8 +58,8 @@ class ConfigError(Exception):
     pass
 
 
-def _load_config(path: str) -> SweepSpec:
-    """Read a flat JSON experiment config into a SweepSpec."""
+def _load_config(path: str) -> dict:
+    """Read a flat JSON experiment config into SweepSpec fields."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -78,7 +77,7 @@ def _load_config(path: str) -> SweepSpec:
     missing = sorted(set(_CONFIG_KEYS) - {"candidate_strategy"} - set(raw))
     if missing:
         raise ConfigError(f"missing config field(s): {', '.join(missing)}")
-    return SweepSpec(**{_CONFIG_KEYS[key]: value for key, value in raw.items()})
+    return {_CONFIG_KEYS[key]: value for key, value in raw.items()}
 
 
 # figure presets: schemes, metric, and which assumptions we had to fill in
@@ -256,7 +255,7 @@ def _run(
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
-        spec = replace(_load_config(args.config), **_overrides(args))
+        spec = SweepSpec(**_load_config(args.config) | _overrides(args))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     metadata = [

@@ -27,7 +27,7 @@ import numbers
 import os
 from collections.abc import Sequence
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -97,6 +97,7 @@ class SweepSpec:
     Construction checks every field's type and range, so a spec built from
     untrusted input (JSON, command line) either is valid or raises
     ValueError.  Lists are stored as tuples and numbers as int or float.
+    config is the grid's SystemConfig, one rho per point of snr_grid_db.
     """
 
     n_antennas: int
@@ -109,6 +110,7 @@ class SweepSpec:
     trials: int
     seed: int
     candidate_strategy: str = "prefixes_plus_singletons"
+    config: SystemConfig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         def store(name, value):
@@ -153,8 +155,11 @@ class SweepSpec:
                 f"m_beams <= {ALL_SUBSETS_MAX_BEAMS}"
             )
         try:
-            for snr_db in self.snr_grid_db:
-                self.config_at(snr_db)  # validates geometry, targets and rho
+            # the first point checks geometry and targets, as a check point
+            # by point would; a later point's rho can then only overflow
+            first = self.config_at(self.snr_grid_db[0])
+            rhos = tuple(map(snr_db_to_linear, self.snr_grid_db))
+            store("config", replace(first, rho=rhos))
         except OverflowError:
             raise ValueError("snr_db is out of range for a linear SNR") from None
 
@@ -232,20 +237,19 @@ def _run_block(args) -> list[tuple[np.ndarray, int]]:
     specs, trials = args
     seeds = np.zeros((len(trials), 3), dtype=np.uint64)
     seeds[:, 0], seeds[:, 1] = specs[0].seed, trials
-    grids = [[spec.config_at(snr_db) for snr_db in spec.snr_grid_db] for spec in specs]
-    blocks = realize_block([cfgs[0] for cfgs in grids], seeds)
+    blocks = realize_block([spec.config for spec in specs], seeds)
     out = []
-    for spec, cfgs, block in zip(specs, grids, blocks):
-        g_gain, h_gain = block.g_gain, block.h_gain
-        values = np.empty((len(cfgs), len(spec.schemes), len(trials)))
+    for spec, block in zip(specs, blocks):
+        g_gain, h_gain, cfg = block.g_gain, block.h_gain, spec.config
+        values = np.empty((len(spec.snr_grid_db), len(spec.schemes), len(trials)))
         for k, scheme in enumerate(spec.schemes):
             if scheme == "selection":
-                cells = evaluate_selection_block(g_gain, h_gain, cfgs)
+                cells = evaluate_selection_block(g_gain, h_gain, cfg)
             elif scheme == "scheme1":
-                cells = evaluate_scheme1_block(g_gain, h_gain, cfgs)
+                cells = evaluate_scheme1_block(g_gain, h_gain, cfg)
             else:
                 cells = evaluate_scheme2_block(
-                    g_gain, h_gain, cfgs, spec.candidate_strategy
+                    g_gain, h_gain, cfg, spec.candidate_strategy
                 )
             values[:, k] = _VALUE[spec.metric](cells)
         out.append((values, sum(block.resamples)))

@@ -87,21 +87,12 @@ class CellOutcomes:
         )
 
 
-def snr_points(g_gain: np.ndarray, cfgs: Sequence) -> tuple:
-    """The SNR points of a block of cells: the config they share, cfgs[0],
-    and their rho as an (S, 1) column.  Raises ValueError unless every
-    config equals cfgs[0] apart from rho and has one beam per row of
-    g_gain, since a block pass applies cfgs[0]'s targets to every row."""
-    cfg = cfgs[0]
-    shared = (cfg.n_antennas, cfg.m_beams, cfg.r_p, cfg.r_s)
-    if cfg.m_beams != len(g_gain) or any(
-        (c.n_antennas, c.m_beams, c.r_p, c.r_s) != shared for c in cfgs
-    ):
-        raise ValueError(
-            "a block's SNR points must differ in rho alone and have one beam "
-            "per row of g_gain"
-        )
-    return cfg, np.array([c.rho for c in cfgs])[:, None]
+def snr_points(g_gain: np.ndarray, cfg) -> np.ndarray:
+    """The rho of a block's SNR points, cfg.rho, as an (S, 1) column.
+    Raises ValueError unless cfg has one beam per row of g_gain."""
+    if cfg.m_beams != len(g_gain):
+        raise ValueError("a block's config must have one beam per row of g_gain")
+    return np.reshape(cfg.rho, (-1, 1))
 
 
 def eta(g_m: float, rho: float, eps_p: float) -> float:

@@ -281,7 +281,7 @@ def solver_checks(seed: int) -> list[CheckResult]:
     others = ~np.eye(cfg.m_beams, dtype=bool)[:, :, None]
     caps = alpha_s_cap(h, eta(g, rho, eps_p), tau(h, base_ap, rho, others), eps_p)
     # the draws' singleton candidates, read off one set table of the block
-    table = _SetTable(g, h, [cfg], "prefixes_plus_singletons")
+    table = _SetTable(g, h, cfg, "prefixes_plus_singletons")
     ones = np.flatnonzero(table.members.sum(axis=1) == 1).tolist()
     worst = 0.0
     certifier_fail = 0
@@ -391,7 +391,7 @@ def set_search_check(seed: int) -> CheckResult:
     for cfg, trials, block in _set_search_draws(seed, SET_SEARCH_DRAWS):
         g_gain, h_gain = block.g_gain[:, trials], block.h_gain[:, trials]
         for strategy in STRATEGIES:
-            cells = evaluate_scheme2_block(g_gain, h_gain, [cfg], strategy)
+            cells = evaluate_scheme2_block(g_gain, h_gain, cfg, strategy)
             ranked += cells.counts["ranked"]
             lanes += cells.counts["lanes"]
             for c, t in enumerate(trials):
@@ -422,7 +422,7 @@ def lane_solutions(
     """Every feasible set of two or more beams of every trial, solved as
     the lanes of one lockstep bisection, as (candidate, solution) pairs,
     with the lockstep iterations."""
-    table = _SetTable(g_gain, h_gain, [cfg], strategy)
+    table = _SetTable(g_gain, h_gain, cfg, strategy)
     # (set, cell) pairs whose set has two or more beams, all of eta <= 1,
     # cell by cell
     fits = ~(table.members[:, :, None] & (table.etas > 1.0)).any(axis=1)
@@ -477,13 +477,13 @@ def dominance_checks(seed: int, draws: int = 2000) -> list[CheckResult]:
     and beats it on average, at 10, 20 and 30 dB.  Both schemes score all
     the draws at the three SNR points as one block, as a sweep does."""
     results = []
-    block = _draws(SystemConfig(4, 4, 1.0, 0.1, 1.0), seed, draws)
-    g_gain, h_gain = block.g_gain, block.h_gain
     snrs_db = (10.0, 20.0, 30.0)
-    cfgs = [SystemConfig(4, 4, snr_db_to_linear(x), 0.1, 1.0) for x in snrs_db]
-    selection = evaluate_selection_block(g_gain, h_gain, cfgs).secondary_rate
+    cfg = SystemConfig(4, 4, tuple(map(snr_db_to_linear, snrs_db)), 0.1, 1.0)
+    block = _draws(cfg, seed, draws)
+    g_gain, h_gain = block.g_gain, block.h_gain
+    selection = evaluate_selection_block(g_gain, h_gain, cfg).secondary_rate
     scheme2 = evaluate_scheme2_block(
-        g_gain, h_gain, cfgs, "prefixes_plus_singletons"
+        g_gain, h_gain, cfg, "prefixes_plus_singletons"
     ).secondary_rate
     violations = np.count_nonzero(scheme2 < selection, axis=1).tolist()
     mean_gaps = np.mean(scheme2 - selection, axis=1).tolist()

@@ -140,7 +140,7 @@ def test_criterion_06_solver_correctness():
     certified = 0
     block, = realize_block([cfg], [(SEED + 6, t, 0) for t in range(10_000)])
     # the draws' singleton candidates, read off one set table of the block
-    table = _SetTable(block.g_gain, block.h_gain, [cfg], "prefixes_plus_singletons")
+    table = _SetTable(block.g_gain, block.h_gain, cfg, "prefixes_plus_singletons")
     ones = np.flatnonzero(table.members.sum(axis=1) == 1).tolist()
     for t in range(10_000):
         h = block.h_gain[:, t].tolist()
@@ -214,8 +214,8 @@ def test_criterion_08_scheme1_gains_at_low_snr():
     cfg = SystemConfig(4, 4, 1.0, 0.1, 1.0)  # 0 dB
     trials = 5000
     g_gain, h_gain = _block_draws(cfg, SEED + 8, trials)
-    s1 = evaluate_scheme1_block(g_gain, h_gain, [cfg]).secondary_rate[0]
-    sel = evaluate_selection_block(g_gain, h_gain, [cfg]).secondary_rate[0]
+    s1 = evaluate_scheme1_block(g_gain, h_gain, cfg).secondary_rate[0]
+    sel = evaluate_selection_block(g_gain, h_gain, cfg).secondary_rate[0]
     diffs = s1 - sel
     mean = float(diffs.mean())
     se = float(diffs.std(ddof=1) / math.sqrt(trials))
@@ -229,10 +229,10 @@ def test_criterion_09_legacy_protection():
     per_scheme = 3334
     g_gain, h_gain = _block_draws(cfg, SEED + 9, per_scheme)
     evaluators = {
-        "selection": lambda: evaluate_selection_block(g_gain, h_gain, [cfg]),
-        "scheme1": lambda: evaluate_scheme1_block(g_gain, h_gain, [cfg]),
+        "selection": lambda: evaluate_selection_block(g_gain, h_gain, cfg),
+        "scheme1": lambda: evaluate_scheme1_block(g_gain, h_gain, cfg),
         "scheme2": lambda: evaluate_scheme2_block(
-            g_gain, h_gain, [cfg], "prefixes_plus_singletons"
+            g_gain, h_gain, cfg, "prefixes_plus_singletons"
         ),
     }
     checked = 0

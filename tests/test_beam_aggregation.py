@@ -122,11 +122,11 @@ def _listed_candidates(chan, cfg, strategy):
 
 
 def _table(chan, cfg, strategy="all_subsets"):
-    return _SetTable(chan.g_gain, chan.h_gain, [cfg], strategy)
+    return _SetTable(chan.g_gain, chan.h_gain, cfg, strategy)
 
 
 def _counts(chan, cfg, strategy="all_subsets"):
-    return evaluate_scheme2_block(chan.g_gain, chan.h_gain, [cfg], strategy).counts
+    return evaluate_scheme2_block(chan.g_gain, chan.h_gain, cfg, strategy).counts
 
 
 def test_subset_lattice_matches_the_per_set_sums():
@@ -192,9 +192,9 @@ def test_flat_lanes_mix_set_sizes_in_the_callers_order():
     # set is also solved as a lane alone, where numpy would sum the cap's
     # 8 slots pairwise, not in order. Each lane's t* and split must be
     # solve_problem4's bit for bit.
-    cfgs = [SystemConfig(8, 8, rho, 0.1, 1.0) for rho in (1e2, 1e4)]
-    block, = realize_block(cfgs[:1], [(41, t, 0) for t in range(3)])
-    table = _SetTable(block.g_gain, block.h_gain, cfgs, "all_subsets")
+    cfg = SystemConfig(8, 8, (1e2, 1e4), 0.1, 1.0)
+    block, = realize_block([cfg], [(41, t, 0) for t in range(3)])
+    table = _SetTable(block.g_gain, block.h_gain, cfg, "all_subsets")
     sizes = table.members.sum(axis=1)
     sets, cells = np.nonzero(np.broadcast_to(sizes[:, None] > 1, table.tau_d.shape))
     order = np.random.default_rng(3).permutation(len(sets))
@@ -216,9 +216,9 @@ def test_a_lane_alone_in_its_cell_races_nothing():
     # lane under the table's own cell, with no incumbent (floor 1 + 0): no
     # lane shares a cell, so none is raced, and every lane is
     # solve_problem4's bit for bit.
-    cfgs = [SystemConfig(5, 5, rho, 0.1, 1.0) for rho in (1e1, 1e3)]
-    block, = realize_block(cfgs[:1], [(43, t, 0) for t in range(20)])
-    table = _SetTable(block.g_gain, block.h_gain, cfgs, "all_subsets")
+    cfg = SystemConfig(5, 5, (1e1, 1e3), 0.1, 1.0)
+    block, = realize_block([cfg], [(43, t, 0) for t in range(20)])
+    table = _SetTable(block.g_gain, block.h_gain, cfg, "all_subsets")
     multi = np.flatnonzero(table.members.sum(axis=1) > 1)
     cells = np.arange(len(table.trial))
     sets = np.random.default_rng(5).choice(multi, len(cells))
@@ -234,9 +234,9 @@ def test_raced_lanes_lose_their_cell():
     # cell, in shuffled lane order. The race drops lanes; each survivor is
     # solve_problem4's bit for bit, and each raced lane's own solution
     # ranks strictly below the best rate in its cell.
-    cfgs = [SystemConfig(5, 5, rho, 0.1, 1.0) for rho in (1e1, 1e3)]
-    block, = realize_block(cfgs[:1], [(47, t, 0) for t in range(4)])
-    table = _SetTable(block.g_gain, block.h_gain, cfgs, "all_subsets")
+    cfg = SystemConfig(5, 5, (1e1, 1e3), 0.1, 1.0)
+    block, = realize_block([cfg], [(47, t, 0) for t in range(4)])
+    table = _SetTable(block.g_gain, block.h_gain, cfg, "all_subsets")
     sizes = table.members.sum(axis=1)
     sets, cells = np.nonzero(np.broadcast_to(sizes[:, None] > 1, table.tau_d.shape))
     order = np.random.default_rng(7).permutation(len(sets))
@@ -474,12 +474,12 @@ def test_oracle_random_agreement():
 def test_scheme1_worked_values():
     # one beam: alpha = (0.55, 0.45), signal 2*0.45 over 2*0.55 + 1/rho
     one_cfg = SystemConfig(1, 1, 10.0, 1.0, 1.0)
-    one = evaluate_scheme1_block(_col([1.0]), _col([2.0]), [one_cfg])
+    one = evaluate_scheme1_block(_col([1.0]), _col([2.0]), one_cfg)
     rate = one.secondary_rate.item()
     assert rate == pytest.approx(math.log2(1.0 + 0.9 / 1.2), abs=1e-12)
     assert _chosen(one) == (0,)
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    both = evaluate_scheme1_block(_col([1.0, 1.0]), _col([2.0, 1.0]), [cfg])
+    both = evaluate_scheme1_block(_col([1.0, 1.0]), _col([2.0, 1.0]), cfg)
     coherent = (math.sqrt(0.9) + math.sqrt(0.45)) ** 2
     assert both.secondary_rate.item() == pytest.approx(
         math.log2(1.0 + coherent / 1.75), abs=1e-12
@@ -490,7 +490,7 @@ def test_scheme1_worked_values():
 
 def test_scheme1_blocked_channel():
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme1_block(_col([0.05, 0.05]), _col([2.0, 1.0]), [cfg])
+    out = evaluate_scheme1_block(_col([0.05, 0.05]), _col([2.0, 1.0]), cfg)
     assert out.secondary_rate.item() == 0.0
     assert out.outage.item()
     assert np.all(out.alpha_s == 0.0)
@@ -499,18 +499,18 @@ def test_scheme1_blocked_channel():
 def test_scheme2_worked_instance_beats_selection():
     g, h = _col([1.0, 1.0]), _col([2.0, 1.0])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme2_block(g, h, [cfg], "prefixes_plus_singletons")
+    out = evaluate_scheme2_block(g, h, cfg, "prefixes_plus_singletons")
     assert _chosen(out) == (0, 1)
     rate = out.secondary_rate.item()
     assert rate == pytest.approx(math.log2(1.0 + U_REF / 0.1), abs=1e-8)
-    sel = evaluate_selection_block(g, h, [cfg])
+    sel = evaluate_selection_block(g, h, cfg)
     assert rate > sel.secondary_rate.item()
     assert not out.outage.item()
 
 
 def test_scheme2_blocked_channel():
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme2_block(_col([0.05, 0.05]), _col([2.0, 1.0]), [cfg])
+    out = evaluate_scheme2_block(_col([0.05, 0.05]), _col([2.0, 1.0]), cfg)
     assert _chosen(out) == ()
     assert out.secondary_rate.item() == 0.0
     assert out.outage.item()
@@ -521,9 +521,9 @@ def test_scheme2_dominates_selection_pointwise():
     # 1,000 draws, scored by each scheme as one block
     cfg = SystemConfig(4, 4, 100.0, 0.1, 1.0)
     block, = realize_block([cfg], [(97, t, 0) for t in range(1000)])
-    sel = evaluate_selection_block(block.g_gain, block.h_gain, [cfg]).secondary_rate[0]
+    sel = evaluate_selection_block(block.g_gain, block.h_gain, cfg).secondary_rate[0]
     agg = evaluate_scheme2_block(
-        block.g_gain, block.h_gain, [cfg], "prefixes_plus_singletons"
+        block.g_gain, block.h_gain, cfg, "prefixes_plus_singletons"
     ).secondary_rate[0]
     for t, (sel_rate, agg_rate) in enumerate(zip(sel.tolist(), agg.tolist())):
         assert agg_rate >= sel_rate, f"draw {t}"
@@ -572,16 +572,16 @@ def test_scheme2_search_counts_add_up():
     chans = [realize(cfg, TrialSeed(3, t)) for t in range(20)]
     g = np.concatenate([c.g_gain for c in chans], axis=1)
     h = np.concatenate([c.h_gain for c in chans], axis=1)
-    cfgs = [SystemConfig(6, 6, 10.0 ** x, 0.1, 1.0) for x in (0.0, 1.0, 2.0, 3.0)]
+    grid = SystemConfig(6, 6, tuple(10.0 ** x for x in (0.0, 1.0, 2.0, 3.0)), 0.1, 1.0)
     for strategy in STRATEGIES:
-        counts = evaluate_scheme2_block(g, h, cfgs, strategy).counts
+        counts = evaluate_scheme2_block(g, h, grid, strategy).counts
         assert counts["ranked"] == (
             counts["bound_drops"] + counts["t_r_drops"] + counts["lanes"]
         )
         assert counts["rounds"] >= 1 and counts["iterations"] >= 33
 
 
-def _tables_built(monkeypatch, g_gain, h_gain, cfgs):
+def _tables_built(monkeypatch, g_gain, h_gain, cfg):
     # the counts of an all_subsets block pass and the _Lanes tables it builds
     built = []
     init = _Lanes.__init__
@@ -591,7 +591,7 @@ def _tables_built(monkeypatch, g_gain, h_gain, cfgs):
         init(self, *args)
 
     monkeypatch.setattr(_Lanes, "__init__", counting)
-    counts = evaluate_scheme2_block(g_gain, h_gain, cfgs, "all_subsets").counts
+    counts = evaluate_scheme2_block(g_gain, h_gain, cfg, "all_subsets").counts
     return counts, len(built)
 
 
@@ -605,15 +605,15 @@ def test_scheme2_builds_one_lane_table_per_round(monkeypatch):
     # those of the two-table rounds.
     cfg = SystemConfig(8, 8, 100.0, 0.1, 1.0)
     chan = realize(cfg, TrialSeed(0, 0))
-    assert _tables_built(monkeypatch, chan.g_gain, chan.h_gain, [cfg]) == (
+    assert _tables_built(monkeypatch, chan.g_gain, chan.h_gain, cfg) == (
         dict(
             ranked=247, bound_drops=239, t_r_drops=0, lanes=8, raced=7, rounds=2, iterations=33
         ),
         2,
     )
-    cfgs = [SystemConfig(8, 8, snr_db_to_linear(x), 0.1, 1.0) for x in range(0, 45, 5)]
-    block, = realize_block(cfgs[:1], [(0, t, 0) for t in range(10)])
-    assert _tables_built(monkeypatch, block.g_gain, block.h_gain, cfgs) == (
+    grid = SystemConfig(8, 8, tuple(snr_db_to_linear(x) for x in range(0, 45, 5)), 0.1, 1.0)
+    block, = realize_block([grid], [(0, t, 0) for t in range(10)])
+    assert _tables_built(monkeypatch, block.g_gain, block.h_gain, grid) == (
         dict(
             ranked=17879,
             bound_drops=16813,
@@ -631,9 +631,9 @@ def test_taken_lanes_are_the_lanes_built_from_the_kept_pairs():
     # A round solves the lanes that survive its t_R sweep on the same table,
     # compressed by _take: that must hold the arrays a table built from the
     # kept pairs alone holds, byte for byte, each slot's row contiguous.
-    cfgs = [SystemConfig(4, 4, rho, 0.1, 1.0) for rho in (1e1, 1e3)]
-    block, = realize_block(cfgs[:1], [(53, t, 0) for t in range(6)])
-    table = _SetTable(block.g_gain, block.h_gain, cfgs, "all_subsets")
+    cfg = SystemConfig(4, 4, (1e1, 1e3), 0.1, 1.0)
+    block, = realize_block([cfg], [(53, t, 0) for t in range(6)])
+    table = _SetTable(block.g_gain, block.h_gain, cfg, "all_subsets")
     sets, cells = np.nonzero(np.ones(table.tau_d.shape, dtype=bool))
     rng = np.random.default_rng(11)
     order = rng.permutation(len(sets))
@@ -686,11 +686,12 @@ def test_scheme2_breaks_ties_cell_by_cell_in_one_block(monkeypatch):
     chans = [_chan([1.0, 1.0, 1.0], [0.5, 1.0, 0.5]), _chan([1.0, 1.0, 1.0], [1.0, 0.5, 0.5])]
     g = np.concatenate([chan.g_gain for chan in chans], axis=1)
     h = np.concatenate([chan.h_gain for chan in chans], axis=1)
-    cfgs = [SystemConfig(3, 3, rho, 1.0, 1.0) for rho in (10.0, 30.0, 100.0, 1000.0)]
+    grid = SystemConfig(3, 3, (10.0, 30.0, 100.0, 1000.0), 1.0, 1.0)
     for width in (8, 1):
         monkeypatch.setattr(beam_aggregation, "_ROUND", width)
-        cells = evaluate_scheme2_block(g, h, cfgs, "all_subsets")
-        for s, cfg in enumerate(cfgs):
+        cells = evaluate_scheme2_block(g, h, grid, "all_subsets")
+        for s, rho in enumerate(grid.rho):
+            cfg = SystemConfig(3, 3, rho, 1.0, 1.0)
             for t, chan in enumerate(chans):
                 want = exhaustive_scheme2(chan, cfg, "all_subsets")
                 assert same_choice(cells, want, s, t)

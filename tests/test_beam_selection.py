@@ -23,7 +23,7 @@ def _chosen(out):
 def test_worked_two_beam_chain():
     g, h = _col([1.0, 1.0]), _col([2.0, 1.0])
     cfg = SystemConfig(2, 2, 10.0, 1.0, 2.0)
-    out = evaluate_selection_block(g, h, [cfg])
+    out = evaluate_selection_block(g, h, cfg)
     assert _chosen(out) == (0,)
     assert out.alpha_s[0, 0, 0] == pytest.approx(0.45, abs=1e-12)
     assert out.alpha_p[:, 0, 0].tolist() == pytest.approx([0.55, 0.1])
@@ -33,7 +33,7 @@ def test_worked_two_beam_chain():
     assert out.chosen.shape == (2, 1, 1)  # one cell: the block of one
 
     tight = SystemConfig(2, 2, 10.0, 1.0, 2.5)
-    out2 = evaluate_selection_block(g, h, [tight])
+    out2 = evaluate_selection_block(g, h, tight)
     assert out2.outage.item()  # r_s = 2.5 > 2.459
     # SIC held, so the rate is still earned
     assert out2.secondary_rate.item() == pytest.approx(math.log2(5.5), abs=1e-12)
@@ -42,7 +42,7 @@ def test_worked_two_beam_chain():
 def test_all_beams_blocked():
     # every beam below the legacy threshold: no secondary power anywhere
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_selection_block(_col([0.05, 0.08]), _col([2.0, 1.0]), [cfg])
+    out = evaluate_selection_block(_col([0.05, 0.08]), _col([2.0, 1.0]), cfg)
     assert np.all(out.alpha_s == 0.0)
     assert out.secondary_rate.item() == 0.0
     assert out.outage.item()
@@ -51,14 +51,14 @@ def test_all_beams_blocked():
 def test_zero_target_boundary():
     # r_s = 0 and a positive SINR with SIC intact cannot be an outage
     cfg = SystemConfig(2, 2, 10.0, 1.0, 0.0)
-    out = evaluate_selection_block(_col([1.0, 1.0]), _col([2.0, 1.0]), [cfg])
+    out = evaluate_selection_block(_col([1.0, 1.0]), _col([2.0, 1.0]), cfg)
     assert out.secondary_rate.item() > 0.0
     assert not out.outage.item()
 
 
 def test_tie_breaks_to_lowest_index():
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_selection_block(_col([1.0, 1.0]), _col([1.5, 1.5]), [cfg])
+    out = evaluate_selection_block(_col([1.0, 1.0]), _col([1.5, 1.5]), cfg)
     assert _chosen(out) == (0,)
 
 
@@ -101,11 +101,11 @@ def test_sic_flag_follows_decode_rate():
     # worked chain: decoding the primary signal on beam 0 runs at
     # log2(1 + 2*0.55 / (2*0.45 + 0.2)) = 1 = r_p, met with equality
     cfg = SystemConfig(2, 2, 10.0, 1.0, 2.0)
-    out = evaluate_selection_block(_col([1.0, 1.0]), _col([2.0, 1.0]), [cfg])
+    out = evaluate_selection_block(_col([1.0, 1.0]), _col([2.0, 1.0]), cfg)
     assert out.sic_ok.item()
     # both beams too weak to carry secondary power: beam 0 decodes at
     # log2(1 + 0.05 / (0.05*0.1 + 0.1)) = 0.56 < r_p
-    weak = evaluate_selection_block(_col([1.0, 1.0]), _col([0.05, 0.05]), [cfg])
+    weak = evaluate_selection_block(_col([1.0, 1.0]), _col([0.05, 0.05]), cfg)
     assert _chosen(weak) == (0,) and not weak.sic_ok.item() and weak.outage.item()
     # on random draws the flag is log2(1 + h a_p / (h a_s + tau)) >= r_p
     # evaluated on the outcome's own shares
@@ -131,10 +131,10 @@ def test_tau_called_once_per_selection_block_pass(monkeypatch):
         return tau(*args)
 
     monkeypatch.setattr(beam_selection, "tau", counted)
-    cfgs = [SystemConfig(4, 4, rho, 0.5, 1.0) for rho in (3.16, 31.6)]
+    cfg = SystemConfig(4, 4, (3.16, 31.6), 0.5, 1.0)
     rng = np.random.default_rng(71)
     g, h = rng.exponential(size=(4, 5)), rng.exponential(size=(4, 5))
-    out = evaluate_selection_block(g, h, cfgs)
+    out = evaluate_selection_block(g, h, cfg)
     assert len(calls) == 1
     assert out.chosen.shape == (4, 2, 5)
 

@@ -51,8 +51,15 @@ def test_config_validation():
     for r_p in (1024.0, 2000.0, float("inf")):
         with pytest.raises(ValueError, match="r_p"):
             SystemConfig(2, 2, 10.0, r_p, 1.0)
+    # a block's rho grid: every entry is checked, and an empty grid is no grid
+    for rho in ((10.0, 0.0), (10.0, -1.0), (10.0, math.nan), (10.0, math.inf), ()):
+        with pytest.raises(ValueError, match="rho"):
+            SystemConfig(2, 2, rho, 1.0, 1.0)
     cfg = SystemConfig(4, 2, 10.0, 1.0, 2.0)
     assert cfg.eps_p == pytest.approx(1.0)
+    grid = SystemConfig(4, 2, (10.0, 100.0), 1.0, 2.0)
+    assert grid.eps_p == cfg.eps_p and grid != cfg
+    assert {grid: 1}[SystemConfig(4, 2, (10.0, 100.0), 1.0, 2.0)] == 1
 
 
 def test_trial_seed_validation():

@@ -123,6 +123,34 @@ def test_sweep_overrides_and_stdout(tmp_path, capsys):
     assert {r.split(",")[0] for r in rows} == {"0.0", "10.0", "20.0"}
 
 
+def test_sweep_flags_override_the_file_before_one_spec_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    # the file's fields and the flags make one SweepSpec, so a field a flag
+    # overrides is never validated as the file has it
+    built = []
+    post_init = montecarlo.SweepSpec.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(montecarlo.SweepSpec, "__post_init__", counting)
+    cfg = _write_config(tmp_path / "cfg.json", snr_db=[])
+    assert main(["sweep", "--config", cfg, "--snr-db", "0:10:5", "--out", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and len(built) == 1
+    assert {r.split(",")[0] for r in _rows(out)} == {"0.0", "5.0", "10.0"}
+    assert main(["sweep", "--config", cfg, "--out", "-"]) == 2
+    assert capsys.readouterr().err == "error: snr_grid_db must be nonempty\n"
+    # a field missing from the file is an error even when a flag sets it
+    raw = json.loads((tmp_path / "cfg.json").read_text())
+    del raw["snr_db"]
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    assert main(["sweep", "--config", cfg, "--snr-db", "0", "--out", "-"]) == 2
+    assert capsys.readouterr().err == "error: missing config field(s): snr_db\n"
+
+
 def test_bad_snr_spec(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     assert main(["sweep", "--config", cfg, "--snr-db", "10:0:5", "--out", "-"]) == 2

@@ -29,7 +29,7 @@ def test_a_lane_that_holds_at_t2_holds_at_every_t1_below(
     # sorted per lane, a lane's test may only go from holding to failing.
     cfg = SystemConfig(m_beams + extra_antennas, m_beams, 10.0 ** (snr_db / 10.0), *targets)
     block, = realize_block([cfg], [(seed, t, 0) for t in range(3)])
-    table = _SetTable(block.g_gain, block.h_gain, [cfg], strategy)
+    table = _SetTable(block.g_gain, block.h_gain, cfg, strategy)
     sets, cells = np.nonzero(np.ones(table.tau_d.shape, dtype=bool))
     lanes = _Lanes(table, sets, cells)
     hi = lanes._cap(np.zeros(lanes.h.shape))

@@ -47,7 +47,7 @@ def test_rate_sel_decode_primary_hand_value():
     # numerator 2*0.55 = 1.1; denominator 2*0.45 + tau = 0.9 + (1*0.1 + 0.1)
     h = [2.0, 1.0]
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_selection_block(_col([1.0, 1.0]), _col(h), [cfg])
+    out = evaluate_selection_block(_col([1.0, 1.0]), _col(h), cfg)
     assert out.alpha_p[:, 0, 0].tolist() == pytest.approx([0.55, 0.1])
     assert out.alpha_s[:, 0, 0].tolist() == pytest.approx([0.45, 0.0])
     assert written_tau((0,), h, out.alpha_p[:, 0, 0], 10.0) == pytest.approx(0.2)
@@ -59,7 +59,7 @@ def test_rate_sel_decode_primary_zero_and_limit():
     # a beam the secondary user cannot hear leaves nothing to decode
     blind = [0.0, 0.0]
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_selection_block(_col([1.0, 1.0]), _col(blind), [cfg])
+    out = evaluate_selection_block(_col([1.0, 1.0]), _col(blind), cfg)
     assert _decode_rate(out, blind, cfg.rho) == 0.0
     assert not out.sic_ok.item() and out.secondary_rate.item() == 0.0
     # growing the budget pushes the decode rate down onto r_p, never below:
@@ -68,7 +68,7 @@ def test_rate_sel_decode_primary_zero_and_limit():
     gaps = []
     for rho in (1e1, 1e3, 1e5):
         cfg = SystemConfig(2, 2, rho, 1.0, 1.0)
-        out = evaluate_selection_block(_col([0.5, 2.0]), _col(h), [cfg])
+        out = evaluate_selection_block(_col([0.5, 2.0]), _col(h), cfg)
         assert np.flatnonzero(out.chosen[:, 0, 0]).tolist() == [0]
         gaps.append(_decode_rate(out, h, rho) - cfg.r_p)
     assert -SIC_SLACK <= gaps[2] < gaps[1] < gaps[0]
@@ -80,7 +80,7 @@ def test_rate_scheme1_secondary_hand_value():
     # power: 2*0.45 over 2*0.55 + 1*1.0 + 0.1
     h = [2.0, 1.0]
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme1_block(_col([1.0, 0.05]), _col(h), [cfg])
+    out = evaluate_scheme1_block(_col([1.0, 0.05]), _col(h), cfg)
     assert out.alpha_s[:, 0, 0].tolist() == pytest.approx([0.45, 0.0])
     assert out.alpha_p[1, 0, 0] == 1.0
     rate = out.secondary_rate.item()
@@ -90,14 +90,14 @@ def test_rate_scheme1_secondary_hand_value():
 def test_rate_scheme1_secondary_zero_and_coherence():
     # no beam can spare anything for the secondary user
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme1_block(_col([0.05, 0.05]), _col([2.0, 1.0]), [cfg])
+    out = evaluate_scheme1_block(_col([0.05, 0.05]), _col([2.0, 1.0]), cfg)
     assert out.secondary_rate.item() == 0.0
     # two equal beams combine coherently: 4x the single-beam signal power,
     # (2 sqrt(0.45))^2 = 1.8 over 2*0.55 + 0.1, an SINR of exactly 1.5
     rho = 10.0
     one_cfg = SystemConfig(1, 1, rho, 1.0, 1.0)
-    one = evaluate_scheme1_block(_col([1.0]), _col([1.0]), [one_cfg])
-    two = evaluate_scheme1_block(_col([1.0, 1.0]), _col([1.0, 1.0]), [cfg])
+    one = evaluate_scheme1_block(_col([1.0]), _col([1.0]), one_cfg)
+    two = evaluate_scheme1_block(_col([1.0, 1.0]), _col([1.0, 1.0]), cfg)
     s1 = _signal_power(one, [1.0], rho)
     s2 = _signal_power(two, [1.0, 1.0], rho)
     assert s2 == pytest.approx(4.0 * s1, rel=1e-12)
@@ -166,8 +166,8 @@ def test_rate_monotonicity_random():
         cfg = SystemConfig(3, 3, rho, r_p, 1.0)
         rich = SystemConfig(3, 3, 1.5 * rho, r_p, 1.0)
         for evaluate in (evaluate_selection_block, evaluate_scheme1_block):
-            base = evaluate(_col(g), _col(h), [cfg])
-            richer = evaluate(_col(g), _col(h), [rich])
-            clearer = evaluate(_col(stronger), _col(h), [cfg])
+            base = evaluate(_col(g), _col(h), cfg)
+            richer = evaluate(_col(g), _col(h), rich)
+            clearer = evaluate(_col(stronger), _col(h), cfg)
             assert richer.secondary_rate.item() >= base.secondary_rate.item()
             assert clearer.secondary_rate.item() >= base.secondary_rate.item()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from beamshare import channel_model, montecarlo
 from beamshare.beam_aggregation import STRATEGIES, evaluate_scheme1, evaluate_scheme2
@@ -70,6 +71,55 @@ def test_spec_validation():
               candidate_strategy="all_subsets")
     _spec(n_antennas=9, m_beams=9, candidate_strategy="all_subsets")
     _spec(n_antennas=8, m_beams=8, schemes=("scheme2",), candidate_strategy="all_subsets")
+
+
+def _per_point_rule(n, m, grid, r_p, r_s):
+    # the per-point rule: each point's SystemConfig in grid order, an
+    # overflowing rho as a ValueError; returns the first error and the rhos
+    rhos = []
+    try:
+        for snr_db in grid:
+            rhos.append(SystemConfig(n, m, snr_db_to_linear(snr_db), r_p, r_s).rho)
+    except OverflowError:
+        return "snr_db is out of range for a linear SNR", rhos
+    except ValueError as exc:
+        return str(exc), rhos
+    return None, rhos
+
+
+# dB values where rho underflows to 0 (below about -3233 dB) or overflows
+# (above about 3082.5 dB), and ordinary ones
+_DB = st.one_of(
+    st.floats(min_value=-5000.0, max_value=5000.0),
+    st.floats(min_value=-60.0, max_value=60.0),
+    st.sampled_from([-3300.0, -3240.0, -3233.0, 3082.0, 3083.0, 3100.0]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    m=st.integers(0, 5),
+    grid=st.lists(_DB, min_size=1, max_size=6, unique=True).map(sorted),
+    r_p=st.sampled_from([1e-17, 0.1, 1023.9, 1024.0]),
+    r_s=st.sampled_from([-1.0, 0.0, 1.0]),
+)
+@example(n=2, m=2, grid=[-4000.0, 4000.0], r_p=0.1, r_s=1.0)
+@example(n=2, m=2, grid=[0.0, 4000.0], r_p=0.1, r_s=1.0)
+@example(n=1, m=2, grid=[4000.0], r_p=1024.0, r_s=-1.0)
+def test_spec_validates_its_grid_as_the_per_point_rule(n, m, grid, r_p, r_s):
+    # one config for the whole grid raises what the per-point configs
+    # raised first, and holds each point's rho bit for bit
+    error, rhos = _per_point_rule(n, m, grid, r_p, r_s)
+    kwargs = dict(n_antennas=n, m_beams=m, r_p=r_p, r_s=r_s, snr_grid_db=grid)
+    if error is not None:
+        with pytest.raises(ValueError) as raised:
+            _spec(**kwargs)
+        assert str(raised.value) == error
+        return
+    spec = _spec(**kwargs)
+    assert [rho.hex() for rho in spec.config.rho] == [rho.hex() for rho in rhos]
+    assert spec.config == SystemConfig(n, m, tuple(rhos), r_p, r_s)
 
 
 def test_run_trial_deterministic():
@@ -226,15 +276,17 @@ def test_estimate_draws_each_channel_once(monkeypatch):
 def test_every_scheme_scores_a_block_in_one_pass(monkeypatch):
     # a sweep calls no run_trial: each scheme scores all of a block's
     # (SNR point, trial) cells in one call, looked up by name in montecarlo
-    # at call time, scheme 2 with the spec's strategy
+    # at call time, scheme 2 with the spec's strategy, each with the spec's
+    # one config, whose rho holds the grid
     calls = []
 
     def recording(name):
         block_pass = getattr(montecarlo, name)
 
-        def wrapper(g_gain, h_gain, cfgs, *strategy):
-            calls.append((name, g_gain.shape, len(cfgs), *strategy))
-            return block_pass(g_gain, h_gain, cfgs, *strategy)
+        def wrapper(g_gain, h_gain, cfg, *strategy):
+            assert cfg is spec.config
+            calls.append((name, g_gain.shape, cfg.rho, *strategy))
+            return block_pass(g_gain, h_gain, cfg, *strategy)
 
         return wrapper
 
@@ -248,10 +300,11 @@ def test_every_scheme_scores_a_block_in_one_pass(monkeypatch):
         monkeypatch.setattr(montecarlo, name, recording(name))
     monkeypatch.setattr(montecarlo, "run_trial", refused)
     assert estimate(spec) == expected
+    rho = (10.0, 100.0)
     assert calls == [
-        (names[0], (2, 5), 2),
-        (names[1], (2, 5), 2),
-        (names[2], (2, 5), 2, "all_subsets"),
+        (names[0], (2, 5), rho),
+        (names[1], (2, 5), rho),
+        (names[2], (2, 5), rho, "all_subsets"),
     ]
 
 
@@ -283,24 +336,17 @@ def test_scheme2_races_lanes_on_the_dense_m8_block(monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_block_pass_rejects_snr_points_that_differ_beyond_rho(scheme):
-    # a block pass applies cfgs[0]'s targets to every row, so configs that
-    # differ in anything but rho, or a beam count unlike the block's, raise
+def test_block_pass_scores_one_row_per_rho_and_rejects_other_beam_counts(scheme):
+    # a block pass scores one row of cells per entry of its config's rho,
+    # and raises on a config whose beam count is not the block's
     block_pass = getattr(montecarlo, f"evaluate_{scheme}_block")
-    cfg = SystemConfig(3, 2, 10.0, 0.1, 1.0)
+    cfg = SystemConfig(3, 2, (10.0, 100.0), 0.1, 1.0)
     block, = channel_model.realize_block([cfg], [(5, t, 0) for t in range(4)])
     g, h = block.g_gain, block.h_gain
-    rows = block_pass(g, h, [cfg, dataclasses.replace(cfg, rho=100.0)])
+    rows = block_pass(g, h, cfg)
     assert rows.secondary_rate_raw.shape == (2, 4)
-    for other in (
-        dataclasses.replace(cfg, r_p=0.5),
-        dataclasses.replace(cfg, r_s=2.0),
-        dataclasses.replace(cfg, n_antennas=4),
-    ):
-        with pytest.raises(ValueError, match="differ in rho alone"):
-            block_pass(g, h, [cfg, other])
     with pytest.raises(ValueError, match="one beam per row"):
-        block_pass(g, h, [SystemConfig(3, 3, 10.0, 0.1, 1.0)])
+        block_pass(g, h, SystemConfig(3, 3, 10.0, 0.1, 1.0))
 
 
 @pytest.mark.parametrize("m_beams", range(1, 9))

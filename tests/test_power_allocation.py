@@ -144,7 +144,7 @@ def test_beam_sum_is_not_a_pairwise_sum():
 def test_scheme1_coefficients_hand_values():
     # eta = eps (g + 1/rho) / (g (1 + eps)): 1.1/2 at g = 1, 2.1/4 at g = 2
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme1_block(_col([1.0, 2.0]), _col([1.0, 1.0]), [cfg])
+    out = evaluate_scheme1_block(_col([1.0, 2.0]), _col([1.0, 1.0]), cfg)
     assert np.flatnonzero(out.chosen[:, 0, 0]).tolist() == [0, 1]
     assert out.alpha_p[:, 0, 0].tolist() == pytest.approx([0.55, 0.525])
     assert out.alpha_s[:, 0, 0].tolist() == pytest.approx([0.45, 0.475])
@@ -154,7 +154,7 @@ def test_scheme1_coefficients_hand_values():
 def test_scheme1_coefficients_clamp():
     # a beam below the legacy threshold keeps everything for its user
     cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    out = evaluate_scheme1_block(_col([0.05, 1.0]), _col([1.0, 1.0]), [cfg])
+    out = evaluate_scheme1_block(_col([0.05, 1.0]), _col([1.0, 1.0]), cfg)
     assert out.alpha_p[0, 0, 0] == 1.0
     assert out.alpha_s[0, 0, 0] == 0.0
 
@@ -296,17 +296,17 @@ def test_outage_inside_the_band_is_the_log2_comparison():
     # r_s is one cell's own rate, or a float beside it, so that this cell's
     # outage is decided inside log2_at_least's band; selection's decode
     # rates land in its band by themselves wherever the SIC cap binds
-    cfg = SystemConfig(4, 4, 1.0, 0.1, 1.0)
+    rhos = tuple(10.0 ** (db / 10.0) for db in (0.0, 10.0, 20.0, 30.0))
+    cfg = SystemConfig(4, 4, rhos, 0.1, 1.0)
     block, = realize_block([cfg], [(67, t, 0) for t in range(50)])
     g, h = block.g_gain, block.h_gain
-    rhos = [10.0 ** (db / 10.0) for db in (0.0, 10.0, 20.0, 30.0)]
     cell = (2, 7)
     for block_pass in (evaluate_selection_block, evaluate_scheme1_block):
-        probe = block_pass(g, h, [replace(cfg, rho=rho) for rho in rhos])
+        probe = block_pass(g, h, cfg)
         rate = math.log2(1.0 + probe.sinr[cell])
         for k in (-1, 0, 1):
             r_s = _steps(rate, k)
-            out = block_pass(g, h, [replace(cfg, rho=rho, r_s=r_s) for rho in rhos])
+            out = block_pass(g, h, replace(cfg, r_s=r_s))
             assert abs(1.0 + out.sinr[cell] - 2.0 ** r_s) <= _BAND * 2.0 ** r_s
             assert out.outage[cell] == (k == 1)
             if block_pass is evaluate_scheme1_block:
@@ -325,8 +325,8 @@ def test_a_nan_rate_keeps_the_comparison_it_replaced():
     # its SIC test fails) and none for scheme 1 (its rate is not < r_s)
     cfg = SystemConfig(2, 2, 10.0, 0.1, 1.0)
     g, h = _col([1.0, 1.0]), _col([math.nan, 1.0])
-    sel = evaluate_selection_block(g, h, [cfg])
-    s1 = evaluate_scheme1_block(g, h, [cfg])
+    sel = evaluate_selection_block(g, h, cfg)
+    s1 = evaluate_scheme1_block(g, h, cfg)
     assert np.isnan(sel.sinr).all() and np.isnan(s1.sinr).all()
     rate = sel.secondary_rate_raw.item()
     assert not sel.sic_ok.item() and not rate >= cfg.r_s and sel.outage.item()

@@ -205,12 +205,11 @@ def test_block_cells_equal_the_exhaustive_search(m_beams, trials, snr_db, r_p, d
         g = [data.draw(gains) for _ in range(trials)]
         h = [data.draw(gains) for _ in range(trials)]
     g_gain, h_gain = np.array(g).T, np.array(h).T
-    cfgs = [
-        SystemConfig(m_beams, m_beams, 10.0 ** (x / 10.0), r_p, 1.0) for x in snr_db
-    ]
+    grid = SystemConfig(m_beams, m_beams, tuple(10.0 ** (x / 10.0) for x in snr_db), r_p, 1.0)
     for strategy in STRATEGIES:
-        block = evaluate_scheme2_block(g_gain, h_gain, cfgs, strategy)
-        for s, cfg in enumerate(cfgs):
+        block = evaluate_scheme2_block(g_gain, h_gain, grid, strategy)
+        for s, rho in enumerate(grid.rho):
+            cfg = SystemConfig(m_beams, m_beams, rho, r_p, 1.0)
             for t in range(len(g)):
                 want = exhaustive_scheme2(_gains(g[t], h[t]), cfg, strategy)
                 assert same_choice(block, want, s, t), (strategy, cfg, t)
@@ -337,15 +336,15 @@ def test_array_pass_equals_the_scalar_evaluation(
         if m < m_beams:
             g_gain[m], h_gain[m] = g_gain[0], h_gain[0]
     r_p, r_s = targets
-    cfgs = [SystemConfig(m_beams, m_beams, 10.0 ** (x / 10.0), r_p, r_s) for x in snr_db]
-    sel = evaluate_selection_block(g_gain, h_gain, cfgs)
-    s1 = evaluate_scheme1_block(g_gain, h_gain, cfgs)
+    grid = SystemConfig(m_beams, m_beams, tuple(10.0 ** (x / 10.0) for x in snr_db), r_p, r_s)
+    sel = evaluate_selection_block(g_gain, h_gain, grid)
+    s1 = evaluate_scheme1_block(g_gain, h_gain, grid)
     sel_primary = sel.primary_rates.min(axis=0)
     s1_primary = s1.primary_rates.min(axis=0)
-    for i, cfg in enumerate(cfgs):
+    for i, rho in enumerate(grid.rho):
         for t in range(trials):
             g_t, h_t = g_gain[:, t].tolist(), h_gain[:, t].tolist()
-            want = _scalar_selection(g_t, h_t, cfg.rho, r_p, r_s)
+            want = _scalar_selection(g_t, h_t, rho, r_p, r_s)
             got = (
                 bool(sel.outage[i, t]),
                 float(sel.secondary_rate[i, t]),
@@ -353,12 +352,12 @@ def test_array_pass_equals_the_scalar_evaluation(
                 float(sel_primary[i, t]),
                 int(np.flatnonzero(sel.chosen[:, i, t])[0]),
             )
-            assert repr(got) == repr(want), (cfg, t)
-            want = _scalar_scheme1(g_t, h_t, cfg.rho, r_p, r_s)
+            assert repr(got) == repr(want), (rho, t)
+            want = _scalar_scheme1(g_t, h_t, rho, r_p, r_s)
             got = (
                 bool(s1.outage[i, t]),
                 float(s1.secondary_rate[i, t]),
                 float(s1.secondary_rate_raw[i, t]),
                 float(s1_primary[i, t]),
             )
-            assert repr(got) == repr(want), (cfg, t)
+            assert repr(got) == repr(want), (rho, t)
