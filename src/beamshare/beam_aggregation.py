@@ -109,13 +109,14 @@ class Problem4Solution:
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(strategy: str, m_beams: int) -> tuple[np.ndarray, np.ndarray]:
+def _layout(strategy: str, m_beams: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The strategy's beam sets in enumeration order, as (set, rank)
-    membership, rank r being the r-th strongest beam, and as their ranks,
-    ascending and right-aligned in m_beams slots, -1 in the slots before.
-    prefixes_plus_singletons lists the m_beams prefixes, then the singletons
-    not among them; all_subsets lists the subsets by size, then
-    lexicographically."""
+    membership, rank r being the r-th strongest beam, as their ranks,
+    ascending and right-aligned in m_beams slots, -1 in the slots before,
+    and as each set's parent: the index of the set without its last rank,
+    -1 for a singleton.  prefixes_plus_singletons lists the m_beams
+    prefixes, then the singletons not among them; all_subsets lists the
+    subsets by size, then lexicographically."""
     if strategy == "all_subsets":
         sets = [
             ranks
@@ -125,13 +126,15 @@ def _layout(strategy: str, m_beams: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         prefixes = [tuple(range(k)) for k in range(1, m_beams + 1)]
         sets = list(dict.fromkeys(prefixes + [(r,) for r in range(m_beams)]))
+    index = {ranks: i for i, ranks in enumerate(sets)}
+    parent = np.array([index.get(ranks[:-1], -1) for ranks in sets])
     members = np.zeros((len(sets), m_beams), dtype=bool)
     slots = np.full(members.shape, -1)
     for i, ranks in enumerate(sets):
         members[i, list(ranks)] = True
         slots[i, m_beams - len(ranks) :] = ranks
-    members.flags.writeable = slots.flags.writeable = False
-    return members, slots
+    members.flags.writeable = slots.flags.writeable = parent.flags.writeable = False
+    return members, slots, parent
 
 
 class _SetTable:
@@ -141,12 +144,15 @@ class _SetTable:
     Cell c is trial c % T at SNR point c // T; h and etas are rank-major
     (M, C), rank r being the cell's r-th strongest beam (descending h, ties
     by index).  tau_d is tau() of the beams outside the set, in ascending
-    index order; B = sum sqrt(h_k (1 - eta_k)) sums the set's ranks in
-    ascending order, as a sequential sum in candidate order does, and is nan
-    for a set with a beam of eta > 1.  Both are beam_sums over all sets at
-    once, each beam's mask built as the sum reaches it, so every float is
-    the scalar sum's.  snr = min(B^2, edge) / tau_d (see
-    evaluate_scheme2_block) is below 0 or nan for a set that fits no alpha_p.
+    index order, a beam_sum over all sets at once, each beam's mask built
+    as the sum reaches it.  B = sum sqrt(h_k (1 - eta_k)) sums the set's
+    ranks in ascending order, as a sequential sum in candidate order does,
+    and is nan for a set with a beam of eta > 1; it is built on the rank
+    lattice, one set size at a time, B of a set being B of its parent plus
+    the term of its last rank.  So every float is the scalar sum's.  snr =
+    min(B^2, edge) / tau_d (see evaluate_scheme2_block) is below 0 or nan
+    for a set that fits no alpha_p; its memory is cell-major, so snr.T is
+    a C-contiguous (cell, set) array.
     """
 
     def __init__(self, g_gain, h_gain, cfg: SystemConfig, strategy: str):
@@ -161,7 +167,7 @@ class _SetTable:
             )
         self.rho = snr_points(g_gain, cfg)
         eps_p = self.eps_p = cfg.eps_p
-        self.members, self.slots = _layout(strategy, m_beams)
+        self.members, self.slots, self.parent = _layout(strategy, m_beams)
         self.trial = np.tile(np.arange(trials), len(self.rho))
         rho = np.repeat(self.rho, trials)
         self.order = np.argsort(-h_gain, axis=0, kind="stable")
@@ -188,11 +194,18 @@ class _SetTable:
         self.snr = snr
 
     def power_bound(self) -> np.ndarray:
-        """B of every (set, cell) pair; nan for a set with a beam of eta > 1."""
+        """B of every (set, cell) pair; nan for a set with a beam of eta > 1.
+        Its memory is cell-major, as snr's, which is built from it in place."""
         with np.errstate(invalid="ignore"):
             terms = np.sqrt(self.h * (1.0 - self.etas))
         terms[self.etas > 1.0] = np.nan
-        return beam_sum(terms, self.members.T[:, :, None])
+        bound = np.empty(self.tau_d.shape[::-1]).T
+        bound[...] = terms[self.slots[:, -1]]
+        size = self.members.sum(axis=1)
+        for s in range(2, len(terms) + 1):  # each parent has s - 1 beams
+            grown = np.flatnonzero(size == s)
+            bound[grown] += bound[self.parent[grown]]
+        return bound
 
     def beams(self, i: int, c: int) -> tuple[int, ...]:
         """Set i's beam indices at cell c, in candidate order."""
@@ -224,7 +237,10 @@ class _Lanes:
     sqrt(0) = 0.0; the backward sweep reaches those slots only after every
     beam of the lane.  So each lane's floats are those of
     min_primary_power, _cap and solve_problem4 on its candidate, in their
-    order, every sum starting from 0.0.
+    order, every sum starting from 0.0.  over flags the lanes with a beam of
+    eta > 1, min_primary_power's alpha_p > 1 test: elsewhere alpha_p > 1
+    needs r / h > 1, so r > h (r / h of r <= h rounds to at most 1), which
+    fails the lane already.
     """
 
     def __init__(self, table: _SetTable, sets: np.ndarray, cells: np.ndarray):
@@ -234,25 +250,30 @@ class _Lanes:
         self.hc = np.where(empty, 0.0, table.h[ranks, cells])
         self.h = np.where(empty, np.inf, self.hc)
         self.etas = np.where(empty, 0.0, table.etas[ranks, cells])
+        self.over = (self.etas > 1.0).any(axis=0)
         self.tau_d, self.eps_p = table.tau_d[sets, cells], table.eps_p
 
     def _sweep(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """min_primary_power at each lane's t: alpha_p, and where it fits."""
         u = t * t
-        acc = np.zeros(t.shape)
+        acc, hk_a = np.zeros(t.shape), np.empty(t.shape)
         required, alpha_p = np.empty(self.h.shape), np.empty(self.h.shape)
-        for k in range(len(self.h) - 1, -1, -1):
-            r = np.add(acc, u, out=required[k])
+        for r, a, h_k, eta_k in zip(
+            required[::-1], alpha_p[::-1], self.h[::-1], self.etas[::-1]
+        ):
+            np.add(acc, u, out=r)
             r += self.tau_d
             r *= self.eps_p
-            a = np.divide(r, self.h[k], out=alpha_p[k])
-            np.fmax(self.etas[k], a, out=a)
-            acc += self.h[k] * a
-        fails = (required > self.h).any(axis=0) | (alpha_p > 1.0).any(axis=0)
+            np.divide(r, h_k, out=a)
+            np.fmax(eta_k, a, out=a)
+            acc += np.multiply(h_k, a, out=hk_a)
+        fails = (required > self.h).any(axis=0) | self.over
         return alpha_p, ~fails
 
     def _cap(self, alpha_p: np.ndarray) -> np.ndarray:
-        return beam_sum(np.sqrt(self.hc * (1.0 - alpha_p)))
+        roots = np.subtract(1.0, alpha_p)
+        roots *= self.hc
+        return beam_sum(np.sqrt(roots, out=roots))
 
     # a lane that stops fitting goes on with values nothing reads, so the
     # steps below silence numpy's warnings about them
@@ -265,7 +286,7 @@ class _Lanes:
     def _take(self, keep: np.ndarray) -> "_Lanes":
         """The lanes where keep holds, each slot's row contiguous."""
         part = copy.copy(self)
-        for name in ("hc", "h", "etas", "tau_d"):
+        for name in ("hc", "h", "etas", "over", "tau_d"):
             setattr(part, name, getattr(self, name).compress(keep, axis=-1))
         return part
 
@@ -327,8 +348,11 @@ def enumerate_candidates(
     all_subsets              every nonempty subset (M <= 8)
 
     Every set is ordered by descending h_gain (ties by index); infeasible
-    candidates are still listed.
+    candidates are still listed.  They are the first trial's at cfg's SNR
+    point; a cfg of more than one point raises ValueError.
     """
+    if np.size(cfg.rho) != 1:
+        raise ValueError(f"candidates need one SNR point; cfg.rho has {np.size(cfg.rho)}")
     table = _SetTable(chan.g_gain, chan.h_gain, cfg, strategy)
     return [table.candidate(i, 0) for i in range(len(table.slots))]
 
@@ -750,11 +774,12 @@ def _visit(table: _SetTable, inc: _Incumbents, single: np.ndarray, counts: dict)
     """Visit every cell's sets of two or more beams in rounds, in
     descending bound SNR, ties in enumeration order, until a bound rate is
     below the incumbent's; each round's visited pairs are solved on one
-    lane table (see _solve_round).  table.snr becomes the pending sets'
-    bounds: a set leaves it, as -inf, when visited or dropped."""
-    pending = table.snr
-    pending[single[:, None] | ~(pending >= 0.0)] = -np.inf  # or fit no alpha_p
-    left = (pending > -np.inf).sum(axis=0)
+    lane table (see _solve_round).  table.snr.T becomes the pending sets'
+    bounds, cell by cell, so each cell's argmax runs over contiguous
+    memory: a set leaves it, as -inf, when visited or dropped."""
+    pending = table.snr.T
+    pending[single | ~(pending >= 0.0)] = -np.inf  # or fit no alpha_p
+    left = (pending > -np.inf).sum(axis=1)
     counts["ranked"] = int(left.sum())
     width = min(_ROUND, int(left.max()))
     cells, rows = np.arange(len(left)), np.arange(width)[:, None]
@@ -762,9 +787,9 @@ def _visit(table: _SetTable, inc: _Incumbents, single: np.ndarray, counts: dict)
     while left.any():
         counts["rounds"] += 1
         for p in range(width):
-            sets[p] = pending.argmax(axis=0)  # the first of the largest
-            bound[p] = pending[sets[p], cells]
-            pending[sets[p], cells] = -np.inf
+            sets[p] = pending.argmax(axis=1)  # the first of the largest
+            bound[p] = pending[cells, sets[p]]
+            pending[cells, sets[p]] = -np.inf
         valid = bound > -np.inf
         rate = np.full(bound.shape, -np.inf)
         rate[valid] = _rate_bound(bound[valid])
@@ -773,7 +798,7 @@ def _visit(table: _SetTable, inc: _Incumbents, single: np.ndarray, counts: dict)
         cut = np.where(ends, below.argmax(axis=0), width)
         counts["bound_drops"] += int((left - cut)[ends].sum())
         left = np.where(ends, 0, left - valid.sum(axis=0))
-        pending[:, ends] = -np.inf
+        pending[ends] = -np.inf
         visit = valid & (rows < cut)
         if visit.any():
             _solve_round(table, inc, sets, visit, counts)

@@ -346,7 +346,8 @@ def exhaustive_scheme2(
     of one trial: solve every candidate with solve_problem4 and keep the
     optimal one of least ranking key, _key.  Returns the chosen beams'
     mask, the rate (0.0 when no set solves) and the split alpha_p, alpha_s,
-    each per beam; beams outside the set keep the inactive split."""
+    each per beam; beams outside the set keep the inactive split.  cfg must
+    hold one SNR point (enumerate_candidates raises ValueError otherwise)."""
     best, best_key = None, None
     for cand in enumerate_candidates(chan, cfg, strategy):
         sol = solve_problem4(cand)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from beamshare.power_allocation import beam_sum
+
 
 def written_tau(beams, h, alpha_p, rho):
     # tau written out: the beams outside the set, in ascending order, plus 1/rho
@@ -22,3 +24,13 @@ def same_choice(cells, want, s=0, t=0):
         and cells.alpha_p[:, s, t].tobytes() == alpha_p.tobytes()
         and cells.alpha_s[:, s, t].tobytes() == alpha_s.tobytes()
     )
+
+
+def summed_power_bound(h, etas, members):
+    # the set table's B as one masked sum over all sets: sqrt(h (1 - eta))
+    # of each (rank, cell), nan where eta > 1, added in ascending rank from
+    # 0.0 where members[set, rank] holds; (set, cell)
+    with np.errstate(invalid="ignore"):
+        terms = np.sqrt(h * (1.0 - etas))
+    terms[etas > 1.0] = np.nan
+    return beam_sum(terms, members.T[:, :, None])

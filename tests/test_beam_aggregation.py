@@ -97,6 +97,16 @@ def test_enumerate_rejects_unknown_strategy_and_large_subsets():
         )
 
 
+def test_enumerate_takes_one_snr_point():
+    # candidates belong to one SNR point: a grid config raises rather than
+    # listing its first point's sets; a 1-tuple is that one point
+    chan = realize(SystemConfig(2, 2, 10.0, 0.1, 1.0), TrialSeed(5, 0))
+    with pytest.raises(ValueError, match="one SNR point"):
+        enumerate_candidates(chan, SystemConfig(2, 2, (10.0, 1000.0), 0.1, 1.0), "all_subsets")
+    one = enumerate_candidates(chan, SystemConfig(2, 2, (10.0,), 0.1, 1.0), "all_subsets")
+    assert one == enumerate_candidates(chan, SystemConfig(2, 2, 10.0, 0.1, 1.0), "all_subsets")
+
+
 def _listed_candidates(chan, cfg, strategy):
     # enumerate_candidates written set by set: combinations of the
     # descending-h order, written_tau() of each set, deduplicated in listing order

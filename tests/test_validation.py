@@ -1,9 +1,13 @@
-"""The statistical tests behind the validate suites."""
+"""The statistical tests and references behind the validate suites."""
 
 import math
 
+import numpy as np
+import pytest
+
+from beamshare.channel_model import SystemConfig, TrialSeed, realize
 from beamshare.cli import main
-from beamshare.validation import LEVEL_3SE, binomial_two_sided_p
+from beamshare.validation import LEVEL_3SE, binomial_two_sided_p, exhaustive_scheme2
 
 
 def test_binomial_test_is_exact_for_rare_events():
@@ -29,3 +33,15 @@ def test_validate_distribution_seed_52_passes(capsys):
     assert main(["validate", "distribution", "--seed", "52"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] distribution.q1[N=4,M=2,rho=100]" in out
+
+
+def test_exhaustive_scheme2_takes_one_snr_point():
+    # a grid config would pair beam m with rho entry m in the inactive
+    # split, so the one-cell reference raises; a 1-tuple is one point
+    chan = realize(SystemConfig(2, 2, 10.0, 0.1, 1.0), TrialSeed(5, 0))
+    with pytest.raises(ValueError, match="one SNR point"):
+        exhaustive_scheme2(chan, SystemConfig(2, 2, (10.0, 1000.0), 0.1, 1.0), "all_subsets")
+    got = exhaustive_scheme2(chan, SystemConfig(2, 2, (10.0,), 0.1, 1.0), "all_subsets")
+    want = exhaustive_scheme2(chan, SystemConfig(2, 2, 10.0, 0.1, 1.0), "all_subsets")
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
