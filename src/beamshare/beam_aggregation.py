@@ -45,6 +45,7 @@ from .power_allocation import (
 
 __all__ = [
     "STRATEGIES",
+    "DEFAULT_STRATEGY",
     "AggregationCandidate",
     "Problem4Solution",
     "enumerate_candidates",
@@ -59,6 +60,8 @@ __all__ = [
 ]
 
 STRATEGIES = ("prefixes_plus_singletons", "all_subsets")
+DEFAULT_STRATEGY = STRATEGIES[0]
+ALL_SUBSETS_MAX_BEAMS = 8
 
 _BISECT_MAX_ITER = 200
 # relative margin of scheme 2's set pruning bounds (see evaluate_scheme2_block)
@@ -67,7 +70,8 @@ _PRUNE_MARGIN = 1e-9
 _EDGE_SLACK = 1e-12
 # multi-beam sets a cell takes per round of scheme 2's search
 _ROUND = 8
-ALL_SUBSETS_MAX_BEAMS = 8
+# absolute slack of certify_solution's constraint checks
+_CERTIFY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,18 @@ class Problem4Solution:
     status: str  # optimal | infeasible
 
 
+def _check_strategy(strategy: str, m_beams: int) -> None:
+    """Raise ValueError unless strategy is one of STRATEGIES and can list
+    the sets of m_beams beams: all_subsets stops at ALL_SUBSETS_MAX_BEAMS."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"candidate_strategy must be one of {STRATEGIES}")
+    if strategy == "all_subsets" and m_beams > ALL_SUBSETS_MAX_BEAMS:
+        raise ValueError(
+            f"candidate_strategy all_subsets is limited to "
+            f"m_beams <= {ALL_SUBSETS_MAX_BEAMS}"
+        )
+
+
 @functools.lru_cache(maxsize=None)
 def _layout(strategy: str, m_beams: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The strategy's beam sets in enumeration order, as (set, rank)
@@ -116,7 +132,8 @@ def _layout(strategy: str, m_beams: int) -> tuple[np.ndarray, np.ndarray, np.nda
     and as each set's parent: the index of the set without its last rank,
     -1 for a singleton.  prefixes_plus_singletons lists the m_beams
     prefixes, then the singletons not among them; all_subsets lists the
-    subsets by size, then lexicographically."""
+    subsets by size, then lexicographically.  See _check_strategy."""
+    _check_strategy(strategy, m_beams)
     if strategy == "all_subsets":
         sets = [
             ranks
@@ -156,15 +173,7 @@ class _SetTable:
     """
 
     def __init__(self, g_gain, h_gain, cfg: SystemConfig, strategy: str):
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
         m_beams, trials = h_gain.shape
-        if strategy == "all_subsets" and m_beams > ALL_SUBSETS_MAX_BEAMS:
-            raise ValueError(
-                f"all_subsets enumeration is limited to {ALL_SUBSETS_MAX_BEAMS} beams"
-            )
         self.rho = snr_points(g_gain, cfg)
         eps_p = self.eps_p = cfg.eps_p
         self.members, self.slots, self.parent = _layout(strategy, m_beams)
@@ -348,11 +357,11 @@ def enumerate_candidates(
     all_subsets              every nonempty subset (M <= 8)
 
     Every set is ordered by descending h_gain (ties by index); infeasible
-    candidates are still listed.  They are the first trial's at cfg's SNR
-    point; a cfg of more than one point raises ValueError.
+    candidates are still listed.  They are those of chan's one trial at
+    cfg's one SNR point; more trials or points raise ValueError.
     """
-    if np.size(cfg.rho) != 1:
-        raise ValueError(f"candidates need one SNR point; cfg.rho has {np.size(cfg.rho)}")
+    if np.size(cfg.rho) != 1 or chan.h_gain.shape[1] != 1:
+        raise ValueError("candidates need one trial at one SNR point")
     table = _SetTable(chan.g_gain, chan.h_gain, cfg, strategy)
     return [table.candidate(i, 0) for i in range(len(table.slots))]
 
@@ -479,10 +488,11 @@ def _solution(
 
 
 def certify_solution(
-    candidate: AggregationCandidate, solution: Problem4Solution, tol: float = 1e-8
+    candidate: AggregationCandidate, solution: Problem4Solution
 ) -> list[str]:
     """Re-check every program constraint at the returned point, without
-    reusing any solver intermediate.  Returns the list of violations."""
+    reusing any solver intermediate.  Returns the violations past tol."""
+    tol = _CERTIFY_TOL
     if solution.status != "optimal":
         return []
     beams, h, eps_p = candidate.beams, candidate.h, candidate.eps_p
@@ -676,7 +686,7 @@ def evaluate_scheme2_block(
     g_gain: np.ndarray,
     h_gain: np.ndarray,
     cfg: SystemConfig,
-    strategy: str = "prefixes_plus_singletons",
+    strategy: str = DEFAULT_STRATEGY,
 ) -> CellOutcomes:
     """Evaluate SIC-chain aggregation, with the set chosen by enumeration,
     on every (SNR point, trial) cell of a block.
@@ -841,7 +851,7 @@ def _solve_round(
 
 
 def evaluate_scheme2(
-    chan: ChannelBlock, cfg: SystemConfig, strategy: str = "prefixes_plus_singletons"
+    chan: ChannelBlock, cfg: SystemConfig, strategy: str = DEFAULT_STRATEGY
 ) -> CellOutcomes:
     """Evaluate SIC-chain aggregation on the draws of chan at cfg's SNR
     point (see evaluate_scheme2_block)."""

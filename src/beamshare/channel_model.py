@@ -123,11 +123,7 @@ class SystemConfig:
             raise ValueError("r_p must be > 0 BPCU")
         if self.r_s < 0.0:
             raise ValueError("r_s must be >= 0 BPCU")
-        try:
-            eps_p = self.eps_p
-        except OverflowError:
-            eps_p = math.inf
-        if not math.isfinite(eps_p):
+        if not self.r_p < 1024.0:  # 2.0 ** r_p overflows a double from 1024 on
             raise ValueError("r_p is too large: the SINR threshold 2**r_p - 1 overflows")
 
     @cached_property

@@ -280,7 +280,6 @@ def _cmd_preset(args: argparse.Namespace) -> int:
         metric=preset["metric"],
         trials=_PRESET_TRIALS,
         seed=1,
-        candidate_strategy="prefixes_plus_singletons",
     )
     fields.update(_overrides(args))
     try:

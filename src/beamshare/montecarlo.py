@@ -33,8 +33,8 @@ from itertools import product
 import numpy as np
 
 from .beam_aggregation import (
-    ALL_SUBSETS_MAX_BEAMS,
-    STRATEGIES,
+    DEFAULT_STRATEGY,
+    _check_strategy,
     _layout,
     evaluate_scheme1,
     evaluate_scheme1_block,
@@ -109,7 +109,7 @@ class SweepSpec:
     metric: str
     trials: int
     seed: int
-    candidate_strategy: str = "prefixes_plus_singletons"
+    candidate_strategy: str = DEFAULT_STRATEGY
     config: SystemConfig = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -143,17 +143,9 @@ class SweepSpec:
             )
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
-        if self.candidate_strategy not in STRATEGIES:
-            raise ValueError(f"candidate_strategy must be one of {STRATEGIES}")
-        if (
-            self.candidate_strategy == "all_subsets"
-            and "scheme2" in self.schemes
-            and self.m_beams > ALL_SUBSETS_MAX_BEAMS
-        ):
-            raise ValueError(
-                f"candidate_strategy all_subsets is limited to "
-                f"m_beams <= {ALL_SUBSETS_MAX_BEAMS}"
-            )
+        # only scheme 2 lists beam sets, so only it limits the beams
+        beams = self.m_beams if "scheme2" in self.schemes else 0
+        _check_strategy(self.candidate_strategy, beams)
         try:
             # the first point checks geometry and targets, as a check point
             # by point would; a later point's rho can then only overflow

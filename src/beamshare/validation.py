@@ -3,9 +3,9 @@ weak-beam closed form, solver cross-checks, dominance, and the
 no-outage-floor trend.
 
 Each suite returns a list of CheckResult rows so the CLI can render a
-pass/fail table.  The zf, distribution and dominance suites take their
-sizes as parameters, so callers can trade runtime for statistical power;
-the others draw the fixed sizes below.  Each suite scores the blocks it
+pass/fail table.  The distribution and dominance suites take their sizes
+as parameters, so callers can trade runtime for statistical power; the
+others draw the fixed sizes below.  Each suite scores the blocks it
 draws as arrays and loops per draw only over a reference solve.  All
 randomness flows from the seed argument.
 """
@@ -67,10 +67,13 @@ LEVEL_3SE = math.erfc(3.0 / math.sqrt(2.0))
 # one-sided 95% normal quantile, used by the statistical trend checks
 Z_95 = 1.645
 
-# sizes of the suites without size parameters: seeds of the stream check,
-# draws of the singleton reduction, (set size, grid resolution, instances)
-# of the grid-oracle check, draws per N = M of the set search and lanes
-# checks, and trials per SNR point of the no-outage-floor sweep
+# sizes of the suites without size parameters: draws per N = M and N = M
+# of the zf identities, seeds of the stream check, draws of the singleton
+# reduction, (set size, grid resolution, instances) of the grid-oracle
+# check, draws per N = M of the set search and lanes checks, and trials
+# per SNR point of the no-outage-floor sweep
+ZF_DRAWS = 1000
+ZF_SIZES = (2, 3, 4)
 STREAM_DRAWS = 256
 REDUCTION_DRAWS = 2000
 ORACLE_PLAN = ((2, 1e-3, 30), (3, 2e-3, 6))
@@ -125,15 +128,14 @@ def stream_check(seed: int) -> CheckResult:
     )
 
 
-def zf_checks(
-    seed: int, realizations: int = 1000, sizes: tuple[int, ...] = (2, 3, 4)
-) -> list[CheckResult]:
-    """Zero-forcing identities on random draws: orthogonality, unit total
-    beam power, and the Gram-inverse form of the effective gains; and the
-    block sampler against each trial's own generator."""
+def zf_checks(seed: int) -> list[CheckResult]:
+    """Zero-forcing identities on ZF_DRAWS draws at each N = M of ZF_SIZES:
+    orthogonality, unit total beam power, and the Gram-inverse form of the
+    effective gains; and the block sampler against each trial's own
+    generator."""
     results = []
-    for size in sizes:
-        block = _draws(SystemConfig(size, size, 10.0, 1.0, 1.0), seed, realizations)
+    for size in ZF_SIZES:
+        block = _draws(SystemConfig(size, size, 10.0, 1.0, 1.0), seed, ZF_DRAWS)
         G_H = block.G.conj().transpose(0, 2, 1)
         off = np.abs(G_H @ block.F)
         off[:, range(size), range(size)] = 0.0
@@ -346,8 +348,9 @@ def exhaustive_scheme2(
     of one trial: solve every candidate with solve_problem4 and keep the
     optimal one of least ranking key, _key.  Returns the chosen beams'
     mask, the rate (0.0 when no set solves) and the split alpha_p, alpha_s,
-    each per beam; beams outside the set keep the inactive split.  cfg must
-    hold one SNR point (enumerate_candidates raises ValueError otherwise)."""
+    each per beam; beams outside the set keep the inactive split.  chan and
+    cfg must hold one trial and one SNR point (else enumerate_candidates
+    raises ValueError)."""
     best, best_key = None, None
     for cand in enumerate_candidates(chan, cfg, strategy):
         sol = solve_problem4(cand)
@@ -367,11 +370,12 @@ def exhaustive_scheme2(
     return chosen, rate, alpha_p, alpha_s
 
 
-def _set_search_draws(seed: int, draws: int):
-    """`draws` draws at each N = M in {2, 4, 6, 8}, draw t at 10 (t % 5) dB
-    and r_p 0.1 or 1, alternating every 5 draws; yields each operating
-    point's cfg with the point's trials and the block of all the draws of
-    its geometry (a draw depends on N and M only)."""
+def _set_search_draws(seed: int):
+    """SET_SEARCH_DRAWS draws at each N = M in {2, 4, 6, 8}, draw t at
+    10 (t % 5) dB and r_p 0.1 or 1, alternating every 5 draws; yields each
+    operating point's cfg with the point's trials and the block of all the
+    draws of its geometry (a draw depends on N and M only)."""
+    draws = SET_SEARCH_DRAWS
     for m in (2, 4, 6, 8):
         points: dict[SystemConfig, list] = {}
         for t in range(draws):
@@ -389,7 +393,7 @@ def set_search_check(seed: int) -> CheckResult:
     point's draws scored as one block; with the mean multi-beam sets
     ranked and solved as lanes per search."""
     mismatches = count = ranked = lanes = 0
-    for cfg, trials, block in _set_search_draws(seed, SET_SEARCH_DRAWS):
+    for cfg, trials, block in _set_search_draws(seed):
         g_gain, h_gain = block.g_gain[:, trials], block.h_gain[:, trials]
         for strategy in STRATEGIES:
             cells = evaluate_scheme2_block(g_gain, h_gain, cfg, strategy)
@@ -454,7 +458,7 @@ def lanes_check(seed: int) -> CheckResult:
     on every feasible set of two or more beams (all subsets) of the
     _set_search_draws, each operating point's draws solved as one pass."""
     mismatches = count = solves = steps = 0
-    for cfg, trials, block in _set_search_draws(seed, SET_SEARCH_DRAWS):
+    for cfg, trials, block in _set_search_draws(seed):
         pairs, iterations = lane_solutions(
             block.g_gain[:, trials], block.h_gain[:, trials], cfg, "all_subsets"
         )
@@ -483,9 +487,7 @@ def dominance_checks(seed: int, draws: int = 2000) -> list[CheckResult]:
     block = _draws(cfg, seed, draws)
     g_gain, h_gain = block.g_gain, block.h_gain
     selection = evaluate_selection_block(g_gain, h_gain, cfg).secondary_rate
-    scheme2 = evaluate_scheme2_block(
-        g_gain, h_gain, cfg, "prefixes_plus_singletons"
-    ).secondary_rate
+    scheme2 = evaluate_scheme2_block(g_gain, h_gain, cfg).secondary_rate
     violations = np.count_nonzero(scheme2 < selection, axis=1).tolist()
     mean_gaps = np.mean(scheme2 - selection, axis=1).tolist()
     for snr_db, below, mean_gap in zip(snrs_db, violations, mean_gaps):

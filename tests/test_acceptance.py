@@ -42,7 +42,7 @@ def _report(num: int, text: str) -> None:
 
 def test_criterion_01_zf_construction():
     start = time.perf_counter()
-    checks = zf_checks(SEED, realizations=1000, sizes=(2, 3, 4))
+    checks = zf_checks(SEED)
     elapsed = time.perf_counter() - start
     for check in checks:
         assert check.passed, f"{check.name}: {check.detail}"

@@ -10,6 +10,7 @@ from beamshare.beam_aggregation import (
     AggregationCandidate,
     _Lanes,
     _SetTable,
+    _layout,
     certify_solution,
     enumerate_candidates,
     evaluate_scheme1_block,
@@ -27,7 +28,7 @@ from beamshare.channel_model import (
     realize,
     realize_block,
 )
-from beamshare.montecarlo import snr_db_to_linear
+from beamshare.montecarlo import SweepSpec, snr_db_to_linear
 from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p
 from beamshare.validation import exhaustive_scheme2, random_feasible_instance
 
@@ -85,16 +86,38 @@ def test_enumerate_flags_infeasible():
 
 
 def test_enumerate_rejects_unknown_strategy_and_large_subsets():
-    cfg = SystemConfig(2, 2, 10.0, 1.0, 1.0)
-    chan = _chan([1.0, 1.0], [1.0, 2.0])
-    for strategy in ("everything", "prefixes"):
-        with pytest.raises(ValueError):
-            enumerate_candidates(chan, cfg, strategy)
-    big = SystemConfig(9, 9, 10.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        enumerate_candidates(
-            _chan([1.0] * 9, [1.0] * 9), big, "all_subsets"
+    # the layout owns the strategy rule, so a spec that runs scheme 2, the
+    # block pass and the candidate list reject a bad strategy in one wording
+    for strategy, m in (("everything", 2), ("prefixes", 2), ("all_subsets", 9)):
+        with pytest.raises(ValueError) as want:
+            _layout(strategy, m)
+        cfg = SystemConfig(m, m, 10.0, 1.0, 1.0)
+        chan = _chan([1.0] * m, [1.0] * m)
+        calls = (
+            lambda: SweepSpec(
+                n_antennas=m, m_beams=m, r_p=1.0, r_s=1.0, snr_grid_db=(10.0,),
+                schemes=("scheme2",), metric="outage", trials=1, seed=0,
+                candidate_strategy=strategy,
+            ),
+            lambda: evaluate_scheme2_block(chan.g_gain, chan.h_gain, cfg, strategy),
+            lambda: enumerate_candidates(chan, cfg, strategy),
         )
+        for call in calls:
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+    assert str(want.value) == "candidate_strategy all_subsets is limited to m_beams <= 8"
+    with pytest.raises(ValueError, match=r"^candidate_strategy must be one of \("):
+        _layout("everything", 2)
+
+
+def test_enumerate_takes_one_trial():
+    # candidates belong to one trial: a block of three raises rather than
+    # listing trial 0's sets
+    cfg = SystemConfig(3, 3, 10.0, 0.1, 1.0)
+    block, = realize_block([cfg], [(7, t, 0) for t in range(3)])
+    with pytest.raises(ValueError, match="one trial"):
+        enumerate_candidates(block, cfg, "all_subsets")
 
 
 def test_enumerate_takes_one_snr_point():

@@ -405,6 +405,23 @@ def test_suite_names_are_the_validation_suites():
     assert cli_mod.SUITE_NAMES == tuple(validation.SUITES)
 
 
+def test_strategy_flags_name_the_strategies(monkeypatch):
+    # one flag per layout strategy, and a preset without --strategy runs the
+    # package's one default
+    from beamshare.beam_aggregation import DEFAULT_STRATEGY, STRATEGIES
+
+    assert sorted(cli_mod._STRATEGY_FLAGS.values()) == sorted(STRATEGIES)
+    specs = []
+
+    def run(args, preset_specs, metadata):
+        specs.extend(preset_specs)
+        return 0
+
+    monkeypatch.setattr(cli_mod, "_run", run)
+    assert main(["preset", "fig2b"]) == 0
+    assert specs and {s.candidate_strategy for s in specs} == {DEFAULT_STRATEGY}
+
+
 def test_validate_failure_exit_code(capsys, monkeypatch):
     from beamshare import validation
     from beamshare.validation import CheckResult

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from beamshare.channel_model import SystemConfig, TrialSeed, realize
+from beamshare.channel_model import SystemConfig, TrialSeed, realize, realize_block
 from beamshare.cli import main
 from beamshare.validation import LEVEL_3SE, binomial_two_sided_p, exhaustive_scheme2
 
@@ -33,6 +33,15 @@ def test_validate_distribution_seed_52_passes(capsys):
     assert main(["validate", "distribution", "--seed", "52"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] distribution.q1[N=4,M=2,rho=100]" in out
+
+
+def test_exhaustive_scheme2_takes_one_trial():
+    # the reference scores one cell: a block of three trials raises rather
+    # than answering for trial 0
+    cfg = SystemConfig(3, 3, 10.0, 0.1, 1.0)
+    block, = realize_block([cfg], [(7, t, 0) for t in range(3)])
+    with pytest.raises(ValueError, match="one trial"):
+        exhaustive_scheme2(block, cfg, "all_subsets")
 
 
 def test_exhaustive_scheme2_takes_one_snr_point():
