@@ -19,21 +19,21 @@ is a prefix of a larger geometry's: a block of trials is drawn once, as far
 as its largest geometry needs.  Seeds are (experiment_seed, trial_index,
 attempt) rows of a uint64 array.  numpy's SeedSequence hash runs as uint32
 array arithmetic over them, the PCG64 seeding in Python integers, and each
-trial's normals come from one standard_normal call on a reused generator
-whose state is set to that trial's (one call equals the reference's four,
-as each call only continues the stream).  Each geometry's block is
-zero-forced as one stack; realize is the block of one.  The stacked linear
-algebra does per matrix what the single call does, so every trial's values
-are bit for bit the same whatever block it is drawn in.
+trial's normals come from one standard_normal call on a generator that
+each sample_channels call builds, its state set to that trial's (one call
+equals the reference's four, as each call only continues the stream).
+Each geometry's block is zero-forced as one stack; realize is the block of
+one.  The stacked linear algebra does per matrix what the single call
+does, so every trial's values are bit for bit the same whatever block it
+is drawn in.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -69,10 +69,6 @@ _MASK32 = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier (pcg_setseq_128_step_r)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
-
-# the lock keeps another thread from resetting the shared generator between
-# a trial's state and its draw
-_GENERATOR_LOCK = threading.Lock()
 
 
 class SingularChannel(Exception):
@@ -221,13 +217,6 @@ def _seed_states(seeds: np.ndarray) -> list[list[int]]:
     return state.view("<u8").tolist()
 
 
-@cache
-def _generator() -> np.random.Generator:
-    """One PCG64 generator, its state set to each trial's in turn; made on
-    first use, so that importing the package does not import numpy.random."""
-    return np.random.Generator(np.random.PCG64(0))
-
-
 def sample_channels(
     cfgs: Sequence[SystemConfig], seeds: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -240,27 +229,26 @@ def sample_channels(
     stream, drawn once for the largest geometry, in the layout of the
     module docstring: that generator's PCG64 state and increment are
     derived from the seed's SeedSequence words as pcg_setseq_128_srandom_r
-    does, and set on one reused generator, which fills the row with one
+    does, and set on the call's own generator, which fills the row with one
     standard_normal call.
     """
     sizes = [(cfg.n_antennas, cfg.m_beams) for cfg in cfgs]
     normals = np.empty((len(seeds), max(2 * n * m + 2 * n for n, m in sizes)))
     states = _seed_states(seeds)
-    with _GENERATOR_LOCK:
-        generator = _generator()
-        bit_generator = generator.bit_generator
-        for row, (s_hi, s_lo, i_hi, i_lo) in zip(normals, states):
-            # pcg_setseq_128_srandom_r: inc = 2 seq + 1, then two LCG steps
-            # from state 0 with the seed added in between
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            generator.standard_normal(out=row)
+    generator = np.random.Generator(np.random.PCG64(0))
+    bit_generator = generator.bit_generator
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(normals, states):
+        # pcg_setseq_128_srandom_r: inc = 2 seq + 1, then two LCG steps
+        # from state 0 with the seed added in between
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.standard_normal(out=row)
     scale = math.sqrt(0.5)
     draws = []
     for n, m in sizes:

@@ -1,6 +1,6 @@
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -95,20 +95,31 @@ def test_sampling_deterministic_bitwise():
 
 
 def test_threads_sampling_at_once_get_their_own_streams():
-    # every block shares one generator; switching threads as often as the
+    # each call builds its own generator; switching threads as often as the
     # interpreter allows must not mix one block's state into another's draw
     cfg = SystemConfig(8, 8, 10.0, 1.0, 1.0)
-    blocks = [[(61, 64 * b + t, 0) for t in range(64)] for b in range(16)]
+    blocks = [[(61, 64 * b + t, 0) for t in range(64)] for b in range(20)]
     alone = [sample_channels([cfg], seeds)[0] for seeds in blocks]
+    drawn = [[None] * len(blocks) for _ in range(4)]
+
+    def draw(out):
+        for i, seeds in enumerate(blocks):
+            out[i] = sample_channels([cfg], seeds)[0]
+
+    threads = [threading.Thread(target=draw, args=(out,), daemon=True) for out in drawn]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            shared = list(pool.map(lambda seeds: sample_channels([cfg], seeds)[0], blocks))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    for (G, h), (G_ref, h_ref) in zip(shared, alone):
-        assert G.tobytes() == G_ref.tobytes() and h.tobytes() == h_ref.tobytes()
+    for out in drawn:
+        for (G, h), (G_ref, h_ref) in zip(out, alone, strict=True):
+            assert G.tobytes() == G_ref.tobytes() and h.tobytes() == h_ref.tobytes()
 
 
 def test_column_independence():

@@ -1,5 +1,6 @@
 """The statistical tests and references behind the validate suites."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -33,6 +34,15 @@ def test_validate_distribution_seed_52_passes(capsys):
     assert main(["validate", "distribution", "--seed", "52"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] distribution.q1[N=4,M=2,rho=100]" in out
+
+
+def test_validate_distribution_prints_the_recorded_bytes(capsys):
+    # SHA-256 of the table the closed forms print (q1_exact, q1_high_snr
+    # and the KS statistics against gain_cdf), recorded before the upper
+    # tail of P became the finite Erlang sum
+    assert main(["validate", "distribution", "--seed", "0"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "b7c3a24f7bed6fa4329947ae0fd8af9e19b9ce3664c5c06fe43ea029c407cabc"
 
 
 def test_exhaustive_scheme2_takes_one_trial():
