@@ -661,13 +661,12 @@ class _Incumbents:
         mine, theirs = self.table.beams(i, c), self.table.beams(self.set[c], c)
         return (len(mine), sorted(mine)) > (len(theirs), sorted(theirs))
 
-    def snr(self, cells: np.ndarray) -> np.ndarray:
-        """t*^2 / tau_d of the incumbents of these cells, 0 for none."""
-        return np.square(self.t[cells]) / self.table.tau_d[self.set[cells], cells]
-
-    def offer(self, rate: np.ndarray, sinr: np.ndarray, t: np.ndarray, sets):
-        """Make set sets[p, c], at rate[p, c] = log2(1 + sinr[p, c]) and t*[p, c],
-        cell c's incumbent if it ranks first; rate is -inf where nothing is offered."""
+    def offer(self, sinr: np.ndarray, t: np.ndarray, sets):
+        """Make set sets[p, c], at SNR sinr[p, c] and t*[p, c], cell c's
+        incumbent if its rate log2(1 + sinr) ranks first; sinr is nan where
+        nothing is offered."""
+        rate, solved = np.full(sinr.shape, -np.inf), ~np.isnan(sinr)
+        rate[solved] = log2_each(1.0 + sinr[solved])
         best = rate.argmax(axis=0)
         cells = np.arange(rate.shape[1])
         top = rate[best, cells]
@@ -733,18 +732,27 @@ def evaluate_scheme2_block(
     counts = dict(
         ranked=0, bound_drops=0, t_r_drops=0, lanes=0, raced=0, rounds=0, iterations=0
     )
+    # the singletons' closed forms (_solve_singleton) are the first incumbents
     single = table.members.sum(axis=1) == 1
     ones = np.flatnonzero(single)
-    one_ap, one_x = _singletons(table, inc, ones)
+    ranks, tau_d = table.slots[ones, -1], table.tau_d[ones]
+    fits, u, _, _ = _singleton(table.h[ranks], table.etas[ranks], tau_d, table.eps_p)
+    sinr = np.where(fits & (table.snr[ones] >= 0.0), u / tau_d, np.nan)
+    inc.offer(sinr, np.sqrt(u), np.broadcast_to(ones[:, None], u.shape))
     _visit(table, inc, single, counts)
 
-    # every cell's winning split, in slots, scattered to its beams
+    # every cell's winning split, in slots, scattered to its beams; a
+    # singleton's is its closed form
     won = np.flatnonzero(inc.set >= 0)
-    alpha_p, x = _Lanes(table, inc.set[won], won).split(inc.t[won])
-    by_one = single[inc.set[won]]
-    place = np.searchsorted(ones, inc.set[won][by_one]), won[by_one]
-    alpha_p[-1, by_one], x[-1, by_one] = one_ap[place], one_x[place]
-    ranks = table.slots[inc.set[won]].T
+    sets = inc.set[won]
+    alpha_p, x = _Lanes(table, sets, won).split(inc.t[won])
+    one = single[sets]
+    rank, cell, i = table.slots[sets[one], -1], won[one], sets[one]
+    _, _, one_ap, one_as = _singleton(
+        table.h[rank, cell], table.etas[rank, cell], table.tau_d[i, cell], table.eps_p
+    )
+    alpha_p[-1, one], x[-1, one] = one_ap, np.sqrt(one_as)
+    ranks = table.slots[sets].T
     slot, lane = np.nonzero(ranks >= 0)
     at = table.order[ranks[slot, lane], table.trial[won[lane]]], won[lane]
     out_ap, out_as = table.base_ap.copy(), np.zeros(table.base_ap.shape)
@@ -764,20 +772,6 @@ def evaluate_scheme2_block(
         rho=table.rho,
         counts=counts,
     )
-
-
-def _singletons(table: _SetTable, inc: _Incumbents, ones: np.ndarray):
-    """_solve_singleton on the singleton sets of every cell, offered as
-    the first incumbents; returns their alpha_p and x, (set, cell)."""
-    ranks, tau_d = table.slots[ones, -1], table.tau_d[ones]
-    fits, u, alpha_p, alpha_s = _singleton(
-        table.h[ranks], table.etas[ranks], tau_d, table.eps_p
-    )
-    fits &= table.snr[ones] >= 0.0
-    rate, sinr = np.full(u.shape, -np.inf), u / tau_d
-    rate[fits] = log2_each(1.0 + sinr[fits])
-    inc.offer(rate, sinr, np.sqrt(u), np.broadcast_to(ones[:, None], u.shape))
-    return alpha_p, np.sqrt(alpha_s)
 
 
 def _visit(table: _SetTable, inc: _Incumbents, single: np.ndarray, counts: dict):
@@ -825,7 +819,7 @@ def _solve_round(
     lanes of one lockstep bisection."""
     at, cells = sets[visit], np.nonzero(visit)[1]
     lanes = _Lanes(table, at, cells)
-    t_r = np.sqrt(inc.snr(cells) * lanes.tau_d) * (1.0 - _PRUNE_MARGIN)
+    t_r = np.sqrt(inc.sinr[cells] * lanes.tau_d) * (1.0 - _PRUNE_MARGIN)
     fails = np.flatnonzero(~lanes.holds(t_r))
     t_r, at, by = t_r[fails], at[fails], cells[fails]
     rate = _rate_bound(t_r * t_r / lanes.tau_d[fails])
@@ -839,15 +833,13 @@ def _solve_round(
         return
     visit[visit] = keep
     lanes, cells = lanes._take(keep), cells[keep]
-    t_star, steps, raced = lanes.solve(cells, 1.0 + inc.snr(np.arange(len(inc.t))))
+    t_star, steps, raced = lanes.solve(cells, 1.0 + inc.sinr)
     counts["lanes"] += len(t_star)
     counts["iterations"] += steps
     counts["raced"] += raced
     t_all, sinr = np.zeros(sets.shape), np.full(sets.shape, np.nan)
     t_all[visit], sinr[visit] = t_star, t_star * t_star / lanes.tau_d  # NaN: unsolved
-    rate, solved = np.full(sets.shape, -np.inf), ~np.isnan(sinr)
-    rate[solved] = log2_each(1.0 + sinr[solved])
-    inc.offer(rate, sinr, t_all, sets)
+    inc.offer(sinr, t_all, sets)
 
 
 def evaluate_scheme2(

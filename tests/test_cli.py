@@ -525,3 +525,26 @@ def test_importing_the_cli_builds_no_parser():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0 1\n"
+
+
+def _python_m_beamshare(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "beamshare", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package's __main__, as run from a checkout with src on the path
+    done = _python_m_beamshare("validate", "zf", "--seed", "0")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "all checks passed"
+    done = _python_m_beamshare("preset", "nope")
+    assert done.returncode == 2
+    assert "invalid choice: 'nope'" in done.stderr
+    assert "Traceback" not in done.stderr

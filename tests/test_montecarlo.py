@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from beamshare import channel_model, montecarlo
+from beamshare import beam_aggregation, channel_model, montecarlo
 from beamshare.beam_aggregation import STRATEGIES, evaluate_scheme1, evaluate_scheme2
 from beamshare.beam_selection import evaluate_selection
 from beamshare.channel_model import SystemConfig, TrialSeed, realize
@@ -306,6 +306,39 @@ def test_every_scheme_scores_a_block_in_one_pass(monkeypatch):
         (names[1], (2, 5), rho),
         (names[2], (2, 5), rho, "all_subsets"),
     ]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_sweep_calls_no_one_cell_function(monkeypatch, strategy):
+    # the benchmark tracer hooks these names, and its observers expect one
+    # cell's record (a scalar rate, one draw's resamples), so a sweep of
+    # every scheme must reach none of them, scheme 2's solver included
+    spec = _spec(
+        n_antennas=4,
+        m_beams=4,
+        snr_grid_db=(0.0, 20.0, 40.0),
+        schemes=SCHEMES,
+        trials=20,
+        candidate_strategy=strategy,
+    )
+    expected = estimate(spec)
+    hooked = [
+        (montecarlo, "run_trial"),
+        (montecarlo, "realize"),
+        (montecarlo, "evaluate_selection"),
+        (montecarlo, "evaluate_scheme1"),
+        (montecarlo, "evaluate_scheme2"),
+        (beam_aggregation, "enumerate_candidates"),
+        (beam_aggregation, "solve_problem4"),
+        (beam_aggregation, "min_primary_power"),
+    ]
+    for module, name in hooked:
+
+        def refused(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called by a sweep")
+
+        monkeypatch.setattr(module, name, refused)
+    assert estimate(spec) == expected
 
 
 def test_scheme2_races_lanes_on_the_dense_m8_block(monkeypatch):
