@@ -622,9 +622,7 @@ def evaluate_scheme1_block(
         sinr=sinr,
         sic_ok=np.ones(sinr.shape, dtype=bool),
         outage=~(log2_at_least(1.0 + sinr, cfg.r_s) | np.isnan(sinr)),  # as rate < r_s
-        chosen=np.ones(alpha_p.shape, dtype=bool),
-        alpha_p=alpha_p,
-        alpha_s=alpha_s,
+        build_split=lambda: (np.ones(alpha_p.shape, dtype=bool), alpha_p, alpha_s),
         g_gain=g,
         rho=rho,
     )
@@ -725,6 +723,12 @@ def evaluate_scheme2_block(
     counts holds the block's search counters: multi-beam (set, cell) pairs
     ranked, dropped by their bound and by the t_R test, lanes solved and
     raced out of the lockstep, rounds, and lockstep bisection iterations.
+    The outcome takes the winners' rates from the search.  Their split,
+    one more lane table swept at each winner's t* and the singletons'
+    closed forms, scattered to the beams, is built once, on the outcome's
+    first read of chosen, alpha_p or alpha_s (only primary_min_rate
+    sweeps, run_trial and validation read it), from the pass's own set
+    table and incumbents.
     """
     m_beams, trials = h_gain.shape
     table = _SetTable(g_gain, h_gain, cfg, strategy)
@@ -740,37 +744,40 @@ def evaluate_scheme2_block(
     sinr = np.where(fits & (table.snr[ones] >= 0.0), u / tau_d, np.nan)
     inc.offer(sinr, np.sqrt(u), np.broadcast_to(ones[:, None], u.shape))
     _visit(table, inc, single, counts)
-
-    # every cell's winning split, in slots, scattered to its beams; a
-    # singleton's is its closed form
-    won = np.flatnonzero(inc.set >= 0)
-    sets = inc.set[won]
-    alpha_p, x = _Lanes(table, sets, won).split(inc.t[won])
-    one = single[sets]
-    rank, cell, i = table.slots[sets[one], -1], won[one], sets[one]
-    _, _, one_ap, one_as = _singleton(
-        table.h[rank, cell], table.etas[rank, cell], table.tau_d[i, cell], table.eps_p
-    )
-    alpha_p[-1, one], x[-1, one] = one_ap, np.sqrt(one_as)
-    ranks = table.slots[sets].T
-    slot, lane = np.nonzero(ranks >= 0)
-    at = table.order[ranks[slot, lane], table.trial[won[lane]]], won[lane]
-    out_ap, out_as = table.base_ap.copy(), np.zeros(table.base_ap.shape)
-    chosen = np.zeros(out_ap.shape, dtype=bool)
-    out_ap[at], out_as[at] = alpha_p[slot, lane], x[slot, lane] * x[slot, lane]
-    chosen[at] = True
     shape = (m_beams, len(table.rho), trials)
+
+    def split():
+        # every cell's winning split, in slots, scattered to its beams; a
+        # singleton's is its closed form
+        won = np.flatnonzero(inc.set >= 0)
+        sets = inc.set[won]
+        alpha_p, x = _Lanes(table, sets, won).split(inc.t[won])
+        one = single[sets]
+        rank, cell, i = table.slots[sets[one], -1], won[one], sets[one]
+        _, _, one_ap, one_as = _singleton(
+            table.h[rank, cell], table.etas[rank, cell], table.tau_d[i, cell], table.eps_p
+        )
+        alpha_p[-1, one], x[-1, one] = one_ap, np.sqrt(one_as)
+        ranks = table.slots[sets].T
+        slot, lane = np.nonzero(ranks >= 0)
+        at = table.order[ranks[slot, lane], table.trial[won[lane]]], won[lane]
+        out_ap, out_as = table.base_ap.copy(), np.zeros(table.base_ap.shape)
+        chosen = np.zeros(out_ap.shape, dtype=bool)
+        out_ap[at], out_as[at] = alpha_p[slot, lane], x[slot, lane] * x[slot, lane]
+        chosen[at] = True
+        return chosen.reshape(shape), out_ap.reshape(shape), out_as.reshape(shape)
+
     return CellOutcomes(
         sinr=inc.sinr.reshape(shape[1:]),
         sic_ok=np.ones(shape[1:], dtype=bool),
         # a cell with no winner has rate -inf
         outage=(inc.rate < cfg.r_s).reshape(shape[1:]),
-        chosen=chosen.reshape(shape),
-        alpha_p=out_ap.reshape(shape),
-        alpha_s=out_as.reshape(shape),
+        build_split=split,
         g_gain=g_gain[:, None, :],
         rho=table.rho,
         counts=counts,
+        # log2(1 + sinr), a cell with no winner having sinr 0
+        rate=np.where(inc.set >= 0, inc.rate, 0.0).reshape(shape[1:]),
     )
 
 

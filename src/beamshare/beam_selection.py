@@ -53,7 +53,6 @@ def evaluate_selection_block(
     caps = alpha_s_cap(h, eta(g, rho, eps_p), taus, eps_p)
     gammas = h * caps / taus
     best = np.argmax(gammas, axis=0)  # ties to the lowest index
-    chosen = np.arange(len(g))[:, None, None] == best
     rows, cols = np.indices(best.shape, sparse=True)
     pick = (best, rows, cols)  # each cell's chosen beam
     h_b, a_s = h_gain[best, cols], caps[pick]
@@ -63,13 +62,16 @@ def evaluate_selection_block(
         1.0 + h_b * (1.0 - a_s) / (h_b * a_s + taus[pick]), cfg.r_p - SIC_SLACK
     )
     sinr = gammas[pick]
+
+    def split():
+        chosen = np.arange(len(g))[:, None, None] == best
+        return chosen, np.where(chosen, 1.0 - caps, base_ap), np.where(chosen, caps, 0.0)
+
     return CellOutcomes(
         sinr=sinr,
         sic_ok=sic_ok,
         outage=~(sic_ok & log2_at_least(1.0 + sinr, cfg.r_s)),
-        chosen=chosen,
-        alpha_p=np.where(chosen, 1.0 - caps, base_ap),
-        alpha_s=np.where(chosen, caps, 0.0),
+        build_split=split,
         g_gain=g,
         rho=rho,
     )

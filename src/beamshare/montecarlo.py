@@ -244,6 +244,7 @@ def _run_block(args) -> list[tuple[np.ndarray, int]]:
                     g_gain, h_gain, cfg, spec.candidate_strategy
                 )
             values[:, k] = _VALUE[spec.metric](cells)
+            del cells  # its split builder holds the pass's tables
         out.append((values, sum(block.resamples)))
     return out
 

@@ -14,8 +14,8 @@ here:
 * the single-beam alpha_s cap, the smaller of the QoS and SIC caps, which
   selection and scheme 2's singleton sets share;
 * the legacy users' rates, a rate's test against a target, and the
-  CellOutcomes arrays every scheme returns for a block of cells, a single
-  cell being the block of one.
+  CellOutcomes every scheme returns for a block of cells, a single cell
+  being the block of one, whose per-beam split is built on first read.
 
 Each scheme module builds its own split from these rules.  Every rule is
 elementwise: a gain, share or rho may be a float or an array over cells, and
@@ -26,9 +26,10 @@ float operations in the same order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -59,21 +60,45 @@ class CellOutcomes:
     Cell values have shape (S, T); per-beam values are beam-major, (M, S, T),
     with g_gain (M, 1, T) and rho (S, 1) broadcasting to them.  One cell
     is the block of one, S = T = 1.  sinr is each cell's secondary SINR,
-    and its rate log2(1 + sinr) is taken only when read.
+    and its rate log2(1 + sinr) is taken only when read, unless the pass
+    already holds it as rate (the same log2_each bits).
+
+    The per-beam split, the mask chosen of the beams carrying secondary
+    power, alpha_p and alpha_s, comes from build_split, which the first
+    read of any of the three calls once; only primary_min_rate sweeps,
+    run_trial and validation read it.  An outcome holds that builder, so it
+    stays in the process that made it: no pool sends it.
     """
 
     sinr: np.ndarray
     sic_ok: np.ndarray
     outage: np.ndarray
-    chosen: np.ndarray                 # mask of the beams carrying secondary power
-    alpha_p: np.ndarray
-    alpha_s: np.ndarray
+    build_split: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
     g_gain: np.ndarray
     rho: np.ndarray
     counts: dict = field(default_factory=dict)  # the scheme's search counters
+    rate: Optional[np.ndarray] = None
+
+    @functools.cached_property
+    def _split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.build_split()
+
+    @property
+    def chosen(self) -> np.ndarray:
+        return self._split[0]
+
+    @property
+    def alpha_p(self) -> np.ndarray:
+        return self._split[1]
+
+    @property
+    def alpha_s(self) -> np.ndarray:
+        return self._split[2]
 
     @property
     def secondary_rate_raw(self) -> np.ndarray:
+        if self.rate is not None:
+            return self.rate
         return log2_each(1.0 + self.sinr)
 
     @property

@@ -29,7 +29,7 @@ from beamshare.channel_model import (
     realize_block,
 )
 from beamshare.montecarlo import SweepSpec, snr_db_to_linear
-from beamshare.power_allocation import alpha_s_cap, eta, mode_i_alpha_p
+from beamshare.power_allocation import alpha_s_cap, eta, log2_each, mode_i_alpha_p
 from beamshare.validation import exhaustive_scheme2, random_feasible_instance
 
 from oracles import same_choice, written_tau
@@ -615,7 +615,8 @@ def test_scheme2_search_counts_add_up():
 
 
 def _tables_built(monkeypatch, g_gain, h_gain, cfg):
-    # the counts of an all_subsets block pass and the _Lanes tables it builds
+    # the counts of an all_subsets block pass and the _Lanes tables it
+    # builds, before its split is read and after reading alpha_p
     built = []
     init = _Lanes.__init__
 
@@ -624,24 +625,28 @@ def _tables_built(monkeypatch, g_gain, h_gain, cfg):
         init(self, *args)
 
     monkeypatch.setattr(_Lanes, "__init__", counting)
-    counts = evaluate_scheme2_block(g_gain, h_gain, cfg, "all_subsets").counts
-    return counts, len(built)
+    cells = evaluate_scheme2_block(g_gain, h_gain, cfg, "all_subsets")
+    before = len(built)
+    cells.alpha_p
+    return cells.counts, before, len(built)
 
 
 def test_scheme2_builds_one_lane_table_per_round(monkeypatch):
     # A round with visited pairs sweeps them at t_R and solves the survivors
-    # on one _Lanes table, and the winners' split builds one more. The
-    # N = M = 8 draw above visits one round: 2 tables. The benchmark's
-    # dense_m8 block (seed 0, trials 0-9, 0:40:5 dB) visits pairs in 7 of
-    # its 8 rounds and solves lanes in 2 of them: 8 tables, where a table
-    # for the t_R test and another for the solve made 10. The counts are
-    # those of the two-table rounds.
+    # on one _Lanes table, and the winners' split builds one more, on its
+    # first read only. The N = M = 8 draw above visits one round: 1 table,
+    # 2 once the split is read. The benchmark's dense_m8 block (seed 0,
+    # trials 0-9, 0:40:5 dB) visits pairs in 7 of its 8 rounds and solves
+    # lanes in 2 of them: 7 tables, 8 with the split, where a table for the
+    # t_R test and another for the solve made 10 with the split. The counts
+    # are those of the two-table rounds.
     cfg = SystemConfig(8, 8, 100.0, 0.1, 1.0)
     chan = realize(cfg, TrialSeed(0, 0))
     assert _tables_built(monkeypatch, chan.g_gain, chan.h_gain, cfg) == (
         dict(
             ranked=247, bound_drops=239, t_r_drops=0, lanes=8, raced=7, rounds=2, iterations=33
         ),
+        1,
         2,
     )
     grid = SystemConfig(8, 8, tuple(snr_db_to_linear(x) for x in range(0, 45, 5)), 0.1, 1.0)
@@ -656,8 +661,30 @@ def test_scheme2_builds_one_lane_table_per_round(monkeypatch):
             rounds=8,
             iterations=66,
         ),
+        7,
         8,
     )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_scheme2_held_rates_are_the_log2_of_its_sinr(strategy):
+    # the outcome takes the rates the search already holds; they must be
+    # log2_each(1 + sinr) bit for bit, 0.0 on a cell with no winner (every
+    # set infeasible, so sinr 0), which low SNR points and high r_p give
+    rng = np.random.default_rng(31)
+    empty = 0
+    for k in range(40):
+        m = int(rng.integers(1, 7))
+        grid = tuple(snr_db_to_linear(x) for x in sorted(rng.uniform(-30.0, 40.0, 3)))
+        cfg = SystemConfig(m, m, grid, float(rng.uniform(0.05, 3.0)), 1.0)
+        block, = realize_block([cfg], [(k, t, 0) for t in range(5)])
+        cells = evaluate_scheme2_block(block.g_gain, block.h_gain, cfg, strategy)
+        assert cells.rate is not None
+        want = log2_each(1.0 + cells.sinr)
+        assert cells.secondary_rate_raw.shape == want.shape
+        assert cells.secondary_rate_raw.tobytes() == want.tobytes()
+        empty += int((~cells.chosen.any(axis=0)).sum())
+    assert empty > 0
 
 
 def test_taken_lanes_are_the_lanes_built_from_the_kept_pairs():

@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from beamshare import beam_aggregation, channel_model, montecarlo
-from beamshare.beam_aggregation import STRATEGIES, evaluate_scheme1, evaluate_scheme2
-from beamshare.beam_selection import evaluate_selection
-from beamshare.channel_model import SystemConfig, TrialSeed, realize
+from beamshare import beam_aggregation, channel_model, montecarlo, power_allocation
+from beamshare.beam_aggregation import (
+    STRATEGIES,
+    evaluate_scheme1,
+    evaluate_scheme1_block,
+    evaluate_scheme2,
+    evaluate_scheme2_block,
+)
+from beamshare.beam_selection import evaluate_selection, evaluate_selection_block
+from beamshare.channel_model import SystemConfig, TrialSeed, realize, realize_block
 from beamshare.montecarlo import (
     MetricEstimate,
     SweepSpec,
@@ -17,6 +23,7 @@ from beamshare.montecarlo import (
     run_trial,
     snr_db_to_linear,
 )
+from beamshare.power_allocation import CellOutcomes
 
 SCHEMES = ("selection", "scheme1", "scheme2")
 
@@ -339,6 +346,103 @@ def test_a_sweep_calls_no_one_cell_function(monkeypatch, strategy):
 
         monkeypatch.setattr(module, name, refused)
     assert estimate(spec) == expected
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_only_primary_min_rate_sweeps_build_the_split(monkeypatch, strategy):
+    # an outcome builds its per-beam split on first read, in one place, and
+    # of the metrics only primary_min_rate reads it: with that place raising,
+    # every other metric's sweep of every scheme gives the unpatched
+    # estimates, and a primary_min_rate sweep raises
+    specs = [
+        _spec(
+            n_antennas=4,
+            m_beams=4,
+            snr_grid_db=(0.0, 20.0, 40.0),
+            schemes=SCHEMES,
+            metric=metric,
+            trials=20,
+            candidate_strategy=strategy,
+        )
+        for metric in montecarlo.METRICS
+    ]
+    expected = [estimate(spec) for spec in specs]
+
+    def refused(outcome):
+        raise AssertionError("a split was built")
+
+    monkeypatch.setattr(CellOutcomes, "_split", property(refused))
+    for spec, want in zip(specs, expected):
+        if spec.metric == "primary_min_rate":
+            with pytest.raises(AssertionError, match="a split was built"):
+                estimate(spec)
+        else:
+            assert estimate(spec) == want
+
+
+_BLOCK_PASSES = {
+    "selection": evaluate_selection_block,
+    "scheme1": evaluate_scheme1_block,
+    "scheme2": evaluate_scheme2_block,
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_an_outcome_builds_its_split_once(scheme):
+    cfg = SystemConfig(4, 4, (10.0, 1e3), 0.1, 1.0)
+    block, = realize_block([cfg], [(5, t, 0) for t in range(6)])
+    cells = _BLOCK_PASSES[scheme](block.g_gain, block.h_gain, cfg)
+    calls = []
+
+    def counting():
+        calls.append(1)
+        return cells.build_split()
+
+    out = dataclasses.replace(cells, build_split=counting)
+    assert calls == []
+    first = (out.chosen, out.alpha_p, out.alpha_s)
+    rates = out.primary_rates
+    assert all(a is b for a, b in zip(first, (out.chosen, out.alpha_p, out.alpha_s)))
+    assert out.primary_rates.tobytes() == rates.tobytes()
+    assert calls == [1]
+    for got, want in zip(first, (cells.chosen, cells.alpha_p, cells.alpha_s)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_scheme2_rates_are_logged_once_per_sweep(monkeypatch):
+    # scheme 2 hands its outcome the rates its search already took, so a
+    # fig2b-size ergodic sweep (N = M in {2, 4}, 9 SNR points, 100 trials)
+    # passes one element fewer to log2_each per scheme 2 cell than taking
+    # log2(1 + sinr) again on read, with the same estimates
+    specs = [
+        _spec(
+            n_antennas=m,
+            m_beams=m,
+            snr_grid_db=tuple(range(0, 45, 5)),
+            schemes=("selection", "scheme2"),
+            metric="ergodic_rate",
+            trials=100,
+            seed=1,
+        )
+        for m in (2, 4)
+    ]
+    logged = []
+    log2_each = power_allocation.log2_each
+
+    def counting(x):
+        logged.append(x.size)
+        return log2_each(x)
+
+    monkeypatch.setattr(power_allocation, "log2_each", counting)
+    monkeypatch.setattr(beam_aggregation, "log2_each", counting)
+    held = estimate(specs)
+    held_count = sum(logged)
+    logged.clear()
+    monkeypatch.setattr(
+        CellOutcomes, "secondary_rate_raw", property(lambda o: counting(1.0 + o.sinr))
+    )
+    assert estimate(specs) == held
+    assert sum(logged) - held_count == 2 * 9 * 100
 
 
 def test_scheme2_races_lanes_on_the_dense_m8_block(monkeypatch):
