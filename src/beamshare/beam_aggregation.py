@@ -727,7 +727,7 @@ def evaluate_scheme2_block(
     one more lane table swept at each winner's t* and the singletons'
     closed forms, scattered to the beams, is built once, on the outcome's
     first read of chosen, alpha_p or alpha_s (only primary_min_rate
-    sweeps, run_trial and validation read it), from the pass's own set
+    sweeps, run_trial and tests read it), from the pass's own set
     table and incumbents.
     """
     m_beams, trials = h_gain.shape

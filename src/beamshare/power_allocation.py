@@ -66,7 +66,7 @@ class CellOutcomes:
     The per-beam split, the mask chosen of the beams carrying secondary
     power, alpha_p and alpha_s, comes from build_split, which the first
     read of any of the three calls once; only primary_min_rate sweeps,
-    run_trial and validation read it.  An outcome holds that builder, so it
+    run_trial and tests read it.  An outcome holds that builder, so it
     stays in the process that made it: no pool sends it.
     """
 

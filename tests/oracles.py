@@ -1,8 +1,21 @@
-"""Reference formulas written out for the tests, shared by several modules."""
+"""References written out for the tests, shared by several modules: the
+formulas below, the documented channel stream, the exhaustive scheme 2
+set search, and the lockstep lanes read back as scalar solutions."""
+
+import math
 
 import numpy as np
 
-from beamshare.power_allocation import beam_sum
+from beamshare.beam_aggregation import (
+    AggregationCandidate,
+    Problem4Solution,
+    _Lanes,
+    _SetTable,
+    enumerate_candidates,
+    solve_problem4,
+)
+from beamshare.channel_model import ChannelBlock, SystemConfig, TrialSeed
+from beamshare.power_allocation import beam_sum, log2_each, mode_i_alpha_p
 
 
 def written_tau(beams, h, alpha_p, rho):
@@ -34,3 +47,84 @@ def summed_power_bound(h, etas, members):
         terms = np.sqrt(h * (1.0 - etas))
     terms[etas > 1.0] = np.nan
     return beam_sum(terms, members.T[:, :, None])
+
+
+def reference_channels(
+    cfg: SystemConfig, seed: TrialSeed
+) -> tuple[np.ndarray, np.ndarray]:
+    """(G, h) from four standard_normal draws of seed.rng(): the real and
+    imaginary parts of G, then of h, each scaled by sqrt(1/2).  The
+    documented stream that sample_channels reproduces in one draw."""
+    rng = seed.rng()
+    n, m = cfg.n_antennas, cfg.m_beams
+    scale = math.sqrt(0.5)
+    G = scale * (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+    h = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return G, h
+
+
+def _key(rate: float, beams: tuple[int, ...]) -> tuple:
+    """Scheme 2's ranking, least first: largest rate, then smaller set, then
+    lexicographic beam indices.  Distinct sets never tie on it."""
+    return (-rate, len(beams), tuple(sorted(beams)))
+
+
+def exhaustive_scheme2(
+    chan: ChannelBlock, cfg: SystemConfig, strategy: str
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    """Reference for evaluate_scheme2_block's pruned set search on a block
+    of one trial: solve every candidate with solve_problem4 and keep the
+    optimal one of least ranking key, _key.  Returns the chosen beams'
+    mask, the rate (0.0 when no set solves) and the split alpha_p, alpha_s,
+    each per beam; beams outside the set keep the inactive split.  chan and
+    cfg must hold one trial and one SNR point (else enumerate_candidates
+    raises ValueError)."""
+    best, best_key = None, None
+    for cand in enumerate_candidates(chan, cfg, strategy):
+        sol = solve_problem4(cand)
+        if sol.status != "optimal":
+            continue
+        key = _key(sol.objective_rate, cand.beams)
+        if best is None or key < best_key:
+            best, best_key = (cand, sol), key
+    alpha_p = mode_i_alpha_p(chan.g_gain[:, 0], cfg.rho, cfg.eps_p)
+    alpha_s = np.zeros(cfg.m_beams)
+    chosen, rate = np.zeros(cfg.m_beams, dtype=bool), 0.0
+    if best is not None:
+        cand, sol = best
+        for k, b in enumerate(cand.beams):
+            alpha_p[b], alpha_s[b] = sol.alpha_p[k], sol.x[k] * sol.x[k]
+        chosen[list(cand.beams)], rate = True, sol.objective_rate
+    return chosen, rate, alpha_p, alpha_s
+
+
+def lane_solutions(
+    g_gain: np.ndarray, h_gain: np.ndarray, cfg: SystemConfig, strategy: str
+) -> tuple[list[tuple[AggregationCandidate, Problem4Solution]], int]:
+    """Every feasible set of two or more beams of every trial, solved as
+    the lanes of one lockstep bisection, as (candidate, solution) pairs,
+    with the lockstep iterations."""
+    table = _SetTable(g_gain, h_gain, cfg, strategy)
+    # (set, cell) pairs whose set has two or more beams, all of eta <= 1,
+    # cell by cell
+    fits = ~(table.members[:, :, None] & (table.etas > 1.0)).any(axis=1)
+    cells, sets = np.nonzero((fits & (table.members.sum(axis=1) > 1)[:, None]).T)
+    lanes = _Lanes(table, sets, cells)
+    t_star, steps, _ = lanes.solve(np.arange(len(sets)), np.full(len(sets), -np.inf))
+    solved = ~np.isnan(t_star)
+    alpha_p, x = lanes.split(np.where(solved, t_star, 0.0))
+    rate = log2_each(1.0 + np.where(solved, t_star * t_star, 0.0) / lanes.tau_d)
+    out = []
+    for lane, (i, c) in enumerate(zip(sets.tolist(), cells.tolist())):
+        cand, k = table.candidate(i, c), -len(table.beams(i, c))
+        sol = Problem4Solution((), (), 0.0, 0.0, "infeasible")
+        if solved[lane]:
+            sol = Problem4Solution(
+                tuple(alpha_p[k:, lane].tolist()),
+                tuple(x[k:, lane].tolist()),
+                t_star[lane].item(),
+                rate[lane].item(),
+                "optimal",
+            )
+        out.append((cand, sol))
+    return out, steps

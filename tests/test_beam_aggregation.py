@@ -30,9 +30,9 @@ from beamshare.channel_model import (
 )
 from beamshare.montecarlo import SweepSpec, snr_db_to_linear
 from beamshare.power_allocation import alpha_s_cap, eta, log2_each, mode_i_alpha_p
-from beamshare.validation import exhaustive_scheme2, random_feasible_instance
+from beamshare.validation import random_feasible_instance
 
-from oracles import same_choice, written_tau
+from oracles import exhaustive_scheme2, lane_solutions, same_choice, written_tau
 
 # closed-form optimum of the two-beam instance h=(2,1), g=(1,1), rho=10,
 # eps_p=1 (both decode constraints tight at the fixed point)
@@ -871,3 +871,55 @@ def test_scheme2_without_a_primary_threshold():
         out = evaluate_scheme2(chan, cfg, strategy)
         assert _chosen(out) == (0, 1, 2, 3)
         assert same_choice(out, exhaustive_scheme2(chan, cfg, strategy))
+
+
+def _operating_points(seed):
+    # 60 draws at each N = M in {2, 4, 6, 8}, draw t at 10 (t % 5) dB and
+    # r_p 0.1 or 1, alternating every 5 draws; yields each operating
+    # point's cfg with the point's trials and the block of all the draws of
+    # its geometry (a draw depends on N and M only)
+    draws = 60
+    for m in (2, 4, 6, 8):
+        points = {}
+        for t in range(draws):
+            rho = snr_db_to_linear(10.0 * (t % 5))
+            cfg = SystemConfig(m, m, rho, (0.1, 1.0)[t // 5 % 2], 1.0)
+            points.setdefault(cfg, []).append(t)
+        block, = realize_block([cfg], [(seed, m * draws + t, 0) for t in range(draws)])
+        for cfg, trials in points.items():
+            yield cfg, trials, block
+
+
+def test_block_set_search_equals_the_exhaustive_one_at_every_operating_point():
+    # evaluate_scheme2_block against exhaustive_scheme2 under every
+    # strategy, cell by cell, each operating point's draws scored as one
+    # block: 4 geometries x 60 draws x 2 strategies
+    mismatches = count = 0
+    for cfg, trials, block in _operating_points(3):
+        for strategy in STRATEGIES:
+            cells = evaluate_scheme2_block(
+                block.g_gain[:, trials], block.h_gain[:, trials], cfg, strategy
+            )
+            for c, t in enumerate(trials):
+                chan = block._replace(g_gain=block.g_gain[:, [t]], h_gain=block.h_gain[:, [t]])
+                want = exhaustive_scheme2(chan, cfg, strategy)
+                mismatches += not same_choice(cells, want, 0, c)
+                count += 1
+    assert (mismatches, count) == (0, 480)
+
+
+def test_lanes_equal_the_scalar_bisection_at_every_operating_point():
+    # every feasible set of two or more beams (all subsets) of the same
+    # draws, each operating point's draws solved as one lockstep pass,
+    # against solve_problem4; repr spells every float exactly, so equal
+    # reprs are equal bits
+    mismatches = count = solved = 0
+    for cfg, trials, block in _operating_points(3):
+        pairs, _ = lane_solutions(
+            block.g_gain[:, trials], block.h_gain[:, trials], cfg, "all_subsets"
+        )
+        for cand, got in pairs:
+            mismatches += repr(got) != repr(solve_problem4(cand))
+            solved += got.status == "optimal"
+        count += len(pairs)
+    assert (mismatches, count, solved) == (0, 13_336, 9_565)

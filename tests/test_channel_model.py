@@ -17,6 +17,8 @@ from beamshare.channel_model import (
     zf_beams,
 )
 
+from oracles import reference_channels
+
 
 # G^H G rounds to the exactly singular [[1, 1], [1, 1]], so inv cannot
 # invert it
@@ -92,6 +94,22 @@ def test_sampling_deterministic_bitwise():
     assert G1[0].tobytes() == G2[1].tobytes()
     assert h1[0].tobytes() == h2[1].tobytes()
     assert G1[0].tobytes() != G2[0].tobytes()
+
+
+# seed 0, and the acceptance suite's seed
+@pytest.mark.parametrize("seed", [0, 20260808])
+def test_block_rows_equal_the_documented_stream(seed):
+    # sample_channels against reference_channels, bit for bit, on one block
+    # of 256 seeds that mix entropy lengths: trial indices below and above
+    # 2**32, attempts 0, 1 and 2**32 + 1
+    cfg = SystemConfig(4, 2, 10.0, 1.0, 1.0)
+    seeds = [(seed, t + (t % 2 << 32), (0, 1, 2 ** 32 + 1)[t % 3]) for t in range(256)]
+    (G, h), = sample_channels([cfg], seeds)
+    mismatches = 0
+    for G_t, h_t, row in zip(G, h, seeds):
+        G_ref, h_ref = reference_channels(cfg, TrialSeed(*row))
+        mismatches += (G_t.tobytes(), h_t.tobytes()) != (G_ref.tobytes(), h_ref.tobytes())
+    assert (mismatches, len(G)) == (0, 256)
 
 
 def test_threads_sampling_at_once_get_their_own_streams():

@@ -26,9 +26,8 @@ from beamshare.beam_aggregation import (
 from beamshare.beam_selection import evaluate_selection_block
 from beamshare.channel_model import ChannelBlock, sample_channels
 from beamshare.montecarlo import METRICS, SCHEMES, SweepSpec, _run_block
-from beamshare.validation import exhaustive_scheme2, lane_solutions, reference_channels
 
-from oracles import same_choice
+from oracles import exhaustive_scheme2, lane_solutions, reference_channels, same_choice
 
 # (r_p, r_s): the paper's operating point, vanishing targets, extreme targets
 TARGETS = [(0.1, 1.0), (1e-9, 0.0), (8.0, 8.0)]

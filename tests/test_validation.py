@@ -1,4 +1,5 @@
-"""The statistical tests and references behind the validate suites."""
+"""The statistical tests behind the validate suites, the suites' reports,
+and the input guards of the exhaustive scheme 2 reference."""
 
 import hashlib
 import math
@@ -8,7 +9,9 @@ import pytest
 
 from beamshare.channel_model import SystemConfig, TrialSeed, realize, realize_block
 from beamshare.cli import main
-from beamshare.validation import LEVEL_3SE, binomial_two_sided_p, exhaustive_scheme2
+from beamshare.validation import LEVEL_3SE, binomial_two_sided_p
+
+from oracles import exhaustive_scheme2
 
 
 def test_binomial_test_is_exact_for_rare_events():
