@@ -263,19 +263,23 @@ class _Lanes:
         self.tau_d, self.eps_p = table.tau_d[sets, cells], table.eps_p
 
     def _sweep(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """min_primary_power at each lane's t: alpha_p, and where it fits."""
+        """min_primary_power at each lane's t: alpha_p, and where it fits.
+        The running sum starts at the weakest slot as h a, not 0.0 + h a
+        (the same float), and takes no term from slot 0, which nothing
+        reads."""
         u = t * t
-        acc, hk_a = np.zeros(t.shape), np.empty(t.shape)
+        acc, hk_a = None, np.empty(t.shape)
         required, alpha_p = np.empty(self.h.shape), np.empty(self.h.shape)
-        for r, a, h_k, eta_k in zip(
-            required[::-1], alpha_p[::-1], self.h[::-1], self.etas[::-1]
-        ):
-            np.add(acc, u, out=r)
-            r += self.tau_d
+        for k in range(len(self.h) - 1, -1, -1):
+            r, a, h_k = required[k], alpha_p[k], self.h[k]
+            np.add(u if acc is None else np.add(acc, u, out=r), self.tau_d, out=r)
             r *= self.eps_p
             np.divide(r, h_k, out=a)
-            np.fmax(eta_k, a, out=a)
-            acc += np.multiply(h_k, a, out=hk_a)
+            np.fmax(self.etas[k], a, out=a)
+            if acc is None:
+                acc = h_k * a
+            elif k:
+                acc += np.multiply(h_k, a, out=hk_a)
         fails = (required > self.h).any(axis=0) | self.over
         return alpha_p, ~fails
 
@@ -311,18 +315,30 @@ class _Lanes:
         of their cell.  lo only rises, t* <= hi, every float step is
         monotone, and the 1e-9 gap keeps math.log2 strictly ordered, so a
         dropped lane ranks below its cell's winner, even on a tie-break;
-        each survivor keeps its midpoints bit for bit."""
+        each survivor keeps its midpoints bit for bit.
+
+        No lane can close in the first k <= log2(min H / tol) - 3 steps, H
+        being the lanes' first hi: each midpoint is off by at most 2^-53 H,
+        so after k steps hi - lo >= H 2^-k - 2^-52 H > tol.  Those steps
+        update every lane with no mask."""
         hi = self._cap(np.zeros(self.h.shape))  # sum sqrt(h_m)
         feasible = self._sweep(np.zeros(hi.shape))[1]
         live, lanes = np.flatnonzero(feasible), self._take(feasible)
         hi, cell, lo = hi[live], cell[live], np.zeros(len(live))
         tol = 1e-10 * (1.0 + hi)
         steps, racing = 0, np.bincount(cell, minlength=1).max() > 1
-        while steps < _BISECT_MAX_ITER and (open_ := ~(hi - lo <= tol)).any():
+        # floor(log2(min H / tol)) - 3, and 0 where some H is 0, inf or nan
+        plain = max(0, int(np.frexp(np.min(hi / tol, initial=np.inf))[1]) - 4)
+        while steps < _BISECT_MAX_ITER and (
+            (steps < plain and lo.size > 0) or (open_ := ~(hi - lo <= tol)).any()
+        ):
             steps += 1
             mid = 0.5 * (lo + hi)
             up = lanes.holds(mid)
-            lo, hi = np.where(open_ & up, mid, lo), np.where(open_ & ~up, mid, hi)
+            if steps <= plain:
+                lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+            else:
+                lo, hi = np.where(open_ & up, mid, lo), np.where(open_ & ~up, mid, hi)
             if not racing:
                 continue
             best = floor.copy()
@@ -662,9 +678,14 @@ class _Incumbents:
     def offer(self, sinr: np.ndarray, t: np.ndarray, sets):
         """Make set sets[p, c], at SNR sinr[p, c] and t*[p, c], cell c's
         incumbent if its rate log2(1 + sinr) ranks first; sinr is nan where
-        nothing is offered."""
-        rate, solved = np.full(sinr.shape, -np.inf), ~np.isnan(sinr)
-        rate[solved] = log2_each(1.0 + sinr[solved])
+        nothing is offered.  The rate is taken only where 1 + sinr is
+        within 1e-12 relative of its cell's largest; elsewhere it is -inf,
+        as where nothing is offered: log2 there is at least 1.4e-12 below
+        the top, more than an ulp of any rate <= 1024, so such a set can
+        neither rank first nor tie."""
+        x, rate = 1.0 + sinr, np.full(sinr.shape, -np.inf)
+        near = x >= np.fmax.reduce(x, axis=0) * (1.0 - 1e-12)  # False on nan
+        rate[near] = log2_each(x[near])
         best = rate.argmax(axis=0)
         cells = np.arange(rate.shape[1])
         top = rate[best, cells]

@@ -93,9 +93,11 @@ class SystemConfig:
     n_antennas : base-station antenna count N
     m_beams    : number of preconfigured beams / primary users M
     rho        : transmit SNR, linear scale (noise power is normalized to 1),
-                 or a nonempty tuple of them, one per SNR point of a block
-    r_p        : per-primary-user target rate, bits per channel use
-    r_s        : secondary-user target rate, bits per channel use
+                 in [1e-100, 1e100], or a nonempty tuple of them, one per
+                 SNR point of a block
+    r_p        : per-primary-user target rate, bits per channel use, in
+                 (0, 256]
+    r_s        : secondary-user target rate, bits per channel use, >= 0
     """
 
     n_antennas: int
@@ -112,15 +114,17 @@ class SystemConfig:
                 "n_antennas must be >= m_beams (zero-forcing needs at least "
                 "as many antennas as beams)"
             )
+        # past these ranges a block's interference, SINR thresholds or
+        # rates can overflow a double
         rhos = self.rho if isinstance(self.rho, tuple) else (self.rho,)
-        if not rhos or not all(rho > 0.0 and math.isfinite(rho) for rho in rhos):
-            raise ValueError("rho must be a positive finite linear SNR")
-        if not (self.r_p > 0.0):
-            raise ValueError("r_p must be > 0 BPCU")
+        if not rhos or not all(1e-100 <= rho <= 1e100 for rho in rhos):
+            raise ValueError(
+                "rho must be a linear SNR in [1e-100, 1e100] (snr_db in [-1000, 1000])"
+            )
+        if not 0.0 < self.r_p <= 256.0:
+            raise ValueError("r_p must be in (0, 256] BPCU")
         if self.r_s < 0.0:
             raise ValueError("r_s must be >= 0 BPCU")
-        if not self.r_p < 1024.0:  # 2.0 ** r_p overflows a double from 1024 on
-            raise ValueError("r_p is too large: the SINR threshold 2**r_p - 1 overflows")
 
     @cached_property
     def eps_p(self) -> float:

@@ -73,7 +73,11 @@ _MIN_TRIALS = 64
 
 
 def snr_db_to_linear(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0)
+    """10^(snr_db / 10), inf where that overflows a double."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _integer(name: str, value) -> int:
@@ -146,14 +150,11 @@ class SweepSpec:
         # only scheme 2 lists beam sets, so only it limits the beams
         beams = self.m_beams if "scheme2" in self.schemes else 0
         _check_strategy(self.candidate_strategy, beams)
-        try:
-            # the first point checks geometry and targets, as a check point
-            # by point would; a later point's rho can then only overflow
-            first = self.config_at(self.snr_grid_db[0])
-            rhos = tuple(map(snr_db_to_linear, self.snr_grid_db))
-            store("config", replace(first, rho=rhos))
-        except OverflowError:
-            raise ValueError("snr_db is out of range for a linear SNR") from None
+        # the first point checks geometry and targets, as a check point by
+        # point would; a later point can then only fail on its rho
+        first = self.config_at(self.snr_grid_db[0])
+        rhos = tuple(map(snr_db_to_linear, self.snr_grid_db))
+        store("config", replace(first, rho=rhos))
 
     def config_at(self, snr_db: float) -> SystemConfig:
         return SystemConfig(

@@ -203,13 +203,16 @@ def log2_each(x: np.ndarray) -> np.ndarray:
 
 
 def log2_at_least(x: np.ndarray, level: float) -> np.ndarray:
-    """log2_each(x) >= level, taking math.log2 only within 1e-9 relative of
-    2**level (level above -1022).  Outside that band x >= 2**level gives the
-    same answer: log2 moves by more than 1.4e-9 across it, and math.log2 and
-    2**level are each within an ulp."""
+    """log2_each(x) >= level, taking math.log2 only within band = 2^-50
+    (1 + |level|) relative of 2**level (level above -1022).  Outside the
+    band x >= 2**level gives the same answer: there log2 x is more than
+    1.4 band from level, while math.log2 errs by at most an ulp (2^-52
+    |level| near the edge) and 2**level by 2^-52 relative (1.5 2^-52 in
+    log2)."""
     edge = 2.0 ** level if level < 1024.0 else math.inf  # 2.0 ** 1024 raises
     out = x >= edge
-    near = (x >= edge * (1.0 - 1e-9)) & (x <= edge * (1.0 + 1e-9))
+    band = 2.0 ** -50 * (1.0 + abs(level))
+    near = (x >= edge * (1.0 - band)) & (x <= edge * (1.0 + band))
     if near.any():
         out[near] = log2_each(x[near]) >= level
     return out

@@ -1,12 +1,16 @@
 """References written out for the tests, shared by several modules: the
 formulas below, the documented channel stream, the exhaustive scheme 2
-set search, and the lockstep lanes read back as scalar solutions."""
+set search, the lockstep lanes read back as scalar solutions, the lockstep
+loop that masks and races every step, and the incumbents' offer that logs
+every offered rate."""
 
 import math
 
 import numpy as np
 
 from beamshare.beam_aggregation import (
+    _BISECT_MAX_ITER,
+    _PRUNE_MARGIN,
     AggregationCandidate,
     Problem4Solution,
     _Lanes,
@@ -128,3 +132,56 @@ def lane_solutions(
             )
         out.append((cand, sol))
     return out, steps
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def masked_lockstep(
+    lanes: _Lanes, cell: np.ndarray, floor: np.ndarray
+) -> tuple[np.ndarray, int, int]:
+    """The lockstep that masks the closed lanes and races at every step:
+    _Lanes.solve's loop without its unmasked leading steps, self being the
+    lanes.  Returns t* (nan where unsolved or raced out), the iterations
+    and the lanes raced out."""
+    self = lanes
+    hi = self._cap(np.zeros(self.h.shape))  # sum sqrt(h_m)
+    feasible = self._sweep(np.zeros(hi.shape))[1]
+    live, lanes = np.flatnonzero(feasible), self._take(feasible)
+    hi, cell, lo = hi[live], cell[live], np.zeros(len(live))
+    tol = 1e-10 * (1.0 + hi)
+    steps, racing = 0, np.bincount(cell, minlength=1).max() > 1
+    while steps < _BISECT_MAX_ITER and (open_ := ~(hi - lo <= tol)).any():
+        steps += 1
+        mid = 0.5 * (lo + hi)
+        up = lanes.holds(mid)
+        lo, hi = np.where(open_ & up, mid, lo), np.where(open_ & ~up, mid, hi)
+        if not racing:
+            continue
+        best = floor.copy()
+        np.maximum.at(best, cell, 1.0 + lo * lo / lanes.tau_d)
+        keep = (1.0 + hi * hi / lanes.tau_d) * (1.0 + _PRUNE_MARGIN) >= best[cell]
+        if not keep.all():
+            live, lo, hi, tol, cell = (a[keep] for a in (live, lo, hi, tol, cell))
+            lanes = lanes._take(keep)
+            racing = np.bincount(cell, minlength=1).max() > 1
+    t_star = np.full(self.tau_d.shape, np.nan)
+    t_star[live] = lo
+    return t_star, steps, int(feasible.sum()) - len(live)
+
+
+def full_log_offer(inc, sinr: np.ndarray, t: np.ndarray, sets) -> None:
+    """_Incumbents.offer with log2_each taken on every offered entry."""
+    self = inc
+    rate, solved = np.full(sinr.shape, -np.inf), ~np.isnan(sinr)
+    rate[solved] = log2_each(1.0 + sinr[solved])
+    best = rate.argmax(axis=0)
+    cells = np.arange(rate.shape[1])
+    top = rate[best, cells]
+    tied = ((rate == top).sum(axis=0) > 1) | (top == self.rate)
+    win = (top > self.rate) & ~tied
+    self.rate[win], self.sinr[win] = top[win], sinr[best, cells][win]
+    self.t[win], self.set[win] = t[best, cells][win], sets[best, cells][win]
+    for c in np.flatnonzero(tied & (top > -np.inf)).tolist():
+        for p in np.flatnonzero(rate[:, c] == top[c]).tolist():
+            if not self.below(top[c], sets[p, c], c):
+                self.rate[c], self.sinr[c] = top[c], sinr[p, c]
+                self.t[c], self.set[c] = t[p, c], sets[p, c]

@@ -244,6 +244,33 @@ def test_flat_lanes_mix_set_sizes_in_the_callers_order():
     assert (optimal[2:] > 0).all(), optimal
 
 
+def test_a_one_beam_lane_sweeps_as_min_primary_power():
+    # The sweep starts its running sum at the weakest slot and adds no term
+    # after slot 0, so a one-beam set's only beam is both. Every singleton
+    # of M = 1 and M = 8 blocks, the latter behind seven empty slots, is
+    # swept at multiples of sqrt(h) of its beam: it fits where
+    # min_primary_power returns a split, with that alpha_p bit for bit.
+    fitted = set()
+    for m in (1, 8):
+        cfg = SystemConfig(m, m, (1e0, 1e2, 1e4), 0.1, 1.0)
+        block, = realize_block([cfg], [(47, t, 0) for t in range(4)])
+        table = _SetTable(block.g_gain, block.h_gain, cfg, "all_subsets")
+        single = table.members.sum(axis=1) == 1
+        sets, cells = np.nonzero(np.broadcast_to(single[:, None], table.tau_d.shape))
+        lanes = _Lanes(table, sets, cells)
+        for f in (0.0, 0.5, 1.0, 3.0, 5.0):
+            t = f * np.sqrt(lanes.hc[-1])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                alpha_p, fits = lanes._sweep(t)
+            for l, (i, c) in enumerate(zip(sets.tolist(), cells.tolist())):
+                want = min_primary_power(table.candidate(i, c), t[l].item())
+                assert fits[l] == (want is not None)
+                if want is not None:
+                    assert alpha_p[-1, l].item().hex() == want[0].hex()
+                fitted.add(bool(fits[l]))
+    assert fitted == {True, False}
+
+
 def test_a_lane_alone_in_its_cell_races_nothing():
     # One multi-beam set per (SNR point, trial) cell of an M = 5 block, each
     # lane under the table's own cell, with no incumbent (floor 1 + 0): no

@@ -64,6 +64,23 @@ def test_config_validation():
     assert {grid: 1}[SystemConfig(4, 2, (10.0, 100.0), 1.0, 2.0)] == 1
 
 
+def test_config_accepts_the_documented_ranges():
+    # rho in [1e-100, 1e100] (-1000 to 1000 dB) and r_p up to 256 BPCU,
+    # edges included; the next float outside each edge is rejected, alone
+    # or as one point of a grid
+    edges = dict(rho=(1e-100, 1e100), r_p=(math.nextafter(0.0, 1.0), 256.0))
+    for rho in edges["rho"]:
+        for r_p in edges["r_p"]:
+            SystemConfig(2, 2, rho, r_p, 1.0)
+            SystemConfig(2, 2, (10.0, rho), r_p, 1.0)
+    for rho in (math.nextafter(1e-100, 0.0), math.nextafter(1e100, math.inf)):
+        for grid in (rho, (10.0, rho)):
+            with pytest.raises(ValueError, match=r"rho .*snr_db in \[-1000, 1000\]"):
+                SystemConfig(2, 2, grid, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"r_p must be in \(0, 256\] BPCU"):
+        SystemConfig(2, 2, 10.0, math.nextafter(256.0, math.inf), 1.0)
+
+
 def test_trial_seed_validation():
     with pytest.raises(ValueError):
         TrialSeed(-1, 0)

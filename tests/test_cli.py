@@ -178,6 +178,23 @@ def test_snr_grid_has_no_float_drift():
         pytest.param({}, ["--snr-db", "0:40:1e-12"], "snr-db", id="snr-grid-tiny-step"),
         pytest.param({}, ["--snr-db", "0:1e300:1"], "snr-db", id="snr-grid-huge"),
         pytest.param({}, ["--snr-db", "5000"], "snr_db", id="snr-overflow"),
+        # outside +-1000 dB: at 3081 dB on this draw scheme 2's rate
+        # overflows to inf, and at -3070 dB the splits' divisions overflow
+        pytest.param(
+            dict(
+                n_antennas=4,
+                m_beams=4,
+                trials=200,
+                seed=2,
+                metric="ergodic_rate",
+                schemes=["selection", "scheme1", "scheme2"],
+            ),
+            ["--snr-db", "3081"],
+            "snr_db",
+            id="snr-above-1000-db",
+        ),
+        pytest.param({}, ["--snr-db=-3070"], "snr_db", id="snr-below-minus-1000-db"),
+        pytest.param({"r_p_bpcu": 1015}, [], "r_p", id="rate-above-256"),
         pytest.param({}, ["--workers", "-3"], "workers", id="workers-negative"),
         pytest.param({"trials": 2.7}, [], "trials", id="trials-float"),
         pytest.param({"seed": True}, [], "seed", id="seed-bool"),

@@ -1,17 +1,29 @@
-"""Properties of scheme 2's set and lane tables.  The lockstep bisection's
-premise: each lane's test holds on an interval [0, t*] of floats; racing's
-proof that a dropped lane loses its cell rests on it, and so would any
-bracket-based speed-up.  And the shortcuts the tables take are exact: the
-power bound built on the rank lattice is the per-set masked sum, and the
-sweep's per-lane eta > 1 flag is its alpha_p > 1 test."""
+"""Properties of scheme 2's set and lane tables and of its incumbents.
+The lockstep bisection's premise: each lane's test holds on an interval
+[0, t*] of floats; racing's proof that a dropped lane loses its cell rests
+on it, and so would any bracket-based speed-up.  And the shortcuts the
+tables take are exact: the power bound built on the rank lattice is the
+per-set masked sum, the sweep's per-lane eta > 1 flag is its alpha_p > 1
+test, the solve's unmasked leading steps are the lockstep that masks and
+races every step, and an offer that logs only near-top rates keeps the
+incumbents of one that logs every rate."""
+
+import itertools
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from beamshare.beam_aggregation import STRATEGIES, _Lanes, _SetTable
+from beamshare.beam_aggregation import (
+    STRATEGIES,
+    _Incumbents,
+    _Lanes,
+    _SetTable,
+    _layout,
+)
 from beamshare.channel_model import SystemConfig, realize_block
 
-from oracles import summed_power_bound
+from oracles import full_log_offer, masked_lockstep, summed_power_bound
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -134,3 +146,91 @@ def test_the_per_lane_flag_keeps_the_fit_test(
                 want_ap, want_fits = _written_fits(some, at)
                 assert np.array_equal(fits, want_fits)
                 assert alpha_p.tobytes() == want_ap.tobytes()
+
+
+def _random_lanes(rng, m_beams, lanes, cells, tiny):
+    # lanes over random sets of every size of an M-slot layout, on random
+    # gains in [1e-6, 1e3] (scaled by 1e-24 when tiny, so that the cap at 0
+    # falls below the tolerance), etas in [0, 1.2] and tau_d in [1e-3, 10]
+    slots = _layout("all_subsets", m_beams)[1]
+    h = 10.0 ** rng.uniform(-6.0, 3.0, (m_beams, cells)) * (1e-24 if tiny else 1.0)
+    etas = rng.uniform(0.0, 1.2, (m_beams, cells)) * (rng.random((m_beams, cells)) < 0.7)
+    tau_d = 10.0 ** rng.uniform(-3.0, 1.0, (len(slots), cells))
+    eps_p = float(10.0 ** rng.uniform(-3.0, 0.5))
+    table = SimpleNamespace(slots=slots, h=h, etas=etas, tau_d=tau_d, eps_p=eps_p)
+    sets = rng.integers(0, len(slots), lanes)
+    cell = rng.integers(0, cells, lanes)
+    return _Lanes(table, sets, cell), cell
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    m_beams=st.integers(min_value=1, max_value=8),
+    lanes=st.integers(min_value=1, max_value=40),
+    cells=st.integers(min_value=1, max_value=40),
+    tiny=st.booleans(),
+    floors=st.sampled_from(["none", "near", "random", "inf"]),
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+)
+def test_solve_is_the_masked_racing_lockstep(m_beams, lanes, cells, tiny, floors, seed):
+    # On random lane tables, lanes sharing cells or not, the solve with its
+    # unmasked leading steps is the lockstep that masks every step: the
+    # same t* bits, iterations and lanes raced out. Floors are no
+    # incumbent, a cell's best lane's 1 + SNR moved by a relative step of
+    # up to 1e-8, random, or inf, so that whole cells, or every lane, can
+    # lose to them before the unmasked steps end.
+    rng = np.random.default_rng(seed)
+    lanes, cell = _random_lanes(rng, m_beams, lanes, cells, tiny)
+    floor = np.full(cells, -np.inf)
+    if floors == "near":
+        t_star, _, _ = masked_lockstep(lanes, cell, floor)
+        best = np.full(cells, 1.0)
+        np.fmax.at(best, cell, 1.0 + t_star * t_star / lanes.tau_d)
+        floor = best * (1.0 + rng.uniform(-1e-8, 1e-8, cells))
+    elif floors == "random":
+        floor = 1.0 + 10.0 ** rng.uniform(-3.0, 3.0, cells)
+    elif floors == "inf":
+        floor = np.full(cells, np.inf)
+    want = masked_lockstep(lanes, cell, floor)
+    got = lanes.solve(cell, floor)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+
+
+# relative steps between a cell's offered 1 + sinr values: exact ties, ulps,
+# near-ties inside and at the edge of the 1e-12 window, and clear gaps
+_STEPS = [0.0, 2.0 ** -52, -(2.0 ** -52), 3e-13, -3e-13, 1e-12, -1e-12, 2e-12]
+_STEPS += [1e-9, -1e-4, 0.5]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    cells=st.integers(min_value=1, max_value=12),
+    offers=st.integers(min_value=1, max_value=4),
+    rounds=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+)
+def test_the_banded_offer_keeps_the_full_log_incumbents(cells, offers, rounds, seed):
+    # Rounds of offers of distinct sets (the subsets of 5 beams, so that
+    # ties fall to set size, then beam indices), as (offers, cells) tables
+    # of sinr with nan (nothing offered) and inf entries, each cell's
+    # values exact ties, near-ties and gaps around one value: the offer
+    # that logs only its cells' near-top entries leaves every incumbent
+    # field bit-equal to the offer that logs each entry.
+    rng = np.random.default_rng(seed)
+    family = [b for k in range(1, 6) for b in itertools.combinations(range(5), k)]
+    table = SimpleNamespace(trial=np.zeros(cells), beams=lambda i, c: family[i])
+    banded, full = _Incumbents(table), _Incumbents(table)
+    order = np.argsort(rng.random((len(family), cells)), axis=0)
+    top = 1.0 + 10.0 ** rng.uniform(-3.0, 3.0, cells)
+    for r in range(rounds):
+        step = rng.choice(_STEPS, (offers, cells)) * rng.integers(1, 3, (offers, cells))
+        sinr = top * (1.0 + step) - 1.0
+        sinr[rng.random(sinr.shape) < 0.25] = np.nan
+        sinr[rng.random(sinr.shape) < 0.03] = np.inf
+        t = rng.random(sinr.shape)
+        sets = order[r * offers : (r + 1) * offers]
+        banded.offer(sinr, t, sets)
+        full_log_offer(full, sinr, t, sets)
+        for name in ("rate", "sinr", "t", "set"):
+            assert getattr(banded, name).tobytes() == getattr(full, name).tobytes()

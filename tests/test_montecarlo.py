@@ -47,6 +47,10 @@ def _spec(**overrides):
 def test_snr_conversion():
     assert snr_db_to_linear(20.0) == pytest.approx(100.0)
     assert snr_db_to_linear(0.0) == pytest.approx(1.0)
+    # the accepted range's edges are the configs' bounds, and a dB value
+    # past the float range is inf, which every config rejects
+    assert snr_db_to_linear(1000.0) == 1e100 and snr_db_to_linear(-1000.0) == 1e-100
+    assert snr_db_to_linear(3083.0) == math.inf
 
 
 def test_spec_validation():
@@ -81,25 +85,25 @@ def test_spec_validation():
 
 
 def _per_point_rule(n, m, grid, r_p, r_s):
-    # the per-point rule: each point's SystemConfig in grid order, an
-    # overflowing rho as a ValueError; returns the first error and the rhos
+    # the per-point rule: each point's SystemConfig in grid order; returns
+    # the first error and the rhos
     rhos = []
     try:
         for snr_db in grid:
             rhos.append(SystemConfig(n, m, snr_db_to_linear(snr_db), r_p, r_s).rho)
-    except OverflowError:
-        return "snr_db is out of range for a linear SNR", rhos
     except ValueError as exc:
         return str(exc), rhos
     return None, rhos
 
 
-# dB values where rho underflows to 0 (below about -3233 dB) or overflows
-# (above about 3082.5 dB), and ordinary ones
+# dB values where rho underflows to 0 (below about -3233 dB) or overflows to
+# inf (above about 3082.5 dB), both edges of the accepted -1000 to 1000 dB
+# and their float neighbours outside, and ordinary ones
 _DB = st.one_of(
     st.floats(min_value=-5000.0, max_value=5000.0),
     st.floats(min_value=-60.0, max_value=60.0),
     st.sampled_from([-3300.0, -3240.0, -3233.0, 3082.0, 3083.0, 3100.0]),
+    st.sampled_from([-1000.0000001, -1000.0, 1000.0, 1000.0000001]),
 )
 
 
@@ -108,7 +112,7 @@ _DB = st.one_of(
     n=st.integers(0, 6),
     m=st.integers(0, 5),
     grid=st.lists(_DB, min_size=1, max_size=6, unique=True).map(sorted),
-    r_p=st.sampled_from([1e-17, 0.1, 1023.9, 1024.0]),
+    r_p=st.sampled_from([1e-17, 0.1, 256.0, 256.00000000000006, 1024.0]),
     r_s=st.sampled_from([-1.0, 0.0, 1.0]),
 )
 @example(n=2, m=2, grid=[-4000.0, 4000.0], r_p=0.1, r_s=1.0)
@@ -127,6 +131,29 @@ def test_spec_validates_its_grid_as_the_per_point_rule(n, m, grid, r_p, r_s):
     spec = _spec(**kwargs)
     assert [rho.hex() for rho in spec.config.rho] == [rho.hex() for rho in rhos]
     assert spec.config == SystemConfig(n, m, tuple(rhos), r_p, r_s)
+
+
+@pytest.mark.parametrize("r_p", [0.1, 256.0])
+def test_sweeps_at_the_edges_of_the_accepted_ranges_stay_finite(r_p):
+    # -1000 and 1000 dB, the accepted range's edges, at the smallest and
+    # largest primary targets checked: every metric of every scheme is
+    # finite, and no RuntimeWarning (an error under this suite) is raised.
+    # Far outside, at 3081 dB, scheme 2's ergodic rate can overflow to inf
+    # (with a nan standard error).
+    for metric in ("outage", "ergodic_rate", "primary_min_rate"):
+        spec = _spec(
+            n_antennas=4,
+            m_beams=4,
+            r_p=r_p,
+            snr_grid_db=(-1000.0, 0.0, 1000.0),
+            schemes=SCHEMES,
+            metric=metric,
+            trials=100,
+            seed=2,
+        )
+        for row in estimate(spec).rows:
+            assert math.isfinite(row.estimate.value), (metric, row)
+            assert math.isfinite(row.estimate.std_err), (metric, row)
 
 
 def test_run_trial_deterministic():

@@ -233,7 +233,14 @@ def _steps(x, k):
     return float(x)
 
 
-_BAND = 1e-9  # log2_at_least's band, relative to 2**level
+# a width relative to 2**level that the cases below probe on both sides,
+# far wider than log2_at_least's own band, _band(level)
+_BAND = 1e-9
+
+
+def _band(level):
+    # log2_at_least's band, relative to 2**level
+    return 2.0 ** -50 * (1.0 + abs(level))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -266,10 +273,14 @@ def test_log2_at_least_takes_log2_only_inside_its_band(monkeypatch):
         return log2_each(x)
 
     monkeypatch.setattr(power_allocation, "log2_each", counted)
+    band = _band(1.0)
     outside = [1.0, 1.999999, 2.000001, 3.0, math.inf, math.nan]
-    inside = [2.0, _steps(2.0, -1), _steps(2.0, 1), 2.0 * (1.0 + 0.9 * _BAND)]
+    outside += [2.0 * (1.0 - 1.1 * band), 2.0 * (1.0 + 1.1 * band)]
+    inside = [2.0, _steps(2.0, -1), _steps(2.0, 1), 2.0 * (1.0 + 0.9 * band)]
     got = log2_at_least(np.array(outside + inside), 1.0)
-    assert got.tolist() == [False, False, True, True, True, False, True, False, True, True]
+    assert got.tolist() == [
+        False, False, True, True, True, False, False, True, True, False, True, True
+    ]
     assert taken == inside
     # a level past the float range: only inf reaches it, and nothing raises
     taken.clear()
@@ -277,6 +288,19 @@ def test_log2_at_least_takes_log2_only_inside_its_band(monkeypatch):
         False, False, True
     ]
     assert taken == [math.inf]
+
+
+@pytest.mark.parametrize(
+    "level",
+    [r_p - SIC_SLACK for r_p in (1e-9, 0.1, 2.0, 256.0)] + [1e-10, 1.0, -50.0, 1000.0],
+)
+def test_log2_at_least_is_the_log2_comparison_within_4096_ulps_of_the_edge(level):
+    # every float from 4096 ulps below 2**level to 4096 above, across the
+    # band and well past it on either side
+    edge = np.array(2.0 ** level)
+    x = (edge.view(np.int64) + np.arange(-4096, 4097)).view(np.float64)
+    assert (abs(x / edge - 1.0) > _band(level)).any()
+    assert log2_at_least(x, level).tolist() == (log2_each(x) >= level).tolist()
 
 
 def _selection_decode_rates(out, h_gain, rhos):
