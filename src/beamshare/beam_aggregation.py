@@ -68,6 +68,8 @@ _BISECT_MAX_ITER = 200
 _PRUNE_MARGIN = 1e-9
 # relative slack of the weakest-beam edge (see evaluate_scheme2_block)
 _EDGE_SLACK = 1e-12
+# relative band of 1 + SNR outside which no rate is logged (see offer)
+_LOG_BAND = 1e-12
 # multi-beam sets a cell takes per round of scheme 2's search
 _ROUND = 8
 # absolute slack of certify_solution's constraint checks
@@ -304,34 +306,45 @@ class _Lanes:
         return part
 
     @_quiet
-    def solve(self, cell: np.ndarray, floor: np.ndarray) -> tuple[np.ndarray, int, int]:
+    def solve(
+        self, cell: np.ndarray, floor: np.ndarray, held: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, int, int]:
         """Each lane's t* (nan where no alpha_p fits at t = 0 or the lane
         is raced out), the lockstep iterations and the lanes raced out:
         solve_problem4's bisection on every lane at once, a lane taking no
         step once hi - lo <= its tolerance.  Lane l runs in cell cell[l],
-        whose incumbent has 1 + SNR = floor[cell[l]].  While two lanes
-        share a cell, each step drops the lanes whose (1 + hi^2 / tau_d)
-        (1 + 1e-9) is below that floor or below 1 + lo^2 / tau_d of a lane
-        of their cell.  lo only rises, t* <= hi, every float step is
-        monotone, and the 1e-9 gap keeps math.log2 strictly ordered, so a
-        dropped lane ranks below its cell's winner, even on a tie-break;
-        each survivor keeps its midpoints bit for bit.
+        whose incumbent has 1 + SNR = floor[cell[l]]; a lane held marks
+        holds at some t >= 0, so fits at t = 0 and skips the t = 0 sweep.
+        While two lanes share a cell, each step drops the lanes whose (1 +
+        hi^2 / tau_d)(1 + 1e-9) is below that floor or below 1 + lo^2 /
+        tau_d of a lane of their cell.  lo only rises, t* <= hi, every float
+        step is monotone, and the 1e-9 gap keeps math.log2 strictly ordered,
+        so a dropped lane ranks below its cell's winner, even on a
+        tie-break; each survivor keeps its midpoints bit for bit.  It stays
+        in the table, dead under a live mask, until 1/8 of it is: its lo
+        stays under its cell's best at the drop, and a best never falls, so
+        it never sets a best nor passes the test again.
 
         No lane can close in the first k <= log2(min H / tol) - 3 steps, H
         being the lanes' first hi: each midpoint is off by at most 2^-53 H,
         so after k steps hi - lo >= H 2^-k - 2^-52 H > tol.  Those steps
         update every lane with no mask."""
         hi = self._cap(np.zeros(self.h.shape))  # sum sqrt(h_m)
-        feasible = self._sweep(np.zeros(hi.shape))[1]
-        live, lanes = np.flatnonzero(feasible), self._take(feasible)
+        feasible = np.zeros(hi.shape, dtype=bool) if held is None else held.copy()
+        if not feasible.all():
+            rest = self._take(~feasible)
+            feasible[~feasible] = rest._sweep(np.zeros(rest.tau_d.shape))[1]
+        live = np.flatnonzero(feasible)
+        lanes = self if feasible.all() else self._take(feasible)
         hi, cell, lo = hi[live], cell[live], np.zeros(len(live))
         tol = 1e-10 * (1.0 + hi)
         steps, racing = 0, np.bincount(cell, minlength=1).max() > 1
         # floor(log2(min H / tol)) - 3, and 0 where some H is 0, inf or nan
         plain = max(0, int(np.frexp(np.min(hi / tol, initial=np.inf))[1]) - 4)
-        while steps < _BISECT_MAX_ITER and (
-            (steps < plain and lo.size > 0) or (open_ := ~(hi - lo <= tol)).any()
-        ):
+        alive, n_live = np.ones(len(live), dtype=bool), len(live)  # the live mask
+        while steps < _BISECT_MAX_ITER and lo.size > 0:
+            if steps >= plain and not (open_ := alive & ~(hi - lo <= tol)).any():
+                break
             steps += 1
             mid = 0.5 * (lo + hi)
             up = lanes.holds(mid)
@@ -344,13 +357,16 @@ class _Lanes:
             best = floor.copy()
             np.maximum.at(best, cell, 1.0 + lo * lo / lanes.tau_d)
             keep = (1.0 + hi * hi / lanes.tau_d) * (1.0 + _PRUNE_MARGIN) >= best[cell]
-            if not keep.all():
+            if np.count_nonzero(keep) == n_live:  # a dead lane stays dead
+                continue
+            alive, n_live = keep, int(np.count_nonzero(keep))
+            if 8 * n_live <= 7 * keep.size:  # at least 1/8 dead: compact
                 live, lo, hi, tol, cell = (a[keep] for a in (live, lo, hi, tol, cell))
-                lanes = lanes._take(keep)
-                racing = np.bincount(cell, minlength=1).max() > 1
+                lanes, alive = lanes._take(keep), np.ones(n_live, dtype=bool)
+            racing = np.bincount(cell[alive], minlength=1).max() > 1
         t_star = np.full(self.tau_d.shape, np.nan)
-        t_star[live] = lo
-        return t_star, steps, int(feasible.sum()) - len(live)
+        t_star[live[alive]] = lo[alive]
+        return t_star, steps, int(feasible.sum()) - n_live
 
     @_quiet
     def split(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -650,10 +666,17 @@ def evaluate_scheme1(chan: ChannelBlock, cfg: SystemConfig) -> CellOutcomes:
     return evaluate_scheme1_block(chan.g_gain, chan.h_gain, cfg)
 
 
-def _rate_bound(snr: np.ndarray) -> np.ndarray:
-    """log2(1 + snr) with snr raised by the pruning margin, which covers the
-    rounding between a bound and the solver's own t*^2 / tau_d."""
-    return log2_each(1.0 + (1.0 + _PRUNE_MARGIN) * snr)
+def _bound_rate(snr: np.ndarray, sinr: np.ndarray) -> np.ndarray:
+    """log2(1 + snr), snr >= 0 raised by the pruning margin, to rank against
+    an incumbent's rate log2(1 + sinr) (-inf for none, sinr 0): the log
+    only within _LOG_BAND of 1 + sinr, -inf below and inf above, which rank
+    as the log does (see _Incumbents.offer)."""
+    x, y = 1.0 + (1.0 + _PRUNE_MARGIN) * snr, 1.0 + sinr
+    above = x > y * (1.0 + _LOG_BAND)
+    rate = np.where(above, np.inf, -np.inf)
+    near = ~above & ~(x < y * (1.0 - _LOG_BAND))  # True on nan
+    rate[near] = log2_each(x[near])
+    return rate
 
 
 class _Incumbents:
@@ -684,7 +707,7 @@ class _Incumbents:
         the top, more than an ulp of any rate <= 1024, so such a set can
         neither rank first nor tie."""
         x, rate = 1.0 + sinr, np.full(sinr.shape, -np.inf)
-        near = x >= np.fmax.reduce(x, axis=0) * (1.0 - 1e-12)  # False on nan
+        near = x >= np.fmax.reduce(x, axis=0) * (1.0 - _LOG_BAND)  # False on nan
         rate[near] = log2_each(x[near])
         best = rate.argmax(axis=0)
         cells = np.arange(rate.shape[1])
@@ -734,12 +757,13 @@ def evaluate_scheme2_block(
     below the incumbent.  A cell with no incumbent has s* = 0 and rate
     -inf, so it drops nothing.  Rate bounds are raised by the relative
     margin 1e-9, far above rounding, and compared as rates under the full
-    ranking, since 1 + s can round SNRs more than 1e-9 apart onto one rate.
-    The table's remaining lanes are solved by one lockstep bisection, and
-    each cell's best becomes its incumbent.  The lanes race: a lane whose
-    bracket proves it ranks below its cell's incumbent or another lane
-    leaves the lockstep (see _Lanes.solve).  The ranking is a total order,
-    so neither cut can change the winner.
+    ranking (see _bound_rate), since 1 + s can round SNRs more than 1e-9
+    apart onto one rate.  The table's remaining lanes are solved by one
+    lockstep bisection, which takes the lanes that held at t_R as fitting
+    at t = 0, and each cell's best becomes its incumbent.  The lanes race:
+    a lane whose bracket proves it ranks below its cell's incumbent or
+    another lane leaves the lockstep (see _Lanes.solve).  The ranking is a
+    total order, so neither cut can change the winner.
 
     counts holds the block's search counters: multi-beam (set, cell) pairs
     ranked, dropped by their bound and by the t_R test, lanes solved and
@@ -823,9 +847,7 @@ def _visit(table: _SetTable, inc: _Incumbents, single: np.ndarray, counts: dict)
             bound[p] = pending[cells, sets[p]]
             pending[cells, sets[p]] = -np.inf
         valid = bound > -np.inf
-        rate = np.full(bound.shape, -np.inf)
-        rate[valid] = _rate_bound(bound[valid])
-        below = valid & (rate < inc.rate)
+        below = valid & (_bound_rate(bound, inc.sinr) < inc.rate)
         ends = below.any(axis=0)
         cut = np.where(ends, below.argmax(axis=0), width)
         counts["bound_drops"] += int((left - cut)[ends].sum())
@@ -842,15 +864,16 @@ def _solve_round(
     """Solve the round's visited pairs, set sets[p, c] at cell c, on one
     lane table, and offer them to the incumbents.  The table's first sweep,
     at t_R (see evaluate_scheme2_block), drops the sets that provably rank
-    below their cell's incumbent; a cell with no incumbent has s* = 0, so
-    t_R = 0 and a rate bound of 0, above its rate -inf.  The rest are the
-    lanes of one lockstep bisection."""
+    below their cell's incumbent (none for a cell with no incumbent: s* =
+    0, t_R = 0).  The rest are the lanes of one lockstep bisection, on the
+    same table if none is dropped; a lane that held at t_R fits at t = 0."""
     at, cells = sets[visit], np.nonzero(visit)[1]
     lanes = _Lanes(table, at, cells)
     t_r = np.sqrt(inc.sinr[cells] * lanes.tau_d) * (1.0 - _PRUNE_MARGIN)
-    fails = np.flatnonzero(~lanes.holds(t_r))
+    held = lanes.holds(t_r)
+    fails = np.flatnonzero(~held)
     t_r, at, by = t_r[fails], at[fails], cells[fails]
-    rate = _rate_bound(t_r * t_r / lanes.tau_d[fails])
+    rate = _bound_rate(t_r * t_r / lanes.tau_d[fails], inc.sinr[by])
     loses = rate < inc.rate[by]
     for l in np.flatnonzero(rate == inc.rate[by]).tolist():
         loses[l] = inc.below(rate[l], at[l], by[l])
@@ -859,9 +882,10 @@ def _solve_round(
     keep[fails[loses]] = False
     if not keep.any():
         return
-    visit[visit] = keep
-    lanes, cells = lanes._take(keep), cells[keep]
-    t_star, steps, raced = lanes.solve(cells, 1.0 + inc.sinr)
+    if not keep.all():
+        visit[visit] = keep
+        lanes, cells, held = lanes._take(keep), cells[keep], held[keep]
+    t_star, steps, raced = lanes.solve(cells, 1.0 + inc.sinr, held)
     counts["lanes"] += len(t_star)
     counts["iterations"] += steps
     counts["raced"] += raced

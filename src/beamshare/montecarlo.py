@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 from collections.abc import Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
@@ -89,7 +90,7 @@ def _integer(name: str, value) -> int:
 def _finite(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # an int may be past the float range
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 

@@ -1,12 +1,16 @@
 import argparse
+import contextlib
 import errno
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import beamshare.cli as cli_mod
 from beamshare import montecarlo
@@ -206,6 +210,9 @@ def test_snr_grid_has_no_float_drift():
             {"schemes": ["selection"] * 2}, [], "schemes", id="schemes-repeated"
         ),
         pytest.param({"r_p_bpcu": 1024}, [], "r_p", id="rate-overflow"),
+        # an int past the float range used to raise OverflowError
+        pytest.param({"r_p_bpcu": 10 ** 400}, [], "r_p", id="rate-huge-int"),
+        pytest.param({"snr_db": [-(10 ** 309)]}, [], "snr_db", id="snr-huge-int"),
         pytest.param(
             {"n_antennas": 9, "m_beams": 9, "schemes": ["selection", "scheme2"]},
             ["--strategy", "all-subsets"],
@@ -592,3 +599,103 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 2
     assert "invalid choice: 'nope'" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+
+# sweep --config fuzzing: a valid config with up to three fields replaced by
+# values of every type, sign and size, or removed, and the flags a sweep
+# takes. N and M stay at most 4, trials at most 3 and grids at most 40
+# points wherever the input can be valid, and --workers is 1 or invalid, so
+# no run is large and no process pool starts.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_HUGE = st.one_of(
+    st.integers(min_value=2 ** 64 + 1, max_value=10 ** 400),
+    st.integers(min_value=-(10 ** 400), max_value=-(2 ** 63)),
+)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_GRIDS = st.lists(st.floats(-1100.0, 1100.0), max_size=40, unique=True).map(sorted)
+_RATES = st.one_of(_FLOATS, st.integers(-3, 300), _HUGE, _JUNK)
+_WILD = dict(
+    n_antennas=st.one_of(st.integers(-1, 4), _FLOATS, _JUNK),
+    m_beams=st.one_of(st.integers(-1, 4), _FLOATS, _JUNK),
+    snr_db=st.one_of(
+        _GRIDS,
+        st.lists(st.one_of(_FLOATS, st.integers(-5, 5), _HUGE, _JUNK), max_size=3),
+        _FLOATS,
+        _JUNK,
+    ),
+    r_p_bpcu=_RATES,
+    r_s_bpcu=_RATES,
+    trials=st.one_of(st.integers(-2, 3), _HUGE, _FLOATS, _JUNK),
+    seed=st.one_of(st.integers(-(2 ** 70), 2 ** 70), _FLOATS, _JUNK),
+    schemes=st.one_of(
+        st.lists(st.sampled_from([*montecarlo.SCHEMES, "bogus"]), max_size=4), _JUNK
+    ),
+    metric=st.one_of(st.sampled_from([*montecarlo.METRICS, "bogus"]), _JUNK),
+    candidate_strategy=st.one_of(
+        st.sampled_from(["prefixes_plus_singletons", "all_subsets", "prefixes"]), _JUNK
+    ),
+    extra=_JUNK,
+)
+_FLAGS = dict(
+    trials=["1", "3", "0", "-1", "2.5", "x", str(2 ** 64 + 1), str(10 ** 30)],
+    seed=["0", "7", "-1", str(2 ** 64 - 1), str(2 ** 64), "nan", "1e3"],
+    snr_db=["10", "-5", "0:20:5", "0:1000:25", "nan", "inf", "1001", "10:0:5",
+            "0:40:1e-12", "0:1e300:1", ":", ""],
+    metric=[*montecarlo.METRICS, "bogus"],
+    strategy=["all-subsets", "prefixes+singletons", "prefixes"],
+    workers=["1", "0", "-2", "x"],
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_sweep_exits_0_or_2_with_one_error_line(data):
+    # whatever the file and flags hold, a sweep writes its CSV and exits 0,
+    # or exits 2 with exactly one error line, no traceback and no file
+    m = data.draw(st.integers(1, 3))
+    config = data.draw(
+        st.fixed_dictionaries(
+            dict(
+                n_antennas=st.integers(m, m + 1),
+                m_beams=st.just(m),
+                snr_db=_GRIDS.filter(bool),
+                r_p_bpcu=st.floats(0.01, 8.0),
+                r_s_bpcu=st.floats(0.0, 8.0),
+                trials=st.integers(1, 3),
+                seed=st.integers(0, 2 ** 64 - 1),
+                schemes=st.lists(
+                    st.sampled_from(montecarlo.SCHEMES), min_size=1, max_size=3, unique=True
+                ),
+                metric=st.sampled_from(montecarlo.METRICS),
+            )
+        )
+    )
+    for key in data.draw(st.lists(st.sampled_from(sorted(_WILD)), max_size=3, unique=True)):
+        if key in config and data.draw(st.booleans()):
+            del config[key]
+        else:
+            config[key] = data.draw(_WILD[key])
+    flags = data.draw(st.lists(st.sampled_from(sorted(_FLAGS)), max_size=3, unique=True))
+    argv = [f"--{k.replace('_', '-')}={data.draw(st.sampled_from(_FLAGS[k]))}" for k in flags]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out.csv")
+        with open(cfg, "w") as fh:
+            fh.write(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["sweep", "--config", cfg, *argv, "--out", out])
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert sum("error: " in line for line in err.getvalue().splitlines()) == 1
+            assert os.listdir(tmp) == ["cfg.json"]
+        else:
+            assert err.getvalue() == ""
+            assert sorted(os.listdir(tmp)) == ["cfg.json", "out.csv"]

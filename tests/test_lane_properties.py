@@ -4,9 +4,10 @@ The lockstep bisection's premise: each lane's test holds on an interval
 on it, and so would any bracket-based speed-up.  And the shortcuts the
 tables take are exact: the power bound built on the rank lattice is the
 per-set masked sum, the sweep's per-lane eta > 1 flag is its alpha_p > 1
-test, the solve's unmasked leading steps are the lockstep that masks and
-races every step, and an offer that logs only near-top rates keeps the
-incumbents of one that logs every rate."""
+test, the solve's unmasked leading steps, live mask and reuse of a sweep
+that held are the lockstep that masks and races every step, and an offer
+or a bound comparison that logs only near-top rates ranks as one that logs
+every rate."""
 
 import itertools
 from types import SimpleNamespace
@@ -14,14 +15,18 @@ from types import SimpleNamespace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from beamshare import beam_aggregation
 from beamshare.beam_aggregation import (
+    _PRUNE_MARGIN,
     STRATEGIES,
+    _bound_rate,
     _Incumbents,
     _Lanes,
     _SetTable,
     _layout,
 )
 from beamshare.channel_model import SystemConfig, realize_block
+from beamshare.power_allocation import log2_each
 
 from oracles import full_log_offer, masked_lockstep, summed_power_bound
 
@@ -170,17 +175,35 @@ def _random_lanes(rng, m_beams, lanes, cells, tiny):
     cells=st.integers(min_value=1, max_value=40),
     tiny=st.booleans(),
     floors=st.sampled_from(["none", "near", "random", "inf"]),
+    held=st.sampled_from(["none", "all", "part", "random_t"]),
     seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
 )
-def test_solve_is_the_masked_racing_lockstep(m_beams, lanes, cells, tiny, floors, seed):
+def test_solve_is_the_masked_racing_lockstep(
+    m_beams, lanes, cells, tiny, floors, held, seed
+):
     # On random lane tables, lanes sharing cells or not, the solve with its
-    # unmasked leading steps is the lockstep that masks every step: the
-    # same t* bits, iterations and lanes raced out. Floors are no
-    # incumbent, a cell's best lane's 1 + SNR moved by a relative step of
-    # up to 1e-8, random, or inf, so that whole cells, or every lane, can
-    # lose to them before the unmasked steps end.
+    # unmasked leading steps and its live mask is the lockstep that masks
+    # and compacts every step: the same t* bits, iterations and lanes
+    # raced out. Floors are no incumbent, a cell's best lane's 1 + SNR
+    # moved by a relative step of up to 1e-8, random, or inf, so that whole
+    # cells, or every lane, can lose to them before the unmasked steps end.
+    # The solve is told which lanes held at some t (as the t_R sweep tells
+    # it): none; all, on the lanes that hold at 0; a random part of those;
+    # or those that hold at a random fraction of their cap at 0.
     rng = np.random.default_rng(seed)
     lanes, cell = _random_lanes(rng, m_beams, lanes, cells, tiny)
+    zeros = np.zeros(len(cell))
+    if held == "all":
+        fits = lanes.holds(zeros)
+        lanes, cell = lanes._take(fits), cell[fits]
+    known = {
+        "none": lambda: None,
+        "all": lambda: np.ones(len(cell), dtype=bool),
+        "part": lambda: lanes.holds(zeros) & (rng.random(len(cell)) < 0.5),
+        "random_t": lambda: lanes.holds(
+            lanes._cap(np.zeros(lanes.h.shape)) * rng.uniform(0.0, 1.5, len(cell))
+        ),
+    }[held]()
     floor = np.full(cells, -np.inf)
     if floors == "near":
         t_star, _, _ = masked_lockstep(lanes, cell, floor)
@@ -192,9 +215,38 @@ def test_solve_is_the_masked_racing_lockstep(m_beams, lanes, cells, tiny, floors
     elif floors == "inf":
         floor = np.full(cells, np.inf)
     want = masked_lockstep(lanes, cell, floor)
-    got = lanes.solve(cell, floor)
+    got = lanes.solve(cell, floor, known)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1:] == want[1:]
+    assert type(got[2]) is int
+
+
+def test_raced_lanes_stay_in_the_table_until_an_eighth_is_dead(monkeypatch):
+    # 15 cells of one weak two-beam lane each, and in cell 0 a second lane
+    # on far stronger beams but with a far larger tau_d: its SNR bound is
+    # below the weak lane's after step 1, so it is raced out there, 1 of 16
+    # lanes. It stays in the table, dead, for every later step, nothing is
+    # compacted, and the lockstep stops when the live lanes close, after
+    # 26 steps, though the dead lane alone would take 34.
+    slots = _layout("all_subsets", 4)[1]
+    near, far = slots.tolist().index([-1, -1, 0, 1]), slots.tolist().index([-1, -1, 2, 3])
+    h = np.tile([[1e-5], [1e-5], [1e6], [1e6]], (1, 15))
+    tau_d = np.full((len(slots), 15), 1e-6)
+    tau_d[far, 0] = 1e10
+    table = SimpleNamespace(slots=slots, h=h, etas=np.zeros(h.shape), tau_d=tau_d, eps_p=1e-6)
+    cell = np.array([0, *range(15)])
+    lanes = _Lanes(table, np.array([far] + [near] * 15), cell)
+    floor = np.full(15, 1.0)
+    want = masked_lockstep(lanes, cell, floor)
+    taken = []
+    take = _Lanes._take
+    monkeypatch.setattr(_Lanes, "_take", lambda self, keep: taken.append(keep) or take(self, keep))
+    held = lanes.holds(np.zeros(len(cell)))  # every lane, as the t_R sweep at 0 says
+    got = lanes.solve(cell, floor, held)
+    assert held.all() and taken == []
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:] == (26, 1)
+    assert np.isnan(got[0][0]) and not np.isnan(got[0][1:]).any()
 
 
 # relative steps between a cell's offered 1 + sinr values: exact ties, ulps,
@@ -234,3 +286,39 @@ def test_the_banded_offer_keeps_the_full_log_incumbents(cells, offers, rounds, s
         full_log_offer(full, sinr, t, sets)
         for name in ("rate", "sinr", "t", "set"):
             assert getattr(banded, name).tobytes() == getattr(full, name).tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    cells=st.integers(min_value=1, max_value=12),
+    bounds=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+)
+def test_the_banded_bound_ranks_as_its_log(cells, bounds, seed):
+    # (bounds, cells) tables of bound SNRs whose raised 1 + s sits at exact
+    # ties, ulps, the 1e-12 band's edges and clear gaps from its cell's
+    # incumbent 1 + sinr, for incumbent rates up to about 1,000, no
+    # incumbent (rate -inf, sinr 0) or inf, with nan, 0 and inf bounds:
+    # the bound that logs only within the band is below, equal to and
+    # above each incumbent's rate exactly where log2_each of the raised
+    # 1 + s is
+    rng = np.random.default_rng(seed)
+    top = 1.0 + 2.0 ** rng.uniform(-10.0, 1000.0, cells)
+    top[rng.random(cells) < 0.05] = np.inf
+    none = rng.random(cells) < 0.2
+    top[none] = 1.0
+    sinr = top - 1.0
+    rate = np.where(none, -np.inf, log2_each(top))
+    edges = np.array([1e-12, -1e-12]) * (1.0 + np.array([[-2.0], [0.0], [2.0]]) * 2.0 ** -52)
+    # relative steps of 3e-14 and 1e-13 can round to one rate near 1,000
+    steps = _STEPS + edges.ravel().tolist() + [3e-14, -3e-14, 1e-13, -1e-13]
+    step = rng.choice(steps, (bounds, cells))
+    x = top * (1.0 + step * rng.integers(1, 4, (bounds, cells)))
+    snr = np.maximum((x - 1.0) / (1.0 + _PRUNE_MARGIN), 0.0)
+    snr[rng.random(snr.shape) < 0.1] = np.nan
+    snr[rng.random(snr.shape) < 0.05] = 0.0
+    snr[rng.random(snr.shape) < 0.05] = np.inf
+    got = _bound_rate(snr, sinr)
+    want = log2_each(1.0 + (1.0 + _PRUNE_MARGIN) * snr)
+    for op in (np.less, np.equal, np.greater):
+        assert np.array_equal(op(got, rate), op(want, rate))

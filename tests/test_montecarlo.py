@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from beamshare import beam_aggregation, channel_model, montecarlo, power_allocation
 from beamshare.beam_aggregation import (
+    _PRUNE_MARGIN,
     STRATEGIES,
     evaluate_scheme1,
     evaluate_scheme1_block,
@@ -470,6 +472,48 @@ def test_scheme2_rates_are_logged_once_per_sweep(monkeypatch):
     )
     assert estimate(specs) == held
     assert sum(logged) - held_count == 2 * 9 * 100
+
+
+def test_scheme2_bound_tests_log_only_inside_their_band(monkeypatch):
+    # the visit's and the t_R probe's tests of a bound rate against the
+    # incumbent's compare 1 + SNR, and take log2 only within 1e-12 relative
+    # of the incumbent's 1 + SNR: on the fig2b-size sweep at seed 1 no
+    # bound is that close, so they log nothing (logging every bound took
+    # 3,333 elements there), with the same estimates
+    specs = [
+        _spec(
+            n_antennas=m,
+            m_beams=m,
+            snr_grid_db=tuple(range(0, 45, 5)),
+            schemes=("selection", "scheme2"),
+            metric="ergodic_rate",
+            trials=100,
+            seed=1,
+        )
+        for m in (2, 4)
+    ]
+    want = estimate(specs)
+    logged, near, callers = [], [], set()
+    bound_rate, log2_each = beam_aggregation._bound_rate, beam_aggregation.log2_each
+
+    def counting(x):
+        if sys._getframe(1).f_code.co_name == "_bound_rate":
+            logged.append(x.size)
+        return log2_each(x)
+
+    def banded(snr, sinr):
+        callers.add(sys._getframe(1).f_code.co_name)
+        ratio = (1.0 + (1.0 + _PRUNE_MARGIN) * snr) / (1.0 + sinr)
+        with np.errstate(invalid="ignore"):  # inf / inf
+            near.append(int(np.count_nonzero(~(np.abs(ratio - 1.0) > 1e-12))))
+        return bound_rate(snr, sinr)
+
+    monkeypatch.setattr(beam_aggregation, "log2_each", counting)
+    monkeypatch.setattr(beam_aggregation, "_bound_rate", banded)
+    assert estimate(specs) == want
+    assert callers == {"_visit", "_solve_round"}
+    assert logged == near
+    assert sum(logged) == 0
 
 
 def test_scheme2_races_lanes_on_the_dense_m8_block(monkeypatch):
